@@ -20,8 +20,8 @@ import numpy as np
 from .exactnum import ZetaEven, to_float, zeta_even
 from .polyfps import Poly
 from .report import CheckReport, CheckStatus
-from .sequences import (SeqKind, generate, oracle_gf, oracle_hypergeometric_g,
-                        oracle_meixner_g, rodrigues_audit)
+from .sequences import (SeqKind, g_oracle_mismatches, generate,
+                        oracle_hypergeometric_g, rodrigues_audit)
 from .identities import derivative_expansion_reduced_audit
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "make_quad_config",
     "integrate",
     "orthogonality_matrix",
+    "gram_deviation",
     "moment",
     "ft_closed",
     "ft_numeric",
@@ -94,6 +95,9 @@ def _eigenvalues(n: int, tol: float) -> list[float]:
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
+    out = [0.5 * (out[k] - out[n - 1 - k]) for k in range(n)]
+    if n % 2 == 1:
+        out[n // 2] = 0.0
     return out
 
 
@@ -108,20 +112,14 @@ def zeros(n: int, tol: float = 1e-12) -> list[float]:
     """
     if n < 1:
         raise ValueError("need at least one zero")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    raw = _eigenvalues(n, tol)
-    out = [0.5 * (raw[k] - raw[n - 1 - k]) for k in range(n)]
-    if n % 2 == 1:
-        out[n // 2] = 0.0
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be positive and finite")
+    out = _eigenvalues(n, tol)
     if n >= 2:
         bound = math.sqrt(n * (n - 1))
         if max(abs(z) for z in out) >= bound:
             raise RuntimeError(f"zero bound sqrt(n(n-1)) violated at n = {n}")
-        raw_prev = _eigenvalues(n - 1, tol)
-        prev = [0.5 * (raw_prev[k] - raw_prev[n - 2 - k]) for k in range(n - 1)]
-        if (n - 1) % 2 == 1:
-            prev[(n - 1) // 2] = 0.0
+        prev = _eigenvalues(n - 1, tol)
         for k in range(n - 1):
             if not out[k] < prev[k] < out[k + 1]:
                 raise RuntimeError(f"interlacing violated between sizes {n - 1} and {n}")
@@ -139,7 +137,8 @@ def weight(t: float) -> float:
 
 
 def _weight_array(t: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # sinh overflows to inf for |t| > ~226, where t/inf = 0 is the right weight
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return np.where(t == 0.0, 1.0 / math.pi, t / np.sinh(math.pi * t))
 
 
@@ -240,6 +239,12 @@ def orthogonality_matrix(n_max: int, cfg: QuadConfig | None = None) -> np.ndarra
         for j in range(n_max + 1):
             out[i, j] = float(np.dot(allw, phivals[i] * phivals[j] * wvals))
     return out
+
+
+def gram_deviation(mat: np.ndarray) -> float:
+    """Largest entrywise distance of a Gram matrix from its target diag(2/(n+1))."""
+    target = np.diag(2.0 / np.arange(1.0, mat.shape[0] + 1.0))
+    return float(np.max(np.abs(mat - target)))
 
 
 @dataclass(frozen=True)
@@ -367,13 +372,7 @@ def erratum_audit() -> list[CheckReport]:
         nxt = (2 * Poly([0, 1]) * printed[n] - (n - 1) * printed[n - 1]) / Fraction(n + 1)
         printed.append(nxt)
     oracle3 = oracle_hypergeometric_g(3)
-    corrected = generate(SeqKind.G, 20)
-    agree = all(
-        corrected[n] == oracle_hypergeometric_g(n)
-        and corrected[n] == oracle_meixner_g(n)
-        and corrected[n] == oracle_gf(SeqKind.G, n)
-        for n in range(1, 21)
-    )
+    agree = not g_oracle_mismatches(20)
     residual = printed[3] - oracle3
     reports.append(CheckReport(
         "g-recurrence-sign", (3, 3), CheckStatus.AUDITED, residual=residual,

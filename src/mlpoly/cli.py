@@ -7,16 +7,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .analysis import ft_closed, ft_numeric, moment, orthogonality_matrix, zeros
+from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
+                       orthogonality_matrix, zeros)
 from .exactnum import to_float
-from .polyfps import X, elementary
+from .polyfps import elementary
 from .report import CheckReport
-from .sequences import SeqKind, generate, monic_egf, oracle_gf
+from .sequences import SeqKind, generate, generating_series
 from .suite import audit_suite, run_suite, summarize
 
 _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
@@ -109,11 +109,7 @@ def _cmd_zeros(args, argv) -> int:
 
 def _cmd_quad(args, argv) -> int:
     mat = orthogonality_matrix(args.max_n)
-    dev = 0.0
-    for i in range(args.max_n + 1):
-        for j in range(args.max_n + 1):
-            target = 2.0 / (i + 1.0) if i == j else 0.0
-            dev = max(dev, abs(mat[i, j] - target))
+    dev = gram_deviation(mat)
     if args.format == "csv":
         _emit_csv([f"c{j}" for j in range(args.max_n + 1)],
                   [[_fmt(v) for v in row] for row in mat.tolist()])
@@ -165,28 +161,14 @@ def _cmd_audit(args, argv) -> int:
 
 def _cmd_series(args, argv) -> int:
     kind = args.kind
-    order = args.order
-    if kind == "g":
-        series = (elementary("log_ratio", order) * X).exp()
-    elif kind == "phi":
-        two_arctan = elementary("arctan_half", order + 1).scale_t(Fraction(2))
-        from .polyfps import PolySeries
-        series = ((two_arctan * X).exp() - PolySeries.one(order + 1)
-                  ).divide_by_t().divide_coeffs_by_x()
-    elif kind == "phi-monic":
-        series = monic_egf(order)
-    elif kind == "g-monic":
-        base = generate(SeqKind.G_MONIC, order - 1)
-        rows = [{"t_power": n, "coeffs": base[n].to_strings()} for n in range(order)]
-        return _emit_series_rows(rows, args.format)
+    if kind == "g-monic":
+        coeffs = generate(SeqKind.G_MONIC, args.order - 1).polys
+    elif kind in _SEQ_TOKENS:
+        coeffs = generating_series(SeqKind.from_token(kind), args.order).coeffs
     else:
-        series = elementary(kind.replace("-", "_"), order)
-    rows = [{"t_power": n, "coeffs": series.coeff(n).to_strings()} for n in range(series.order)]
-    return _emit_series_rows(rows, args.format)
-
-
-def _emit_series_rows(rows: list[dict], fmt: str) -> int:
-    if fmt == "csv":
+        coeffs = elementary(kind.replace("-", "_"), args.order).coeffs
+    rows = [{"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs)]
+    if args.format == "csv":
         width = max((len(r["coeffs"]) for r in rows), default=1)
         _emit_csv(["t_power"] + [f"c{k}" for k in range(width)],
                   [[r["t_power"]] + r["coeffs"] + [""] * (width - len(r["coeffs"]))
@@ -249,7 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("exact", "numeric", "all"), default="all")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    p.add_argument("--max-n", dest="max_n", type=int, default=None,
+                   help="largest index checked, at least 1 "
+                        "(default: 20 for exact, 12 for numeric)")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -217,10 +217,8 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
     """
     if n_max < 1:
         raise ValueError("need at least n = 1")
-    tab = generate(SeqKind.PHI_MONIC, n_max + 2)
-    deltas = [tab[0] * tab[0]]
-    for n in range(1, n_max + 2):
-        deltas.append(tab[n] * tab[n] - tab[n - 1] * tab[n + 1])
+    tab = generate(SeqKind.PHI_MONIC, n_max + 2)  # held, so each turan(n) reads it
+    deltas = [turan(n).delta for n in range(n_max + 2)]
 
     for n in range(1, n_max + 1):
         c_n = Fraction(n * (n + 1), 4)

@@ -16,7 +16,10 @@ silently rewritten.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,6 +35,8 @@ __all__ = [
     "oracle_hypergeometric_g",
     "oracle_meixner_g",
     "oracle_gf",
+    "generating_series",
+    "g_oracle_mismatches",
     "monic_egf",
     "reduce_from_g",
     "difference_relation_checks",
@@ -83,6 +88,11 @@ class SeqTable:
         ]
 
 
+# One weak entry per family: a table is shared only while some caller still
+# holds it, so no table outlives the query or suite that built it.
+_LIVE: weakref.WeakValueDictionary[SeqKind, SeqTable] = weakref.WeakValueDictionary()
+
+
 def generate(kind: SeqKind, n_max: int) -> SeqTable:
     """Exact table of polynomials 0..n_max for one family.
 
@@ -91,9 +101,14 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
     PHI_MONIC:  p_{n+1} = x p_n - c_n p_{n-1},  c_n = n(n+1)/4,  p_0 = 1, p_1 = x
     G_MONIC:    n!/2^n * g_n
     PIDDUCK:    (g_n(x+1) + g_n(x))/2, the unit shift read off exactly
+
+    While a long enough table of the family is alive, returns it or its prefix.
     """
     if n_max < 0:
         raise ValueError("table length must be non-negative")
+    live = _LIVE.get(kind)
+    if live is not None and n_max <= live.max_n:
+        return live if n_max == live.max_n else SeqTable(kind, live.polys[: n_max + 1])
     if kind is SeqKind.G:
         polys = [Poly([1]), 2 * X]
         for n in range(1, n_max):
@@ -117,7 +132,9 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
         polys = [(base[n].shift(1) + base[n]) / Fraction(2) for n in range(n_max + 1)]
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    return SeqTable(kind, tuple(polys[: n_max + 1]))
+    table = SeqTable(kind, tuple(polys[: n_max + 1]))
+    _LIVE.setdefault(kind, table)
+    return table
 
 
 def oracle_hypergeometric_g(n: int) -> Poly:
@@ -178,29 +195,45 @@ def monic_egf(order: int) -> PolySeries:
     return numerator / denominator
 
 
-def oracle_gf(kind: SeqKind, n: int, order: int | None = None) -> Poly:
-    """Extract one polynomial from the exact generating series of its family.
+def generating_series(kind: SeqKind, order: int) -> PolySeries:
+    """The exact generating series of one family, truncated at order.
 
-    G comes from exp(x * log((1+t)/(1-t))); PHI from
-    (exp(2x*arctan t) - 1)/(tx) with both divisions verified exact; the monic
-    reduced family from its exponential generating series times n!.
+    G comes from exp(x * log((1+t)/(1-t))), with t^n coefficient g_n; PHI
+    from (exp(2x*arctan t) - 1)/(tx) with both divisions verified exact, with
+    t^n coefficient phi_n; PHI_MONIC is the exponential series monic_egf.
     """
+    if kind is SeqKind.G:
+        return (elementary("log_ratio", order) * X).exp()
+    if kind is SeqKind.PHI:
+        two_arctan = elementary("arctan_half", order + 1).scale_t(Fraction(2))
+        expanded = (two_arctan * X).exp() - PolySeries.one(order + 1)
+        return expanded.divide_by_t().divide_coeffs_by_x()
+    if kind is SeqKind.PHI_MONIC:
+        return monic_egf(order)
+    raise ValueError(f"no generating-series oracle for kind {kind.value}")
+
+
+def oracle_gf(kind: SeqKind, n: int, order: int | None = None) -> Poly:
+    """Extract one polynomial from the exact generating series of its family."""
     if order is None:
         order = n + 2
     if order <= n:
         raise ValueError("truncation order must exceed the target index")
-    if kind is SeqKind.G:
-        series = (elementary("log_ratio", order) * X).exp()
-        return series.coeff(n)
-    if kind is SeqKind.PHI:
-        inner_order = max(order, n + 2)
-        two_arctan = elementary("arctan_half", inner_order).scale_t(Fraction(2))
-        expanded = (two_arctan * X).exp() - PolySeries.one(inner_order)
-        reduced = expanded.divide_by_t().divide_coeffs_by_x()
-        return reduced.coeff(n)
-    if kind is SeqKind.PHI_MONIC:
-        return monic_egf(order).coeff(n) * Fraction(math.factorial(n))
-    raise ValueError(f"no generating-series oracle for kind {kind.value}")
+    coeff = generating_series(kind, order).coeff(n)
+    return coeff * Fraction(math.factorial(n)) if kind is SeqKind.PHI_MONIC else coeff
+
+
+@functools.cache
+def g_oracle_mismatches(n_max: int) -> tuple[int, ...]:
+    """Indices 1..n_max where g_n differs from its hypergeometric, Meixner or series oracle.
+
+    Memoized, because the exact suite and the erratum audit both check n_max = 20.
+    """
+    g = generate(SeqKind.G, n_max)
+    series = generating_series(SeqKind.G, n_max + 1)
+    return tuple(n for n in range(1, n_max + 1)
+                 if not (g[n] == oracle_hypergeometric_g(n) == oracle_meixner_g(n)
+                         == series.coeff(n)))
 
 
 def reduce_from_g(n: int) -> Poly:
@@ -239,53 +272,37 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
         raise ValueError("need at least n = 1 to check the relations")
     g = generate(SeqKind.G, n_max)
     p = generate(SeqKind.PHI_MONIC, n_max)
-    reports = []
-
-    residual, bad_n = None, None
-    for n in range(1, n_max + 1):
-        r = X * g[n].shift(1) - 2 * n * g[n] - X * g[n].shift(-1)
-        if not r.is_zero():
-            residual, bad_n = r, n
-            break
-    reports.append(_zero_contract_report(
-        "difference-relation-g", (1, n_max), residual, bad_n,
-        "x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0"))
-
-    residual, bad_n = None, None
-    for n in range(1, n_max + 1):
-        r = g[n].shift(1) - g[n - 1].shift(1) - g[n] - g[n - 1]
-        if not r.is_zero():
-            residual, bad_n = r, n
-            break
-    reports.append(_zero_contract_report(
-        "recurrence-difference-g", (1, n_max), residual, bad_n,
-        "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)"))
-
     i = GaussRational.i_power(1)
-    residual, bad_n = None, None
-    for n in range(0, n_max + 1):
-        r = (Poly([i, 1]) * p[n].shift(i)
-             - GaussRational(Fraction(0), Fraction(2 * (n + 1))) * p[n]
-             - Poly([-i, 1]) * p[n].shift(-i))
-        if not r.is_zero():
-            residual, bad_n = r, n
-            break
-    reports.append(_zero_contract_report(
-        "difference-relation-phi-monic-complex", (0, n_max), residual, bad_n,
-        "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact"))
-
-    return reports
+    return [
+        _zero_contract_report(
+            "difference-relation-g", (1, n_max),
+            lambda n: X * g[n].shift(1) - 2 * n * g[n] - X * g[n].shift(-1),
+            "x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0"),
+        _zero_contract_report(
+            "recurrence-difference-g", (1, n_max),
+            lambda n: g[n].shift(1) - g[n - 1].shift(1) - g[n] - g[n - 1],
+            "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)"),
+        _zero_contract_report(
+            "difference-relation-phi-monic-complex", (0, n_max),
+            lambda n: (Poly([i, 1]) * p[n].shift(i)
+                       - GaussRational(Fraction(0), Fraction(2 * (n + 1))) * p[n]
+                       - Poly([-i, 1]) * p[n].shift(-i)),
+            "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact"),
+    ]
 
 
 def _zero_contract_report(identity: str, n_range: tuple[int, int],
-                          residual: Poly | None, bad_n: int | None,
+                          residual_of: Callable[[int], Poly],
                           statement: str) -> CheckReport:
-    if residual is None:
-        return CheckReport(identity, n_range, CheckStatus.PASS,
-                           note=f"{statement}; exact for all n in range")
-    note = f"{statement}; first nonzero residual at n = {bad_n}: {residual}"
-    stored = residual if residual.is_real() else None
-    return CheckReport(identity, n_range, CheckStatus.FAIL, residual=stored, note=note)
+    """PASS when residual_of(n) is zero for every n in range, else FAIL at the first nonzero."""
+    for n in range(n_range[0], n_range[1] + 1):
+        residual = residual_of(n)
+        if not residual.is_zero():
+            note = f"{statement}; first nonzero residual at n = {n}: {residual}"
+            stored = residual if residual.is_real() else None
+            return CheckReport(identity, n_range, CheckStatus.FAIL, residual=stored, note=note)
+    return CheckReport(identity, n_range, CheckStatus.PASS,
+                       note=f"{statement}; exact for all n in range")
 
 
 def _gamma_pair(half: float, x: float) -> float:

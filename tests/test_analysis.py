@@ -7,6 +7,7 @@ forms from the scalar layer.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -85,8 +86,9 @@ def test_zeros_bound_and_interlacing_hold_up_to_24():
 def test_zeros_input_validation():
     with pytest.raises(ValueError):
         zeros(0)
-    with pytest.raises(ValueError):
-        zeros(3, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            zeros(3, tol=tol)
 
 
 def test_weight_values():
@@ -97,6 +99,13 @@ def test_weight_values():
     arr = _weight_array(np.array([0.0, 0.5]))
     assert arr[0] == 1.0 / math.pi
     assert arr[1] == weight(0.5)
+
+
+def test_weight_array_overflow_is_silent():
+    # sinh(250 pi) overflows to inf, and t/inf = 0 is the correct weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _weight_array(np.array([250.0]))[0] == 0.0
 
 
 def test_weight_total_mass():

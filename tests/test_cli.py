@@ -78,6 +78,13 @@ def test_zeros_csv(capsys):
     assert len(lines) == 3
 
 
+def test_zeros_rejects_non_finite_tol(capsys):
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "zeros", "--n", "3", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == "mlpoly: error: tolerance must be positive and finite\n"
+
+
 def test_quad(capsys):
     code, out, _ = run_cli(capsys, "quad", "--max-n", "3")
     assert code == 0
@@ -126,6 +133,22 @@ def test_verify_numeric(capsys):
     identities = {r["identity"] for r in payload["reports"]}
     assert "orthogonality-matrix" in identities
     assert "zeros-reference" in identities
+
+
+def test_verify_rejects_max_n_below_1(capsys):
+    for suite in ("exact", "numeric", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "0")
+        assert code == 2 and out == ""
+        assert err == "mlpoly: error: max_n must be at least 1, got 0\n"
+
+
+def test_verify_all_lists_each_report_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    payload = json.loads(out)
+    rows = [json.dumps(r, sort_keys=True) for r in payload["reports"]]
+    assert len(rows) == len(set(rows)) == 25
+    assert payload["summary"] == {"pass": 18, "fail": 0, "audited": 7}
 
 
 def test_verify_is_deterministic(capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from mlpoly import sequences
 from mlpoly.polyfps import Poly, X
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
@@ -164,6 +165,26 @@ def test_difference_relation_checks_pass():
     assert all(r.status is CheckStatus.PASS for r in reports)
     with pytest.raises(ValueError):
         difference_relation_checks(0)
+
+
+def test_generate_shares_a_live_table():
+    big = generate(SeqKind.PHI_MONIC, 30)
+    small = generate(SeqKind.PHI_MONIC, 12)
+    assert small.max_n == 12
+    assert all(a is b for a, b in zip(small.polys, big.polys))
+    assert generate(SeqKind.PHI_MONIC, 30) is big
+    kept = big.polys[:13]
+    del big, small
+    again = generate(SeqKind.PHI_MONIC, 12)
+    assert again.polys == kept
+    assert again[12] is not kept[12]  # rebuilt, not shared
+
+
+def test_live_table_entry_dies_with_its_last_holder():
+    table = generate(SeqKind.G, 25)
+    assert sequences._LIVE.get(SeqKind.G) is table
+    del table
+    assert SeqKind.G not in sequences._LIVE
 
 
 def test_seq_kind_tokens():
