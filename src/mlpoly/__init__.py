@@ -1,45 +1,8 @@
 """Exact-arithmetic engine and verification toolkit for the Mittag-Leffler
-polynomial family and its reduced and monic variants."""
+polynomial family and its reduced and monic variants.
 
-from __future__ import annotations
+The submodules are the API (`mlpoly.sequences`, `mlpoly.suite`, ...); the
+package itself exposes only `__version__`, so importing it loads nothing else.
+"""
 
 __version__ = "0.1.0"
-
-from .exactnum import (GaussRational, Rational, ZetaEven, bernoulli, to_float,
-                       zeta_even)
-from .polyfps import Poly, PolySeries, X, elementary
-from .report import CheckReport, CheckStatus
-from .sequences import (SeqKind, SeqTable, difference_relation_checks, generate,
-                        monic_egf, oracle_gf, oracle_hypergeometric_g,
-                        oracle_meixner_g, reduce_from_g, rodrigues_audit)
-from .identities import (OdeCoeffs, TuranValue, convolution_residual,
-                         derivative_expansion_monic,
-                         derivative_expansion_reduced_audit, egf_pde_residual,
-                         lowering_apply, lowering_check, ode_coeffs,
-                         ode_residual, trig_operator_apply,
-                         trig_operator_eigencheck, turan,
-                         turan_recurrence_check)
-from .analysis import (FtValue, JacobiMatrix, MomentResult, QuadConfig,
-                       erratum_audit, ft_closed, ft_numeric, integrate,
-                       make_quad_config, moment, orthogonality_matrix, weight,
-                       zeros)
-from .suite import audit_suite, exact_suite, numeric_suite, run_suite, summarize
-
-__all__ = [
-    "__version__",
-    "Rational", "GaussRational", "ZetaEven", "bernoulli", "zeta_even", "to_float",
-    "Poly", "PolySeries", "X", "elementary",
-    "CheckReport", "CheckStatus",
-    "SeqKind", "SeqTable", "generate", "oracle_hypergeometric_g",
-    "oracle_meixner_g", "oracle_gf", "monic_egf", "reduce_from_g",
-    "difference_relation_checks", "rodrigues_audit",
-    "OdeCoeffs", "TuranValue", "ode_coeffs", "ode_residual",
-    "trig_operator_apply", "trig_operator_eigencheck",
-    "derivative_expansion_monic", "derivative_expansion_reduced_audit",
-    "convolution_residual", "egf_pde_residual", "turan",
-    "turan_recurrence_check", "lowering_apply", "lowering_check",
-    "JacobiMatrix", "QuadConfig", "FtValue", "MomentResult", "zeros", "weight",
-    "make_quad_config", "integrate", "orthogonality_matrix", "moment",
-    "ft_closed", "ft_numeric", "erratum_audit",
-    "exact_suite", "numeric_suite", "audit_suite", "run_suite", "summarize",
-]

@@ -39,18 +39,29 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _report_rows(reports: list[CheckReport]) -> list[list]:
-    rows = []
-    for r in reports:
-        dev = "" if r.max_deviation is None else _fmt(r.max_deviation)
-        rows.append([r.identity, r.n_range[0], r.n_range[1], r.status.value, dev, r.note])
-    return rows
+def _emit_records(payload: dict | list[dict], fmt: str) -> None:
+    """One record or a list of them: as JSON, or as CSV with the keys as header."""
+    rows = payload if isinstance(payload, list) else [payload]
+    if fmt == "json":
+        _emit_json(payload)
+    else:
+        _emit_csv(list(rows[0]), [[_fmt(v) if isinstance(v, float) else v for v in r.values()]
+                                  for r in rows])
+
+
+def _emit_coeff_csv(ids: list[str], rows: list[dict]) -> None:
+    """Coefficient rows as CSV: the id columns, then c0, c1, ... padded to the widest row."""
+    width = max(len(r["coeffs"]) for r in rows)
+    _emit_csv(ids + [f"c{k}" for k in range(width)],
+              [[r[c] for c in ids] + r["coeffs"] + [""] * (width - len(r["coeffs"])) for r in rows])
 
 
 def _run_report(argv: list[str], reports: list[CheckReport], fmt: str) -> int:
     summary = summarize(reports)
     if fmt == "csv":
-        rows = _report_rows(reports)
+        rows = [[r.identity, r.n_range[0], r.n_range[1], r.status.value,
+                 "" if r.max_deviation is None else _fmt(r.max_deviation), r.note]
+                for r in reports]
         rows.append(["summary", summary["pass"], summary["fail"], summary["audited"], "", ""])
         _emit_csv(["identity", "n_lo", "n_hi", "status", "max_deviation", "note"], rows)
     else:
@@ -74,11 +85,7 @@ def _cmd_coeffs(args, argv) -> int:
     if args.n is not None:
         rows = rows[-1:]
     if args.format == "csv":
-        width = max(len(r["coeffs"]) for r in rows)
-        header = ["kind", "n"] + [f"c{k}" for k in range(width)]
-        body = [[r["kind"], r["n"]] + r["coeffs"] + [""] * (width - len(r["coeffs"]))
-                for r in rows]
-        _emit_csv(header, body)
+        _emit_coeff_csv(["kind", "n"], rows)
     else:
         _emit_json(rows[0] if args.n is not None else rows)
     return 0
@@ -88,13 +95,8 @@ def _cmd_eval(args, argv) -> int:
     kind = SeqKind.from_token(args.seq)
     x = Fraction(args.x)
     value = generate(kind, args.n)[args.n](x)
-    payload = {"kind": kind.value, "n": args.n, "x": str(x),
-               "value": str(value), "float": float(value)}
-    if args.format == "csv":
-        _emit_csv(["kind", "n", "x", "value", "float"],
-                  [[kind.value, args.n, str(x), str(value), _fmt(float(value))]])
-    else:
-        _emit_json(payload)
+    _emit_records({"kind": kind.value, "n": args.n, "x": str(x),
+                   "value": str(value), "float": float(value)}, args.format)
     return 0
 
 
@@ -123,30 +125,21 @@ def _cmd_quad(args, argv) -> int:
 def _cmd_ft(args, argv) -> int:
     closed = ft_closed(args.n, args.s)
     numeric = ft_numeric(args.n, args.s)
-    payload = {"n": args.n, "s": args.s, "phase": f"i^{args.n}",
-               "closed": closed.value, "numeric": numeric.value,
-               "abs_deviation": abs(closed.value - numeric.value)}
-    if args.format == "csv":
-        _emit_csv(["n", "s", "phase", "closed", "numeric", "abs_deviation"],
-                  [[args.n, _fmt(args.s), f"i^{args.n}", _fmt(closed.value),
-                    _fmt(numeric.value), _fmt(abs(closed.value - numeric.value))]])
-    else:
-        _emit_json(payload)
+    _emit_records({"n": args.n, "s": args.s, "phase": f"i^{args.n}",
+                   "closed": closed.value, "numeric": numeric.value,
+                   "abs_deviation": abs(closed.value - numeric.value)}, args.format)
     return 0
 
 
 def _cmd_moments(args, argv) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {args.max_n}")
     rows = []
     for n in range(1, args.max_n + 1, 2):
         m = moment(n)
         rows.append({"n": n, "closed": str(m.closed), "closed_float": to_float(m.closed),
                      "numeric": m.numeric, "rel_deviation": m.deviation})
-    if args.format == "csv":
-        _emit_csv(["n", "closed", "closed_float", "numeric", "rel_deviation"],
-                  [[r["n"], r["closed"], _fmt(r["closed_float"]), _fmt(r["numeric"]),
-                    _fmt(r["rel_deviation"])] for r in rows])
-    else:
-        _emit_json(rows)
+    _emit_records(rows, args.format)
     return 0
 
 
@@ -161,6 +154,8 @@ def _cmd_audit(args, argv) -> int:
 
 def _cmd_series(args, argv) -> int:
     kind = args.kind
+    if args.order < 1:
+        raise ValueError("series order must be at least 1")
     if kind == "g-monic":
         coeffs = generate(SeqKind.G_MONIC, args.order - 1).polys
     elif kind in _SEQ_TOKENS:
@@ -169,10 +164,7 @@ def _cmd_series(args, argv) -> int:
         coeffs = elementary(kind.replace("-", "_"), args.order).coeffs
     rows = [{"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs)]
     if args.format == "csv":
-        width = max((len(r["coeffs"]) for r in rows), default=1)
-        _emit_csv(["t_power"] + [f"c{k}" for k in range(width)],
-                  [[r["t_power"]] + r["coeffs"] + [""] * (width - len(r["coeffs"]))
-                   for r in rows])
+        _emit_coeff_csv(["t_power"], rows)
     else:
         _emit_json(rows)
     return 0
@@ -190,62 +182,55 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mlpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def finish(p, handler):  # every command ends with --format and names its handler
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("coeffs", help="emit exact coefficient tables")
     p.add_argument("--seq", required=True, choices=_SEQ_TOKENS)
     p.add_argument("--n", type=int)
     p.add_argument("--max-n", dest="max_n", type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_coeffs)
+    finish(p, _cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate one member exactly at a rational point")
     p.add_argument("--seq", required=True, choices=_SEQ_TOKENS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", required=True, help="rational like 3/4, 2, or 0.25")
-    add_format(p)
-    p.set_defaults(handler=_cmd_eval)
+    finish(p, _cmd_eval)
 
     p = sub.add_parser("zeros", help="zeros of the monic reduced member")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    add_format(p)
-    p.set_defaults(handler=_cmd_zeros)
+    finish(p, _cmd_zeros)
 
     p = sub.add_parser("quad", help="orthogonality Gram matrix by quadrature")
     p.add_argument("--max-n", dest="max_n", type=int, default=12)
-    add_format(p)
-    p.set_defaults(handler=_cmd_quad)
+    finish(p, _cmd_quad)
 
     p = sub.add_parser("ft", help="Fourier transform: closed form vs quadrature")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_ft)
+    finish(p, _cmd_ft)
 
     p = sub.add_parser("moments", help="odd sinh moments: exact zeta form vs quadrature")
-    p.add_argument("--max-n", dest="max_n", type=int, default=9)
-    add_format(p)
-    p.set_defaults(handler=_cmd_moments)
+    p.add_argument("--max-n", dest="max_n", type=int, default=9,
+                   help="largest moment index, at least 1 (default: 9)")
+    finish(p, _cmd_moments)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("exact", "numeric", "all"), default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
                    help="largest index checked, at least 1 "
                         "(default: 20 for exact, 12 for numeric)")
-    add_format(p)
-    p.set_defaults(handler=_cmd_verify)
+    finish(p, _cmd_verify)
 
     p = sub.add_parser("audit", help="adjudicate the printed-identity errata")
-    add_format(p)
-    p.set_defaults(handler=_cmd_audit)
+    finish(p, _cmd_audit)
 
     p = sub.add_parser("series", help="generating-function coefficient tables")
     p.add_argument("--kind", required=True, choices=_SERIES_TOKENS)
     p.add_argument("--order", type=int, default=8)
-    add_format(p)
-    p.set_defaults(handler=_cmd_series)
+    finish(p, _cmd_series)
 
     return parser
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "GaussRational",
     "ZetaEven",
     "bernoulli",
@@ -25,8 +24,6 @@ __all__ = [
     "rational_from_str",
     "rational_to_str",
 ]
-
-Rational = Fraction
 
 
 def rational_to_str(q: Fraction) -> str:

@@ -90,18 +90,22 @@ def trig_operator_apply(p: Poly) -> Poly:
     return cos_part + X * sin_part
 
 
+def _residual_report(identity: str, n_range: tuple[int, int], residual: Poly,
+                     pass_note: str, fail_note: str) -> CheckReport:
+    if residual.is_zero():
+        return CheckReport(identity, n_range, CheckStatus.PASS, note=pass_note)
+    return CheckReport(identity, n_range, CheckStatus.FAIL, residual=residual, note=fail_note)
+
+
 def trig_operator_eigencheck(n: int) -> CheckReport:
     """(cos D + x sin D) p_n = (n+1) p_n, exactly."""
     if n < 0:
         raise ValueError("index must be non-negative")
     p = generate(SeqKind.PHI_MONIC, n)[n]
-    residual = trig_operator_apply(p) - (n + 1) * p
-    if residual.is_zero():
-        return CheckReport("trig-operator-eigenrelation", (n, n), CheckStatus.PASS,
-                           note=f"(cos D + x sin D) p_{n} = {n + 1} p_{n}")
-    return CheckReport("trig-operator-eigenrelation", (n, n), CheckStatus.FAIL,
-                       residual=residual,
-                       note=f"operator application differs from {n + 1} p_{n}")
+    return _residual_report("trig-operator-eigenrelation", (n, n),
+                            trig_operator_apply(p) - (n + 1) * p,
+                            f"(cos D + x sin D) p_{n} = {n + 1} p_{n}",
+                            f"operator application differs from {n + 1} p_{n}")
 
 
 def derivative_expansion_monic(n: int) -> CheckReport:
@@ -114,12 +118,9 @@ def derivative_expansion_monic(n: int) -> CheckReport:
     for k in range(n // 2 + 1):
         coeff = Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
         rhs = rhs + coeff * tab[n - 2 * k]
-    residual = lhs - rhs
-    if residual.is_zero():
-        return CheckReport("derivative-expansion-monic", (n, n), CheckStatus.PASS,
-                           note="derivative of p_{n+1} expands over lower monic members")
-    return CheckReport("derivative-expansion-monic", (n, n), CheckStatus.FAIL,
-                       residual=residual, note=f"expansion fails at n = {n}")
+    return _residual_report("derivative-expansion-monic", (n, n), lhs - rhs,
+                            "derivative of p_{n+1} expands over lower monic members",
+                            f"expansion fails at n = {n}")
 
 
 def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
@@ -137,27 +138,21 @@ def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI, n_max + 1)
 
-    printed_first_fail = None
-    printed_residual = None
-    for n in range(1, n_max + 1):
-        lhs = tab[n].derivative()
-        rhs = Poly()
-        for k in range(n // 2 + 1):
-            rhs = rhs + Fraction(2 * (-1) ** k, 2 * k + 1) * tab[n - 2 * k]
-        r = lhs - rhs
-        if not r.is_zero():
-            printed_first_fail, printed_residual = n, r
-            break
+    def first_failure(shift: int, coeff) -> tuple[int | None, Poly | None]:
+        """First n whose phi'_{n+shift} differs from sum_k coeff(n, k) phi_{n-2k}."""
+        for n in range(1, n_max + 1):
+            rhs = Poly()
+            for k in range(n // 2 + 1):
+                rhs = rhs + coeff(n, k) * tab[n - 2 * k]
+            r = tab[n + shift].derivative() - rhs
+            if not r.is_zero():
+                return n, r
+        return None, None
 
-    corrected_fail = None
-    for n in range(1, n_max + 1):
-        lhs = tab[n + 1].derivative()
-        rhs = Poly()
-        for k in range(n // 2 + 1):
-            rhs = rhs + Fraction(2 * (-1) ** k * (n - 2 * k + 1), (n + 2) * (2 * k + 1)) * tab[n - 2 * k]
-        if not (lhs - rhs).is_zero():
-            corrected_fail = n
-            break
+    printed_first_fail, printed_residual = first_failure(
+        0, lambda n, k: Fraction(2 * (-1) ** k, 2 * k + 1))
+    corrected_fail, _ = first_failure(
+        1, lambda n, k: Fraction(2 * (-1) ** k * (n - 2 * k + 1), (n + 2) * (2 * k + 1)))
 
     if printed_first_fail is None and corrected_fail is None:
         note = f"both printed and corrected forms hold exactly for 1 <= n <= {n_max}"

@@ -389,10 +389,8 @@ def elementary(kind: str, order: int) -> PolySeries:
 
     log_ratio coincides with artanh as a mathematical fact, but it is built
     from an independent pair of log expansions so the two can cross-check
-    each other.
+    each other.  An order below 1 is refused by the PolySeries it builds.
     """
-    if order < 1:
-        raise ValueError("series order must be at least 1")
     cs: list[Fraction] = [Fraction(0)] * order
     if kind == "arctan_half":
         for k in range(order // 2 + 1):

@@ -31,10 +31,6 @@ class CheckReport:
     max_deviation: float | None = None
     note: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status is not CheckStatus.FAIL
-
     def to_json_dict(self) -> dict:
         # residual polynomials with Gaussian coefficients are described in
         # the note instead; the serialized residual field stays rational

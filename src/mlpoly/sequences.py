@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +40,7 @@ __all__ = [
     "monic_egf",
     "reduce_from_g",
     "difference_relation_checks",
+    "RODRIGUES_POINTS",
     "rodrigues_audit",
 ]
 
@@ -88,8 +89,8 @@ class SeqTable:
         ]
 
 
-# One weak entry per family: a table is shared only while some caller still
-# holds it, so no table outlives the query or suite that built it.
+# One weak entry per family, its last and so longest table built: a table is shared
+# only while some caller still holds it, so none outlives the query or suite that built it.
 _LIVE: weakref.WeakValueDictionary[SeqKind, SeqTable] = weakref.WeakValueDictionary()
 
 
@@ -133,7 +134,7 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
     table = SeqTable(kind, tuple(polys[: n_max + 1]))
-    _LIVE.setdefault(kind, table)
+    _LIVE[kind] = table
     return table
 
 
@@ -187,8 +188,6 @@ def monic_egf(order: int) -> PolySeries:
     exp(2x*arctan(t/2)) / (1 + t^2/4), truncated at the given order; the
     t^n coefficient is phi-hat_n / n!.
     """
-    if order < 1:
-        raise ValueError("series order must be at least 1")
     numerator = (elementary("arctan_half", order) * X).exp()
     denom_coeffs = [Poly([1]), Poly(), Poly([Fraction(1, 4)])]
     denominator = PolySeries(order, denom_coeffs[:order])
@@ -314,7 +313,11 @@ def _gamma_pair(half: float, x: float) -> float:
     return math.gamma(u) * math.gamma(v)
 
 
-def rodrigues_audit(n: int, sample_points: list[float]) -> CheckReport:
+# Where the suites and the erratum audit sample the Rodrigues formula.
+RODRIGUES_POINTS = (0.1, 0.2, 0.3, 0.4)
+
+
+def rodrigues_audit(n: int, sample_points: Sequence[float]) -> CheckReport:
     """Numerically adjudicate the printed Rodrigues-type formula for g_n.
 
     Evaluates the printed right-hand side (2/n!) (x / w(x,1)) delta^n w(x,n),

@@ -86,7 +86,7 @@ def test_zeros_bound_and_interlacing_hold_up_to_24():
 def test_zeros_input_validation():
     with pytest.raises(ValueError):
         zeros(0)
-    for tol in (0.0, math.nan, math.inf):
+    for tol in (0.0, math.nan, math.inf, 10.0):  # 10 is too wide to separate the zeros
         with pytest.raises(ValueError):
             zeros(3, tol=tol)
 
@@ -222,3 +222,39 @@ def test_erratum_audit_shape():
     assert "low by a factor" in by_id["fourier-n0-display"].note
     assert "MISMATCH" in by_id["rodrigues-formula"].note
     assert by_id["derivative-expansion-reduced"].residual is not None
+
+
+def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypatch):
+    from mlpoly import analysis
+    true_eigenvalues = analysis._eigenvalues
+
+    def shifted(n, tol):
+        out = true_eigenvalues(n, tol)
+        return [z + 1.0 for z in out] if n == 2 else out
+
+    monkeypatch.setattr(analysis, "_eigenvalues", shifted)
+    with pytest.raises(RuntimeError, match="interlacing violated"):
+        zeros(3)
+    with pytest.raises(ValueError, match="cannot separate"):
+        zeros(3, 0.5)
+
+
+def test_gamma_tail_overflow_is_an_unmet_bound():
+    from mlpoly.analysis import _gamma_tail
+    assert _gamma_tail(301, math.pi, 4.0) == math.inf
+
+
+def test_ft_closed_past_the_float_range():
+    from mlpoly.analysis import _ft_closed_log
+    # the log-space form agrees with the direct product where both exist
+    for n, s in ((5, -2.0), (160, 0.3), (169, 40.0)):
+        assert _ft_closed_log(n, 0.5 * s) == pytest.approx(ft_closed(n, s).value, rel=1e-12)
+    assert math.isfinite(ft_closed(170, 1.0).value) and ft_closed(170, 1.0).value > 0
+    assert ft_closed(171, -1.0).value < 0
+    assert ft_closed(2, 1e308).value == 0.0
+    assert ft_closed(300, 0.0).value == 0.0
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        ft_closed(1000, 10.0)
+    for s in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="non-finite"):
+            ft_numeric(2, s)

@@ -239,3 +239,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mlpoly" in capsys.readouterr().out
+
+
+def _one_line_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("mlpoly: error: ") and err.count("\n") == 1
+
+
+def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):
+    code, out, err = run_cli(capsys, "zeros", "--n", "3", "--tol", "10")
+    assert _one_line_error(code, out, err)
+    assert "cannot separate the zeros of sizes 2 and 3" in err
+
+
+def test_quad_past_every_truncation_exits_2(capsys):
+    code, out, err = run_cli(capsys, "quad", "--max-n", "150")
+    assert _one_line_error(code, out, err)
+    assert "no truncation below 400 satisfies the tail bound" in err
+
+
+def test_ft_beyond_the_float_range_exits_2(capsys):
+    for argv in (["--n", "170", "--s", "1"], ["--n", "2", "--s", "1e308"],
+                 ["--n", "3", "--s", "nan"], ["--n", "300", "--s", "0"]):
+        code, out, err = run_cli(capsys, "ft", *argv)
+        assert _one_line_error(code, out, err), argv
+
+
+def test_moments_rejects_max_n_below_1(capsys):
+    for max_n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "moments", "--max-n", max_n)
+        assert _one_line_error(code, out, err)
+        assert err == f"mlpoly: error: max_n must be at least 1, got {max_n}\n"
+
+
+def test_series_order_below_1_has_one_message_for_every_kind(capsys):
+    for kind in ("g-monic", "g", "phi-monic", "artanh"):
+        code, out, err = run_cli(capsys, "series", "--kind", kind, "--order", "0")
+        assert _one_line_error(code, out, err)
+        assert err == "mlpoly: error: series order must be at least 1\n"

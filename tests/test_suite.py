@@ -1,0 +1,86 @@
+"""Verification suites: one plan of checks, each check run once.
+
+The runner drops repeated steps before calling any, so a check that two
+layers share runs once under `all`, and it holds the family tables the
+checks read for the whole run instead of letting each check rebuild them.
+"""
+
+import os
+import subprocess
+import sys
+import weakref
+from collections import Counter
+from pathlib import Path
+
+from mlpoly import analysis, sequences, suite
+from mlpoly.sequences import SeqKind
+
+
+class _CountingLive(weakref.WeakValueDictionary):
+    """The live-table registry, counting registrations: one per table built."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = Counter()
+
+    def __setitem__(self, key, value):
+        self.built[key] += 1
+        super().__setitem__(key, value)
+
+    def setdefault(self, key, default=None):
+        self.built[key] += 1
+        return super().setdefault(key, default)
+
+
+def _count_calls(monkeypatch, calls, name):
+    for module in (suite, analysis):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original):
+            calls[name, args[0]] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_all_runs_each_shared_check_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "derivative_expansion_reduced_audit")
+    _count_calls(monkeypatch, calls, "rodrigues_audit")
+    live = _CountingLive()
+    monkeypatch.setattr(sequences, "_LIVE", live)
+    reports = suite.run_suite("all")
+    assert len(reports) == 25
+    assert calls["derivative_expansion_reduced_audit", 20] == 1
+    assert calls["rodrigues_audit", 1] == 1
+    assert sum(live.built.values()) <= 10
+
+
+def test_numeric_suite_builds_phi_monic_at_most_once(monkeypatch):
+    live = _CountingLive()
+    monkeypatch.setattr(sequences, "_LIVE", live)
+    suite.numeric_suite()
+    assert live.built[SeqKind.PHI_MONIC] <= 1
+
+
+def test_all_at_small_max_n_builds_each_table_once(monkeypatch):
+    # the exact plan holds PHI_MONIC only to max_n + 2 < 8, which the Fourier loop reads
+    live = _CountingLive()
+    monkeypatch.setattr(sequences, "_LIVE", live)
+    suite.run_suite("all", 3)
+    assert live.built[SeqKind.PHI_MONIC] <= 2
+
+
+def test_all_is_the_union_of_the_three_suites():
+    union = suite.exact_suite(3) + suite.numeric_suite(3) + suite.audit_suite()
+    key = lambda r: (r.identity, r.n_range, r.note)
+    assert suite.run_suite("all", 3) == sorted(set(union), key=key)
+
+
+def test_import_mlpoly_loads_no_submodule_and_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, mlpoly; print(mlpoly.__version__, "
+            "sorted(m for m in sys.modules if m.startswith(('mlpoly.', 'numpy'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out == "0.1.0 []\n"
