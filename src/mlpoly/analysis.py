@@ -11,6 +11,7 @@ identities that fail their own cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +78,9 @@ def _sturm_count(off_sq: list[float], x: float, pivmin: float) -> int:
     return count
 
 
-def _eigenvalues(n: int, tol: float) -> list[float]:
+# zeros(n) reads sizes n - 1 and n, so over n = 1, 2, ... two entries bisect each size once
+@functools.lru_cache(maxsize=2)
+def _eigenvalues(n: int, tol: float) -> tuple[float, ...]:
     jm = JacobiMatrix.build(n)
     off_sq = [b * b for b in jm.off_diagonal]
     max_bsq = max(off_sq, default=1.0)
@@ -99,7 +102,7 @@ def _eigenvalues(n: int, tol: float) -> list[float]:
     out = [0.5 * (out[k] - out[n - 1 - k]) for k in range(n)]
     if n % 2 == 1:
         out[n // 2] = 0.0
-    return out
+    return tuple(out)
 
 
 def zeros(n: int, tol: float = 1e-12) -> list[float]:
@@ -115,12 +118,13 @@ def zeros(n: int, tol: float = 1e-12) -> list[float]:
         raise ValueError("need at least one zero")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
-    out = _eigenvalues(n, tol)
+    # size n - 1 before n, so the two-entry cache evicts size n - 2 and keeps n for zeros(n + 1)
+    prev = _eigenvalues(n - 1, tol) if n >= 2 else ()
+    out = list(_eigenvalues(n, tol))
     if n >= 2:
         bound = math.sqrt(n * (n - 1))
         if max(abs(z) for z in out) >= bound:
             raise RuntimeError(f"zero bound sqrt(n(n-1)) violated at n = {n}")
-        prev = _eigenvalues(n - 1, tol)
         chain = [z for pair in zip(out, prev) for z in pair] + [out[-1]]
         gaps = [b - a for a, b in zip(chain, chain[1:])]
         if min(gaps) <= 0:
@@ -329,6 +333,8 @@ def ft_closed(n: int, s: float) -> FtValue:
     """
     if n < 0:
         raise ValueError("index must be non-negative")
+    if math.isnan(s):
+        raise ValueError("the transform argument s must be a number, got nan")
     half = 0.5 * s
     try:
         sech = 1.0 / math.cosh(half)

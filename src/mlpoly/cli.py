@@ -28,7 +28,8 @@ def _fmt(v: float) -> str:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # strict JSON: a non-finite float raises ValueError, which main turns into exit 2
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:

@@ -1,17 +1,25 @@
 """Dense exact polynomials in x and truncated formal power series in t.
 
-Poly is the coefficient workhorse: an ascending-degree tuple over Fraction
-(or GaussRational after a complex shift), trimmed so the zero polynomial is
-the empty tuple.  PolySeries is a power series in t whose coefficients are
-Poly values in x; the truncation order is fixed at construction and every
-binary operation propagates the minimum of the operand orders, so precision
-loss is explicit instead of silent.
+Poly is the coefficient workhorse.  It stores one canonical integer form:
+the real numerators, the imaginary numerators (None for a real polynomial)
+and one positive common denominator, trimmed so the zero polynomial is the
+empty tuple over 1, with the gcd of all those integers equal to 1.  Equality
+and hashing therefore compare three fields, and the kernel (convolution,
+common-denominator addition, the additions-only Taylor shift, Horner
+evaluation) runs on Python integers.  Fraction and GaussRational appear only
+at the edges: the constructor accepts int, Fraction and GaussRational
+coefficients, and `coeffs`, `coefficient` and the string forms hand them
+out.  PolySeries is a power series in t whose coefficients are Poly values
+in x; the truncation order is fixed at construction and every binary
+operation propagates the minimum of the operand orders, so precision loss is
+explicit instead of silent.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .exactnum import GaussRational, bernoulli
@@ -31,100 +39,227 @@ def _is_scalar(v) -> bool:
     return isinstance(v, (int, Fraction, GaussRational))
 
 
+def _parts(c) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + im*i)/den and den > 0, for an exact scalar c."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    if isinstance(c, GaussRational):
+        re, im = c.re, c.im
+        den = math.lcm(re.denominator, im.denominator)
+        return (re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator), den)
+    raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
+
+
+def _lincomb(a, ma: int, b, mb: int) -> list[int]:
+    """ma*a + mb*b, coefficient by coefficient, for integer sequences of any lengths."""
+    if len(a) < len(b):
+        a, ma, b, mb = b, mb, a, ma
+    out = [ma * x for x in a]
+    for k, y in enumerate(b):
+        out[k] += mb * y
+    return out
+
+
+def _conv(a, b) -> list[int]:
+    """Product of two integer coefficient sequences (schoolbook convolution)."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+    return out
+
+
+def _shift_one(cs: list[int]) -> list[int]:
+    """Coefficients of f(x + 1) from those of f, by n(n+1)/2 integer additions.
+
+    Pass i replaces c_j (j >= i) by the suffix sum c_j + c_{j+1} + ... + c_n,
+    which is the inner loop c_j += c_{j+1}, j = n-1 .. i, of the classical
+    Taylor shift (von zur Gathen & Gerhard, ISSAC 1997).
+    """
+    c = list(cs)
+    for i in range(len(c) - 1):
+        c[i:] = reversed(list(accumulate(reversed(c[i:]))))
+    return c
+
+
+def _horner(cs, p: int, q: int) -> int:
+    """q^deg * sum_k cs[k] (p/q)^k, for integer cs, p and q."""
+    acc, qk = 0, 1
+    for c in reversed(cs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _make(num, im, den: int) -> "Poly":
+    """The canonical Poly of (num + i*im)/den for den > 0; im may be None or shorter than num."""
+    num = list(num)
+    if im is not None:
+        im = list(im)
+        if len(im) < len(num):
+            im.extend([0] * (len(num) - len(im)))
+        elif len(num) < len(im):
+            num.extend([0] * (len(im) - len(num)))
+        while num and not num[-1] and not im[-1]:
+            num.pop()
+            im.pop()
+        if not any(im):
+            im = None
+    else:
+        while num and not num[-1]:
+            num.pop()
+    if not num:
+        return _raw((), None, 1)
+    g = math.gcd(den, *num) if im is None else math.gcd(den, *num, *im)
+    if g != 1:
+        den //= g
+        num = [c // g for c in num]
+        if im is not None:
+            im = [c // g for c in im]
+    return _raw(tuple(num), None if im is None else tuple(im), den)
+
+
+def _raw(num: tuple, im: tuple | None, den: int) -> "Poly":
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_im", im)
+    object.__setattr__(p, "_den", den)
+    return p
+
+
+def _scale(p: "Poly", c) -> "Poly":
+    """p times the exact scalar c."""
+    r, s, d = _parts(c)
+    num, im = p._num, p._im
+    if not s:
+        return _make([r * x for x in num], None if im is None else [r * y for y in im],
+                     p._den * d)
+    return _make(_lincomb(num, r, im or (), -s), _lincomb(num, s, im or (), r), p._den * d)
+
+
 class Poly:
     """Dense univariate polynomial with exact coefficients.
 
-    Coefficients are stored in ascending degree with trailing zeros removed;
-    the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+    Stored as integer numerators (real, and imaginary or None) over one
+    positive denominator in lowest terms, trailing zeros removed; the zero
+    polynomial has no coefficients and degree -1.  Instances are immutable
+    and hashable, and equal polynomials have equal fields.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_im", "_den")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
-        cs = [_norm_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        parts = [_parts(c) for c in coeffs]
+        den = math.lcm(*(d for _, _, d in parts)) if parts else 1
+        num = [r * (den // d) for r, _, d in parts]
+        im = [s * (den // d) for _, s, d in parts] if any(s for _, s, _ in parts) else None
+        canon = _make(num, im, den)
+        object.__setattr__(self, "_num", canon._num)
+        object.__setattr__(self, "_im", canon._im)
+        object.__setattr__(self, "_den", canon._den)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """Ascending-degree coefficients: Fractions, or GaussRationals when not real."""
+        den = self._den
+        if self._im is None:
+            return tuple(Fraction(c, den) for c in self._num)
+        return tuple(GaussRational(Fraction(a, den), Fraction(b, den))
+                     for a, b in zip(self._num, self._im))
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_real(self) -> bool:
         """True when no coefficient carries an imaginary component."""
-        return all(not isinstance(c, GaussRational) or c.is_real for c in self.coeffs)
+        return self._im is None
 
     @property
     def leading_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int):
         """Coefficient of x**k (zero beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        if not 0 <= k < len(self._num):
+            return Fraction(0)
+        if self._im is None:
+            return Fraction(self._num[k], self._den)
+        return GaussRational(Fraction(self._num[k], self._den), Fraction(self._im[k], self._den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self._den == other._den and self._num == other._num and self._im == other._im
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._im, self._den))
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the least common denominator."""
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        im = None
+        if self._im is not None or other._im is not None:
+            im = _lincomb(self._im or (), ma, other._im or (), mb)
+        return _make(_lincomb(self._num, ma, other._num, mb), im, da * (db // g))
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        im = None if self._im is None else tuple(-c for c in self._im)
+        return _raw(tuple(-c for c in self._num), im, self._den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            a, b = self._num, other._num
+            den = self._den * other._den
+            if self._im is None and other._im is None:
+                return _make(_conv(a, b), None, den)
+            ai, bi = self._im or (), other._im or ()
+            return _make(_lincomb(_conv(a, b), 1, _conv(ai, bi), -1),
+                         _lincomb(_conv(a, bi), 1, _conv(ai, b), 1), den)
         if _is_scalar(other):
-            return Poly([c * other for c in self.coeffs])
+            return _scale(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if _is_scalar(other):
-            return Poly([other * c for c in self.coeffs])
+            return _scale(self, other)
         return NotImplemented
 
     def __truediv__(self, scalar):
         if not _is_scalar(scalar):
             return NotImplemented
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        return Poly([c / scalar for c in self.coeffs])
+        r, s, d = _parts(scalar)
+        if not r and not s:
+            raise ZeroDivisionError("polynomial division by zero")
+        # 1/((r + s i)/d) = d (r - s i) / (r^2 + s^2)
+        inverse = (Fraction(d, r) if not s
+                   else GaussRational(Fraction(d * r, r * r + s * s), Fraction(-d * s, r * r + s * s)))
+        return _scale(self, inverse)
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
@@ -135,7 +270,28 @@ class Poly:
         return out
 
     def __call__(self, x):
-        """Horner evaluation; exact for exact inputs, float for floats."""
+        """Horner evaluation; exact for exact inputs, float for floats.
+
+        At an int or Fraction p/q the Horner sum runs on the integers scaled
+        by q^deg and one Fraction is built at the end; at a float it runs over
+        the correctly rounded quotients num/den.
+        """
+        num, im, den = self._num, self._im, self._den
+        if isinstance(x, (int, Fraction)):
+            if not num:
+                return Fraction(0)
+            p, q = x.numerator, x.denominator
+            scale = den * q ** (len(num) - 1)
+            re = Fraction(_horner(num, p, q), scale)
+            if im is None:
+                return re
+            return GaussRational(re, Fraction(_horner(im, p, q), scale))
+        if isinstance(x, float) and im is None:
+            acc = x * 0
+            for c in reversed(num):
+                acc = acc * x + c / den
+            return acc
+        # any other point, a GaussRational say: Horner over the edge coefficients
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -145,45 +301,56 @@ class Poly:
         """Exact k-th derivative; k beyond the degree gives the zero polynomial."""
         if k < 0:
             raise ValueError("derivative order must be non-negative")
-        cs = self.coeffs
-        for _ in range(k):
-            if len(cs) <= 1:
-                return Poly()
-            cs = tuple(j * c for j, c in enumerate(cs) if j >= 1)
-        return Poly(cs)
+        if k == 0:
+            return self
+        factors = [math.perm(j, k) for j in range(k, len(self._num))]  # j!/(j-k)!
+        im = None if self._im is None else [f * c for f, c in zip(factors, self._im[k:])]
+        return _make([f * c for f, c in zip(factors, self._num[k:])], im, self._den)
 
     def shift(self, a) -> "Poly":
-        """p(x + a), expanded exactly (Horner in the shifted variable)."""
-        a = _norm_coeff(a)
-        if not a:
+        """p(x + a), expanded exactly, over Z[i] when a is Gaussian.
+
+        With a = w/q (w a Gaussian integer, q > 0): the numerators of
+        q^deg p(a x) are shifted by 1 with integer additions only, and
+        coefficient k of the result is then multiplied by (q/w)^k, an exact
+        division.
+        """
+        r, s, q = _parts(a)
+        n = self.degree
+        if (not r and not s) or n < 1:
             return self
-        base = Poly([a, 1])
-        res = Poly()
-        for c in reversed(self.coeffs):
-            res = res * base + Poly([c])
-        return res
+        re, im = list(self._num), list(self._im or [0] * (n + 1))
+        # w^k and q^(n-k), walked up and down together
+        wr, wi, qk = 1, 0, q ** n
+        for k in range(n + 1):
+            re[k], im[k] = (wr * re[k] - wi * im[k]) * qk, (wr * im[k] + wi * re[k]) * qk
+            wr, wi, qk = wr * r - wi * s, wr * s + wi * r, qk // q
+        re, im = _shift_one(re), _shift_one(im) if any(im) else im
+        # divide coefficient k by w^k, i.e. multiply by conj(w)^k / |w|^(2k), and by q^k
+        norm, wr, wi, qk, nk = r * r + s * s, 1, 0, 1, 1
+        for k in range(n + 1):
+            re[k], im[k] = ((wr * re[k] - wi * im[k]) * qk // nk,
+                            (wr * im[k] + wi * re[k]) * qk // nk)
+            wr, wi, qk, nk = wr * r + wi * s, wi * r - wr * s, qk * q, nk * norm
+        return _make(re, im, self._den * q ** n)
 
     def to_strings(self) -> list[str]:
         """Ascending-degree "num/den" strings; rejects Gaussian coefficients."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, GaussRational):
-                if not c.is_real:
-                    raise ValueError("cannot serialize a non-real coefficient as num/den")
-                c = c.re
-            out.append(str(c))
-        return out
+        if self._im is not None:
+            raise ValueError("cannot serialize a non-real coefficient as num/den")
+        return [str(Fraction(c, self._den)) for c in self._num]
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "Poly":
         return cls([Fraction(s) for s in items])
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -298,7 +465,7 @@ class PolySeries:
             raise ZeroDivisionError("series with zero constant term has no reciprocal")
         if c0.degree > 0:
             raise ValueError("series reciprocal requires a constant t^0 coefficient")
-        inv0 = Fraction(1) / c0.coeffs[0]
+        inv0 = Fraction(1) / c0.coefficient(0)
         out = [Poly([inv0])]
         for n in range(1, self.order):
             acc = Poly()
@@ -365,9 +532,10 @@ class PolySeries:
         """Exact coefficient-wise division by x; every Poly must vanish at 0."""
         out = []
         for n, p in enumerate(self.coeffs):
-            if p.coeffs and p.coeffs[0]:
+            if p.coefficient(0):
                 raise ValueError(f"t^{n} coefficient is not divisible by x")
-            out.append(Poly(p.coeffs[1:]))
+            # dropping a zero constant term keeps the canonical form
+            out.append(_raw(p._num[1:], None if p._im is None else p._im[1:], p._den))
         return PolySeries(self.order, out)
 
     def dx(self) -> "PolySeries":

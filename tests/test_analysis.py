@@ -91,6 +91,20 @@ def test_zeros_input_validation():
             zeros(3, tol=tol)
 
 
+def test_zeros_bisects_each_size_once_over_a_run():
+    from mlpoly import analysis
+    analysis._eigenvalues.cache_clear()
+    for n in range(1, 25):
+        zeros(n)
+    assert analysis._eigenvalues.cache_info().misses == 24
+
+
+def test_zeros_hands_out_a_list_of_its_own():
+    zs = zeros(5)
+    zs[0] = 99.0
+    assert zeros(5)[0] != 99.0
+
+
 def test_weight_values():
     assert weight(0.0) == 1.0 / math.pi
     assert weight(0.5) == pytest.approx(0.5 / math.sinh(math.pi / 2), rel=1e-15)
@@ -175,6 +189,11 @@ def test_ft_closed_frozen_values():
     assert ft_closed(1, 1.0).value == pytest.approx(0.07249399409756802, rel=1e-14)
     with pytest.raises(ValueError):
         ft_closed(-1, 0.0)
+
+
+def test_ft_closed_rejects_nan_s():
+    with pytest.raises(ValueError, match="got nan"):
+        ft_closed(3, math.nan)
 
 
 def test_ft_phase_convention():

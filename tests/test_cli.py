@@ -85,6 +85,14 @@ def test_zeros_rejects_non_finite_tol(capsys):
         assert err == "mlpoly: error: tolerance must be positive and finite\n"
 
 
+def test_emit_json_refuses_non_finite_floats(capsys):
+    from mlpoly.cli import _emit_json
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _emit_json({"x": v})
+    assert capsys.readouterr().out == ""
+
+
 def test_quad(capsys):
     code, out, _ = run_cli(capsys, "quad", "--max-n", "3")
     assert code == 0

@@ -7,7 +7,9 @@ doubled artanh expansion even though the two are built from different
 formulas.
 """
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,10 @@ from mlpoly.polyfps import Poly, PolySeries, X, elementary
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 _polys = st.lists(_fractions, max_size=6).map(Poly)
+_gaussians = st.builds(GaussRational, _fractions, _fractions)
+# coefficient lists, real or Gaussian, kept next to the Poly built from them
+_real_lists = st.lists(_fractions, max_size=7)
+_coeff_lists = st.one_of(_real_lists, st.lists(st.one_of(_fractions, _gaussians), max_size=7))
 
 
 def test_poly_construction_trims_and_reports_degree():
@@ -236,3 +242,148 @@ def test_series_equality_and_iteration():
     assert hash(a) == hash(PolySeries(3, [1, 2]))
     with pytest.raises(AttributeError):
         a.order = 5
+
+
+# The integer kernel against a naive per-coefficient reference over Fraction
+# and GaussRational, which is how Poly computed before its integer form.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _ref_shift(cs, a):
+    # coefficient j of sum_k c_k (x + a)^k is sum_{k >= j} C(k, j) c_k a^(k - j)
+    out = []
+    for j in range(len(cs)):
+        acc, power = Fraction(0), Fraction(1)
+        for k in range(j, len(cs)):
+            acc = acc + math.comb(k, j) * cs[k] * power
+            power = power * a
+        out.append(acc)
+    return _trim(out)
+
+
+def _ref_float_horner(cs, x):
+    acc = x * 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _assert_canonical(p):
+    num, im, den = p._num, p._im, p._den
+    assert den > 0
+    assert math.gcd(den, *num, *(im or ())) == 1
+    assert im is None or (len(im) == len(num) and any(im))
+    assert not num or num[-1] or im[-1]
+
+
+@given(_coeff_lists, _coeff_lists)
+@settings(max_examples=80, deadline=None)
+def test_kernel_ring_operations_match_the_reference(a, b):
+    p, q = Poly(a), Poly(b)
+    pairs = list(zip_longest(a, b, fillvalue=Fraction(0)))
+    assert (p + q).coeffs == _trim(x + y for x, y in pairs)
+    assert (p - q).coeffs == _trim(x - y for x, y in pairs)
+    assert (p * q).coeffs == _ref_mul(a, b)
+    assert (-p).coeffs == _trim(-x for x in a)
+    for r in (p, q, p + q, p - q, p * q, -p):
+        _assert_canonical(r)
+
+
+@given(_coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-9, 9)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_scalar_products_match_the_reference(a, c):
+    p = Poly(a)
+    assert (p * c).coeffs == _trim(x * c for x in a)
+    assert (c * p).coeffs == (p * c).coeffs
+    _assert_canonical(p * c)
+
+
+@given(_coeff_lists, _fractions.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_kernel_scalar_division_matches_the_reference(a, c):
+    p = Poly(a) / c
+    assert p.coeffs == _trim(x * (1 / c) for x in a)
+    _assert_canonical(p)
+
+
+def test_kernel_division_by_zero_and_by_gaussian():
+    with pytest.raises(ZeroDivisionError):
+        X / 0
+    i = GaussRational(0, 1)
+    assert (X / i) * i == X
+    assert Poly([GaussRational(2, 4)]) / GaussRational(1, 2) == Poly([2])
+
+
+@given(_coeff_lists, st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_kernel_derivative_matches_the_reference(a, k):
+    cs = _trim(a)
+    for _ in range(k):
+        cs = _trim(j * c for j, c in enumerate(cs) if j >= 1)
+    assert Poly(a).derivative(k).coeffs == cs
+    _assert_canonical(Poly(a).derivative(k))
+
+
+@given(_coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-3, 3)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_shift_matches_the_reference(a, shift):
+    p = Poly(a).shift(shift)
+    assert p.coeffs == _ref_shift(_trim(a), shift)
+    _assert_canonical(p)
+
+
+@given(_coeff_lists, st.one_of(_fractions, st.integers(-9, 9)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_rational_evaluation_matches_the_reference(a, x):
+    expected = sum((c * Fraction(x) ** k for k, c in enumerate(a)), Fraction(0))
+    assert Poly(a)(x) == expected
+
+
+@given(_real_lists, st.floats(min_value=-50, max_value=50))
+@settings(max_examples=80, deadline=None)
+def test_kernel_float_evaluation_is_bit_identical_to_fraction_horner(a, x):
+    assert Poly(a)(x) == _ref_float_horner(_trim(a), x)
+
+
+def test_float_evaluation_past_the_float_range_raises_overflow():
+    with pytest.raises(OverflowError):
+        Poly([Fraction(10**400, 3)])(1.0)
+
+
+def test_canonical_form_examples():
+    p = Poly([Fraction(2, 6), Fraction(4, 6), 0, 0])
+    assert (p._num, p._im, p._den) == ((1, 2), None, 3)
+    z = Poly([0, 0])
+    assert (z._num, z._im, z._den) == ((), None, 1)
+    g = Poly([GaussRational(Fraction(1, 2), Fraction(1, 3)), GaussRational(0, 0)])
+    assert (g._num, g._im, g._den) == ((3,), (2,), 6)
+    assert (Poly([-2, 4]) / -2)._den == 1
+
+
+def test_hash_agrees_with_equality_across_coefficient_types():
+    gauss = Poly([GaussRational(1), GaussRational(2)])
+    assert gauss == Poly([1, 2]) == Poly([Fraction(2, 2), 2])
+    assert hash(gauss) == hash(Poly([1, 2]))
+    assert len({gauss, Poly([1, 2]), Poly([Fraction(1), Fraction(2)])}) == 1
+    shifted = (X * X).shift(GaussRational(0, 1)).shift(GaussRational(0, -1))
+    assert shifted.is_real() and shifted == X * X and hash(shifted) == hash(X * X)
+
+
+@given(_real_lists)
+@settings(max_examples=40, deadline=None)
+def test_hash_of_real_polynomial_ignores_gaussian_wrapping(a):
+    p, q = Poly(a), Poly([GaussRational(c) for c in a])
+    assert p == q and hash(p) == hash(q)

@@ -84,3 +84,9 @@ def test_import_mlpoly_loads_no_submodule_and_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
     assert out == "0.1.0 []\n"
+
+
+def test_exact_suite_holds_through_n_40():
+    reports = suite.exact_suite(40)
+    assert reports
+    assert [r.identity for r in reports if r.status.value == "FAIL"] == []
