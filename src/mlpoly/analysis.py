@@ -2,8 +2,8 @@
 
 The exact layers prove identities; this layer reproduces the numeric claims
 that live outside the polynomial ring.  Zeros come from Sturm bisection on
-the symmetric tridiagonal recurrence matrix, integrals from deterministic
-composite Gauss-Legendre panels with analytically chosen truncation, and the
+the symmetric tridiagonal recurrence matrix, integrals from one fixed
+Gauss-Legendre panel rule with analytically chosen truncation, and the
 Fourier transform from a closed form that is compared against direct
 quadrature.  The erratum audit at the bottom adjudicates the five printed
 identities that fail their own cross-checks.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from .exactnum import ZetaEven, to_float, zeta_even
 from .polyfps import Poly
 from .report import CheckReport, CheckStatus
-from .sequences import (RODRIGUES_POINTS, SeqKind, g_oracle_mismatches, generate,
-                        oracle_hypergeometric_g, rodrigues_audit)
+from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, g_oracle_mismatches,
+                        generate, oracle_hypergeometric_g, rodrigues_audit)
 from .identities import derivative_expansion_reduced_audit
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "MomentResult",
     "zeros",
     "weight",
+    "member_values",
     "make_quad_config",
     "integrate",
     "orthogonality_matrix",
@@ -49,7 +50,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 @dataclass(frozen=True)
 class JacobiMatrix:
     """Symmetric tridiagonal matrix of the monic recurrence: zero diagonal,
-    off-diagonal b_k = sqrt(k(k+1))/2 = sqrt(c_k)."""
+    off-diagonal sqrt(-b(k)) = sqrt(c_k) = sqrt(k(k+1))/2."""
 
     n: int
     off_diagonal: tuple[float, ...]
@@ -58,7 +59,8 @@ class JacobiMatrix:
     def build(cls, n: int) -> "JacobiMatrix":
         if n < 1:
             raise ValueError("matrix size must be at least 1")
-        return cls(n, tuple(math.sqrt(k * (k + 1)) / 2.0 for k in range(1, n)))
+        monic = RECURRENCES[SeqKind.PHI_MONIC]
+        return cls(n, tuple(math.sqrt(-monic.b(k)) for k in range(1, n)))
 
 
 def _sturm_count(off_sq: list[float], x: float, pivmin: float) -> int:
@@ -151,35 +153,32 @@ def _weight_array(t: np.ndarray) -> np.ndarray:
         return np.where(t == 0.0, 1.0 / math.pi, t / np.sinh(math.pi * t))
 
 
-def _poly_floats(p: Poly) -> list[float]:
+def _coeff_norm(p: Poly) -> float:
+    """1-norm of the float coefficients, the constant of the quadrature tail bound."""
     try:
-        return [float(c) for c in p.coeffs]
+        return sum(abs(float(c)) for c in p.coeffs)
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{p.degree} member exceeds "
                          f"the float range") from None
 
 
-def _eval_floats(coeffs: list[float], t: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(t)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
+    """Rows p_0(t) .. p_{n_max}(t) of a RECURRENCES family, by its recurrence in floats:
+    the stable route (Gautschi 2004, sec. 2.1), where power-basis sums cancel badly."""
+    rec = RECURRENCES[kind]
+    out = np.empty((n_max + 2, t.size))
+    out[0], out[1] = 0.0, rec.p0  # row 0 is p_{-1}
+    for n in range(n_max):
+        out[n + 2] = float(rec.a(n)) * t * out[n + 1] + float(rec.b(n)) * out[n]
+    return out[1:]
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Deterministic composite Gauss-Legendre rule over [-T, T].
-
-    truncation is chosen so the analytic tail bound of the integrand
-    envelope C * |t|^d * e^(-rate*|t|) is below abs_tol; with 20 nodes per
-    unit panel the panel error of these entire integrands is negligible
-    against the tail term.
-    """
+    """Truncation T of the unit-panel rule over [-T, T], set by make_quad_config's
+    tail bound; against that tail the panel error of these entire integrands is negligible."""
 
     truncation: float
-    nodes_per_panel: int = 20
-    panel_width: float = 1.0
-    abs_tol: float = 1e-10
 
 
 def _gamma_tail(degree: int, rate: float, upper: float) -> float:
@@ -214,20 +213,24 @@ def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
         envelope = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
         tail = 2.0 * coeff_norm * envelope * _gamma_tail(max_degree, rate, float(upper))
         if tail < 0.5 * abs_tol:
-            return QuadConfig(truncation=float(upper), abs_tol=abs_tol)
+            return QuadConfig(truncation=float(upper))
     raise ValueError("no truncation below 400 satisfies the tail bound")
 
 
+@functools.cache
+def _unit_panel() -> tuple[np.ndarray, np.ndarray]:
+    """The one panel rule: 20-node Gauss-Legendre on [-1/2, 1/2], computed once."""
+    nodes, wts = (0.5 * a for a in np.polynomial.legendre.leggauss(20))
+    for a in (nodes, wts):
+        a.setflags(write=False)  # the cache hands the same arrays to every caller
+    return nodes, wts
+
+
 def _panel_points(cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
-    nodes, wts = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
-    t_upper = cfg.truncation
-    panels = int(round(2.0 * t_upper / cfg.panel_width))
-    edges = np.linspace(-t_upper, t_upper, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    allw = (half[:, None] * wts[None, :]).ravel()
-    return pts, allw
+    """Nodes and weights of the unit panels centred at -T + 1/2, ..., T - 1/2."""
+    nodes, wts = _unit_panel()
+    mids = np.arange(-cfg.truncation, cfg.truncation) + 0.5
+    return (mids[:, None] + nodes).ravel(), np.tile(wts, mids.size)
 
 
 def integrate(f, cfg: QuadConfig) -> float:
@@ -236,25 +239,29 @@ def integrate(f, cfg: QuadConfig) -> float:
     vals = np.asarray(f(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand produced a non-finite value inside the panel range")
-    return float(np.dot(allw, vals))
+    # einsum, unlike BLAS dot, sums in an order that does not depend on the thread count
+    return float(np.einsum("k,k->", allw, vals))
 
 
-def orthogonality_matrix(n_max: int, cfg: QuadConfig | None = None) -> np.ndarray:
+def orthogonality_matrix(n_max: int) -> np.ndarray:
     """Gram matrix of the reduced family under t/sinh(pi t); target diag 2/(n+1)."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
     tab = generate(SeqKind.PHI, n_max)
-    coeffs = [_poly_floats(tab[i]) for i in range(n_max + 1)]
-    if cfg is None:
-        norm = max(sum(abs(c) for c in cs) for cs in coeffs)
-        cfg = make_quad_config(2 * n_max + 1, abs_tol=1e-10, coeff_norm=norm * norm)
-    pts, allw = _panel_points(cfg)
-    wvals = _weight_array(pts)
-    phivals = [_eval_floats(cs, pts) for cs in coeffs]
-    out = np.empty((n_max + 1, n_max + 1))
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            out[i, j] = float(np.dot(allw, phivals[i] * phivals[j] * wvals))
+    norm = max(_coeff_norm(p) for p in tab.polys)
+    pts, allw = _panel_points(make_quad_config(2 * n_max + 1, abs_tol=1e-10,
+                                               coeff_norm=norm * norm))
+    wts = allw * _weight_array(pts)
+    out = np.zeros((n_max + 1, n_max + 1))
+    # blocks of at most 2048 nodes keep the member values held at once small (1.3 MB at
+    # n = 80, not 7.9); the lower triangle is summed and mirrored, so out is exactly symmetric
+    for lo in range(0, pts.size, 2048):
+        block = slice(lo, lo + 2048)
+        phi = member_values(SeqKind.PHI, n_max, pts[block])
+        for i in range(n_max + 1):
+            out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
+    upper = np.triu_indices(n_max + 1, 1)
+    out[upper] = out.T[upper]
     return out
 
 
@@ -272,7 +279,7 @@ class MomentResult:
     deviation: float
 
 
-def moment(n: int, cfg: QuadConfig | None = None) -> MomentResult:
+def moment(n: int) -> MomentResult:
     """Integral of t^n / sinh(t) over the line: exact closed form vs quadrature.
 
     Closed form: (1 - (-1)^n) (2^(n+1) - 1)/2^n * n! * zeta(n+1), which is 0
@@ -285,8 +292,7 @@ def moment(n: int, cfg: QuadConfig | None = None) -> MomentResult:
     else:
         factor = Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
         closed = zeta_even(n + 1).scaled(factor)
-    if cfg is None:
-        cfg = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
+    cfg = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
     limit = 1.0 if n == 1 else 0.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -359,7 +365,7 @@ def _ft_closed_log(n: int, half: float) -> float:
     return math.copysign(v, t) if n % 2 else v
 
 
-def ft_numeric(n: int, s: float, cfg: QuadConfig | None = None) -> FtValue:
+def ft_numeric(n: int, s: float) -> FtValue:
     """Transform by direct quadrature of p_n(t) w(t) e^(ist)/sqrt(2 pi).
 
     Parity collapses the integral to a cosine (even n) or sine (odd n) form;
@@ -368,15 +374,12 @@ def ft_numeric(n: int, s: float, cfg: QuadConfig | None = None) -> FtValue:
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    p = generate(SeqKind.PHI_MONIC, n)[n]
-    coeffs = _poly_floats(p)
-    if cfg is None:
-        norm = sum(abs(c) for c in coeffs)
-        cfg = make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm)
+    norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
+    cfg = make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm)
     trig = np.cos if n % 2 == 0 else np.sin
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return _eval_floats(coeffs, t) * _weight_array(t) * trig(s * t)
+        return member_values(SeqKind.PHI_MONIC, n, t)[n] * _weight_array(t) * trig(s * t)
 
     # s * t overflows for huge |s|; integrate rejects the non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -405,10 +408,8 @@ def own_erratum_audit() -> list[CheckReport]:
     """The three errata of erratum_audit that this module adjudicates itself."""
     # 1. Sign of the base three-term recurrence: the minus-sign variant first
     #    diverges from every oracle at n = 3.
-    printed = [Poly([1]), Poly([0, 2])]
-    for n in range(1, 3):
-        nxt = (2 * Poly([0, 1]) * printed[n] - (n - 1) * printed[n - 1]) / Fraction(n + 1)
-        printed.append(nxt)
+    g = RECURRENCES[SeqKind.G]
+    printed = replace(g, b=lambda n: -g.b(n)).members(3)
     oracle3 = oracle_hypergeometric_g(3)
     agree = not g_oracle_mismatches(20)
     residual = printed[3] - oracle3

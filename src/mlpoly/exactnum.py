@@ -4,8 +4,8 @@ numbers and even zeta values.
 Rational values are stdlib ``fractions.Fraction`` objects, which are always
 kept in canonical form (reduced, positive denominator, 0 == 0/1).  This
 module adds the Gaussian extension Q(i), the number-theoretic constants the
-identity checks consume, and the string/float conversions shared by the rest
-of the package.
+identity checks consume, and the float conversion shared by the rest of the
+package.
 """
 
 from __future__ import annotations
@@ -21,19 +21,7 @@ __all__ = [
     "bernoulli",
     "zeta_even",
     "to_float",
-    "rational_from_str",
-    "rational_to_str",
 ]
-
-
-def rational_to_str(q: Fraction) -> str:
-    """Canonical "num/den" form; the denominator is omitted when it is 1."""
-    return str(q)
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse "num/den", plain integers, or decimal literals exactly."""
-    return Fraction(s.strip())
 
 
 def _as_fraction(v) -> Fraction:
@@ -49,7 +37,7 @@ class GaussRational:
     """Exact complex number re + im*i with rational components.
 
     Only ring operations are needed by the checks (evaluation at x +- i and
-    the i-power reduction map), but division is provided for completeness.
+    the i-power reduction map); Poly divides by a Gaussian scalar itself.
     """
 
     re: Fraction
@@ -75,9 +63,6 @@ class GaussRational:
     @property
     def is_real(self) -> bool:
         return self.im == 0
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -112,18 +97,6 @@ class GaussRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

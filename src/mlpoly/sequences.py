@@ -5,8 +5,9 @@ in ((1+t)/(1-t))^x), its monic rescaling, the reduced real sequence phi_n
 obtained by evaluating g_{n+1} on the imaginary axis, the monic reduced
 sequence, and the half-sum shift family connected to Pidduck polynomials.
 
-Every generator here is a three-term recurrence; every oracle rebuilds the
-same polynomials by a structurally different route (terminating
+The three recurrence families are defined once, in RECURRENCES, and every
+exact or float route that runs them reads that entry; every oracle rebuilds
+the same polynomials by a structurally different route (terminating
 hypergeometric sums, a shifted Meixner sum, exact series extraction) so that
 agreement is meaningful.  The base recurrence is used with +(n-1) g_{n-1} on
 the right-hand side: the minus-sign variant seen in print contradicts all
@@ -31,6 +32,8 @@ from .report import CheckReport, CheckStatus
 __all__ = [
     "SeqKind",
     "SeqTable",
+    "Recurrence",
+    "RECURRENCES",
     "generate",
     "oracle_hypergeometric_g",
     "oracle_meixner_g",
@@ -89,6 +92,37 @@ class SeqTable:
         ]
 
 
+@dataclass(frozen=True)
+class Recurrence:
+    """p_{n+1} = a(n) x p_n + b(n) p_{n-1} for n >= 0, from p_{-1} = 0 and the constant p_0.
+
+    a and b return the exact step coefficients; p_1 = a(0) p_0 x.
+    """
+
+    p0: int
+    a: Callable[[int], Fraction]
+    b: Callable[[int], Fraction]
+
+    def members(self, n_max: int) -> list[Poly]:
+        """p_0 .. p_{n_max}, exactly."""
+        polys = [Poly(), Poly([self.p0])]  # p_{-1}, p_0
+        for n in range(n_max):
+            polys.append(self.a(n) * X * polys[-1] + self.b(n) * polys[-2])
+        return polys[1:]
+
+
+# The one definition of each recurrence family, read by generate, the float evaluator
+# and Jacobi matrix of the analysis layer, and the erratum audit's printed variant.
+RECURRENCES = {
+    # (n+1) g_{n+1} = 2x g_n + (n-1) g_{n-1};  g_0 = 1, g_1 = 2x
+    SeqKind.G: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n - 1, n + 1)),
+    # (n+2) phi_{n+1} = 2x phi_n - n phi_{n-1};  phi_0 = 2, phi_1 = 2x
+    SeqKind.PHI: Recurrence(2, lambda n: Fraction(2, n + 2), lambda n: Fraction(-n, n + 2)),
+    # p_{n+1} = x p_n - c_n p_{n-1}, c_n = n(n+1)/4;  p_0 = 1, p_1 = x
+    SeqKind.PHI_MONIC: Recurrence(1, lambda n: Fraction(1), lambda n: Fraction(-n * (n + 1), 4)),
+}
+
+
 # One weak entry per family, its last and so longest table built: a table is shared
 # only while some caller still holds it, so none outlives the query or suite that built it.
 _LIVE: weakref.WeakValueDictionary[SeqKind, SeqTable] = weakref.WeakValueDictionary()
@@ -97,9 +131,7 @@ _LIVE: weakref.WeakValueDictionary[SeqKind, SeqTable] = weakref.WeakValueDiction
 def generate(kind: SeqKind, n_max: int) -> SeqTable:
     """Exact table of polynomials 0..n_max for one family.
 
-    G:          (n+1) g_{n+1} = 2x g_n + (n-1) g_{n-1},  g_0 = 1, g_1 = 2x
-    PHI:        (n+2) phi_{n+1} = 2x phi_n - n phi_{n-1},  phi_0 = 2, phi_1 = 2x
-    PHI_MONIC:  p_{n+1} = x p_n - c_n p_{n-1},  c_n = n(n+1)/4,  p_0 = 1, p_1 = x
+    G, PHI, PHI_MONIC:  their RECURRENCES entry
     G_MONIC:    n!/2^n * g_n
     PIDDUCK:    (g_n(x+1) + g_n(x))/2, the unit shift read off exactly
 
@@ -110,21 +142,8 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
     live = _LIVE.get(kind)
     if live is not None and n_max <= live.max_n:
         return live if n_max == live.max_n else SeqTable(kind, live.polys[: n_max + 1])
-    if kind is SeqKind.G:
-        polys = [Poly([1]), 2 * X]
-        for n in range(1, n_max):
-            nxt = (2 * X * polys[n] + (n - 1) * polys[n - 1]) / Fraction(n + 1)
-            polys.append(nxt)
-    elif kind is SeqKind.PHI:
-        polys = [Poly([2]), 2 * X]
-        for n in range(1, n_max):
-            nxt = (2 * X * polys[n] - n * polys[n - 1]) / Fraction(n + 2)
-            polys.append(nxt)
-    elif kind is SeqKind.PHI_MONIC:
-        polys = [Poly([1]), X]
-        for n in range(1, n_max):
-            c_n = Fraction(n * (n + 1), 4)
-            polys.append(X * polys[n] - c_n * polys[n - 1])
+    if kind in RECURRENCES:
+        polys = RECURRENCES[kind].members(n_max)
     elif kind is SeqKind.G_MONIC:
         base = generate(SeqKind.G, n_max)
         polys = [Fraction(math.factorial(n), 2**n) * base[n] for n in range(n_max + 1)]
@@ -133,7 +152,7 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
         polys = [(base[n].shift(1) + base[n]) / Fraction(2) for n in range(n_max + 1)]
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    table = SeqTable(kind, tuple(polys[: n_max + 1]))
+    table = SeqTable(kind, tuple(polys))
     _LIVE[kind] = table
     return table
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mlpoly.analysis import (JacobiMatrix, ft_closed, ft_numeric, integrate,
-                             make_quad_config, moment, orthogonality_matrix,
+                             make_quad_config, member_values, moment, orthogonality_matrix,
                              weight, zeros, erratum_audit, _ft_sinh_form,
                              _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
@@ -153,14 +153,73 @@ def test_orthogonality_matrix_13x13():
             assert abs(mat[i, j] - target) < 1e-8, (i, j)
 
 
+def test_orthogonality_matrix_is_exactly_symmetric():
+    for n in (1, 12, 45):
+        mat = orthogonality_matrix(n)
+        assert np.array_equal(mat, mat.T), n
+
+
+# The truncation T the tail bound picks for quad --max-n 0..80, ft --n 0..24 and
+# moments n = 1..61.  Frozen: evaluating members by their recurrence must not move
+# the coefficient norm the bound reads, so no truncation changes with it.
+FROZEN_TRUNCATIONS = {
+    "quad": [9, 11, 13, 15, 17, 19, 21, 24, 26, 29, 32, 34, 37, 40, 43, 46, 50, 53, 56, 59,
+        63, 66, 69, 73, 76, 80, 83, 87, 90, 94, 97, 101, 105, 108, 112, 116, 120, 124, 127,
+        131, 135, 139, 143, 147, 151, 155, 159, 162, 166, 170, 174, 179, 183, 187, 191, 195,
+        199, 203, 207, 211, 215, 220, 224, 228, 232, 236, 241, 245, 249, 253, 258, 262, 266,
+        271, 275, 279, 284, 288, 292, 297, 301],
+    "ft": [8, 9, 10, 11, 12, 13, 15, 16, 18, 20, 21, 23, 25, 27, 29, 31, 34, 36, 38, 40, 42,
+        45, 47, 50, 52],
+    "moments": [29, 33, 36, 40, 45, 49, 54, 58, 63, 68, 73, 78, 83, 88, 94, 99, 105, 110,
+        116, 122, 128, 133, 139, 145, 151, 157, 163, 169, 176, 182, 188, 194, 201, 207, 213,
+        220, 226, 233, 239, 246, 252, 259, 266, 272, 279, 286, 293, 299, 306, 313, 320, 327,
+        334, 341, 347, 354, 361, 368, 375, 383, 390],
+}
+
+
+def test_quadrature_truncations_are_unchanged(monkeypatch):
+    from mlpoly import analysis
+
+    class Picked(Exception):
+        pass
+
+    def stop_at_the_rule(cfg):
+        raise Picked(cfg.truncation)
+
+    def truncation(fn, *args):
+        with pytest.raises(Picked) as info:
+            fn(*args)
+        return info.value.args[0]
+
+    monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
+    assert [truncation(orthogonality_matrix, n) for n in range(81)] == FROZEN_TRUNCATIONS["quad"]
+    assert [truncation(ft_numeric, n, 1.0) for n in range(25)] == FROZEN_TRUNCATIONS["ft"]
+    assert [truncation(moment, n) for n in range(1, 62)] == FROZEN_TRUNCATIONS["moments"]
+
+
+def test_member_values_follow_the_exact_members():
+    t = np.linspace(-3.0, 3.0, 13)
+    for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC):
+        vals = member_values(kind, 12, t)
+        tab = generate(kind, 12)
+        assert vals.shape == (13, 13)
+        for n in range(13):
+            exact = [float(tab[n](Fraction(x))) for x in t]
+            assert list(vals[n]) == pytest.approx(exact, rel=1e-12, abs=1e-12), (kind, n)
+
+
+def test_jacobi_matrix_reads_the_monic_recurrence_bit_for_bit():
+    # sqrt(-b(k)) = sqrt(k(k+1)/4) rounds exactly like sqrt(k(k+1))/2
+    assert JacobiMatrix.build(401).off_diagonal == tuple(
+        math.sqrt(k * (k + 1)) / 2.0 for k in range(1, 401))
+
+
 def test_monic_norms():
     # h_n = integral of w p_n^2 = n! (n+1)! / 2^(2n+1) for the monic family
-    from mlpoly.analysis import _eval_floats, _poly_floats
-    tab = generate(SeqKind.PHI_MONIC, 3)
     cfg = make_quad_config(7, abs_tol=1e-11, coeff_norm=30.0)
     for n in range(4):
-        cs = _poly_floats(tab[n])
-        val = integrate(lambda t: _eval_floats(cs, t) ** 2 * _weight_array(t), cfg)
+        val = integrate(lambda t: member_values(SeqKind.PHI_MONIC, 3, t)[n] ** 2
+                        * _weight_array(t), cfg)
         expected = math.factorial(n) * math.factorial(n + 1) / 2.0 ** (2 * n + 1)
         assert val == pytest.approx(expected, abs=1e-10)
 

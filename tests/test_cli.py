@@ -1,11 +1,16 @@
 """Command-line front end: payload shapes, exit codes, determinism.
 
 Every command is exercised in process through main(argv); the double-run
-determinism check compares captured output byte for byte.
+determinism check compares captured output byte for byte.  The BLAS
+thread-count check runs fresh processes, since numpy reads the count on import.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +105,41 @@ def test_quad(capsys):
     assert payload["size"] == 4
     assert payload["max_abs_deviation"] < 1e-8
     assert payload["matrix"][0][0] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_quad_smallest_sizes(capsys):
+    for max_n, diagonal in (("0", [2.0]), ("1", [2.0, 1.0])):
+        code, out, _ = run_cli(capsys, "quad", "--max-n", max_n)
+        assert code == 0
+        payload = json.loads(out)
+        mat = payload["matrix"]
+        assert payload["size"] == len(mat) == len(diagonal)
+        assert [row[i] for i, row in enumerate(mat)] == pytest.approx(diagonal, abs=1e-8)
+        assert mat == [list(col) for col in zip(*mat)]
+        assert payload["max_abs_deviation"] < 1e-8
+
+
+def test_quad_stays_within_its_bound_up_to_80(capsys):
+    for max_n in ("59", "60", "70", "80"):
+        code, out, _ = run_cli(capsys, "quad", "--max-n", max_n)
+        assert code == 0
+        assert json.loads(out)["max_abs_deviation"] < 1e-8, max_n
+
+
+def test_verify_numeric_passes_at_max_n_80(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "numeric", "--max-n", "80")
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
+
+
+def test_quadrature_output_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["quad", "--max-n", "70"], ["moments", "--max-n", "61"]):
+        outs = {subprocess.run([sys.executable, "-m", "mlpoly", *argv], capture_output=True,
+                               check=True, timeout=120,
+                               env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n)).stdout
+                for n in ("1", "2")}
+        assert len(outs) == 1, argv
 
 
 def test_ft(capsys):

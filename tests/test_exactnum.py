@@ -13,9 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly.exactnum import (GaussRational, ZetaEven, bernoulli,
-                             rational_from_str, rational_to_str, to_float,
-                             zeta_even)
+from mlpoly.exactnum import GaussRational, ZetaEven, bernoulli, to_float, zeta_even
 
 KNOWN_BERNOULLI = {
     0: Fraction(1),
@@ -109,13 +107,6 @@ def test_to_float():
         to_float(1.5)
 
 
-def test_rational_string_round_trip():
-    for q in (Fraction(0), Fraction(-3, 7), Fraction(22), Fraction(5, 2)):
-        assert rational_from_str(rational_to_str(q)) == q
-    assert rational_from_str("0.25") == Fraction(1, 4)
-    assert rational_to_str(Fraction(4, 8)) == "1/2"
-
-
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 _gauss = st.builds(GaussRational, _fractions, _fractions)
 
@@ -129,14 +120,6 @@ def test_gauss_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == GaussRational(0)
-
-
-@given(_gauss, _gauss)
-@settings(max_examples=60, deadline=None)
-def test_gauss_conjugation_and_division(a, b):
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    if b:
-        assert (a / b) * b == a
 
 
 def test_gauss_i_power_cycle():
@@ -156,7 +139,5 @@ def test_gauss_mixed_arithmetic_and_predicates():
     assert complex(z) == 0.5 - 3j
     assert str(z) == "1/2-3*i"
     assert str(GaussRational(0, 1)) == "1*i"
-    with pytest.raises(ZeroDivisionError):
-        z / GaussRational(0)
     with pytest.raises(TypeError):
         GaussRational(0.5, 0)

@@ -65,6 +65,17 @@ def test_frozen_low_members():
             assert table[n] == expected, f"{kind.value} member {n}"
 
 
+def test_recurrence_families_have_one_definition():
+    first_two = {SeqKind.G: [Poly([1]), 2 * X], SeqKind.PHI: [Poly([2]), 2 * X],
+                 SeqKind.PHI_MONIC: [Poly([1]), X]}
+    assert set(sequences.RECURRENCES) == set(first_two)
+    for kind, first in first_two.items():
+        members = sequences.RECURRENCES[kind].members(30)
+        assert members[:2] == first
+        assert generate(kind, 30).polys == tuple(members)
+    assert sequences.RECURRENCES[SeqKind.G].members(0) == [Poly([1])]
+
+
 def test_generate_validates_input():
     with pytest.raises(ValueError):
         generate(SeqKind.G, -1)
