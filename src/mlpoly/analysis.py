@@ -2,8 +2,10 @@
 
 The exact layers prove identities; this layer reproduces the numeric claims
 that live outside the polynomial ring.  Zeros come from Sturm bisection on
-the symmetric tridiagonal recurrence matrix, integrals from one fixed
-Gauss-Legendre panel rule with analytically chosen truncation, and the
+the symmetric tridiagonal recurrence matrix, with every eigenvalue of every
+requested size a numpy lane, so that one pivot sweep per bisection step
+serves them all; integrals come from one fixed Gauss-Legendre panel rule
+with analytically chosen truncation, and the
 Fourier transform from a closed form that is compared against direct
 quadrature.  The erratum audit at the bottom adjudicates the five printed
 identities that fail their own cross-checks.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -31,7 +34,7 @@ __all__ = [
     "FtValue",
     "MomentResult",
     "zeros",
-    "weight",
+    "zeros_range",
     "member_values",
     "make_quad_config",
     "integrate",
@@ -63,69 +66,91 @@ class JacobiMatrix:
         return cls(n, tuple(math.sqrt(-monic.b(k)) for k in range(1, n)))
 
 
-def _sturm_count(off_sq: list[float], x: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below x, by counting negative pivots."""
-    count = 0
-    d = -x
-    if abs(d) < pivmin:
-        d = -pivmin
-    if d < 0:
-        count += 1
-    for bsq in off_sq:
-        d = -x - bsq / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0:
-            count += 1
-    return count
+def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
+    """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
 
-
-# zeros(n) reads sizes n - 1 and n, so over n = 1, 2, ... two entries bisect each size once
-@functools.lru_cache(maxsize=2)
-def _eigenvalues(n: int, tol: float) -> tuple[float, ...]:
-    jm = JacobiMatrix.build(n)
-    off_sq = [b * b for b in jm.off_diagonal]
-    max_bsq = max(off_sq, default=1.0)
-    pivmin = max(1e-290, 2.3e-16 * max_bsq)
-    bound = math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
-    out = []
-    for k in range(n):
-        lo, hi = -bound, bound
-        # invariant: count(lo) <= k < count(hi)
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(off_sq, mid, pivmin) <= k:
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    out = [0.5 * (out[k] - out[n - 1 - k]) for k in range(n)]
-    if n % 2 == 1:
-        out[n // 2] = 0.0
-    return tuple(out)
-
-
-def zeros(n: int, tol: float = 1e-12) -> list[float]:
-    """All n zeros, sorted ascending, each bracketed to width tol.
-
-    The spectrum of the zero-diagonal matrix is symmetric under reflection,
-    so the bisection output is antisymmetrized exactly; the middle zero of an
-    odd-size matrix is exactly 0.0.  Before returning, the known bound
-    max|zero| < sqrt(n(n-1)) and strict interlacing with the size n-1 zeros
-    are verified (both only meaningful for n >= 2).
+    Lane (n, k) brackets the k-th eigenvalue of size n.  The lanes are sorted by
+    size, largest first, so the lanes that take pivot j of the Sturm sequence
+    (size >= j + 1) are a prefix, and one sweep over that prefix per pivot serves
+    all of them.  Each lane does the scalar bisection's IEEE arithmetic: its own
+    size's pivmin and bound, the pivot -x - b_j^2/d with |d| < pivmin -> -pivmin,
+    and a freeze once hi - lo <= tol or after 200 steps; so the spectra are
+    bit-identical to bisecting each eigenvalue alone.
     """
-    if n < 1:
+    sizes = sorted(set(sizes), reverse=True)
+    off = np.array(JacobiMatrix.build(sizes[0]).off_diagonal)
+    off_sq = off * off
+    # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
+    pivmin = np.repeat([max(1e-290, 2.3e-16 * (off_sq[n - 2] if n > 1 else 1.0))
+                        for n in sizes], sizes)
+    bound = np.repeat([math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0 for n in sizes], sizes)
+    rank = np.concatenate([np.arange(n) for n in sizes])
+    neg_pivmin = -pivmin
+    lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
+    neg_x, d, buf = (np.empty_like(bound) for _ in range(3))
+    below, count = np.empty(bound.size, dtype=bool), np.empty(bound.size, dtype=np.int64)
+    # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
+    lane_size = np.repeat(sizes, sizes)
+    steps = []
+    for j, bsq in enumerate([0.0, *off_sq]):
+        width = np.count_nonzero(lane_size >= j + 1)
+        steps.append((bsq, *(a[:width] for a in (neg_x, d, buf, pivmin, neg_pivmin,
+                                                  below, count))))
+
+    for _ in range(200):
+        np.subtract(hi, lo, out=buf)
+        active = buf > tol
+        if not active.any():
+            break
+        np.add(lo, hi, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        # Sturm count of mid: the number of negative pivots of J - mid I
+        np.negative(mid, out=neg_x)
+        d.fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
+        count.fill(0)
+        for bsq, nx, dj, bj, pj, npj, negj, cj in steps:
+            np.divide(bsq, dj, out=bj)
+            np.subtract(nx, bj, out=dj)
+            np.abs(dj, out=bj)
+            np.less(bj, pj, out=negj)
+            np.copyto(dj, npj, where=negj)
+            np.less(dj, 0.0, out=negj)
+            np.add(cj, negj, out=cj)
+        go_lo = count <= rank
+        np.copyto(lo, mid, where=active & go_lo)
+        np.copyto(hi, mid, where=active & ~go_lo)
+    np.add(lo, hi, out=mid)
+    np.multiply(mid, 0.5, out=mid)
+    out, start = {}, 0
+    for n in sizes:
+        z = mid[start:start + n]
+        start += n
+        z = 0.5 * (z - z[::-1])  # exact antisymmetry; the middle zero of an odd size is 0.0
+        if n % 2 == 1:
+            z[n // 2] = 0.0
+        out[n] = z.tolist()
+    return out
+
+
+def zeros_range(lo: int, hi: int, tol: float = 1e-12) -> dict[int, list[float]]:
+    """The zeros of every size lo..hi, sorted ascending, each bracketed to width tol.
+
+    One sweep bisects sizes lo - 1 .. hi.  The spectrum of the zero-diagonal
+    matrix is symmetric under reflection, so the bisection output is
+    antisymmetrized exactly; the middle zero of an odd size is exactly 0.0.
+    Before returning, every size n >= 2 is verified against the known bound
+    max|zero| < sqrt(n(n-1)) and strict interlacing with the size n - 1 zeros.
+    """
+    if lo < 1:
         raise ValueError("need at least one zero")
+    if hi < lo:
+        raise ValueError(f"empty size range {lo}..{hi}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
-    # size n - 1 before n, so the two-entry cache evicts size n - 2 and keeps n for zeros(n + 1)
-    prev = _eigenvalues(n - 1, tol) if n >= 2 else ()
-    out = list(_eigenvalues(n, tol))
-    if n >= 2:
-        bound = math.sqrt(n * (n - 1))
-        if max(abs(z) for z in out) >= bound:
+    found = _spectra(range(max(lo - 1, 1), hi + 1), tol)
+    for n in range(max(lo, 2), hi + 1):
+        out, prev = found[n], found[n - 1]
+        if max(abs(z) for z in out) >= math.sqrt(n * (n - 1)):
             raise RuntimeError(f"zero bound sqrt(n(n-1)) violated at n = {n}")
         chain = [z for pair in zip(out, prev) for z in pair] + [out[-1]]
         gaps = [b - a for a, b in zip(chain, chain[1:])]
@@ -134,17 +159,12 @@ def zeros(n: int, tol: float = 1e-12) -> list[float]:
                 raise ValueError(f"tolerance {tol:g} cannot separate the zeros of sizes {n - 1}"
                                  f" and {n} (smallest gap {min(map(abs, gaps)):.3g})")
             raise RuntimeError(f"interlacing violated between sizes {n - 1} and {n}")
-    return out
+    return {n: found[n] for n in range(lo, hi + 1)}
 
 
-def weight(t: float) -> float:
-    """Orthogonality weight t/sinh(pi t); the removable singularity gives 1/pi."""
-    if t == 0.0:
-        return 1.0 / math.pi
-    pt = math.pi * t
-    if abs(pt) > 700.0:
-        return 0.0
-    return t / math.sinh(pt)
+def zeros(n: int, tol: float = 1e-12) -> list[float]:
+    """All n zeros of the monic reduced member, checked as zeros_range checks them."""
+    return zeros_range(n, n, tol)[n]
 
 
 def _weight_array(t: np.ndarray) -> np.ndarray:

@@ -22,6 +22,13 @@ from .suite import audit_suite, run_suite, summarize
 _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
 
+# Largest sizes served, so that a mistyped size is refused at once instead of running
+# for hours (zeros bisects about 2n lanes at a time).  At the ceiling, on one core of a
+# 2-core x86-64 machine: zeros --n 2000 takes 2 s; coeffs --seq pidduck --max-n 500
+# takes 8 s and prints 100 MB.
+ZEROS_CEILING = 2000
+TABLE_CEILING = 500
+
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
@@ -96,8 +103,12 @@ def _cmd_eval(args, argv) -> int:
     kind = SeqKind.from_token(args.seq)
     x = Fraction(args.x)
     value = generate(kind, args.n)[args.n](x)
+    try:
+        approx = float(value)
+    except OverflowError:  # past the float range: the exact value string stands alone
+        approx = None
     _emit_records({"kind": kind.value, "n": args.n, "x": str(x),
-                   "value": str(value), "float": float(value)}, args.format)
+                   "value": str(value), "float": approx}, args.format)
     return 0
 
 
@@ -175,6 +186,21 @@ class _Usage(Exception):
     pass
 
 
+class _AboveCeiling(Exception):
+    """A size past its ceiling.  Not a ValueError, so argparse lets it through to main,
+    which reports it in one line like every other invalid value."""
+
+
+def _size_up_to(ceiling: int):
+    """argparse type: an integer size no larger than ceiling."""
+    def size(text: str) -> int:
+        n = int(text)
+        if n > ceiling:
+            raise _AboveCeiling(f"size {n} is above the ceiling of {ceiling}")
+        return n
+    return size
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpoly",
@@ -189,18 +215,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="emit exact coefficient tables")
     p.add_argument("--seq", required=True, choices=_SEQ_TOKENS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", dest="max_n", type=int)
+    p.add_argument("--n", type=_size_up_to(TABLE_CEILING))
+    p.add_argument("--max-n", dest="max_n", type=_size_up_to(TABLE_CEILING))
     finish(p, _cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate one member exactly at a rational point")
     p.add_argument("--seq", required=True, choices=_SEQ_TOKENS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size_up_to(TABLE_CEILING), required=True)
     p.add_argument("--x", required=True, help="rational like 3/4, 2, or 0.25")
     finish(p, _cmd_eval)
 
     p = sub.add_parser("zeros", help="zeros of the monic reduced member")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size_up_to(ZEROS_CEILING), required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     finish(p, _cmd_zeros)
 
@@ -240,7 +266,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _AboveCeiling as exc:
+        print(f"mlpoly: error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args, argv)
     except _Usage as exc:

@@ -11,7 +11,6 @@ package.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,7 +156,6 @@ class ZetaEven:
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
@@ -171,14 +169,13 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError("Bernoulli index must be >= 0")
     if n % 2 == 1 and n > 1:
         return Fraction(0)
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += math.comb(m + 1, k) * _BERNOULLI[k]
-            _BERNOULLI.append(-acc / (m + 1))
-        return _BERNOULLI[n]
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * _BERNOULLI[k]
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n]
 
 
 def zeta_even(n: int) -> ZetaEven:

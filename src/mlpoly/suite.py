@@ -14,7 +14,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
-                       orthogonality_matrix, own_erratum_audit, zeros)
+                       orthogonality_matrix, own_erratum_audit, zeros_range)
 from .identities import (convolution_residual, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
                          lowering_check, ode_residual, trig_operator_eigencheck,
@@ -111,7 +111,7 @@ def _exact_plan(max_n: int) -> Plan:
 
 
 def _bounded_checks(max_n: int) -> list[CheckReport]:
-    found = {n: zeros(n) for n in range(1, 25)}  # bound and interlacing checks run inside
+    found = zeros_range(1, 24)  # one sweep; bound and interlacing checks run inside
     return [
         _bounded("zeros-reference", (2, 24),
                  max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()), 1e-3,

@@ -6,6 +6,7 @@ polynomials are biquadratic, exact trace identities, and the zeta closed
 forms from the scalar layer.
 """
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 
 from mlpoly.analysis import (JacobiMatrix, ft_closed, ft_numeric, integrate,
                              make_quad_config, member_values, moment, orthogonality_matrix,
-                             weight, zeros, erratum_audit, _ft_sinh_form,
+                             zeros, zeros_range, erratum_audit, _ft_sinh_form,
                              _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
@@ -89,14 +90,83 @@ def test_zeros_input_validation():
     for tol in (0.0, math.nan, math.inf, 10.0):  # 10 is too wide to separate the zeros
         with pytest.raises(ValueError):
             zeros(3, tol=tol)
+    with pytest.raises(ValueError, match="empty size range"):
+        zeros_range(5, 4)
 
 
-def test_zeros_bisects_each_size_once_over_a_run():
+def _scalar_zeros(n, tol):
+    """Reference: the one-eigenvalue-at-a-time Sturm bisection the lane sweep replaced."""
+    off_sq = [b * b for b in JacobiMatrix.build(n).off_diagonal]
+    pivmin = max(1e-290, 2.3e-16 * max(off_sq, default=1.0))
+    bound = math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
+
+    def count_below(x):  # the number of negative pivots of J - x I
+        count = 0
+        d = -x
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0:
+            count += 1
+        for bsq in off_sq:
+            d = -x - bsq / d
+            if abs(d) < pivmin:
+                d = -pivmin
+            if d < 0:
+                count += 1
+        return count
+
+    out = []
+    for k in range(n):
+        lo, hi = -bound, bound
+        for _ in range(200):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if count_below(mid) <= k:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    out = [0.5 * (out[k] - out[n - 1 - k]) for k in range(n)]
+    if n % 2 == 1:
+        out[n // 2] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+def test_zeros_equal_the_scalar_bisection_bit_for_bit(tol):
+    for n in range(1, 61):
+        assert zeros(n, tol) == _scalar_zeros(n, tol), n
+
+
+def test_zeros_digests_are_frozen():
+    # sha256 of repr([zeros(n) ...]) as the one-eigenvalue-at-a-time bisection printed them
+    sizes = (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373, 400)
+    digest = hashlib.sha256(repr([zeros(n) for n in sizes]).encode()).hexdigest()
+    assert digest == "4185cabdeaa31f91ba7d1d2b74740647cc2c041aad77812ba61a071fd68c8e80"
+    digest = hashlib.sha256(repr([zeros(n) for n in range(1, 81)]).encode()).hexdigest()
+    assert digest == "a5f716ecd61667926813258618218fed53ba26077ab44ce1742c6fa74e9f5e7c"
+
+
+def test_zeros_range_agrees_with_zeros_size_by_size():
+    found = zeros_range(1, 30)
+    assert list(found) == list(range(1, 31))
+    assert all(found[n] == zeros(n) for n in found)
+
+
+def test_zeros_bisects_each_size_once_over_a_run(monkeypatch):
     from mlpoly import analysis
-    analysis._eigenvalues.cache_clear()
-    for n in range(1, 25):
-        zeros(n)
-    assert analysis._eigenvalues.cache_info().misses == 24
+    from mlpoly.suite import numeric_suite
+    sweeps = []
+    true_spectra = analysis._spectra
+
+    def recorded(sizes, tol):
+        sweeps.append(list(sizes))
+        return true_spectra(sizes, tol)
+
+    monkeypatch.setattr(analysis, "_spectra", recorded)
+    numeric_suite()
+    assert sweeps == [list(range(1, 25))]  # the zeros-reference sizes, in one sweep
 
 
 def test_zeros_hands_out_a_list_of_its_own():
@@ -106,13 +176,11 @@ def test_zeros_hands_out_a_list_of_its_own():
 
 
 def test_weight_values():
-    assert weight(0.0) == 1.0 / math.pi
-    assert weight(0.5) == pytest.approx(0.5 / math.sinh(math.pi / 2), rel=1e-15)
-    assert weight(-1.25) == weight(1.25)
-    assert weight(250.0) == 0.0  # underflow guard
-    arr = _weight_array(np.array([0.0, 0.5]))
-    assert arr[0] == 1.0 / math.pi
-    assert arr[1] == weight(0.5)
+    w = _weight_array(np.array([0.0, 0.5, -1.25, 1.25, 250.0]))
+    assert w[0] == 1.0 / math.pi
+    assert w[1] == pytest.approx(0.5 / math.sinh(math.pi / 2), rel=1e-15)
+    assert w[2] == w[3]
+    assert w[4] == 0.0  # sinh overflows, and t/inf = 0
 
 
 def test_weight_array_overflow_is_silent():
@@ -304,13 +372,14 @@ def test_erratum_audit_shape():
 
 def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypatch):
     from mlpoly import analysis
-    true_eigenvalues = analysis._eigenvalues
+    true_spectra = analysis._spectra
 
-    def shifted(n, tol):
-        out = true_eigenvalues(n, tol)
-        return [z + 1.0 for z in out] if n == 2 else out
+    def shifted(sizes, tol):
+        out = true_spectra(sizes, tol)
+        out[2] = [z + 1.0 for z in out[2]]
+        return out
 
-    monkeypatch.setattr(analysis, "_eigenvalues", shifted)
+    monkeypatch.setattr(analysis, "_spectra", shifted)
     with pytest.raises(RuntimeError, match="interlacing violated"):
         zeros(3)
     with pytest.raises(ValueError, match="cannot separate"):

@@ -62,6 +62,18 @@ def test_eval(capsys):
     assert payload["float"] == 0.5
 
 
+def test_eval_past_the_float_range_keeps_the_exact_value(capsys):
+    for argv in (["--seq", "g", "--n", "3", "--x", "1e400"],
+                 ["--seq", "g-monic", "--n", "200", "--x", "1/2"]):
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert payload["float"] is None and len(payload["value"]) > 300, argv
+    code, out, _ = run_cli(capsys, "eval", "--seq", "g", "--n", "3", "--x", "1e400",
+                           "--format", "csv")
+    assert code == 0 and out.splitlines()[1].endswith(",")  # an empty float field
+
+
 def test_eval_rejects_bad_point(capsys):
     code, _, err = run_cli(capsys, "eval", "--seq", "g", "--n", "3", "--x", "sqrt2")
     assert code == 2 and "error" in err
@@ -291,6 +303,23 @@ def test_version_flag(capsys):
 
 def _one_line_error(code, out, err):
     return code == 2 and out == "" and err.startswith("mlpoly: error: ") and err.count("\n") == 1
+
+
+def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
+    from mlpoly.cli import TABLE_CEILING, ZEROS_CEILING, _build_parser
+    assert ZEROS_CEILING >= 400 and TABLE_CEILING >= 200  # the largest sizes in use
+    parser = _build_parser()
+    for argv in (["zeros", "--n", "100000000"], ["zeros", "--n", str(ZEROS_CEILING + 1)],
+                 ["coeffs", "--seq", "g", "--n", str(TABLE_CEILING + 1)],
+                 ["coeffs", "--seq", "pidduck", "--max-n", "100000000"],
+                 ["eval", "--seq", "phi", "--n", "100000000", "--x", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert _one_line_error(code, out, err), argv
+        assert "is above the ceiling" in err
+    # the ceilings themselves parse (parsing starts no computation)
+    assert parser.parse_args(["zeros", "--n", str(ZEROS_CEILING)]).n == ZEROS_CEILING
+    assert parser.parse_args(["coeffs", "--seq", "g", "--max-n",
+                              str(TABLE_CEILING)]).max_n == TABLE_CEILING
 
 
 def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):
