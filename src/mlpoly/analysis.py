@@ -66,6 +66,11 @@ class JacobiMatrix:
         return cls(n, tuple(math.sqrt(-monic.b(k)) for k in range(1, n)))
 
 
+# Pivot rows per block of the Sturm sweep in _spectra: a block's pivots are written into
+# one buffer, and its negative pivots are counted with one comparison and one column sum.
+_PIVOT_BLOCK = 32
+
+
 def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
 
@@ -75,7 +80,19 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     all of them.  Each lane does the scalar bisection's IEEE arithmetic: its own
     size's pivmin and bound, the pivot -x - b_j^2/d with |d| < pivmin -> -pivmin,
     and a freeze once hi - lo <= tol or after 200 steps; so the spectra are
-    bit-identical to bisecting each eigenvalue alone.
+    bit-identical to bisecting each eigenvalue alone.  The sweep writes the pivots
+    of _PIVOT_BLOCK consecutive rows into one buffer, where the entries of lanes
+    whose size has ended read 1.0 (neither negative nor guarded), and adds that
+    block's negative pivots to the count at once; the count is an integer, so
+    summing it by blocks changes no bit.
+
+    A lane also freezes when a step leaves both lo and hi as they were.  The step
+    is a function of (lo, hi) and the lane's constants alone, so an unchanged
+    state is a fixed point: every later step would repeat it, and the final
+    midpoint 0.5 * (lo + hi) is the same.  This happens once the bracket spans
+    adjacent floats (a tol below their spacing), and saves the steps up to 200
+    that could not move it.  A step that narrows the bracket to width 0 still
+    freezes on tol.
     """
     sizes = sorted(set(sizes), reverse=True)
     off = np.array(JacobiMatrix.build(sizes[0]).off_diagonal)
@@ -87,38 +104,58 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     rank = np.concatenate([np.arange(n) for n in sizes])
     neg_pivmin = -pivmin
     lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
-    neg_x, d, buf = (np.empty_like(bound) for _ in range(3))
-    below, count = np.empty(bound.size, dtype=bool), np.empty(bound.size, dtype=np.int64)
+    neg_x, buf = np.empty_like(bound), np.empty_like(bound)
+    live, go_lo = np.ones(bound.size, dtype=bool), np.empty(bound.size, dtype=bool)
+    count = np.empty(bound.size, dtype=np.int64)
+    # row 0 of piv holds the pivot before the block, rows 1.. the block's own pivots
+    piv = np.empty((_PIVOT_BLOCK + 1, bound.size))
+    guard = np.empty(bound.size, dtype=bool)
+    # summed through a uint8 view: a bool column sum would cast every entry to int64
+    neg = np.empty((_PIVOT_BLOCK, bound.size), dtype=bool)
+    tally = np.empty(bound.size, dtype=np.uint8)  # at most _PIVOT_BLOCK negative pivots
     # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
     lane_size = np.repeat(sizes, sizes)
-    steps = []
-    for j, bsq in enumerate([0.0, *off_sq]):
-        width = np.count_nonzero(lane_size >= j + 1)
-        steps.append((bsq, *(a[:width] for a in (neg_x, d, buf, pivmin, neg_pivmin,
-                                                  below, count))))
+    bsqs = [0.0, *off_sq]
+    widths = [int(np.count_nonzero(lane_size >= j + 1)) for j in range(len(bsqs))]
+    blocks = []
+    for first in range(0, len(bsqs), _PIVOT_BLOCK):
+        js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
+        wide, narrow, rows = widths[js[0]], widths[js[-1]], len(js)
+        pivots = [(bsqs[j], *(a[:widths[j]] for a in (neg_x, piv[r], piv[r + 1], buf, pivmin,
+                                                      neg_pivmin, guard)))
+                  for r, j in enumerate(js)]
+        blocks.append((piv[1:rows + 1, narrow:wide], pivots, piv[1:rows + 1, :wide],
+                       neg[:rows, :wide], neg[:rows, :wide].view(np.uint8), tally[:wide],
+                       count[:wide], piv[0, :narrow], piv[rows, :narrow]))
 
     for _ in range(200):
         np.subtract(hi, lo, out=buf)
-        active = buf > tol
-        if not active.any():
+        live &= buf > tol
+        if not live.any():
             break
         np.add(lo, hi, out=mid)
         np.multiply(mid, 0.5, out=mid)
         # Sturm count of mid: the number of negative pivots of J - mid I
         np.negative(mid, out=neg_x)
-        d.fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
+        piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
         count.fill(0)
-        for bsq, nx, dj, bj, pj, npj, negj, cj in steps:
-            np.divide(bsq, dj, out=bj)
-            np.subtract(nx, bj, out=dj)
-            np.abs(dj, out=bj)
-            np.less(bj, pj, out=negj)
-            np.copyto(dj, npj, where=negj)
-            np.less(dj, 0.0, out=negj)
-            np.add(cj, negj, out=cj)
-        go_lo = count <= rank
-        np.copyto(lo, mid, where=active & go_lo)
-        np.copyto(hi, mid, where=active & ~go_lo)
+        for ended, pivots, block, negs, negs_u8, tal, cnt, carry, last in blocks:
+            ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
+            for bsq, nx, prev, dj, bj, pj, npj, gj in pivots:
+                np.divide(bsq, prev, out=bj)
+                np.subtract(nx, bj, out=dj)
+                np.abs(dj, out=bj)
+                np.less(bj, pj, out=gj)
+                np.copyto(dj, npj, where=gj)
+            np.less(block, 0.0, out=negs)
+            np.add.reduce(negs_u8, axis=0, dtype=np.uint8, out=tal)
+            np.add(cnt, tal, out=cnt)
+            np.copyto(carry, last)
+        np.less_equal(count, rank, out=go_lo)
+        # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
+        live &= np.where(go_lo, mid != lo, mid != hi)
+        np.copyto(lo, mid, where=live & go_lo)
+        np.copyto(hi, mid, where=live & ~go_lo)
     np.add(lo, hi, out=mid)
     np.multiply(mid, 0.5, out=mid)
     out, start = {}, 0
@@ -225,16 +262,28 @@ def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
 
     The envelope constant uses 1/sinh(rate*t) <= 2 e^(-rate t)/(1 - e^(-2 rate T)),
     so the bound is rigorous for integrands of the form
-    polynomial(t) / sinh(rate * t) with coefficient 1-norm coeff_norm.
+    polynomial(t) / sinh(rate * t) with coefficient 1-norm coeff_norm.  Both the
+    envelope and the tail integral fall as T grows, so the bound clears abs_tol/2
+    on a suffix of 4..399, and bisection finds where that suffix starts.
     """
     if max_degree < 0 or abs_tol <= 0 or rate <= 0 or coeff_norm <= 0:
         raise ValueError("invalid quadrature envelope parameters")
-    for upper in range(4, 400):
+
+    def clears(upper: int) -> bool:
         envelope = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
         tail = 2.0 * coeff_norm * envelope * _gamma_tail(max_degree, rate, float(upper))
-        if tail < 0.5 * abs_tol:
-            return QuadConfig(truncation=float(upper))
-    raise ValueError("no truncation below 400 satisfies the tail bound")
+        return tail < 0.5 * abs_tol
+
+    lo, hi = 4, 399
+    if not clears(hi):
+        raise ValueError("no truncation below 400 satisfies the tail bound")
+    while lo < hi:  # clears(hi) holds, and nothing below lo clears
+        mid = (lo + hi) // 2
+        if clears(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return QuadConfig(truncation=float(hi))
 
 
 @functools.cache

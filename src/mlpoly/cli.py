@@ -280,3 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"mlpoly: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect: named in one line, never a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"mlpoly: error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2

@@ -338,7 +338,11 @@ class Poly:
         """Ascending-degree "num/den" strings; rejects Gaussian coefficients."""
         if self._im is not None:
             raise ValueError("cannot serialize a non-real coefficient as num/den")
-        return [str(Fraction(c, self._den)) for c in self._num]
+        den, out = self._den, []
+        for c in self._num:  # Fraction's str, without building one per coefficient
+            g = math.gcd(c, den)
+            out.append(str(c // g) if den == g else f"{c // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "Poly":

@@ -16,8 +16,8 @@ import pytest
 
 from mlpoly.analysis import (JacobiMatrix, ft_closed, ft_numeric, integrate,
                              make_quad_config, member_values, moment, orthogonality_matrix,
-                             zeros, zeros_range, erratum_audit, _ft_sinh_form,
-                             _weight_array)
+                             zeros, zeros_range, erratum_audit, _coeff_norm, _ft_sinh_form,
+                             _gamma_tail, _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate
@@ -148,9 +148,26 @@ def test_zeros_digests_are_frozen():
     assert digest == "a5f716ecd61667926813258618218fed53ba26077ab44ce1742c6fa74e9f5e7c"
 
 
+def test_zeros_digests_below_the_float_spacing_are_frozen():
+    # tols below the spacing of the larger zeros, where a lane's bracket stops moving;
+    # sha256 as the sweep printed them when it ran every such lane for all 200 steps
+    digest = hashlib.sha256(repr(zeros(400, 1e-15)).encode()).hexdigest()
+    assert digest == "6e8d28ab73f868bd16020bab8c442abde9fb790f131d695de26d5ceb319d3d75"
+    found = zeros_range(1, 80, 1e-14)
+    digest = hashlib.sha256(repr([found[n] for n in range(1, 81)]).encode()).hexdigest()
+    assert digest == "a07b3e218c155f998ea1bd68760c2912d7814fbd269f361db0da7c5c1c9e1b70"
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-300])
+def test_zeros_below_the_float_spacing_equal_the_scalar_bisection(tol):
+    for n in (39, 40):
+        assert zeros(n, tol) == _scalar_zeros(n, tol), n
+
+
 def test_zeros_range_agrees_with_zeros_size_by_size():
-    found = zeros_range(1, 30)
-    assert list(found) == list(range(1, 31))
+    # up to 80, so that sizes end inside a later block of pivot rows of the sweep
+    found = zeros_range(1, 80)
+    assert list(found) == list(range(1, 81))
     assert all(found[n] == zeros(n) for n in found)
 
 
@@ -205,6 +222,37 @@ def test_make_quad_config_grows_with_degree():
         make_quad_config(-1)
     with pytest.raises(ValueError):
         make_quad_config(2, abs_tol=0.0)
+
+
+def _scanned_truncation(max_degree, abs_tol, rate, coeff_norm):
+    """Reference: the first T = 4, 5, ..., 399 whose tail bound clears abs_tol/2."""
+    for upper in range(4, 400):
+        envelope = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
+        tail = 2.0 * coeff_norm * envelope * _gamma_tail(max_degree, rate, float(upper))
+        if tail < 0.5 * abs_tol:
+            return float(upper)
+    return None
+
+
+def test_make_quad_config_equals_the_linear_scan():
+    # every parameter set the package reaches: moments, quad (Gram norm squared), ft
+    cases = [(n, 1e-10, 1.0, 1.0) for n in range(1, 62)]
+    phi = generate(SeqKind.PHI, 80)
+    for n in range(81):
+        norm = max(_coeff_norm(p) for p in phi.polys[: n + 1])
+        cases.append((2 * n + 1, 1e-10, math.pi, norm * norm))
+    monic = generate(SeqKind.PHI_MONIC, 39)
+    cases += [(n + 1, 1e-9, math.pi, _coeff_norm(monic[n])) for n in range(40)]
+    # the two ends of the range: T = 4, and a bound that clears at 399 but not at 398
+    cases += [(0, 1.0, math.pi, 1.0), (300, 1e-10, math.pi, 3.7e-247)]
+    for case in cases:
+        assert make_quad_config(*case).truncation == _scanned_truncation(*case), case
+    assert make_quad_config(0, 1.0).truncation == 4.0
+    assert make_quad_config(300, coeff_norm=3.7e-247).truncation == 399.0
+    # T = 399 fails, so every smaller T does too
+    assert _scanned_truncation(250, 1e-10, math.pi, 1.0) is None
+    with pytest.raises(ValueError, match="no truncation below 400"):
+        make_quad_config(250)
 
 
 def test_integrate_rejects_non_finite_integrand():
@@ -387,7 +435,6 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
 
 
 def test_gamma_tail_overflow_is_an_unmet_bound():
-    from mlpoly.analysis import _gamma_tail
     assert _gamma_tail(301, math.pi, 4.0) == math.inf
 
 

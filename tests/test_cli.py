@@ -5,6 +5,8 @@ determinism check compares captured output byte for byte.  The BLAS
 thread-count check runs fresh processes, since numpy reads the count on import.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,8 +15,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlpoly.cli import main
+from mlpoly.cli import _SEQ_TOKENS, _SERIES_TOKENS, main
 
 
 def run_cli(capsys, *argv):
@@ -353,3 +357,57 @@ def test_series_order_below_1_has_one_message_for_every_kind(capsys):
         code, out, err = run_cli(capsys, "series", "--kind", kind, "--order", "0")
         assert _one_line_error(code, out, err)
         assert err == "mlpoly: error: series order must be at least 1\n"
+
+
+_sizes = st.integers(min_value=-3, max_value=30).map(str)
+_floats = st.one_of(st.floats(min_value=-8.0, max_value=8.0),
+                    st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+_points = st.one_of(st.fractions(max_denominator=50).map(str), _floats,
+                    st.sampled_from(["1/0", "abc", ""]))
+# (flag, values, required): a required flag is left out one time in ten, an optional
+# one half the time
+_ARGV = {
+    "coeffs": [("--seq", st.sampled_from(_SEQ_TOKENS), True), ("--n", _sizes, False),
+               ("--max-n", _sizes, False)],
+    "eval": [("--seq", st.sampled_from(_SEQ_TOKENS), True), ("--n", _sizes, True),
+             ("--x", _points, True)],
+    "zeros": [("--n", _sizes, True),
+              ("--tol", st.floats(min_value=1e-15, allow_infinity=True).map(repr), False)],
+    "quad": [("--max-n", _sizes, False)],
+    "ft": [("--n", _sizes, True), ("--s", _floats, True)],
+    "moments": [("--max-n", _sizes, False)],
+    "verify": [("--suite", st.sampled_from(["exact", "numeric", "all"]), False),
+               ("--max-n", _sizes, False)],
+    "audit": [],
+    "series": [("--kind", st.sampled_from(_SERIES_TOKENS), True), ("--order", _sizes, False)],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGV)))
+    argv = [command]
+    for flag, values, required in _ARGV[command] + [
+            ("--format", st.sampled_from(["json", "csv"]), False)]:
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            argv += [flag, draw(values)]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@given(_argvs())
+@settings(max_examples=60, deadline=None)
+def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
