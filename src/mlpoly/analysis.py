@@ -226,7 +226,7 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     out = np.empty((n_max + 2, t.size))
     out[0], out[1] = 0.0, rec.p0  # row 0 is p_{-1}
     for n in range(n_max):
-        out[n + 2] = float(rec.a(n)) * t * out[n + 1] + float(rec.b(n)) * out[n]
+        out[n + 2] = (float(rec.a(n)) * t + float(rec.d(n))) * out[n + 1] + float(rec.b(n)) * out[n]
     return out[1:]
 
 

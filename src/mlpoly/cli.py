@@ -11,23 +11,27 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
-                       orthogonality_matrix, zeros)
 from .exactnum import to_float
 from .polyfps import elementary
 from .report import CheckReport
 from .sequences import SeqKind, generate, generating_series
-from .suite import audit_suite, run_suite, summarize
+
+# The float layers (analysis, and suite, which runs it) load numpy, so each handler that
+# needs them imports them itself: coeffs, eval and series never pay for numpy.
 
 _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
 
 # Largest sizes served, so that a mistyped size is refused at once instead of running
-# for hours (zeros bisects about 2n lanes at a time).  At the ceiling, on one core of a
-# 2-core x86-64 machine: zeros --n 2000 takes 2 s; coeffs --seq pidduck --max-n 500
-# takes 8 s and prints 100 MB.
+# for hours (zeros bisects about 2n lanes at a time; the exact suite grows as n^4).  At
+# the ceiling, on one core of a 2-core x86-64 machine, process start included: zeros
+# --n 2000 takes 2.1 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB;
+# series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
+# verify --suite exact --max-n 160 takes 22 s (numeric and all refuse from 103 at once).
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
+SERIES_CEILING = 300
+VERIFY_CEILING = 160
 
 
 def _fmt(v: float) -> str:
@@ -65,6 +69,7 @@ def _emit_coeff_csv(ids: list[str], rows: list[dict]) -> None:
 
 
 def _run_report(argv: list[str], reports: list[CheckReport], fmt: str) -> int:
+    from .suite import summarize
     summary = summarize(reports)
     if fmt == "csv":
         rows = [[r.identity, r.n_range[0], r.n_range[1], r.status.value,
@@ -113,6 +118,7 @@ def _cmd_eval(args, argv) -> int:
 
 
 def _cmd_zeros(args, argv) -> int:
+    from .analysis import zeros
     zs = zeros(args.n, args.tol)
     if args.format == "csv":
         _emit_csv(["index", "zero"], [[k, _fmt(z)] for k, z in enumerate(zs)])
@@ -122,6 +128,7 @@ def _cmd_zeros(args, argv) -> int:
 
 
 def _cmd_quad(args, argv) -> int:
+    from .analysis import gram_deviation, orthogonality_matrix
     mat = orthogonality_matrix(args.max_n)
     dev = gram_deviation(mat)
     if args.format == "csv":
@@ -135,6 +142,7 @@ def _cmd_quad(args, argv) -> int:
 
 
 def _cmd_ft(args, argv) -> int:
+    from .analysis import ft_closed, ft_numeric
     closed = ft_closed(args.n, args.s)
     numeric = ft_numeric(args.n, args.s)
     _emit_records({"n": args.n, "s": args.s, "phase": f"i^{args.n}",
@@ -144,6 +152,7 @@ def _cmd_ft(args, argv) -> int:
 
 
 def _cmd_moments(args, argv) -> int:
+    from .analysis import moment
     if args.max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {args.max_n}")
     rows = []
@@ -156,11 +165,13 @@ def _cmd_moments(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
+    from .suite import run_suite
     reports = run_suite(args.suite, args.max_n)
     return _run_report(argv, reports, args.format)
 
 
 def _cmd_audit(args, argv) -> int:
+    from .suite import audit_suite
     return _run_report(argv, audit_suite(), args.format)
 
 
@@ -246,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("exact", "numeric", "all"), default="all")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None,
+    p.add_argument("--max-n", dest="max_n", type=_size_up_to(VERIFY_CEILING), default=None,
                    help="largest index checked, at least 1 "
                         "(default: 20 for exact, 12 for numeric)")
     finish(p, _cmd_verify)
@@ -256,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="generating-function coefficient tables")
     p.add_argument("--kind", required=True, choices=_SERIES_TOKENS)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_size_up_to(SERIES_CEILING), default=8)
     finish(p, _cmd_series)
 
     return parser

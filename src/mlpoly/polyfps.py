@@ -385,7 +385,7 @@ class PolySeries:
     operations truncate to the smaller operand order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "__weakref__")
 
     def __init__(self, order: int, coeffs: Iterable = ()) -> None:
         if order < 1:

@@ -5,10 +5,11 @@ in ((1+t)/(1-t))^x), its monic rescaling, the reduced real sequence phi_n
 obtained by evaluating g_{n+1} on the imaginary axis, the monic reduced
 sequence, and the half-sum shift family connected to Pidduck polynomials.
 
-The three recurrence families are defined once, in RECURRENCES, and every
-exact or float route that runs them reads that entry; every oracle rebuilds
-the same polynomials by a structurally different route (terminating
-hypergeometric sums, a shifted Meixner sum, exact series extraction) so that
+Every family is generated by its three-term recurrence, defined once in
+RECURRENCES, and every exact or float route that runs a recurrence reads that
+entry; every oracle rebuilds the same polynomials by a structurally different
+route (terminating hypergeometric sums, a shifted Meixner sum, exact series
+extraction, the monic rescaling and the unit-shift average of g_n) so that
 agreement is meaningful.  The base recurrence is used with +(n-1) g_{n-1} on
 the right-hand side: the minus-sign variant seen in print contradicts all
 three oracles and is adjudicated separately by the erratum audit rather than
@@ -24,6 +25,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactnum import GaussRational
 from .polyfps import Poly, PolySeries, X, elementary
@@ -94,25 +96,28 @@ class SeqTable:
 
 @dataclass(frozen=True)
 class Recurrence:
-    """p_{n+1} = a(n) x p_n + b(n) p_{n-1} for n >= 0, from p_{-1} = 0 and the constant p_0.
+    """p_{n+1} = (a(n) x + d(n)) p_n + b(n) p_{n-1} for n >= 0, from p_{-1} = 0 and the
+    constant p_0.
 
-    a and b return the exact step coefficients; p_1 = a(0) p_0 x.
+    a, b and d return the exact step coefficients, d zero unless given;
+    p_1 = (a(0) x + d(0)) p_0.
     """
 
     p0: int
     a: Callable[[int], Fraction]
     b: Callable[[int], Fraction]
+    d: Callable[[int], Fraction] = lambda n: Fraction(0)
 
     def members(self, n_max: int) -> list[Poly]:
         """p_0 .. p_{n_max}, exactly."""
         polys = [Poly(), Poly([self.p0])]  # p_{-1}, p_0
         for n in range(n_max):
-            polys.append(self.a(n) * X * polys[-1] + self.b(n) * polys[-2])
+            polys.append(Poly([self.d(n), self.a(n)]) * polys[-1] + self.b(n) * polys[-2])
         return polys[1:]
 
 
-# The one definition of each recurrence family, read by generate, the float evaluator
-# and Jacobi matrix of the analysis layer, and the erratum audit's printed variant.
+# The one definition of each family, read by generate, the float evaluator and Jacobi
+# matrix of the analysis layer, and the erratum audit's printed variant.
 RECURRENCES = {
     # (n+1) g_{n+1} = 2x g_n + (n-1) g_{n-1};  g_0 = 1, g_1 = 2x
     SeqKind.G: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n - 1, n + 1)),
@@ -120,6 +125,12 @@ RECURRENCES = {
     SeqKind.PHI: Recurrence(2, lambda n: Fraction(2, n + 2), lambda n: Fraction(-n, n + 2)),
     # p_{n+1} = x p_n - c_n p_{n-1}, c_n = n(n+1)/4;  p_0 = 1, p_1 = x
     SeqKind.PHI_MONIC: Recurrence(1, lambda n: Fraction(1), lambda n: Fraction(-n * (n + 1), 4)),
+    # q_{n+1} = x q_n + n(n-1)/4 q_{n-1};  q_0 = 1, q_1 = x  (q_n = n!/2^n g_n)
+    SeqKind.G_MONIC: Recurrence(1, lambda n: Fraction(1), lambda n: Fraction(n * (n - 1), 4)),
+    # (n+1) P_{n+1} = (2x+1) P_n + n P_{n-1};  P_0 = 1, P_1 = 2x + 1
+    # (P_n = (g_n(x+1) + g_n(x))/2)
+    SeqKind.PIDDUCK: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n, n + 1),
+                                d=lambda n: Fraction(1, n + 1)),
 }
 
 
@@ -129,11 +140,7 @@ _LIVE: weakref.WeakValueDictionary[SeqKind, SeqTable] = weakref.WeakValueDiction
 
 
 def generate(kind: SeqKind, n_max: int) -> SeqTable:
-    """Exact table of polynomials 0..n_max for one family.
-
-    G, PHI, PHI_MONIC:  their RECURRENCES entry
-    G_MONIC:    n!/2^n * g_n
-    PIDDUCK:    (g_n(x+1) + g_n(x))/2, the unit shift read off exactly
+    """Exact table of polynomials 0..n_max for one family, by its RECURRENCES entry.
 
     While a long enough table of the family is alive, returns it or its prefix.
     """
@@ -142,17 +149,7 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
     live = _LIVE.get(kind)
     if live is not None and n_max <= live.max_n:
         return live if n_max == live.max_n else SeqTable(kind, live.polys[: n_max + 1])
-    if kind in RECURRENCES:
-        polys = RECURRENCES[kind].members(n_max)
-    elif kind is SeqKind.G_MONIC:
-        base = generate(SeqKind.G, n_max)
-        polys = [Fraction(math.factorial(n), 2**n) * base[n] for n in range(n_max + 1)]
-    elif kind is SeqKind.PIDDUCK:
-        base = generate(SeqKind.G, n_max)
-        polys = [(base[n].shift(1) + base[n]) / Fraction(2) for n in range(n_max + 1)]
-    else:
-        raise ValueError(f"unknown sequence kind: {kind!r}")
-    table = SeqTable(kind, tuple(polys))
+    table = SeqTable(kind, tuple(RECURRENCES[kind].members(n_max)))
     _LIVE[kind] = table
     return table
 
@@ -213,22 +210,39 @@ def monic_egf(order: int) -> PolySeries:
     return numerator / denominator
 
 
+# One weak entry per family, its longest series built, shared like _LIVE's tables: the
+# Pidduck series and the oracles of G and G_MONIC read the one G series a run holds.
+_LIVE_SERIES: weakref.WeakValueDictionary[SeqKind, PolySeries] = weakref.WeakValueDictionary()
+
+
 def generating_series(kind: SeqKind, order: int) -> PolySeries:
     """The exact generating series of one family, truncated at order.
 
     G comes from exp(x * log((1+t)/(1-t))), with t^n coefficient g_n; PHI
     from (exp(2x*arctan t) - 1)/(tx) with both divisions verified exact, with
-    t^n coefficient phi_n; PHI_MONIC is the exponential series monic_egf.
+    t^n coefficient phi_n; PHI_MONIC is the exponential series monic_egf;
+    PIDDUCK is G's series times 1/(1-t), whose t^n coefficient g_0 + ... + g_n
+    is the Pidduck member P_n.
+
+    While a long enough series of the family is alive, returns it or its truncation.
     """
+    live = _LIVE_SERIES.get(kind)
+    if live is not None and order <= live.order:
+        return live if order == live.order else live.truncate(order)
     if kind is SeqKind.G:
-        return (elementary("log_ratio", order) * X).exp()
-    if kind is SeqKind.PHI:
+        series = (elementary("log_ratio", order) * X).exp()
+    elif kind is SeqKind.PHI:
         two_arctan = elementary("arctan_half", order + 1).scale_t(Fraction(2))
         expanded = (two_arctan * X).exp() - PolySeries.one(order + 1)
-        return expanded.divide_by_t().divide_coeffs_by_x()
-    if kind is SeqKind.PHI_MONIC:
-        return monic_egf(order)
-    raise ValueError(f"no generating-series oracle for kind {kind.value}")
+        series = expanded.divide_by_t().divide_coeffs_by_x()
+    elif kind is SeqKind.PHI_MONIC:
+        series = monic_egf(order)
+    elif kind is SeqKind.PIDDUCK:
+        series = PolySeries(order, accumulate(generating_series(SeqKind.G, order).coeffs))
+    else:
+        raise ValueError(f"no generating-series oracle for kind {kind.value}")
+    _LIVE_SERIES[kind] = series
+    return series
 
 
 def oracle_gf(kind: SeqKind, n: int, order: int | None = None) -> Poly:

@@ -51,15 +51,25 @@ def _bounded(identity: str, n_range: tuple[int, int], dev: float, tol: float,
 
 def _table_checks(max_n: int) -> list[CheckReport]:
     """The checks that read the held tables member by member."""
+    g_series = generating_series(SeqKind.G, max_n + 1)  # held: every G-series read shares it
     mismatches = g_oracle_mismatches(max_n)
-    g, phi, monic = (generate(kind, max_n) for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC))
+    g, phi, monic, g_monic, pidduck = (generate(kind, max_n) for kind in (
+        SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC, SeqKind.G_MONIC, SeqKind.PIDDUCK))
     phi_series = generating_series(SeqKind.PHI, max_n + 1)
     monic_series = generating_series(SeqKind.PHI_MONIC, max_n + 1)
+    pidduck_series = generating_series(SeqKind.PIDDUCK, max_n + 1)
 
     def phi_routes_agree(n: int) -> bool:
         scale = Fraction(math.factorial(n + 1), 2 ** (n + 1))
         return (phi[n] == phi_series.coeff(n) == reduce_from_g(n) and scale * phi[n] == monic[n]
                 and monic[n] == monic_series.coeff(n) * math.factorial(n))
+
+    def g_monic_routes_agree(n: int) -> bool:
+        scale = Fraction(math.factorial(n), 2 ** n)
+        return g_monic[n] == scale * g[n] == scale * g_series.coeff(n)
+
+    def pidduck_routes_agree(n: int) -> bool:
+        return pidduck[n] == (g[n].shift(1) + g[n]) / 2 == pidduck_series.coeff(n)
 
     return [
         _aggregate("g-oracle-equivalence", 1, max_n, lambda n: n not in mismatches,
@@ -68,6 +78,12 @@ def _table_checks(max_n: int) -> list[CheckReport]:
         _aggregate("phi-oracle-equivalence", 0, max_n, phi_routes_agree,
                    "reduced family equals its series extraction, the "
                    "imaginary-axis reduction, and the monic rescaling"),
+        _aggregate("g-monic-oracle-equivalence", 0, max_n, g_monic_routes_agree,
+                   "monic recurrence equals the rescaling n!/2^n g_n of the base table "
+                   "and of its series extraction"),
+        _aggregate("pidduck-oracle-equivalence", 0, max_n, pidduck_routes_agree,
+                   "Pidduck recurrence equals the shift average (g_n(x+1) + g_n(x))/2 "
+                   "and the series extraction from ((1+t)/(1-t))^x/(1-t)"),
         _aggregate("g-special-values", 1, max_n,
                    lambda n: g[n](Fraction(1)) == 2 and g[n](Fraction(0)) == 0,
                    "g_n(1) = 2 and g_n(0) = 0"),
@@ -170,8 +186,12 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckReport]:
         return _run(_exact_plan(exact_n))
     if name == "numeric":
         return _run(_numeric_plan(numeric_n))
-    if name == "all":  # exact first: its longer tables then serve the numeric plan's prefix
-        return _run(_exact_plan(exact_n), _numeric_plan(numeric_n), _audit_plan())
+    if name == "all":
+        # plans built exact first, so its longer tables serve the numeric plan's prefix;
+        # numeric steps run first, so a size past the quadrature's reach fails before any
+        # exact step has run (the reports are sorted, so the order does not show)
+        exact = _exact_plan(exact_n)
+        return _run(_numeric_plan(numeric_n), exact, _audit_plan())
     raise ValueError(f"unknown suite: {name!r}")
 
 

@@ -211,8 +211,8 @@ def test_verify_all_lists_each_report_once(capsys):
     assert code == 0
     payload = json.loads(out)
     rows = [json.dumps(r, sort_keys=True) for r in payload["reports"]]
-    assert len(rows) == len(set(rows)) == 25
-    assert payload["summary"] == {"pass": 18, "fail": 0, "audited": 7}
+    assert len(rows) == len(set(rows)) == 27
+    assert payload["summary"] == {"pass": 20, "fail": 0, "audited": 7}
 
 
 def test_verify_is_deterministic(capsys):
@@ -310,13 +310,20 @@ def _one_line_error(code, out, err):
 
 
 def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
-    from mlpoly.cli import TABLE_CEILING, ZEROS_CEILING, _build_parser
-    assert ZEROS_CEILING >= 400 and TABLE_CEILING >= 200  # the largest sizes in use
+    from mlpoly.cli import (SERIES_CEILING, TABLE_CEILING, VERIFY_CEILING, ZEROS_CEILING,
+                            _build_parser)
+    # the largest sizes in use
+    assert ZEROS_CEILING >= 400 and TABLE_CEILING >= 200
+    assert SERIES_CEILING >= 40 and VERIFY_CEILING >= 80
     parser = _build_parser()
     for argv in (["zeros", "--n", "100000000"], ["zeros", "--n", str(ZEROS_CEILING + 1)],
                  ["coeffs", "--seq", "g", "--n", str(TABLE_CEILING + 1)],
                  ["coeffs", "--seq", "pidduck", "--max-n", "100000000"],
-                 ["eval", "--seq", "phi", "--n", "100000000", "--x", "1"]):
+                 ["eval", "--seq", "phi", "--n", "100000000", "--x", "1"],
+                 ["series", "--kind", "tan-half", "--order", "2000"],
+                 ["series", "--kind", "phi-monic", "--order", str(SERIES_CEILING + 1)],
+                 ["verify", "--suite", "exact", "--max-n", str(VERIFY_CEILING + 1)],
+                 ["verify", "--max-n", "100000000"]):
         code, out, err = run_cli(capsys, *argv)
         assert _one_line_error(code, out, err), argv
         assert "is above the ceiling" in err
@@ -324,6 +331,24 @@ def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
     assert parser.parse_args(["zeros", "--n", str(ZEROS_CEILING)]).n == ZEROS_CEILING
     assert parser.parse_args(["coeffs", "--seq", "g", "--max-n",
                               str(TABLE_CEILING)]).max_n == TABLE_CEILING
+    assert parser.parse_args(["series", "--kind", "g", "--order",
+                              str(SERIES_CEILING)]).order == SERIES_CEILING
+    assert parser.parse_args(["verify", "--max-n", str(VERIFY_CEILING)]).max_n == VERIFY_CEILING
+
+
+def test_exact_commands_do_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, io, sys\n"
+            "from mlpoly import cli\n"
+            "for argv in (['coeffs', '--seq', 'g', '--n', '5'],\n"
+            "             ['eval', '--seq', 'pidduck', '--n', '5', '--x', '1/3'],\n"
+            "             ['series', '--kind', 'g', '--order', '5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out == "[]\n"
 
 
 def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):

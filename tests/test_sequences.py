@@ -8,6 +8,7 @@ whole package.
 """
 
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from mlpoly import sequences
 from mlpoly.polyfps import Poly, X
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
-                              generate, monic_egf, oracle_gf,
+                              generate, generating_series, monic_egf, oracle_gf,
                               oracle_hypergeometric_g, oracle_meixner_g,
                               reduce_from_g, rodrigues_audit)
 
@@ -67,8 +68,9 @@ def test_frozen_low_members():
 
 def test_recurrence_families_have_one_definition():
     first_two = {SeqKind.G: [Poly([1]), 2 * X], SeqKind.PHI: [Poly([2]), 2 * X],
-                 SeqKind.PHI_MONIC: [Poly([1]), X]}
-    assert set(sequences.RECURRENCES) == set(first_two)
+                 SeqKind.PHI_MONIC: [Poly([1]), X], SeqKind.G_MONIC: [Poly([1]), X],
+                 SeqKind.PIDDUCK: [Poly([1]), Poly([1, 2])]}
+    assert set(sequences.RECURRENCES) == set(first_two) == set(SeqKind)
     for kind, first in first_two.items():
         members = sequences.RECURRENCES[kind].members(30)
         assert members[:2] == first
@@ -90,10 +92,21 @@ def test_monic_families_are_monic():
 
 
 def test_monic_rescaling_of_base_family():
-    g = generate(SeqKind.G, 12)
-    g_monic = generate(SeqKind.G_MONIC, 12)
-    for n in range(13):
-        assert g_monic[n] == F(math.factorial(n), 2**n) * g[n]
+    # the monic recurrence against the rescaled base table and the rescaled G series
+    g = generate(SeqKind.G, 60)
+    g_series = generating_series(SeqKind.G, 61)
+    g_monic = generate(SeqKind.G_MONIC, 60)
+    for n in range(61):
+        scale = F(math.factorial(n), 2**n)
+        assert g_monic[n] == scale * g[n] == scale * g_series.coeff(n)
+
+
+def test_pidduck_recurrence_equals_shift_average_and_series():
+    g = generate(SeqKind.G, 60)
+    pidduck = generate(SeqKind.PIDDUCK, 60)
+    for n in range(61):
+        assert pidduck[n] == (g[n].shift(1) + g[n]) / 2 == oracle_gf(SeqKind.PIDDUCK, n)
+    assert generating_series(SeqKind.PIDDUCK, 61).coeffs == pidduck.polys
 
 
 def test_oracle_equivalence_g():
@@ -120,7 +133,7 @@ def test_oracle_input_validation():
     with pytest.raises(ValueError):
         oracle_meixner_g(0)
     with pytest.raises(ValueError):
-        oracle_gf(SeqKind.PIDDUCK, 3)
+        oracle_gf(SeqKind.G_MONIC, 3)
     with pytest.raises(ValueError):
         oracle_gf(SeqKind.G, 5, order=5)
     with pytest.raises(ValueError):
@@ -189,6 +202,24 @@ def test_generate_shares_a_live_table():
     again = generate(SeqKind.PHI_MONIC, 12)
     assert again.polys == kept
     assert again[12] is not kept[12]  # rebuilt, not shared
+
+
+def test_a_live_g_series_serves_every_later_read(monkeypatch):
+    calls = []
+    original = sequences.elementary
+
+    def counted(kind, order):
+        calls.append(kind)
+        return original(kind, order)
+
+    monkeypatch.setattr(sequences, "elementary", counted)
+    monkeypatch.setattr(sequences, "_LIVE_SERIES", weakref.WeakValueDictionary())
+    held = generating_series(SeqKind.G, 31)
+    assert generating_series(SeqKind.G, 31) is held
+    assert generating_series(SeqKind.G, 12).coeffs == held.coeffs[:12]
+    pidduck = generating_series(SeqKind.PIDDUCK, 31)
+    assert calls == ["log_ratio"]  # the Pidduck series is summed from the held G series
+    assert pidduck.coeff(30) - pidduck.coeff(29) == held.coeff(30)
 
 
 def test_live_table_entry_dies_with_its_last_holder():

@@ -10,9 +10,13 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from mlpoly import analysis, sequences, suite
+from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind
 
 
@@ -50,7 +54,7 @@ def test_all_runs_each_shared_check_once(monkeypatch):
     live = _CountingLive()
     monkeypatch.setattr(sequences, "_LIVE", live)
     reports = suite.run_suite("all")
-    assert len(reports) == 25
+    assert len(reports) == 27
     assert calls["derivative_expansion_reduced_audit", 20] == 1
     assert calls["rodrigues_audit", 1] == 1
     assert sum(live.built.values()) <= 10
@@ -69,6 +73,43 @@ def test_all_at_small_max_n_builds_each_table_once(monkeypatch):
     monkeypatch.setattr(sequences, "_LIVE", live)
     suite.run_suite("all", 3)
     assert live.built[SeqKind.PHI_MONIC] <= 2
+
+
+def test_all_refuses_a_size_past_the_quadrature_before_any_exact_step(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "orthogonality_matrix")
+    original = suite.difference_relation_checks
+
+    def counted(n_max):
+        calls["difference_relation_checks", n_max] += 1
+        return original(n_max)
+
+    monkeypatch.setattr(suite, "difference_relation_checks", counted)
+    with pytest.raises(ValueError, match="no truncation below 400"):
+        suite.run_suite("all", 140)
+    assert calls == Counter({("orthogonality_matrix", 140): 1})
+
+
+def test_generating_the_shifted_and_rescaled_families_builds_one_table_each(monkeypatch):
+    for kind in (SeqKind.G_MONIC, SeqKind.PIDDUCK):
+        live = _CountingLive()
+        monkeypatch.setattr(sequences, "_LIVE", live)
+        sequences.generate(kind, 30)
+        assert live.built == Counter({kind: 1})
+
+
+def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
+    # the routes read G's table and series, never the entry of the family they check
+    for kind, identity in ((SeqKind.G_MONIC, "g-monic-oracle-equivalence"),
+                           (SeqKind.PIDDUCK, "pidduck-oracle-equivalence")):
+        rec = sequences.RECURRENCES[kind]
+        monkeypatch.setitem(sequences.RECURRENCES, kind,
+                            replace(rec, b=lambda n, b=rec.b: b(n) + 1))
+        monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+        status = {r.identity: r.status for r in suite._table_checks(6)}
+        assert status[identity] is CheckStatus.FAIL
+        assert list(status.values()).count(CheckStatus.FAIL) == 1
+        monkeypatch.undo()
 
 
 def test_all_is_the_union_of_the_three_suites():
