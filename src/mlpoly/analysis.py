@@ -86,6 +86,17 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     block's negative pivots to the count at once; the count is an integer, so
     summing it by blocks changes no bit.
 
+    Inside a block the pivots are computed unguarded, -x - b_j^2/d (one divide,
+    one subtract), and the whole block is checked once afterwards: if its smallest
+    |d| is below the largest pivmin of its lanes, the block is rerun with the
+    guard, from the same carried pivot, before its negative pivots are counted.
+    Where no guard fires, an unguarded pivot is the guarded one, and a block in
+    which one may fire is recomputed by the guarded loop, so no bit changes (the
+    check is conservative: a rerun that no lane needed is only slower).  No NaN
+    can arise on the way: a pivot of exactly 0 gives b_j^2/0 = inf, then -inf,
+    then -x, and the 0 is caught by the check (b_j^2 = 0 only at pivot 0, whose
+    divisor is 1.0).
+
     A lane also freezes when a step leaves both lo and hi as they were.  The step
     is a function of (lo, hi) and the lane's constants alone, so an unchanged
     state is a fixed point: every later step would repeat it, and the final
@@ -109,6 +120,7 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     count = np.empty(bound.size, dtype=np.int64)
     # row 0 of piv holds the pivot before the block, rows 1.. the block's own pivots
     piv = np.empty((_PIVOT_BLOCK + 1, bound.size))
+    mag = np.empty((_PIVOT_BLOCK, bound.size))  # |pivot| of a block, for its one guard check
     guard = np.empty(bound.size, dtype=bool)
     # summed through a uint8 view: a bool column sum would cast every entry to int64
     neg = np.empty((_PIVOT_BLOCK, bound.size), dtype=bool)
@@ -124,38 +136,47 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
         pivots = [(bsqs[j], *(a[:widths[j]] for a in (neg_x, piv[r], piv[r + 1], buf, pivmin,
                                                       neg_pivmin, guard)))
                   for r, j in enumerate(js)]
-        blocks.append((piv[1:rows + 1, narrow:wide], pivots, piv[1:rows + 1, :wide],
-                       neg[:rows, :wide], neg[:rows, :wide].view(np.uint8), tally[:wide],
-                       count[:wide], piv[0, :narrow], piv[rows, :narrow]))
+        bare = [p[:5] for p in pivots]  # what an unguarded pivot reads and writes
+        blocks.append((piv[1:rows + 1, narrow:wide], bare, pivots, piv[1:rows + 1, :wide],
+                       mag[:rows, :wide], float(pivmin[:wide].max()), neg[:rows, :wide],
+                       neg[:rows, :wide].view(np.uint8), tally[:wide], count[:wide],
+                       piv[0, :narrow], piv[rows, :narrow]))
 
-    for _ in range(200):
-        np.subtract(hi, lo, out=buf)
-        live &= buf > tol
-        if not live.any():
-            break
-        np.add(lo, hi, out=mid)
-        np.multiply(mid, 0.5, out=mid)
-        # Sturm count of mid: the number of negative pivots of J - mid I
-        np.negative(mid, out=neg_x)
-        piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
-        count.fill(0)
-        for ended, pivots, block, negs, negs_u8, tal, cnt, carry, last in blocks:
-            ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
-            for bsq, nx, prev, dj, bj, pj, npj, gj in pivots:
-                np.divide(bsq, prev, out=bj)
-                np.subtract(nx, bj, out=dj)
-                np.abs(dj, out=bj)
-                np.less(bj, pj, out=gj)
-                np.copyto(dj, npj, where=gj)
-            np.less(block, 0.0, out=negs)
-            np.add.reduce(negs_u8, axis=0, dtype=np.uint8, out=tal)
-            np.add(cnt, tal, out=cnt)
-            np.copyto(carry, last)
-        np.less_equal(count, rank, out=go_lo)
-        # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
-        live &= np.where(go_lo, mid != lo, mid != hi)
-        np.copyto(lo, mid, where=live & go_lo)
-        np.copyto(hi, mid, where=live & ~go_lo)
+    with np.errstate(divide="ignore", over="ignore"):  # unguarded pivots may reach +-inf
+        for _ in range(200):
+            np.subtract(hi, lo, out=buf)
+            live &= buf > tol
+            if not live.any():
+                break
+            np.add(lo, hi, out=mid)
+            np.multiply(mid, 0.5, out=mid)
+            # Sturm count of mid: the number of negative pivots of J - mid I
+            np.negative(mid, out=neg_x)
+            piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
+            count.fill(0)
+            for (ended, bare, pivots, block, mags, pmin, negs, negs_u8, tal, cnt, carry,
+                 last) in blocks:
+                ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
+                for bsq, nx, prev, dj, bj in bare:
+                    np.divide(bsq, prev, out=bj)
+                    np.subtract(nx, bj, out=dj)
+                np.abs(block, out=mags)
+                if mags.min() < pmin:  # a guard may fire: redo the block with it
+                    for bsq, nx, prev, dj, bj, pj, npj, gj in pivots:
+                        np.divide(bsq, prev, out=bj)
+                        np.subtract(nx, bj, out=dj)
+                        np.abs(dj, out=bj)
+                        np.less(bj, pj, out=gj)
+                        np.copyto(dj, npj, where=gj)
+                np.less(block, 0.0, out=negs)
+                np.add.reduce(negs_u8, axis=0, dtype=np.uint8, out=tal)
+                np.add(cnt, tal, out=cnt)
+                np.copyto(carry, last)
+            np.less_equal(count, rank, out=go_lo)
+            # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
+            live &= np.where(go_lo, mid != lo, mid != hi)
+            np.copyto(lo, mid, where=live & go_lo)
+            np.copyto(hi, mid, where=live & ~go_lo)
     np.add(lo, hi, out=mid)
     np.multiply(mid, 0.5, out=mid)
     out, start = {}, 0

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import __version__
@@ -25,7 +27,7 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # Largest sizes served, so that a mistyped size is refused at once instead of running
 # for hours (zeros bisects about 2n lanes at a time; the exact suite grows as n^4).  At
 # the ceiling, on one core of a 2-core x86-64 machine, process start included: zeros
-# --n 2000 takes 2.1 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB;
+# --n 2000 takes 1.8 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB;
 # series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
 # verify --suite exact --max-n 160 takes 22 s (numeric and all refuse from 103 at once).
 ZEROS_CEILING = 2000
@@ -39,8 +41,19 @@ def _fmt(v: float) -> str:
 
 
 def _emit_json(payload) -> None:
+    """payload as indented JSON.  An iterator is written as a list one element at a time,
+    in the same bytes, so that only one element's strings are alive at once; it is used
+    for rows of exact strings, which cannot fail half way through."""
     # strict JSON: a non-finite float raises ValueError, which main turns into exit 2
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    if not isinstance(payload, Iterator):
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        return
+    sep = "[\n"
+    for item in payload:
+        text = json.dumps(item, indent=2, sort_keys=True, allow_nan=False)
+        sys.stdout.write(sep + "  " + text.replace("\n", "\n  "))
+        sep = ",\n"
+    sys.stdout.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -94,13 +107,13 @@ def _cmd_coeffs(args, argv) -> int:
         raise _Usage("coeffs needs exactly one of --n or --max-n")
     n_max = args.n if args.n is not None else args.max_n
     table = generate(kind, n_max)
-    rows = table.to_json_rows()
-    if args.n is not None:
-        rows = rows[-1:]
+    ns = [n_max] if args.n is not None else range(n_max + 1)
     if args.format == "csv":
-        _emit_coeff_csv(["kind", "n"], rows)
+        _emit_coeff_csv(["kind", "n"], [table.json_row(n) for n in ns])
+    elif args.n is not None:
+        _emit_json(table.json_row(args.n))
     else:
-        _emit_json(rows[0] if args.n is not None else rows)
+        _emit_json(table.json_row(n) for n in ns)
     return 0
 
 
@@ -185,9 +198,9 @@ def _cmd_series(args, argv) -> int:
         coeffs = generating_series(SeqKind.from_token(kind), args.order).coeffs
     else:
         coeffs = elementary(kind.replace("-", "_"), args.order).coeffs
-    rows = [{"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs)]
+    rows = ({"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs))
     if args.format == "csv":
-        _emit_coeff_csv(["t_power"], rows)
+        _emit_coeff_csv(["t_power"], list(rows))
     else:
         _emit_json(rows)
     return 0
@@ -212,6 +225,7 @@ def _size_up_to(ceiling: int):
     return size
 
 
+@functools.cache  # one parser per process: parse_args returns a fresh namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpoly",

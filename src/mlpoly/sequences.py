@@ -87,11 +87,11 @@ class SeqTable:
     def max_n(self) -> int:
         return len(self.polys) - 1
 
+    def json_row(self, n: int) -> dict:
+        return {"kind": self.kind.value, "n": n, "coeffs": self.polys[n].to_strings()}
+
     def to_json_rows(self) -> list[dict]:
-        return [
-            {"kind": self.kind.value, "n": n, "coeffs": p.to_strings()}
-            for n, p in enumerate(self.polys)
-        ]
+        return [self.json_row(n) for n in range(len(self.polys))]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlpoly.analysis import (JacobiMatrix, ft_closed, ft_numeric, integrate,
+from mlpoly.analysis import (JacobiMatrix, _spectra, ft_closed, ft_numeric, integrate,
                              make_quad_config, member_values, moment, orthogonality_matrix,
                              zeros, zeros_range, erratum_audit, _coeff_norm, _ft_sinh_form,
                              _gamma_tail, _weight_array)
@@ -94,23 +94,30 @@ def test_zeros_input_validation():
         zeros_range(5, 4)
 
 
-def _scalar_zeros(n, tol):
-    """Reference: the one-eigenvalue-at-a-time Sturm bisection the lane sweep replaced."""
+def _scalar_zeros(n, tol, guarded=None):
+    """Reference: the one-eigenvalue-at-a-time Sturm bisection the lane sweep replaced.
+
+    `guarded`, if given, collects the bisection step of every pivot the guard replaces.
+    """
     off_sq = [b * b for b in JacobiMatrix.build(n).off_diagonal]
     pivmin = max(1e-290, 2.3e-16 * max(off_sq, default=1.0))
     bound = math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
 
-    def count_below(x):  # the number of negative pivots of J - x I
+    def count_below(x, step):  # the number of negative pivots of J - x I
         count = 0
         d = -x
         if abs(d) < pivmin:
             d = -pivmin
+            if guarded is not None:
+                guarded.append(step)
         if d < 0:
             count += 1
         for bsq in off_sq:
             d = -x - bsq / d
             if abs(d) < pivmin:
                 d = -pivmin
+                if guarded is not None:
+                    guarded.append(step)
             if d < 0:
                 count += 1
         return count
@@ -118,11 +125,11 @@ def _scalar_zeros(n, tol):
     out = []
     for k in range(n):
         lo, hi = -bound, bound
-        for _ in range(200):
+        for step in range(200):
             if hi - lo <= tol:
                 break
             mid = 0.5 * (lo + hi)
-            if count_below(mid) <= k:
+            if count_below(mid, step) <= k:
                 lo = mid
             else:
                 hi = mid
@@ -137,6 +144,18 @@ def _scalar_zeros(n, tol):
 def test_zeros_equal_the_scalar_bisection_bit_for_bit(tol):
     for n in range(1, 61):
         assert zeros(n, tol) == _scalar_zeros(n, tol), n
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
+def test_the_lane_sweep_equals_the_scalar_bisection(tol):
+    # every size 1..40 in one sweep, so lanes of many sizes share each block of pivots
+    found = _spectra(range(1, 41), tol)
+    assert all(found[n] == _scalar_zeros(n, tol) for n in range(1, 41))
+    # at 137 the guard fires after step 0, so the sweep reruns blocks with it
+    guarded = []
+    assert _spectra([137], tol)[137] == _scalar_zeros(137, tol, guarded)
+    if tol < 1e-3:
+        assert max(guarded) > 0
 
 
 def test_zeros_digests_are_frozen():

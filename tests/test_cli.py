@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly.cli import _SEQ_TOKENS, _SERIES_TOKENS, main
+from mlpoly import __version__
+from mlpoly.cli import _SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _emit_json, main
+from mlpoly.sequences import SeqKind, generate
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +42,22 @@ def test_coeffs_table(capsys):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [0, 1, 2]
     assert rows[2]["coeffs"] == ["0", "0", "2"]
+
+
+def test_coeffs_member_is_the_last_row_of_its_table(capsys):
+    for seq in _SEQ_TOKENS:
+        for n in (0, 23):
+            _, member, _ = run_cli(capsys, "coeffs", "--seq", seq, "--n", str(n))
+            _, table, _ = run_cli(capsys, "coeffs", "--seq", seq, "--max-n", str(n))
+            assert json.loads(member) == json.loads(table)[-1], (seq, n)
+            # the table is written row by row, in the bytes of one json.dumps of the list
+            rows = generate(SeqKind.from_token(seq), n).to_json_rows()
+            assert table == json.dumps(rows, indent=2, sort_keys=True) + "\n", (seq, n)
+
+
+def test_emit_json_writes_an_empty_iterator_as_an_empty_list(capsys):
+    _emit_json(iter([]))
+    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
 
 
 def test_coeffs_requires_exactly_one_selector(capsys):
@@ -307,6 +325,19 @@ def test_version_flag(capsys):
 
 def _one_line_error(code, out, err):
     return code == 2 and out == "" and err.startswith("mlpoly: error: ") and err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    assert _build_parser() is _build_parser()
+    first = run_cli(capsys, "coeffs", "--seq", "phi", "--n", "6")
+    assert first[0] == 0
+    # a size above its ceiling is refused from inside parse_args, half way through argv
+    assert _one_line_error(*run_cli(capsys, "zeros", "--n", "2001", "--tol", "1e-9"))
+    assert run_cli(capsys, "coeffs", "--seq", "phi", "--n", "6") == first
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"mlpoly {__version__}\n"
 
 
 def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
