@@ -7,8 +7,8 @@ requested size a numpy lane, so that one pivot sweep per bisection step
 serves them all; integrals come from one fixed Gauss-Legendre panel rule
 with analytically chosen truncation, and the
 Fourier transform from a closed form that is compared against direct
-quadrature.  The erratum audit at the bottom adjudicates the five printed
-identities that fail their own cross-checks.
+quadrature.  The erratum audit at the bottom adjudicates three of the five
+printed identities that fail their own cross-checks.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 from .exactnum import ZetaEven, to_float, zeta_even
 from .polyfps import Poly
 from .report import CheckReport, CheckStatus
-from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, g_oracle_mismatches,
-                        generate, oracle_hypergeometric_g, rodrigues_audit)
-from .identities import derivative_expansion_reduced_audit
+from .sequences import (RECURRENCES, SeqKind, g_oracle_mismatches, generate,
+                        oracle_hypergeometric_g)
 
 __all__ = [
     "JacobiMatrix",
@@ -44,7 +43,6 @@ __all__ = [
     "ft_closed",
     "ft_numeric",
     "own_erratum_audit",
-    "erratum_audit",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -425,7 +423,7 @@ def ft_closed(n: int, s: float) -> FtValue:
     Evaluated as (n+1)!/(2^(n+1) sqrt(2 pi)) * tanh^n(s/2) * sech^2(s/2),
     the overflow-free equivalent of the sinh-quotient form.  The constant
     divisor is 2^(n+1); the 2^n variant seen in print fails the s = 0
-    quadrature cross-check by a factor of 2 (see erratum_audit).
+    quadrature cross-check by a factor of 2 (see own_erratum_audit).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -483,19 +481,14 @@ def _ft_sinh_form(n: int, s: float) -> float:
             * math.sinh(0.5 * s) ** (2 * n + 2) / math.sinh(s) ** (n + 2))
 
 
-def erratum_audit() -> list[CheckReport]:
-    """Adjudicate the five printed identities that fail their own cross-checks.
+def own_erratum_audit() -> list[CheckReport]:
+    """The three printed errata this module adjudicates; `suite.audit_suite` adds the
+    derivative-expansion and Rodrigues ones.
 
     Each report evaluates the printed form and the derived alternative side
     by side; all carry AUDITED status because a documented inconsistency is
-    expected output, not a build failure.  The exact and numeric suites share the last two.
+    expected output, not a build failure.
     """
-    return own_erratum_audit() + [derivative_expansion_reduced_audit(20),
-                                  rodrigues_audit(1, RODRIGUES_POINTS)]
-
-
-def own_erratum_audit() -> list[CheckReport]:
-    """The three errata of erratum_audit that this module adjudicates itself."""
     # 1. Sign of the base three-term recurrence: the minus-sign variant first
     #    diverges from every oracle at n = 3.
     g = RECURRENCES[SeqKind.G]

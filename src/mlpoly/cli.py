@@ -6,15 +6,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
 from .exactnum import to_float
-from .polyfps import elementary
+from .polyfps import Poly, elementary
 from .report import CheckReport
 from .sequences import SeqKind, generate, generating_series
 
@@ -56,12 +55,11 @@ def _emit_json(payload) -> None:
     sys.stdout.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
+    """The header, then each row as it comes: a generator of rows is never held whole."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def _emit_records(payload: dict | list[dict], fmt: str) -> None:
@@ -74,11 +72,12 @@ def _emit_records(payload: dict | list[dict], fmt: str) -> None:
                                   for r in rows])
 
 
-def _emit_coeff_csv(ids: list[str], rows: list[dict]) -> None:
-    """Coefficient rows as CSV: the id columns, then c0, c1, ... padded to the widest row."""
-    width = max(len(r["coeffs"]) for r in rows)
+def _emit_coeff_csv(ids: list[str], rows: list[tuple[list, Poly]]) -> None:
+    """(id values, polynomial) rows as CSV: the id columns, then c0, c1, ... padded to the
+    largest coefficient count, which the polynomials know before any row becomes strings."""
+    width = max((p.degree + 1 for _, p in rows), default=0)
     _emit_csv(ids + [f"c{k}" for k in range(width)],
-              [[r[c] for c in ids] + r["coeffs"] + [""] * (width - len(r["coeffs"])) for r in rows])
+              (key + p.to_strings() + [""] * (width - 1 - p.degree) for key, p in rows))
 
 
 def _run_report(argv: list[str], reports: list[CheckReport], fmt: str) -> int:
@@ -109,7 +108,7 @@ def _cmd_coeffs(args, argv) -> int:
     table = generate(kind, n_max)
     ns = [n_max] if args.n is not None else range(n_max + 1)
     if args.format == "csv":
-        _emit_coeff_csv(["kind", "n"], [table.json_row(n) for n in ns])
+        _emit_coeff_csv(["kind", "n"], [([kind.value, n], table[n]) for n in ns])
     elif args.n is not None:
         _emit_json(table.json_row(args.n))
     else:
@@ -198,11 +197,10 @@ def _cmd_series(args, argv) -> int:
         coeffs = generating_series(SeqKind.from_token(kind), args.order).coeffs
     else:
         coeffs = elementary(kind.replace("-", "_"), args.order).coeffs
-    rows = ({"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs))
     if args.format == "csv":
-        _emit_coeff_csv(["t_power"], list(rows))
+        _emit_coeff_csv(["t_power"], [([n], p) for n, p in enumerate(coeffs)])
     else:
-        _emit_json(rows)
+        _emit_json({"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs))
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyfps import Poly, PolySeries, X, elementary
-from .report import CheckReport, CheckStatus
+from .report import CheckReport, CheckStatus, aggregate
 from .sequences import SeqKind, generate, monic_egf
 
 __all__ = [
@@ -90,37 +90,31 @@ def trig_operator_apply(p: Poly) -> Poly:
     return cos_part + X * sin_part
 
 
-def _residual_report(identity: str, n_range: tuple[int, int], residual: Poly,
-                     pass_note: str, fail_note: str) -> CheckReport:
-    if residual.is_zero():
-        return CheckReport(identity, n_range, CheckStatus.PASS, note=pass_note)
-    return CheckReport(identity, n_range, CheckStatus.FAIL, residual=residual, note=fail_note)
-
-
-def trig_operator_eigencheck(n: int) -> CheckReport:
-    """(cos D + x sin D) p_n = (n+1) p_n, exactly."""
-    if n < 0:
+def trig_operator_eigencheck(n_max: int) -> CheckReport:
+    """(cos D + x sin D) p_n = (n+1) p_n exactly for 0 <= n <= n_max."""
+    if n_max < 0:
         raise ValueError("index must be non-negative")
-    p = generate(SeqKind.PHI_MONIC, n)[n]
-    return _residual_report("trig-operator-eigenrelation", (n, n),
-                            trig_operator_apply(p) - (n + 1) * p,
-                            f"(cos D + x sin D) p_{n} = {n + 1} p_{n}",
-                            f"operator application differs from {n + 1} p_{n}")
+    tab = generate(SeqKind.PHI_MONIC, n_max)
+    return aggregate("trig-operator-eigenrelation", 0, n_max,
+                     lambda n: trig_operator_apply(tab[n]) == (n + 1) * tab[n],
+                     "(cos D + x sin D) p_n = (n+1) p_n exactly")
 
 
-def derivative_expansion_monic(n: int) -> CheckReport:
-    """p'_{n+1} = sum_k (-1)^k C(n+1, 2k+1) (2k)!/2^(2k) p_{n-2k}, exactly."""
-    if n < 0:
+def derivative_expansion_monic(n_max: int) -> CheckReport:
+    """p'_{n+1} = sum_k (-1)^k C(n+1, 2k+1) (2k)!/2^(2k) p_{n-2k} exactly for 0 <= n <= n_max."""
+    if n_max < 0:
         raise ValueError("index must be non-negative")
-    tab = generate(SeqKind.PHI_MONIC, n + 1)
-    lhs = tab[n + 1].derivative()
-    rhs = Poly()
-    for k in range(n // 2 + 1):
-        coeff = Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
-        rhs = rhs + coeff * tab[n - 2 * k]
-    return _residual_report("derivative-expansion-monic", (n, n), lhs - rhs,
-                            "derivative of p_{n+1} expands over lower monic members",
-                            f"expansion fails at n = {n}")
+    tab = generate(SeqKind.PHI_MONIC, n_max + 1)
+
+    def holds(n: int) -> bool:
+        rhs = Poly()
+        for k in range(n // 2 + 1):
+            coeff = Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
+            rhs = rhs + coeff * tab[n - 2 * k]
+        return tab[n + 1].derivative() == rhs
+
+    return aggregate("derivative-expansion-monic", 0, n_max, holds,
+                     "monic derivative expansion holds exactly")
 
 
 def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
@@ -215,24 +209,14 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
     tab = generate(SeqKind.PHI_MONIC, n_max + 2)  # held, so each turan(n) reads it
     deltas = [turan(n).delta for n in range(n_max + 2)]
 
-    for n in range(1, n_max + 1):
-        c_n = Fraction(n * (n + 1), 4)
-        rhs = c_n * deltas[n] + Fraction(n + 1, 2) * (tab[n] * tab[n])
-        if not (deltas[n + 1] - rhs).is_zero():
-            return CheckReport("turan-recurrence", (1, n_max), CheckStatus.FAIL,
-                               residual=deltas[n + 1] - rhs,
-                               note=f"proof recurrence fails at n = {n}")
+    def holds(n: int) -> bool:
+        rhs = Fraction(n * (n + 1), 4) * deltas[n] + Fraction(n + 1, 2) * (tab[n] * tab[n])
+        return deltas[n + 1] == rhs and all(
+            deltas[n](Fraction(n * (2 * j - 100), 100)) >= 0 for j in range(101))
 
-    for n in range(1, n_max + 1):
-        for j in range(101):
-            point = Fraction(n * (2 * j - 100), 100)
-            if deltas[n](point) < 0:
-                return CheckReport("turan-recurrence", (1, n_max), CheckStatus.FAIL,
-                                   note=f"delta_{n} < 0 at x = {point}")
-
-    return CheckReport("turan-recurrence", (1, n_max), CheckStatus.PASS,
-                       note=("proof recurrence exact and sampled delta_n >= 0 "
-                             f"on [-n, n] for 1 <= n <= {n_max}"))
+    return aggregate("turan-recurrence", 1, n_max, holds,
+                     "proof recurrence exact and sampled delta_n >= 0 "
+                     f"on [-n, n] for 1 <= n <= {n_max}")
 
 
 def lowering_apply(p: Poly) -> Poly:
@@ -259,10 +243,6 @@ def lowering_check(n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
-    for n in range(1, n_max + 1):
-        residual = lowering_apply(tab[n]) - n * tab[n - 1]
-        if not residual.is_zero():
-            return CheckReport("lowering-operator", (1, n_max), CheckStatus.FAIL,
-                               residual=residual, note=f"lowering fails at n = {n}")
-    return CheckReport("lowering-operator", (1, n_max), CheckStatus.PASS,
-                       note=f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")
+    return aggregate("lowering-operator", 1, n_max,
+                     lambda n: lowering_apply(tab[n]) == n * tab[n - 1],
+                     f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

@@ -1,13 +1,18 @@
-"""Structured verdict records shared by every verification layer."""
+"""Structured verdict records shared by every verification layer, and the two verdicts.
+
+Every PASS or FAIL is decided here: `aggregate` for an exact contract that must hold
+at each index of a range, `bounded` for a numeric deviation under its tolerance.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from .polyfps import Poly
 
-__all__ = ["CheckStatus", "CheckReport"]
+__all__ = ["CheckStatus", "CheckReport", "aggregate", "bounded"]
 
 
 class CheckStatus(Enum):
@@ -47,3 +52,21 @@ class CheckReport:
         if self.max_deviation is not None:
             d["max_deviation"] = self.max_deviation
         return d
+
+
+def aggregate(identity: str, lo: int, hi: int, holds: Callable[[int], bool],
+              pass_note: str) -> CheckReport:
+    """PASS with pass_note when holds(n) for every n in lo..hi, else FAIL listing each n
+    where it does not."""
+    failures = [n for n in range(lo, hi + 1) if not holds(n)]
+    if not failures:
+        return CheckReport(identity, (lo, hi), CheckStatus.PASS, note=pass_note)
+    return CheckReport(identity, (lo, hi), CheckStatus.FAIL,
+                       note=f"failing indices: {failures}")
+
+
+def bounded(identity: str, n_range: tuple[int, int], dev: float, tol: float,
+            note: str) -> CheckReport:
+    """PASS when the deviation is below the tolerance; the deviation is reported either way."""
+    status = CheckStatus.PASS if dev < tol else CheckStatus.FAIL
+    return CheckReport(identity, n_range, status, max_deviation=dev, note=note)

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .exactnum import GaussRational
 from .polyfps import Poly, PolySeries, X, elementary
-from .report import CheckReport, CheckStatus
+from .report import CheckReport, CheckStatus, aggregate
 
 __all__ = [
     "SeqKind",
@@ -297,8 +297,8 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
     2. g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)
     3. (x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0 for monic reduced p_n
 
-    All three are zero-polynomial contracts; one report per relation, with
-    the first nonzero residual recorded on failure.
+    All three are zero-polynomial contracts; one report per relation, which on
+    failure lists every n with a nonzero residual.
     """
     if n_max < 1:
         raise ValueError("need at least n = 1 to check the relations")
@@ -306,35 +306,22 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
     p = generate(SeqKind.PHI_MONIC, n_max)
     i = GaussRational.i_power(1)
     return [
-        _zero_contract_report(
-            "difference-relation-g", (1, n_max),
-            lambda n: X * g[n].shift(1) - 2 * n * g[n] - X * g[n].shift(-1),
-            "x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0"),
-        _zero_contract_report(
-            "recurrence-difference-g", (1, n_max),
-            lambda n: g[n].shift(1) - g[n - 1].shift(1) - g[n] - g[n - 1],
-            "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)"),
-        _zero_contract_report(
-            "difference-relation-phi-monic-complex", (0, n_max),
+        aggregate(
+            "difference-relation-g", 1, n_max,
+            lambda n: (X * g[n].shift(1) - 2 * n * g[n] - X * g[n].shift(-1)).is_zero(),
+            "x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0; exact for all n in range"),
+        aggregate(
+            "recurrence-difference-g", 1, n_max,
+            lambda n: (g[n].shift(1) - g[n - 1].shift(1) - g[n] - g[n - 1]).is_zero(),
+            "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x); exact for all n in range"),
+        aggregate(
+            "difference-relation-phi-monic-complex", 0, n_max,
             lambda n: (Poly([i, 1]) * p[n].shift(i)
                        - GaussRational(Fraction(0), Fraction(2 * (n + 1))) * p[n]
-                       - Poly([-i, 1]) * p[n].shift(-i)),
-            "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact"),
+                       - Poly([-i, 1]) * p[n].shift(-i)).is_zero(),
+            "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact; "
+            "exact for all n in range"),
     ]
-
-
-def _zero_contract_report(identity: str, n_range: tuple[int, int],
-                          residual_of: Callable[[int], Poly],
-                          statement: str) -> CheckReport:
-    """PASS when residual_of(n) is zero for every n in range, else FAIL at the first nonzero."""
-    for n in range(n_range[0], n_range[1] + 1):
-        residual = residual_of(n)
-        if not residual.is_zero():
-            note = f"{statement}; first nonzero residual at n = {n}: {residual}"
-            stored = residual if residual.is_real() else None
-            return CheckReport(identity, n_range, CheckStatus.FAIL, residual=stored, note=note)
-    return CheckReport(identity, n_range, CheckStatus.PASS,
-                       note=f"{statement}; exact for all n in range")
 
 
 def _gamma_pair(half: float, x: float) -> float:

@@ -1,8 +1,11 @@
 """Verification suites: one plan of checks per layer, run by one runner.
 
 A plan holds the family tables its checks read and lists its steps, each a
-callable with hashable arguments.  The runner calls each distinct step once
-(so a check two layers share runs once in `all`) and sorts the reports by a
+callable with hashable arguments.  An exact check is one step over a whole
+range, `(check, max_n)` or an `aggregate` of a per-index predicate; a numeric
+check is a `bounded` deviation.  Both verdicts come from `report`, so every
+PASS or FAIL has one shape.  The runner calls each distinct step once (so a
+check two layers share runs once in `all`) and sorts the reports by a
 canonical key, so the output is reproducible byte for byte no matter how the
 individual checks were scheduled.
 """
@@ -10,7 +13,6 @@ individual checks were scheduled.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from fractions import Fraction
 
 from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
@@ -19,7 +21,7 @@ from .identities import (convolution_residual, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
                          lowering_check, ode_residual, trig_operator_eigencheck,
                          turan_recurrence_check)
-from .report import CheckReport, CheckStatus
+from .report import CheckReport, CheckStatus, aggregate, bounded
 from .sequences import (RODRIGUES_POINTS, SeqKind, SeqTable, difference_relation_checks,
                         g_oracle_mismatches, generate, generating_series,
                         reduce_from_g, rodrigues_audit)
@@ -32,21 +34,6 @@ _FT_S_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 # (tables held while the steps run, steps); a step is (callable, *hashable args)
 # returning a report or a list of them, read from the module's names at each call.
 Plan = tuple[list[SeqTable], list[tuple]]
-
-
-def _aggregate(identity: str, lo: int, hi: int, holds: Callable[[int], bool],
-               pass_note: str) -> CheckReport:
-    failures = [n for n in range(lo, hi + 1) if not holds(n)]
-    if not failures:
-        return CheckReport(identity, (lo, hi), CheckStatus.PASS, note=pass_note)
-    return CheckReport(identity, (lo, hi), CheckStatus.FAIL,
-                       note=f"failing indices: {failures}")
-
-
-def _bounded(identity: str, n_range: tuple[int, int], dev: float, tol: float,
-             note: str) -> CheckReport:
-    status = CheckStatus.PASS if dev < tol else CheckStatus.FAIL
-    return CheckReport(identity, n_range, status, max_deviation=dev, note=note)
 
 
 def _table_checks(max_n: int) -> list[CheckReport]:
@@ -72,34 +59,32 @@ def _table_checks(max_n: int) -> list[CheckReport]:
         return pidduck[n] == (g[n].shift(1) + g[n]) / 2 == pidduck_series.coeff(n)
 
     return [
-        _aggregate("g-oracle-equivalence", 1, max_n, lambda n: n not in mismatches,
-                   "recurrence output equals hypergeometric, Meixner "
-                   "and series-extraction oracles exactly"),
-        _aggregate("phi-oracle-equivalence", 0, max_n, phi_routes_agree,
-                   "reduced family equals its series extraction, the "
-                   "imaginary-axis reduction, and the monic rescaling"),
-        _aggregate("g-monic-oracle-equivalence", 0, max_n, g_monic_routes_agree,
-                   "monic recurrence equals the rescaling n!/2^n g_n of the base table "
-                   "and of its series extraction"),
-        _aggregate("pidduck-oracle-equivalence", 0, max_n, pidduck_routes_agree,
-                   "Pidduck recurrence equals the shift average (g_n(x+1) + g_n(x))/2 "
-                   "and the series extraction from ((1+t)/(1-t))^x/(1-t)"),
-        _aggregate("g-special-values", 1, max_n,
-                   lambda n: g[n](Fraction(1)) == 2 and g[n](Fraction(0)) == 0,
-                   "g_n(1) = 2 and g_n(0) = 0"),
-        _aggregate("phi-parity", 0, max_n,
-                   lambda n: not any(monic[n].coefficient(k) or phi[n].coefficient(k)
-                                     for k in range(1 - n % 2, n + 1, 2)),
-                   "reduced members satisfy p_n(-x) = (-1)^n p_n(x)"),
+        aggregate("g-oracle-equivalence", 1, max_n, lambda n: n not in mismatches,
+                  "recurrence output equals hypergeometric, Meixner "
+                  "and series-extraction oracles exactly"),
+        aggregate("phi-oracle-equivalence", 0, max_n, phi_routes_agree,
+                  "reduced family equals its series extraction, the "
+                  "imaginary-axis reduction, and the monic rescaling"),
+        aggregate("g-monic-oracle-equivalence", 0, max_n, g_monic_routes_agree,
+                  "monic recurrence equals the rescaling n!/2^n g_n of the base table "
+                  "and of its series extraction"),
+        aggregate("pidduck-oracle-equivalence", 0, max_n, pidduck_routes_agree,
+                  "Pidduck recurrence equals the shift average (g_n(x+1) + g_n(x))/2 "
+                  "and the series extraction from ((1+t)/(1-t))^x/(1-t)"),
+        aggregate("g-special-values", 1, max_n,
+                  lambda n: g[n](Fraction(1)) == 2 and g[n](Fraction(0)) == 0,
+                  "g_n(1) = 2 and g_n(0) = 0"),
+        aggregate("phi-parity", 0, max_n,
+                  lambda n: not any(monic[n].coefficient(k) or phi[n].coefficient(k)
+                                    for k in range(1 - n % 2, n + 1, 2)),
+                  "reduced members satisfy p_n(-x) = (-1)^n p_n(x)"),
     ]
 
 
 def _egf_pde(order: int) -> CheckReport:
-    if egf_pde_residual(order).is_zero():
-        return CheckReport("egf-pde", (0, order - 1), CheckStatus.PASS,
-                           note=f"G G_xx = (G_x)^2 through truncation order {order}")
-    return CheckReport("egf-pde", (0, order - 1), CheckStatus.FAIL,
-                       note="EGF second-derivative identity has a nonzero residual")
+    residual = egf_pde_residual(order)
+    return aggregate("egf-pde", 0, order - 1, lambda n: residual.coeff(n).is_zero(),
+                     f"G G_xx = (G_x)^2 through truncation order {order}")
 
 
 def _exact_plan(max_n: int) -> Plan:
@@ -109,16 +94,12 @@ def _exact_plan(max_n: int) -> Plan:
     return tables, [
         (_table_checks, max_n),
         (difference_relation_checks, max_n),
-        (_aggregate, "ode-residual", 1, max_n, lambda n: ode_residual(n).is_zero(),
+        (aggregate, "ode-residual", 1, max_n, lambda n: ode_residual(n).is_zero(),
          "n-th order differential equation holds exactly"),
-        (_aggregate, "trig-operator-eigenrelation", 0, max_n,
-         lambda n: trig_operator_eigencheck(n).status is CheckStatus.PASS,
-         "(cos D + x sin D) p_n = (n+1) p_n exactly"),
-        (_aggregate, "derivative-expansion-monic", 0, max_n,
-         lambda n: derivative_expansion_monic(n).status is CheckStatus.PASS,
-         "monic derivative expansion holds exactly"),
+        (trig_operator_eigencheck, max_n),
+        (derivative_expansion_monic, max_n),
         (derivative_expansion_reduced_audit, max_n),
-        (_aggregate, "convolution-identity", 1, max_n, lambda n: convolution_residual(n).is_zero(),
+        (aggregate, "convolution-identity", 1, max_n, lambda n: convolution_residual(n).is_zero(),
          "weighted second/first derivative convolution vanishes"),
         (_egf_pde, 16),
         (turan_recurrence_check, max_n),
@@ -129,19 +110,19 @@ def _exact_plan(max_n: int) -> Plan:
 def _bounded_checks(max_n: int) -> list[CheckReport]:
     found = zeros_range(1, 24)  # one sweep; bound and interlacing checks run inside
     return [
-        _bounded("zeros-reference", (2, 24),
-                 max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()), 1e-3,
-                 "largest zeros match 0.707/1.414/2.163/2.945 and every size up to 24 "
-                 "satisfies the sqrt(n(n-1)) bound and strict interlacing"),
-        _bounded("orthogonality-matrix", (0, max_n),
-                 gram_deviation(orthogonality_matrix(max_n)), 1e-8,
-                 "Gram matrix of the reduced family is diag(2/(n+1)) within 1e-8"),
-        _bounded("zeta-moments", (1, 9), max(moment(n).deviation for n in range(1, 10, 2)), 1e-8,
-                 "odd sinh moments match their exact zeta closed forms to 1e-8 relative"),
-        _bounded("fourier-closed-vs-quadrature", (0, 8),
-                 max(abs(ft_numeric(n, s).value - ft_closed(n, s).value)
-                     for n in range(0, 9) for s in _FT_S_GRID), 1e-6,
-                 "closed-form transform agrees with direct quadrature to 1e-6 on the s grid"),
+        bounded("zeros-reference", (2, 24),
+                max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()), 1e-3,
+                "largest zeros match 0.707/1.414/2.163/2.945 and every size up to 24 "
+                "satisfies the sqrt(n(n-1)) bound and strict interlacing"),
+        bounded("orthogonality-matrix", (0, max_n),
+                gram_deviation(orthogonality_matrix(max_n)), 1e-8,
+                "Gram matrix of the reduced family is diag(2/(n+1)) within 1e-8"),
+        bounded("zeta-moments", (1, 9), max(moment(n).deviation for n in range(1, 10, 2)), 1e-8,
+                "odd sinh moments match their exact zeta closed forms to 1e-8 relative"),
+        bounded("fourier-closed-vs-quadrature", (0, 8),
+                max(abs(ft_numeric(n, s).value - ft_closed(n, s).value)
+                    for n in range(0, 9) for s in _FT_S_GRID), 1e-6,
+                "closed-form transform agrees with direct quadrature to 1e-6 on the s grid"),
     ]
 
 
@@ -152,7 +133,8 @@ def _numeric_plan(max_n: int) -> Plan:
 
 
 def _audit_plan() -> Plan:
-    # the steps of analysis.erratum_audit; the other two layers share the last two
+    # the five printed errata, three adjudicated in analysis; the other two layers
+    # share the last two
     return [], [(own_erratum_audit,), (derivative_expansion_reduced_audit, 20),
                 (rodrigues_audit, 1, RODRIGUES_POINTS)]
 

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from mlpoly.analysis import (erratum_audit, ft_closed, ft_numeric, moment,
-                             orthogonality_matrix, zeros)
+from mlpoly.analysis import ft_closed, ft_numeric, moment, orthogonality_matrix, zeros
 from mlpoly.identities import (convolution_residual, derivative_expansion_monic,
                                egf_pde_residual, lowering_check, ode_residual,
                                trig_operator_eigencheck, turan_recurrence_check)
@@ -30,6 +29,7 @@ from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, generate, oracle_gf,
                               oracle_hypergeometric_g, oracle_meixner_g,
                               reduce_from_g)
+from mlpoly.suite import audit_suite
 
 F = Fraction
 
@@ -134,7 +134,7 @@ def test_criterion_7_fourier_closed_vs_quadrature():
 
 
 def test_criterion_8_erratum_audit_verdicts():
-    reports = {r.identity: r for r in erratum_audit()}
+    reports = {r.identity: r for r in audit_suite()}
     ok = len(reports) == 5 and all(r.status is CheckStatus.AUDITED
                                    for r in reports.values())
 

@@ -16,11 +16,12 @@ import pytest
 
 from mlpoly.analysis import (JacobiMatrix, _spectra, ft_closed, ft_numeric, integrate,
                              make_quad_config, member_values, moment, orthogonality_matrix,
-                             zeros, zeros_range, erratum_audit, _coeff_norm, _ft_sinh_form,
+                             zeros, zeros_range, _coeff_norm, _ft_sinh_form,
                              _gamma_tail, _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate
+from mlpoly.suite import audit_suite
 
 F = Fraction
 
@@ -419,7 +420,7 @@ def test_ft_numeric_odd_member_vanishes_at_origin():
 
 
 def test_erratum_audit_shape():
-    reports = erratum_audit()
+    reports = audit_suite()
     assert len(reports) == 5
     assert all(r.status is CheckStatus.AUDITED for r in reports)
     by_id = {r.identity: r for r in reports}

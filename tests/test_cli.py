@@ -6,6 +6,7 @@ thread-count check runs fresh processes, since numpy reads the count on import.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -248,6 +249,22 @@ def test_verify_csv_summary_row(capsys):
     lines = out.splitlines()
     assert lines[0] == "identity,n_lo,n_hi,status,max_deviation,note"
     assert lines[-1].startswith("summary,")
+
+
+# The exact suite prints no floats, so these hold on every platform.  Update them only
+# for an output change that CHANGES.md names.
+_EXACT_40_SHA256 = {
+    "json": "966c12d32dde76f572f96cfca324a61f95d9cd6e5697ecfa36b69d19c41634cf",
+    "csv": "1787aca6937145479e5d78f6b769aa4d22e2d1c853830cb096fb8965476a1728",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_EXACT_40_SHA256))
+def test_verify_exact_40_bytes_are_pinned(capsys, fmt):
+    argv = ["verify", "--suite", "exact", "--max-n", "40"]
+    code, out, _ = run_cli(capsys, *(argv if fmt == "json" else argv + ["--format", "csv"]))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_40_SHA256[fmt]
 
 
 def test_audit(capsys):

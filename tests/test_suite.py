@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from mlpoly import analysis, sequences, suite
-from mlpoly.report import CheckStatus
+from mlpoly.report import CheckStatus, aggregate
 from mlpoly.sequences import SeqKind
 
 
@@ -37,7 +37,8 @@ class _CountingLive(weakref.WeakValueDictionary):
 
 
 def _count_calls(monkeypatch, calls, name):
-    for module in (suite, analysis):
+    # every module that holds the name by import, so a call through any of them counts
+    for module in (m for m in (suite, analysis) if hasattr(m, name)):
         original = getattr(module, name)
 
         def counted(*args, _original=original):
@@ -110,6 +111,45 @@ def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
         assert status[identity] is CheckStatus.FAIL
         assert list(status.values()).count(CheckStatus.FAIL) == 1
         monkeypatch.undo()
+
+
+def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
+    # b(3) off by one: each check that reads the broken table from p_4 on fails, and lists
+    # every failing index; parity and the series route (egf-pde) never see it
+    expected = {
+        SeqKind.PHI_MONIC: {"convolution-identity", "derivative-expansion-monic",
+                            "difference-relation-phi-monic-complex", "lowering-operator",
+                            "ode-residual", "phi-oracle-equivalence",
+                            "trig-operator-eigenrelation", "turan-recurrence"},
+        SeqKind.G: {"difference-relation-g", "g-monic-oracle-equivalence",
+                    "g-oracle-equivalence", "g-special-values", "phi-oracle-equivalence",
+                    "pidduck-oracle-equivalence", "recurrence-difference-g"},
+    }
+    for kind, failing in expected.items():
+        rec = sequences.RECURRENCES[kind]
+        monkeypatch.setitem(sequences.RECURRENCES, kind,
+                            replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
+        monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+        sequences.g_oracle_mismatches.cache_clear()
+        try:
+            reports = suite.exact_suite(8)
+        finally:
+            monkeypatch.undo()
+            sequences.g_oracle_mismatches.cache_clear()
+        status = {r.identity: r.status for r in reports}
+        assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing, kind
+        assert all(r.note.startswith("failing indices: [") and r.residual is None
+                   for r in reports if r.status is CheckStatus.FAIL), kind
+        assert status["egf-pde"] is status["phi-parity"] is CheckStatus.PASS, kind
+
+
+def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
+    ok = aggregate("some-check", 0, 5, lambda n: True, "holds exactly")
+    assert (ok.status, ok.n_range, ok.note, ok.residual) == (
+        CheckStatus.PASS, (0, 5), "holds exactly", None)
+    bad = aggregate("some-check", 1, 9, lambda n: n % 3 != 0, "holds exactly")
+    assert (bad.status, bad.n_range, bad.note) == (
+        CheckStatus.FAIL, (1, 9), "failing indices: [3, 6, 9]")
 
 
 def test_all_is_the_union_of_the_three_suites():
