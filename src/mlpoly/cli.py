@@ -28,7 +28,7 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # the ceiling, on one core of a 2-core x86-64 machine, process start included: zeros
 # --n 2000 takes 1.8 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB;
 # series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
-# verify --suite exact --max-n 160 takes 22 s (numeric and all refuse from 103 at once).
+# verify --suite exact --max-n 160 takes 20 s (numeric and all refuse from 103 at once).
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
 SERIES_CEILING = 300

@@ -8,16 +8,14 @@ check is a yes/no statement about polynomial residuals with no tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .polyfps import Poly, PolySeries, X, elementary
 from .report import CheckReport, CheckStatus, aggregate
-from .sequences import SeqKind, generate, monic_egf
+from .sequences import SeqKind, SeqTable, generate, monic_egf
 
 __all__ = [
-    "OdeCoeffs",
-    "TuranValue",
     "ode_coeffs",
     "ode_residual",
     "trig_operator_apply",
@@ -32,62 +30,42 @@ __all__ = [
     "lowering_check",
 ]
 
-# cos(k*pi/2) and sin(k*pi/2) take only the values 0 and +-1, with period 4
-_ALPHA_CYCLE = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
-_BETA_CYCLE = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))
+# cos(k pi/2) + x sin(k pi/2), which takes only these values, with period 4
+_CYCLE = (Poly([1]), X, Poly([-1]), -X)
 
 
-@dataclass(frozen=True)
-class OdeCoeffs:
-    """Coefficients (alpha_k + beta_k x) of the n-th order equation, k = 1..n."""
-
-    n: int
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class TuranValue:
-    n: int
-    delta: Poly
+def _apply(p: Poly, weights: Sequence) -> Poly:
+    """sum_{k <= deg p} weights[k] D^k p: every higher derivative of p is zero."""
+    acc = Poly()
+    dk = p
+    for w in weights[: p.degree + 1]:
+        if w:  # a zero scalar weight, as every even term of 2 tan(D/2), adds nothing
+            acc = acc + w * dk
+        dk = dk.derivative()
+    return acc
 
 
-def ode_coeffs(n: int) -> OdeCoeffs:
+def ode_coeffs(n: int) -> tuple[Poly, ...]:
+    """The coefficients alpha_k + beta_k x of the n-th order equation, k = 1..n."""
     if n < 1:
         raise ValueError("the equation order starts at n = 1")
-    alpha = tuple(_ALPHA_CYCLE[k % 4] for k in range(1, n + 1))
-    beta = tuple(_BETA_CYCLE[k % 4] for k in range(1, n + 1))
-    return OdeCoeffs(n, alpha, beta)
+    return tuple(_CYCLE[k % 4] for k in range(1, n + 1))
 
 
 def ode_residual(n: int) -> Poly:
     """sum_{k=1..n} (alpha_k + beta_k x) p_n^(k) / k! - n p_n; contract: zero."""
-    co = ode_coeffs(n)
-    p = generate(SeqKind.PHI_MONIC, n)[n]
-    acc = Poly()
-    dk = p
-    for k in range(1, n + 1):
-        dk = dk.derivative()
-        weight = Poly([co.alpha[k - 1], co.beta[k - 1]])
-        acc = acc + (weight * dk) / Fraction(math.factorial(k))
-    return acc - n * p
+    weights = [Fraction(-n)] + [c / math.factorial(k) for k, c in enumerate(ode_coeffs(n), 1)]
+    return _apply(generate(SeqKind.PHI_MONIC, n)[n], weights)
+
+
+def _trig_weights(n: int) -> list[Poly]:
+    """cos D + x sin D through D^n: the coefficient of D^k is (cos(k pi/2) + x sin(k pi/2))/k!."""
+    return [_CYCLE[k % 4] / math.factorial(k) for k in range(n + 1)]
 
 
 def trig_operator_apply(p: Poly) -> Poly:
     """(cos D + x sin D) p, with both series truncated at deg p by nilpotence."""
-    cos_part = Poly()
-    sin_part = Poly()
-    dk = p
-    k = 0
-    while not dk.is_zero():
-        term = dk / Fraction(math.factorial(k))
-        if k % 2 == 0:
-            cos_part = cos_part + (-1) ** (k // 2) * term
-        else:
-            sin_part = sin_part + (-1) ** ((k - 1) // 2) * term
-        dk = dk.derivative()
-        k += 1
-    return cos_part + X * sin_part
+    return _apply(p, _trig_weights(p.degree))
 
 
 def trig_operator_eigencheck(n_max: int) -> CheckReport:
@@ -95,9 +73,19 @@ def trig_operator_eigencheck(n_max: int) -> CheckReport:
     if n_max < 0:
         raise ValueError("index must be non-negative")
     tab = generate(SeqKind.PHI_MONIC, n_max)
+    weights = _trig_weights(n_max)
     return aggregate("trig-operator-eigenrelation", 0, n_max,
-                     lambda n: trig_operator_apply(tab[n]) == (n + 1) * tab[n],
+                     lambda n: _apply(tab[n], weights) == (n + 1) * tab[n],
                      "(cos D + x sin D) p_n = (n+1) p_n exactly")
+
+
+def _expansion_residual(tab: SeqTable, n: int, shift: int,
+                        coeff: Callable[[int, int], Fraction]) -> Poly:
+    """p'_{n+shift} - sum_k coeff(n, k) p_{n-2k} over one table; contract: zero."""
+    rhs = Poly()
+    for k in range(n // 2 + 1):
+        rhs = rhs + coeff(n, k) * tab[n - 2 * k]
+    return tab[n + shift].derivative() - rhs
 
 
 def derivative_expansion_monic(n_max: int) -> CheckReport:
@@ -106,14 +94,11 @@ def derivative_expansion_monic(n_max: int) -> CheckReport:
         raise ValueError("index must be non-negative")
     tab = generate(SeqKind.PHI_MONIC, n_max + 1)
 
-    def holds(n: int) -> bool:
-        rhs = Poly()
-        for k in range(n // 2 + 1):
-            coeff = Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
-            rhs = rhs + coeff * tab[n - 2 * k]
-        return tab[n + 1].derivative() == rhs
+    def coeff(n: int, k: int) -> Fraction:
+        return Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
 
-    return aggregate("derivative-expansion-monic", 0, n_max, holds,
+    return aggregate("derivative-expansion-monic", 0, n_max,
+                     lambda n: _expansion_residual(tab, n, 1, coeff).is_zero(),
                      "monic derivative expansion holds exactly")
 
 
@@ -133,15 +118,9 @@ def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
     tab = generate(SeqKind.PHI, n_max + 1)
 
     def first_failure(shift: int, coeff) -> tuple[int | None, Poly | None]:
-        """First n whose phi'_{n+shift} differs from sum_k coeff(n, k) phi_{n-2k}."""
-        for n in range(1, n_max + 1):
-            rhs = Poly()
-            for k in range(n // 2 + 1):
-                rhs = rhs + coeff(n, k) * tab[n - 2 * k]
-            r = tab[n + shift].derivative() - rhs
-            if not r.is_zero():
-                return n, r
-        return None, None
+        """First n in 1..n_max whose residual is nonzero, with that residual."""
+        residuals = ((n, _expansion_residual(tab, n, shift, coeff)) for n in range(1, n_max + 1))
+        return next(((n, r) for n, r in residuals if not r.is_zero()), (None, None))
 
     printed_first_fail, printed_residual = first_failure(
         0, lambda n, k: Fraction(2 * (-1) ** k, 2 * k + 1))
@@ -183,7 +162,7 @@ def egf_pde_residual(order: int) -> PolySeries:
     return g * gx.dx() - gx * gx
 
 
-def turan(n: int) -> TuranValue:
+def turan(n: int) -> Poly:
     """delta_n = p_n^2 - p_{n-1} p_{n+1} over the monic reduced family.
 
     The n = 0 member uses the empty-product convention p_{-1} = 0, giving
@@ -192,50 +171,40 @@ def turan(n: int) -> TuranValue:
     if n < 0:
         raise ValueError("index must be non-negative")
     tab = generate(SeqKind.PHI_MONIC, n + 1)
-    if n == 0:
-        return TuranValue(0, tab[0] * tab[0])
-    return TuranValue(n, tab[n] * tab[n] - tab[n - 1] * tab[n + 1])
+    below = tab[n - 1] if n else Poly()
+    return tab[n] * tab[n] - below * tab[n + 1]
 
 
 def turan_recurrence_check(n_max: int) -> CheckReport:
-    """delta_{n+1} = c_n delta_n + ((n+1)/2) p_n^2 exactly, plus sign sampling.
+    """delta_1 = 1/2 and delta_{n+1} = c_n delta_n + ((n+1)/2) p_n^2 exactly, 1 <= n <= n_max.
 
-    The recurrence proves pointwise nonnegativity by induction; on top of it,
-    each delta_n is evaluated at 101 exact rational points spanning [-n, n]
-    and required to be >= 0 there.
+    Together they prove delta_n > 0 at every real x by induction: c_n = n(n+1)/4 > 0
+    and p_n^2 >= 0, so delta_n > 0 gives delta_{n+1} > 0.  A wrong delta_1 fails
+    index 1.
     """
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max + 2)  # held, so each turan(n) reads it
-    deltas = [turan(n).delta for n in range(n_max + 2)]
+    deltas = [turan(n) for n in range(n_max + 2)]
 
     def holds(n: int) -> bool:
         rhs = Fraction(n * (n + 1), 4) * deltas[n] + Fraction(n + 1, 2) * (tab[n] * tab[n])
-        return deltas[n + 1] == rhs and all(
-            deltas[n](Fraction(n * (2 * j - 100), 100)) >= 0 for j in range(101))
+        return deltas[n + 1] == rhs and (n > 1 or deltas[1] == Poly([Fraction(1, 2)]))
 
     return aggregate("turan-recurrence", 1, n_max, holds,
-                     "proof recurrence exact and sampled delta_n >= 0 "
-                     f"on [-n, n] for 1 <= n <= {n_max}")
+                     "delta_1 = 1/2 and the proof recurrence exact, so by induction "
+                     f"delta_n > 0 at every real x for 1 <= n <= {n_max}")
+
+
+def _tan_weights(order: int) -> list[Fraction]:
+    """2 tan(D/2) through D^(order-1), from the Bernoulli-built series the series layer exposes."""
+    return [c.coefficient(0) for c in elementary("tan_half", order)]
 
 
 def lowering_apply(p: Poly) -> Poly:
-    """Apply the lowering operator 2 tan(D/2) to a polynomial.
-
-    The tan series coefficients come from the same Bernoulli-built expansion
-    the series layer exposes; truncation at deg p is exact by nilpotence.
-    """
-    if p.degree <= 0:
-        return Poly()
-    series = elementary("tan_half", p.degree + 1)
-    acc = Poly()
-    dk = p
-    for m in range(1, p.degree + 1):
-        dk = dk.derivative()
-        c = series.coeff(m)
-        if not c.is_zero():
-            acc = acc + c.coeffs[0] * dk
-    return acc
+    """Apply the lowering operator 2 tan(D/2) to a polynomial; truncation at deg p is exact
+    by nilpotence."""
+    return _apply(p, _tan_weights(p.degree + 1)) if p.degree > 0 else Poly()
 
 
 def lowering_check(n_max: int) -> CheckReport:
@@ -243,6 +212,7 @@ def lowering_check(n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
+    weights = _tan_weights(n_max + 1)
     return aggregate("lowering-operator", 1, n_max,
-                     lambda n: lowering_apply(tab[n]) == n * tab[n - 1],
+                     lambda n: _apply(tab[n], weights) == n * tab[n - 1],
                      f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

@@ -6,6 +6,7 @@ at each index of a range, `bounded` for a numeric deviation under its tolerance.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -67,6 +68,8 @@ def aggregate(identity: str, lo: int, hi: int, holds: Callable[[int], bool],
 
 def bounded(identity: str, n_range: tuple[int, int], dev: float, tol: float,
             note: str) -> CheckReport:
-    """PASS when the deviation is below the tolerance; the deviation is reported either way."""
+    """PASS when the deviation is below the tolerance; the deviation is reported either way,
+    as none where it is not finite (nothing was measured), so the JSON stays strict."""
     status = CheckStatus.PASS if dev < tol else CheckStatus.FAIL
-    return CheckReport(identity, n_range, status, max_deviation=dev, note=note)
+    return CheckReport(identity, n_range, status,
+                       max_deviation=dev if math.isfinite(dev) else None, note=note)

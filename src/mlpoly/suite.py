@@ -22,9 +22,9 @@ from .identities import (convolution_residual, derivative_expansion_monic,
                          lowering_check, ode_residual, trig_operator_eigencheck,
                          turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
-from .sequences import (RODRIGUES_POINTS, SeqKind, SeqTable, difference_relation_checks,
-                        g_oracle_mismatches, generate, generating_series,
-                        reduce_from_g, rodrigues_audit)
+from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, SeqTable,
+                        difference_relation_checks, g_oracle_mismatches, generate,
+                        generating_series, reduce_from_g, rodrigues_audit)
 
 __all__ = ["exact_suite", "numeric_suite", "audit_suite", "run_suite", "summarize"]
 
@@ -47,8 +47,12 @@ def _table_checks(max_n: int) -> list[CheckReport]:
     pidduck_series = generating_series(SeqKind.PIDDUCK, max_n + 1)
 
     def phi_routes_agree(n: int) -> bool:
+        try:
+            reduced = reduce_from_g(n)
+        except ValueError:  # a G table the imaginary-axis route cannot reduce disagrees at n
+            return False
         scale = Fraction(math.factorial(n + 1), 2 ** (n + 1))
-        return (phi[n] == phi_series.coeff(n) == reduce_from_g(n) and scale * phi[n] == monic[n]
+        return (phi[n] == phi_series.coeff(n) == reduced and scale * phi[n] == monic[n]
                 and monic[n] == monic_series.coeff(n) * math.factorial(n))
 
     def g_monic_routes_agree(n: int) -> bool:
@@ -108,10 +112,13 @@ def _exact_plan(max_n: int) -> Plan:
 
 
 def _bounded_checks(max_n: int) -> list[CheckReport]:
-    found = zeros_range(1, 24)  # one sweep; bound and interlacing checks run inside
+    # the Jacobi matrix is real only while every -b(k) > 0; a family without one has no
+    # zeros to match, so its deviation is unmeasured and zeros-reference fails
+    real = all(RECURRENCES[SeqKind.PHI_MONIC].b(k) < 0 for k in range(1, 24))
+    found = zeros_range(1, 24) if real else {}  # one sweep; bound and interlacing checks run inside
+    zero_dev = max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()) if real else math.inf
     return [
-        bounded("zeros-reference", (2, 24),
-                max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()), 1e-3,
+        bounded("zeros-reference", (2, 24), zero_dev, 1e-3,
                 "largest zeros match 0.707/1.414/2.163/2.945 and every size up to 24 "
                 "satisfies the sqrt(n(n-1)) bound and strict interlacing"),
         bounded("orthogonality-matrix", (0, max_n),

@@ -5,11 +5,13 @@ sweeps run; a sweep alone would also pass if both sides carried the same
 wrong constant.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mlpoly.identities import (TuranValue, convolution_residual,
+from mlpoly import identities
+from mlpoly.identities import (convolution_residual,
                                derivative_expansion_monic,
                                derivative_expansion_reduced_audit,
                                egf_pde_residual, lowering_apply,
@@ -24,11 +26,10 @@ F = Fraction
 
 
 def test_ode_coeffs_cycle():
-    co = ode_coeffs(4)
-    assert co.alpha == (F(0), F(-1), F(0), F(1))
-    assert co.beta == (F(1), F(0), F(-1), F(0))
+    # alpha_k + beta_k x for k = 1..4: alpha = (0, -1, 0, 1), beta = (1, 0, -1, 0)
+    assert ode_coeffs(4) == (X, Poly([-1]), -X, Poly([1]))
     longer = ode_coeffs(9)
-    assert longer.alpha[4:8] == longer.alpha[0:4]  # period 4
+    assert longer[4:8] == longer[0:4]  # period 4
     with pytest.raises(ValueError):
         ode_coeffs(0)
 
@@ -105,9 +106,9 @@ def test_egf_pde_residual_is_zero_through_order_16():
 
 
 def test_turan_low_members():
-    assert turan(0) == TuranValue(0, Poly([1]))
-    assert turan(1).delta == Poly([F(1, 2)])
-    assert turan(2).delta == Poly([F(1, 4), 0, 1])
+    assert turan(0) == Poly([1])
+    assert turan(1) == Poly([F(1, 2)])
+    assert turan(2) == Poly([F(1, 4), 0, 1])
     with pytest.raises(ValueError):
         turan(-1)
 
@@ -123,12 +124,32 @@ def test_turan_recurrence_recomputed():
         assert deltas[n + 1] == c_n * deltas[n] + F(n + 1, 2) * tab[n] * tab[n]
 
 
+def test_turan_is_positive_at_sampled_rational_points():
+    # independent of the induction proof the check rests on: delta_n > 0 at 101 exact
+    # rational points spanning [-n, n]
+    for n in range(1, 13):
+        delta = turan(n)
+        assert all(delta(F(n * (2 * j - 100), 100)) > 0 for j in range(101)), f"n = {n}"
+
+
 def test_turan_recurrence_check_passes():
     report = turan_recurrence_check(25)
     assert report.status is CheckStatus.PASS
     assert report.n_range == (1, 25)
     with pytest.raises(ValueError):
         turan_recurrence_check(0)
+
+
+def test_turan_recurrence_check_fails_a_wrong_base_case(monkeypatch):
+    # h_n = -prod_{k<n} c_k solves the recurrence's homogeneous part, so delta_n + h_n
+    # passes every recurrence step; only the base case sees delta_1 = -1/2
+    def shifted(n, turan=turan):
+        return turan(n) - Poly([math.prod(F(k * (k + 1), 4) for k in range(1, n))])
+
+    monkeypatch.setattr(identities, "turan", shifted)
+    report = turan_recurrence_check(5)
+    assert report.status is CheckStatus.FAIL
+    assert report.note == "failing indices: [1]"
 
 
 def test_lowering_hand_case():
@@ -138,8 +159,17 @@ def test_lowering_hand_case():
     assert lowering_apply(Poly([7])) == Poly()
 
 
-def test_lowering_check_up_to_30():
+def test_lowering_check_up_to_30(monkeypatch):
+    calls = []
+    original = identities.elementary
+
+    def counted(kind, order):
+        calls.append((kind, order))
+        return original(kind, order)
+
+    monkeypatch.setattr(identities, "elementary", counted)
     report = lowering_check(30)
     assert report.status is CheckStatus.PASS
+    assert calls == [("tan_half", 31)]  # the weights are built once, for the largest member
     with pytest.raises(ValueError):
         lowering_check(0)

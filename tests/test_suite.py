@@ -5,17 +5,20 @@ layers share runs once under `all`, and it holds the family tables the
 checks read for the whole run instead of letting each check rebuild them.
 """
 
+import json
 import os
 import subprocess
 import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mlpoly import analysis, sequences, suite
+from mlpoly.cli import main
 from mlpoly.report import CheckStatus, aggregate
 from mlpoly.sequences import SeqKind
 
@@ -113,19 +116,22 @@ def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
         monkeypatch.undo()
 
 
+# The exact reports that read each family's table: with its b(3) off by one, each fails.
+_READS_TABLE = {
+    SeqKind.PHI_MONIC: {"convolution-identity", "derivative-expansion-monic",
+                        "difference-relation-phi-monic-complex", "lowering-operator",
+                        "ode-residual", "phi-oracle-equivalence",
+                        "trig-operator-eigenrelation", "turan-recurrence"},
+    SeqKind.G: {"difference-relation-g", "g-monic-oracle-equivalence",
+                "g-oracle-equivalence", "g-special-values", "phi-oracle-equivalence",
+                "pidduck-oracle-equivalence", "recurrence-difference-g"},
+}
+
+
 def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
     # b(3) off by one: each check that reads the broken table from p_4 on fails, and lists
     # every failing index; parity and the series route (egf-pde) never see it
-    expected = {
-        SeqKind.PHI_MONIC: {"convolution-identity", "derivative-expansion-monic",
-                            "difference-relation-phi-monic-complex", "lowering-operator",
-                            "ode-residual", "phi-oracle-equivalence",
-                            "trig-operator-eigenrelation", "turan-recurrence"},
-        SeqKind.G: {"difference-relation-g", "g-monic-oracle-equivalence",
-                    "g-oracle-equivalence", "g-special-values", "phi-oracle-equivalence",
-                    "pidduck-oracle-equivalence", "recurrence-difference-g"},
-    }
-    for kind, failing in expected.items():
+    for kind, failing in _READS_TABLE.items():
         rec = sequences.RECURRENCES[kind]
         monkeypatch.setitem(sequences.RECURRENCES, kind,
                             replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
@@ -141,6 +147,44 @@ def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
         assert all(r.note.startswith("failing indices: [") and r.residual is None
                    for r in reports if r.status is CheckStatus.FAIL), kind
         assert status["egf-pde"] is status["phi-parity"] is CheckStatus.PASS, kind
+
+
+def _verify(capsys, suite_name):
+    code = main(["verify", "--suite", suite_name, "--max-n", "8"])
+    out = capsys.readouterr().out
+    # strict JSON: a non-finite deviation would parse as Infinity or NaN
+    return code, json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))
+
+
+@pytest.mark.parametrize("kind, field, breaks, numeric_fails", [
+    # g_n gains a constant term from n = 3 (n = 0): the imaginary-axis route cannot reduce it
+    (SeqKind.G, "d", lambda d: lambda n: Fraction(1, 7) if n == 3 else d(n), set()),
+    (SeqKind.G, "d", lambda d: lambda n: Fraction(1, 7) if n == 0 else d(n), set()),
+    # -b(3) < 0: no real Jacobi matrix, so no zeros; the Fourier route reads members n <= 8
+    (SeqKind.PHI_MONIC, "b", lambda b: lambda n: b(n) + 7 * (n == 3),
+     {"zeros-reference", "fourier-closed-vs-quadrature"}),
+])
+def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
+        monkeypatch, capsys, kind, field, breaks, numeric_fails):
+    def listed(payload):
+        return {(r["identity"], tuple(r["n_range"])) for r in payload["reports"]}
+
+    intact = {name: listed(_verify(capsys, name)[1]) for name in ("exact", "all")}
+    rec = sequences.RECURRENCES[kind]
+    monkeypatch.setitem(sequences.RECURRENCES, kind,
+                        replace(rec, **{field: breaks(getattr(rec, field))}))
+    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+    sequences.g_oracle_mismatches.cache_clear()
+    try:
+        for name, failing in (("exact", _READS_TABLE[kind]),
+                              ("all", _READS_TABLE[kind] | numeric_fails)):
+            code, payload = _verify(capsys, name)
+            assert code == 1, name
+            assert listed(payload) == intact[name]  # every report is printed
+            assert {r["identity"] for r in payload["reports"]
+                    if r["status"] == "FAIL"} == failing, name
+    finally:
+        sequences.g_oracle_mismatches.cache_clear()
 
 
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
