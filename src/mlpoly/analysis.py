@@ -230,9 +230,13 @@ def _weight_array(t: np.ndarray) -> np.ndarray:
 
 
 def _coeff_norm(p: Poly) -> float:
-    """1-norm of the float coefficients, the constant of the quadrature tail bound."""
+    """1-norm of the float coefficients, the constant of the quadrature tail bound.
+
+    Each int/int quotient is correctly rounded, as float(Fraction) is, with no Fraction built.
+    """
+    den = p.denominator
     try:
-        return sum(abs(float(c)) for c in p.coeffs)
+        return sum(abs(c) / den for c in p.numerators)
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{p.degree} member exceeds "
                          f"the float range") from None

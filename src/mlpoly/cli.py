@@ -15,7 +15,7 @@ from . import __version__
 from .exactnum import to_float
 from .polyfps import Poly, elementary
 from .report import CheckReport
-from .sequences import SeqKind, generate, generating_series
+from .sequences import RECURRENCES, SeqKind, generate, generating_series
 
 # The float layers (analysis, and suite, which runs it) load numpy, so each handler that
 # needs them imports them itself: coeffs, eval and series never pay for numpy.
@@ -26,9 +26,10 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # Largest sizes served, so that a mistyped size is refused at once instead of running
 # for hours (zeros bisects about 2n lanes at a time; the exact suite grows as n^4).  At
 # the ceiling, on one core of a 2-core x86-64 machine, process start included: zeros
-# --n 2000 takes 1.8 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB;
-# series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
-# verify --suite exact --max-n 160 takes 20 s (numeric and all refuse from 103 at once).
+# --n 2000 takes 1.8 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB,
+# and eval --n 500 0.15 s; series --order 300 takes 11.7 s for phi-monic, the slowest
+# kind (phi 6.4 s, g 6.0 s); verify --suite exact --max-n 160 takes 20 s (numeric and
+# all refuse from 103 at once).
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
 SERIES_CEILING = 300
@@ -119,7 +120,7 @@ def _cmd_coeffs(args, argv) -> int:
 def _cmd_eval(args, argv) -> int:
     kind = SeqKind.from_token(args.seq)
     x = Fraction(args.x)
-    value = generate(kind, args.n)[args.n](x)
+    value = RECURRENCES[kind].value(args.n, x)
     try:
         approx = float(value)
     except OverflowError:  # past the float range: the exact value string stands alone

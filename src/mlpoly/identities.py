@@ -23,6 +23,7 @@ __all__ = [
     "derivative_expansion_monic",
     "derivative_expansion_reduced_audit",
     "convolution_residual",
+    "convolution_check",
     "egf_pde_residual",
     "turan",
     "turan_recurrence_check",
@@ -151,6 +152,35 @@ def convolution_residual(n: int) -> Poly:
         term = tab[k].derivative(2) * tab[n - k] - tab[k].derivative() * tab[n - k].derivative()
         acc = acc + weight * term
     return acc
+
+
+def convolution_check(n_max: int) -> CheckReport:
+    """convolution_residual(n) = 0 for 1 <= n <= n_max, proved at integer points.
+
+    With A_k = L p_k, L the table's common denominator, L^2 n! r_n(x) is the integer
+    sum_k C(n, k) [A''_k A_{n-k} - A'_k A'_{n-k}](x), r_n the residual.  deg r_n is at
+    most D_n = max_k (deg p_k + deg p_{n-k}) - 2, so r_n = 0 exactly when it vanishes
+    at the D_n + 1 integers 0..D_n; a three-term family has D_n = n - 2.  Each member
+    and its two derivatives are evaluated once per point, by integer Horner.
+    """
+    if n_max < 1:
+        raise ValueError("need at least n = 1")
+    tab = generate(SeqKind.PHI_MONIC, n_max)
+    deg = [p.degree for p in tab.polys]
+    points = [max(deg[k] + deg[n - k] for k in range(n + 1)) - 1 for n in range(n_max + 1)]
+    den = math.lcm(*(p.denominator for p in tab.polys))
+    ders = [(a, a.derivative(), a.derivative(2)) for a in (den * p for p in tab.polys)]
+    # at[x][j][k]: the j-th derivative of A_k at the integer x
+    at = [[[int(f(x)) for f in col] for col in zip(*ders)] for x in range(max(points))]
+
+    def vanishes(n: int) -> bool:
+        combs = [math.comb(n, k) for k in range(n + 1)]
+        return not any(sum(c * (a2[k] * a0[n - k] - a1[k] * a1[n - k])
+                           for k, c in enumerate(combs))
+                       for a0, a1, a2 in at[: points[n]])
+
+    return aggregate("convolution-identity", 1, n_max, vanishes,
+                     "weighted second/first derivative convolution vanishes")
 
 
 def egf_pde_residual(order: int) -> PolySeries:

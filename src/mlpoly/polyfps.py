@@ -177,6 +177,16 @@ class Poly:
                      for a, b in zip(self._num, self._im))
 
     @property
+    def numerators(self) -> tuple[int, ...]:
+        """Ascending-degree integer numerators of the real parts, over `denominator`."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator of every coefficient, in lowest terms."""
+        return self._den
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
         return len(self._num) - 1

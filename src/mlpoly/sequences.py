@@ -115,9 +115,25 @@ class Recurrence:
             polys.append(Poly([self.d(n), self.a(n)]) * polys[-1] + self.b(n) * polys[-2])
         return polys[1:]
 
+    def value(self, n: int, x: Fraction) -> Fraction:
+        """p_n(x) at one rational point, by the step of members run on values: O(n)
+        steps where the table members(n) builds holds O(n^2) coefficients."""
+        if n < 0:
+            raise ValueError("table length must be non-negative")
+        # p_{k-1}(x) and p_k(x) as integer numerators over one denominator, reduced once
+        prev, cur, den = 0, self.p0, 1
+        for k in range(n):
+            s, b = self.a(k) * x + self.d(k), self.b(k)
+            m = math.lcm(s.denominator, b.denominator)
+            prev, cur = cur * m, (s.numerator * (m // s.denominator) * cur
+                                  + b.numerator * (m // b.denominator) * prev)
+            den *= m
+        return Fraction(cur, den)
 
-# The one definition of each family, read by generate, the float evaluator and Jacobi
-# matrix of the analysis layer, and the erratum audit's printed variant.
+
+# The one definition of each family, read by generate, the exact point evaluator of
+# mlpoly eval, the float evaluator and Jacobi matrix of the analysis layer, and the
+# erratum audit's printed variant.
 RECURRENCES = {
     # (n+1) g_{n+1} = 2x g_n + (n-1) g_{n-1};  g_0 = 1, g_1 = 2x
     SeqKind.G: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n - 1, n + 1)),

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
                        orthogonality_matrix, own_erratum_audit, zeros_range)
-from .identities import (convolution_residual, derivative_expansion_monic,
+from .identities import (convolution_check, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
                          lowering_check, ode_residual, trig_operator_eigencheck,
                          turan_recurrence_check)
@@ -103,8 +103,7 @@ def _exact_plan(max_n: int) -> Plan:
         (trig_operator_eigencheck, max_n),
         (derivative_expansion_monic, max_n),
         (derivative_expansion_reduced_audit, max_n),
-        (aggregate, "convolution-identity", 1, max_n, lambda n: convolution_residual(n).is_zero(),
-         "weighted second/first derivative convolution vanishes"),
+        (convolution_check, max_n),
         (_egf_pde, 16),
         (turan_recurrence_check, max_n),
         (lowering_check, max_n),

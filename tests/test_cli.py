@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly import __version__
-from mlpoly.cli import _SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _emit_json, main
+from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _emit_json,
+                        _emit_records, main)
 from mlpoly.sequences import SeqKind, generate
 
 
@@ -100,6 +102,41 @@ def test_eval_past_the_float_range_keeps_the_exact_value(capsys):
 def test_eval_rejects_bad_point(capsys):
     code, _, err = run_cli(capsys, "eval", "--seq", "g", "--n", "3", "--x", "sqrt2")
     assert code == 2 and "error" in err
+
+
+def test_eval_rejects_a_negative_index(capsys):
+    code, out, err = run_cli(capsys, "eval", "--seq", "g", "--n", "-1", "--x", "1/2")
+    assert (code, out, err) == (2, "", "mlpoly: error: table length must be non-negative\n")
+
+
+def _eval_by_table(capsys, table, n, x, fmt):
+    """What eval printed when it read the value off the whole table."""
+    value = table[n](Fraction(x))
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = None
+    _emit_records({"kind": table.kind.value, "n": n, "x": str(Fraction(x)),
+                   "value": str(value), "float": approx}, fmt)
+    return capsys.readouterr().out
+
+
+def test_eval_prints_the_bytes_of_the_table_member(capsys):
+    nulls = set()
+    for token in _SEQ_TOKENS:
+        table = generate(SeqKind.from_token(token), 200)
+        for n in (0, 1, 2, 3, 20, 110, 200):
+            for x in ("0", "3/4", "-9/8", "5", "-1/7", "0.25"):
+                for fmt in ("json", "csv"):
+                    code, out, _ = run_cli(capsys, "eval", "--seq", token, "--n", str(n),
+                                           f"--x={x}", "--format", fmt)
+                    assert code == 0 and out == _eval_by_table(capsys, table, n, x, fmt), \
+                        (token, n, x, fmt)
+                    if fmt == "json" and json.loads(out)["float"] is None:
+                        nulls.add((token, n, x))
+    # past the float range: both monic families at n = 200, wherever x is not 0
+    assert {(t, x) for t, n, x in nulls if n == 200} >= {
+        (t, x) for t in ("g-monic", "phi-monic") for x in ("3/4", "-9/8", "5", "-1/7", "0.25")}
 
 
 def test_zeros(capsys):

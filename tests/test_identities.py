@@ -6,12 +6,14 @@ wrong constant.
 """
 
 import math
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from mlpoly import identities
-from mlpoly.identities import (convolution_residual,
+from mlpoly import identities, sequences
+from mlpoly.identities import (convolution_check, convolution_residual,
                                derivative_expansion_monic,
                                derivative_expansion_reduced_audit,
                                egf_pde_residual, lowering_apply,
@@ -97,6 +99,33 @@ def test_convolution_residual_vanishes_up_to_20():
         assert convolution_residual(n).is_zero(), f"n = {n}"
     with pytest.raises(ValueError):
         convolution_residual(0)
+
+
+def test_convolution_check_passes_through_40():
+    report = convolution_check(40)
+    assert report.status is CheckStatus.PASS
+    assert report.n_range == (1, 40)
+    with pytest.raises(ValueError):
+        convolution_check(0)
+
+
+@pytest.mark.parametrize("field, breaks, failing", [
+    # a constant term in p_1 or p_4 breaks parity, so r_n has no parity to halve its points
+    ("d", lambda d: lambda n: Fraction(1, 7) if n == 0 else d(n), list(range(3, 13))),
+    ("d", lambda d: lambda n: Fraction(1, 7) if n == 3 else d(n), list(range(4, 13))),
+    ("b", lambda b: lambda n: b(n) + (n == 3), list(range(4, 13))),
+])
+def test_convolution_check_fails_where_the_residual_is_nonzero(
+        monkeypatch, field, breaks, failing):
+    # the point route fails exactly the indices whose coefficient residual is nonzero
+    rec = sequences.RECURRENCES[SeqKind.PHI_MONIC]
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC,
+                        replace(rec, **{field: breaks(getattr(rec, field))}))
+    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+    assert [n for n in range(1, 13) if not convolution_residual(n).is_zero()] == failing
+    report = convolution_check(12)
+    assert report.status is CheckStatus.FAIL
+    assert report.note == f"failing indices: {failing}"
 
 
 def test_egf_pde_residual_is_zero_through_order_16():
