@@ -3,8 +3,9 @@
 The exact layers prove identities; this layer reproduces the numeric claims
 that live outside the polynomial ring.  Zeros come from Sturm bisection on
 the symmetric tridiagonal recurrence matrix, with every eigenvalue of every
-requested size a numpy lane, so that one pivot sweep per bisection step
-serves them all; integrals come from one fixed Gauss-Legendre panel rule
+requested size a numpy lane, so that one pivot sweep serves them all, run only
+at the bisection steps that certified SVD estimates of the eigenvalues cannot
+decide; integrals come from one fixed Gauss-Legendre panel rule
 with analytically chosen truncation, and the
 Fourier transform from a closed form that is compared against direct
 quadrature.  The erratum audit at the bottom adjudicates three of the five
@@ -64,24 +65,30 @@ class JacobiMatrix:
         return cls(n, tuple(math.sqrt(-monic.b(k)) for k in range(1, n)))
 
 
-# Pivot rows per block of the Sturm sweep in _spectra: a block's pivots are written into
-# one buffer, and its negative pivots are counted with one comparison and one column sum.
+# Pivot rows per block of the Sturm count: a block's pivots are written into one buffer,
+# and its negative pivots are counted with one comparison and one column sum.
 _PIVOT_BLOCK = 32
 
+# Half-widths of the brackets around the eigenvalue estimates that _spectra certifies, in
+# units of eps times the lane's bound; a lane that no tier certifies bisects with a count
+# at every step.  The SVD estimates sit within 17 eps * bound of the bisected values up
+# to size 2000, so the first tier certifies every lane there.
+_CERTIFICATE_TIERS = (64.0, 2.0**16)
 
-def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
-    """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
 
-    Lane (n, k) brackets the k-th eigenvalue of size n.  The lanes are sorted by
+class _SturmLanes:
+    """One lane per eigenvalue of each size, and the one Sturm count over all of them.
+
+    Lane (n, k) stands for the k-th eigenvalue of size n.  The middle eigenvalue of
+    an odd size has no lane: J has a zero diagonal, so its spectrum is symmetric
+    about 0 and that eigenvalue is 0 exactly.  The lanes are sorted by
     size, largest first, so the lanes that take pivot j of the Sturm sequence
-    (size >= j + 1) are a prefix, and one sweep over that prefix per pivot serves
-    all of them.  Each lane does the scalar bisection's IEEE arithmetic: its own
-    size's pivmin and bound, the pivot -x - b_j^2/d with |d| < pivmin -> -pivmin,
-    and a freeze once hi - lo <= tol or after 200 steps; so the spectra are
-    bit-identical to bisecting each eigenvalue alone.  The sweep writes the pivots
-    of _PIVOT_BLOCK consecutive rows into one buffer, where the entries of lanes
-    whose size has ended read 1.0 (neither negative nor guarded), and adds that
-    block's negative pivots to the count at once; the count is an integer, so
+    (size >= j + 1) are a prefix, and one pass over that prefix per pivot serves
+    all of them.  Each lane does the scalar count's IEEE arithmetic: its own size's
+    pivmin, and the pivot -x - b_j^2/d with |d| < pivmin -> -pivmin.  A pass writes
+    the pivots of _PIVOT_BLOCK consecutive rows into one buffer, where the entries
+    of lanes whose size has ended read 1.0 (neither negative nor guarded), and adds
+    that block's negative pivots to the count at once; the count is an integer, so
     summing it by blocks changes no bit.
 
     Inside a block the pivots are computed unguarded, -x - b_j^2/d (one divide,
@@ -94,66 +101,57 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     can arise on the way: a pivot of exactly 0 gives b_j^2/0 = inf, then -inf,
     then -x, and the 0 is caught by the check (b_j^2 = 0 only at pivot 0, whose
     divisor is 1.0).
-
-    A lane also freezes when a step leaves both lo and hi as they were.  The step
-    is a function of (lo, hi) and the lane's constants alone, so an unchanged
-    state is a fixed point: every later step would repeat it, and the final
-    midpoint 0.5 * (lo + hi) is the same.  This happens once the bracket spans
-    adjacent floats (a tol below their spacing), and saves the steps up to 200
-    that could not move it.  A step that narrows the bracket to width 0 still
-    freezes on tol.
     """
-    sizes = sorted(set(sizes), reverse=True)
-    off = np.array(JacobiMatrix.build(sizes[0]).off_diagonal)
-    off_sq = off * off
-    # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
-    pivmin = np.repeat([max(1e-290, 2.3e-16 * (off_sq[n - 2] if n > 1 else 1.0))
-                        for n in sizes], sizes)
-    bound = np.repeat([math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0 for n in sizes], sizes)
-    rank = np.concatenate([np.arange(n) for n in sizes])
-    neg_pivmin = -pivmin
-    lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
-    neg_x, buf = np.empty_like(bound), np.empty_like(bound)
-    live, go_lo = np.ones(bound.size, dtype=bool), np.empty(bound.size, dtype=bool)
-    count = np.empty(bound.size, dtype=np.int64)
-    # row 0 of piv holds the pivot before the block, rows 1.. the block's own pivots
-    piv = np.empty((_PIVOT_BLOCK + 1, bound.size))
-    mag = np.empty((_PIVOT_BLOCK, bound.size))  # |pivot| of a block, for its one guard check
-    guard = np.empty(bound.size, dtype=bool)
-    # summed through a uint8 view: a bool column sum would cast every entry to int64
-    neg = np.empty((_PIVOT_BLOCK, bound.size), dtype=bool)
-    tally = np.empty(bound.size, dtype=np.uint8)  # at most _PIVOT_BLOCK negative pivots
-    # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
-    lane_size = np.repeat(sizes, sizes)
-    bsqs = [0.0, *off_sq]
-    widths = [int(np.count_nonzero(lane_size >= j + 1)) for j in range(len(bsqs))]
-    blocks = []
-    for first in range(0, len(bsqs), _PIVOT_BLOCK):
-        js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
-        wide, narrow, rows = widths[js[0]], widths[js[-1]], len(js)
-        pivots = [(bsqs[j], *(a[:widths[j]] for a in (neg_x, piv[r], piv[r + 1], buf, pivmin,
-                                                      neg_pivmin, guard)))
-                  for r, j in enumerate(js)]
-        bare = [p[:5] for p in pivots]  # what an unguarded pivot reads and writes
-        blocks.append((piv[1:rows + 1, narrow:wide], bare, pivots, piv[1:rows + 1, :wide],
-                       mag[:rows, :wide], float(pivmin[:wide].max()), neg[:rows, :wide],
-                       neg[:rows, :wide].view(np.uint8), tally[:wide], count[:wide],
-                       piv[0, :narrow], piv[rows, :narrow]))
 
-    with np.errstate(divide="ignore", over="ignore"):  # unguarded pivots may reach +-inf
-        for _ in range(200):
-            np.subtract(hi, lo, out=buf)
-            live &= buf > tol
-            if not live.any():
-                break
-            np.add(lo, hi, out=mid)
-            np.multiply(mid, 0.5, out=mid)
-            # Sturm count of mid: the number of negative pivots of J - mid I
-            np.negative(mid, out=neg_x)
-            piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
-            count.fill(0)
+    def __init__(self, sizes: list[int]):
+        """sizes: distinct, largest first."""
+        self.off = np.array(JacobiMatrix.build(sizes[0]).off_diagonal)
+        off_sq = self.off * self.off
+        per_size = [n - n % 2 for n in sizes]  # lanes of each size
+        # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
+        pivmin = np.repeat([max(1e-290, 2.3e-16 * (off_sq[n - 2] if n > 1 else 1.0))
+                            for n in sizes], per_size)
+        self.bound = np.repeat([math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
+                                for n in sizes], per_size)
+        self.rank = np.concatenate([np.r_[:n // 2, (n + 1) // 2:n] for n in sizes])
+        lanes = self.rank.size
+        neg_pivmin = -pivmin
+        self._neg_x, buf = np.empty(lanes), np.empty(lanes)
+        self._count = np.empty(lanes, dtype=np.int64)
+        # row 0 of piv holds the pivot before the block, rows 1.. the block's own pivots
+        self._piv = piv = np.empty((_PIVOT_BLOCK + 1, lanes))
+        mag = np.empty((_PIVOT_BLOCK, lanes))  # |pivot| of a block, for its one guard check
+        guard = np.empty(lanes, dtype=bool)
+        # summed through a uint8 view: a bool column sum would cast every entry to int64
+        neg = np.empty((_PIVOT_BLOCK, lanes), dtype=bool)
+        tally = np.empty(lanes, dtype=np.uint8)  # at most _PIVOT_BLOCK negative pivots
+        # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
+        lane_size = np.repeat(sizes, per_size)
+        bsqs = [0.0, *off_sq] if lanes else []  # sizes [1] alone have no lane
+        widths = [int(np.count_nonzero(lane_size >= j + 1)) for j in range(len(bsqs))]
+        self._blocks = []
+        for first in range(0, len(bsqs), _PIVOT_BLOCK):
+            js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
+            wide, narrow, rows = widths[js[0]], widths[js[-1]], len(js)
+            pivots = [(bsqs[j], *(a[:widths[j]] for a in (self._neg_x, piv[r], piv[r + 1],
+                                                          buf, pivmin, neg_pivmin, guard)))
+                      for r, j in enumerate(js)]
+            bare = [p[:5] for p in pivots]  # what an unguarded pivot reads and writes
+            self._blocks.append((piv[1:rows + 1, narrow:wide], bare, pivots,
+                                 piv[1:rows + 1, :wide], mag[:rows, :wide],
+                                 float(pivmin[:wide].max()), neg[:rows, :wide],
+                                 neg[:rows, :wide].view(np.uint8), tally[:wide],
+                                 self._count[:wide], piv[0, :narrow], piv[rows, :narrow]))
+
+    def count(self, x: np.ndarray) -> np.ndarray:
+        """The Sturm count of each lane at its own point x: the number of negative
+        pivots of J - x I.  The array returned is overwritten by the next count."""
+        np.negative(x, out=self._neg_x)
+        self._piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
+        self._count.fill(0)
+        with np.errstate(divide="ignore", over="ignore"):  # unguarded pivots may reach +-inf
             for (ended, bare, pivots, block, mags, pmin, negs, negs_u8, tal, cnt, carry,
-                 last) in blocks:
+                 last) in self._blocks:
                 ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
                 for bsq, nx, prev, dj, bj in bare:
                     np.divide(bsq, prev, out=bj)
@@ -170,21 +168,109 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
                 np.add.reduce(negs_u8, axis=0, dtype=np.uint8, out=tal)
                 np.add(cnt, tal, out=cnt)
                 np.copyto(carry, last)
-            np.less_equal(count, rank, out=go_lo)
-            # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
-            live &= np.where(go_lo, mid != lo, mid != hi)
-            np.copyto(lo, mid, where=live & go_lo)
-            np.copyto(hi, mid, where=live & ~go_lo)
+        return self._count
+
+
+def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
+    """The eigenvalue of every lane (see _SturmLanes), to about the float precision.
+
+    J has a zero diagonal, so ordering its rows and columns even indices first makes it
+    [[0, C], [C^T, 0]], with C[i, i] = J[2i, 2i + 1] and C[i + 1, i] = J[2i + 2, 2i + 1]
+    the bidiagonal block; its eigenvalues are +- the singular values of C, and 0 once
+    more for odd n.
+    """
+    out = []
+    for n in sizes:
+        block = np.zeros(((n + 1) // 2, n // 2))
+        i, j = np.arange(n // 2), np.arange((n - 1) // 2)
+        block[i, i] = off[0:n - 1:2]
+        block[j + 1, j] = off[1:n - 1:2]
+        sv = np.linalg.svd(block, compute_uv=False)  # descending
+        out += [-sv, sv[::-1]]
+    return np.concatenate(out)
+
+
+def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
+    """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
+
+    Lane (n, k) brackets the k-th eigenvalue of size n (see _SturmLanes for the one
+    count they share; the middle zero of an odd size is 0.0 and has no lane).  Each
+    lane takes the scalar bisection's steps: from its own size's bound, the midpoint
+    goes low when its count is <= k, and the lane freezes once hi - lo <= tol or
+    after 200 steps of its own; so the spectra are bit-identical to bisecting each
+    eigenvalue alone.
+
+    The computed Sturm count c(x) is monotone in x in IEEE arithmetic with the
+    pivmin guard used here (Kahan, Accurate eigenvalues of a symmetric tri-diagonal
+    matrix, Stanford CS41, 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).  So two
+    counts L < U with c(L) <= k < c(U) decide every step whose midpoint lies outside
+    (L, U): a midpoint <= L has a count <= c(L) and goes low, one >= U goes high,
+    just as counting it would send it.  Each lane's (L, U) is an eigenvalue
+    estimate +- a half-width of _CERTIFICATE_TIERS, certified by one count at each
+    end; a lane that fails takes the next, wider tier, and a lane that fails every
+    tier keeps (-inf, inf) and so counts at every step.  A lane takes the steps its
+    (L, U) decides without a count, and waits at the first midpoint strictly inside
+    (L, U); once every live lane waits, one count decides all their steps (every
+    later midpoint lies inside the bracket that count left, so it certifies no
+    further step).  The lanes do not step together, so a count runs once per
+    undecided midpoint of the lane that has the most, not once per step at which
+    some lane has one.  The estimates decide no step themselves: a poor one only
+    fails its certificate or leaves a wide (L, U), which costs counts and never a
+    bit.
+
+    A lane also freezes when a step leaves both lo and hi as they were.  The step
+    is a function of (lo, hi) and the lane's constants alone, so an unchanged
+    state is a fixed point: every later step would repeat it, and the final
+    midpoint 0.5 * (lo + hi) is the same.  This happens once the bracket spans
+    adjacent floats (a tol below their spacing), and saves the steps up to 200
+    that could not move it.  A step that narrows the bracket to width 0 still
+    freezes on tol.
+    """
+    sizes = sorted(set(sizes), reverse=True)
+    lanes = _SturmLanes(sizes)
+    rank, bound = lanes.rank, lanes.bound
+    estimate = _eigen_estimates(sizes, lanes.off)
+    cert_lo, cert_hi = np.full(rank.size, -np.inf), np.full(rank.size, np.inf)
+    uncertified = np.ones(rank.size, dtype=bool)
+    for scale in _CERTIFICATE_TIERS:
+        if not uncertified.any():
+            break
+        half = scale * np.finfo(float).eps * bound
+        lower, upper = estimate - half, estimate + half
+        ok = uncertified & (lanes.count(lower) <= rank)
+        ok &= lanes.count(upper) > rank
+        np.copyto(cert_lo, lower, where=ok)
+        np.copyto(cert_hi, upper, where=ok)
+        uncertified &= ~ok
+
+    lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
+    steps = np.zeros(rank.size, dtype=np.int64)  # the steps each lane has taken
+    live, go_lo = np.ones(rank.size, dtype=bool), np.empty(rank.size, dtype=bool)
+    while True:
+        live &= (hi - lo > tol) & (steps < 200)
+        if not live.any():
+            break
+        np.add(lo, hi, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        np.less_equal(mid, cert_lo, out=go_lo)
+        stepping = live & (go_lo | (mid >= cert_hi))
+        if not stepping.any():  # every live lane waits at a midpoint inside its (L, U)
+            np.less_equal(lanes.count(mid), rank, out=go_lo)
+            stepping = live
+        # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
+        moved = stepping & np.where(go_lo, mid != lo, mid != hi)
+        live &= moved | ~stepping
+        np.copyto(lo, mid, where=moved & go_lo)
+        np.copyto(hi, mid, where=moved & ~go_lo)
+        steps += moved
     np.add(lo, hi, out=mid)
     np.multiply(mid, 0.5, out=mid)
     out, start = {}, 0
     for n in sizes:
-        z = mid[start:start + n]
-        start += n
-        z = 0.5 * (z - z[::-1])  # exact antisymmetry; the middle zero of an odd size is 0.0
-        if n % 2 == 1:
-            z[n // 2] = 0.0
-        out[n] = z.tolist()
+        z = mid[start:start + n - n % 2]
+        start += z.size
+        z = (0.5 * (z - z[::-1])).tolist()  # exact antisymmetry
+        out[n] = z[:n // 2] + [0.0] * (n % 2) + z[n // 2:]
     return out
 
 

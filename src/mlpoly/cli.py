@@ -24,12 +24,13 @@ _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
 
 # Largest sizes served, so that a mistyped size is refused at once instead of running
-# for hours (zeros bisects about 2n lanes at a time; the exact suite grows as n^4).  At
-# the ceiling, on one core of a 2-core x86-64 machine, process start included: zeros
-# --n 2000 takes 1.8 s; coeffs --seq pidduck --max-n 500 takes 4.9 s and prints 100 MB,
-# and eval --n 500 0.15 s; series --order 300 takes 11.7 s for phi-monic, the slowest
-# kind (phi 6.4 s, g 6.0 s); verify --suite exact --max-n 160 takes 20 s (numeric and
-# all refuse from 103 at once).
+# for hours (zeros bisects about 2n lanes at a time, after a dense SVD of size n/2 that
+# grows as n^3; the exact suite grows as n^4).  At the ceiling, on one core of a 2-core
+# x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
+# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 4.9 s and prints
+# 100 MB, and eval --n 500 0.15 s; series --order 300 takes 11.7 s for phi-monic, the
+# slowest kind (phi 6.4 s, g 6.0 s); verify --suite exact --max-n 160 takes 20 s
+# (numeric and all refuse from 103 at once).
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
 SERIES_CEILING = 300

@@ -90,7 +90,12 @@ def _shift_one(cs: list[int]) -> list[int]:
 
 def _horner(cs, p: int, q: int) -> int:
     """q^deg * sum_k cs[k] (p/q)^k, for integer cs, p and q."""
-    acc, qk = 0, 1
+    acc = 0
+    if q == 1:  # an integer point: q^k = 1, so no bookkeeping
+        for c in reversed(cs):
+            acc = acc * p + c
+        return acc
+    qk = 1
     for c in reversed(cs):
         acc = acc * p + c * qk
         qk *= q

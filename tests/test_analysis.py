@@ -168,6 +168,56 @@ def test_zeros_digests_are_frozen():
     assert digest == "a5f716ecd61667926813258618218fed53ba26077ab44ce1742c6fa74e9f5e7c"
 
 
+def test_zeros_digests_at_the_ceiling_are_frozen():
+    # the eigenvalue estimates drift further from the zeros as n grows (17 eps * bound at
+    # 2000), so the largest sizes are pinned too; sha256 as the bisection without
+    # estimates printed them
+    for n, expected in ((1000, "58d4a5b6ee6c8dd57e30ae8fc3d27767db5ffe16166406cb15748e8bc2d0ec8d"),
+                        (2000, "da435e4a64818cd94eb2eb587c2b555818daa0af1b0ea503c6178dd921a18701")):
+        assert hashlib.sha256(repr(zeros(n)).encode()).hexdigest() == expected, n
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
+def test_a_wrong_estimate_costs_counts_and_never_bits(monkeypatch, tol):
+    # at 0.0 and shifted by 1 no lane certifies, so every step counts; scaled by
+    # 1 + 2^-40 the largest eigenvalues miss the first tier and certify at the second,
+    # while the smallest still certify at the first
+    from mlpoly import analysis
+    true_estimates = analysis._eigen_estimates
+    expected = {n: _scalar_zeros(n, tol) for n in (*range(1, 41), 137)}
+    for wrong in (lambda sizes, off: np.zeros_like(true_estimates(sizes, off)),
+                  lambda sizes, off: true_estimates(sizes, off) + 1.0,
+                  lambda sizes, off: true_estimates(sizes, off) * (1.0 + 2.0**-40)):
+        monkeypatch.setattr(analysis, "_eigen_estimates", wrong)
+        found = _spectra(range(1, 41), tol)
+        assert all(found[n] == expected[n] for n in range(1, 41))
+        assert _spectra([137], tol)[137] == expected[137]
+
+
+def test_the_estimates_spare_most_counts(monkeypatch):
+    # a broken estimate costs counts and no bit, so only the work can show it: every lane
+    # of the digest sizes certifies at the first tier, and zeros(400) counts at most 10
+    # times (7 measured), where the bisection without estimates counts at each of its
+    # 50 steps
+    from mlpoly import analysis
+    true_count = analysis._SturmLanes.count
+    calls = []
+
+    def recorded(lanes, x):
+        out = true_count(lanes, x)
+        calls.append((lanes, out.copy()))
+        return out
+
+    monkeypatch.setattr(analysis._SturmLanes, "count", recorded)
+    zeros(400)
+    assert len(calls) <= 10
+    for n in (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373, 400):
+        calls.clear()
+        zeros(n)
+        (lanes, at_lower), (_, at_upper) = calls[:2]  # the first tier's two counts
+        assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank), n
+
+
 def test_zeros_digests_below_the_float_spacing_are_frozen():
     # tols below the spacing of the larger zeros, where a lane's bracket stops moving;
     # sha256 as the sweep printed them when it ran every such lane for all 200 steps
