@@ -457,11 +457,13 @@ class MomentResult:
     deviation: float
 
 
+@functools.cache  # a pure function of n, refused from 63 on: at most 62 frozen results
 def moment(n: int) -> MomentResult:
     """Integral of t^n / sinh(t) over the line: exact closed form vs quadrature.
 
     Closed form: (1 - (-1)^n) (2^(n+1) - 1)/2^n * n! * zeta(n+1), which is 0
-    for even n and a rational multiple of pi^(n+1) for odd n.
+    for even n and a rational multiple of pi^(n+1) for odd n.  Each n is integrated
+    once per process: moments --max-n reports every odd index up to its size.
     """
     if n < 1:
         raise ValueError("moment index starts at 1")

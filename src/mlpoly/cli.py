@@ -7,8 +7,11 @@ import argparse
 import csv
 import functools
 import json
+import math
+import re
 import sys
 from collections.abc import Iterable, Iterator
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -27,14 +30,21 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # for hours (zeros bisects about 2n lanes at a time, after a dense SVD of size n/2 that
 # grows as n^3; the exact suite grows as n^4).  At the ceiling, on one core of a 2-core
 # x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
-# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 4.9 s and prints
-# 100 MB, and eval --n 500 0.15 s; series --order 300 takes 11.7 s for phi-monic, the
-# slowest kind (phi 6.4 s, g 6.0 s); verify --suite exact --max-n 160 takes 20 s
-# (numeric and all refuse from 103 at once).
+# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 4.7-5.3 s and prints
+# 100 MB, and eval --n 500 0.15 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
+# series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
+# verify --suite exact --max-n 160 takes 20 s (numeric and all refuse from 103 at once).
+# quad and ft refuse every size from 103 and from 121 by their tail bound, in 0.3 s at
+# their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
+# ran past 30 s inside math.factorial; the ceilings leave the refusal messages of
+# sizes up to 150 and 170 as they were.
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
 SERIES_CEILING = 300
 VERIFY_CEILING = 160
+QUAD_CEILING = 200
+FT_CEILING = 200
+EVAL_DIGITS = 100_000
 
 
 def _fmt(v: float) -> str:
@@ -118,16 +128,39 @@ def _cmd_coeffs(args, argv) -> int:
     return 0
 
 
+def _point(text: str, n: int) -> Fraction:
+    """The --x of eval as an exact rational, refused at once when the value of member n
+    there could pass EVAL_DIGITS digits: when H^max(n, 1) > 10^EVAL_DIGITS for the larger
+    H of the point's numerator and denominator.  An exponent past EVAL_DIGITS is refused
+    before the point is built, since 1e<exponent> alone would take that many digits."""
+    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+    if exponent is not None and abs(int(exponent[1])) > EVAL_DIGITS:
+        raise ValueError(f"--x exponent {exponent[1]} is past the bound of {EVAL_DIGITS} digits")
+    x = Fraction(text)
+    if max(n, 1) * math.log10(max(abs(x.numerator), x.denominator)) > EVAL_DIGITS:
+        raise ValueError(f"member {n} at --x={text} would pass the bound of "
+                         f"{EVAL_DIGITS} digits")
+    return x
+
+
+def _exact_str(q: Fraction) -> str:
+    """str(q), also where a numerator or denominator is past CPython's limit on integer
+    string conversion (4300 digits by default), which Decimal does not apply; the
+    process-wide limit is left as it is."""
+    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
 def _cmd_eval(args, argv) -> int:
     kind = SeqKind.from_token(args.seq)
-    x = Fraction(args.x)
+    x = _point(args.x, args.n)
     value = RECURRENCES[kind].value(args.n, x)
     try:
         approx = float(value)
     except OverflowError:  # past the float range: the exact value string stands alone
         approx = None
-    _emit_records({"kind": kind.value, "n": args.n, "x": str(x),
-                   "value": str(value), "float": approx}, args.format)
+    _emit_records({"kind": kind.value, "n": args.n, "x": _exact_str(x),
+                   "value": _exact_str(value), "float": approx}, args.format)
     return 0
 
 
@@ -256,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
     finish(p, _cmd_zeros)
 
     p = sub.add_parser("quad", help="orthogonality Gram matrix by quadrature")
-    p.add_argument("--max-n", dest="max_n", type=int, default=12)
+    p.add_argument("--max-n", dest="max_n", type=_size_up_to(QUAD_CEILING), default=12)
     finish(p, _cmd_quad)
 
     p = sub.add_parser("ft", help="Fourier transform: closed form vs quadrature")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size_up_to(FT_CEILING), required=True)
     p.add_argument("--s", type=float, required=True)
     finish(p, _cmd_ft)
 

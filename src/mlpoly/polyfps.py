@@ -5,14 +5,14 @@ the real numerators, the imaginary numerators (None for a real polynomial)
 and one positive common denominator, trimmed so the zero polynomial is the
 empty tuple over 1, with the gcd of all those integers equal to 1.  Equality
 and hashing therefore compare three fields, and the kernel (convolution,
-common-denominator addition, the additions-only Taylor shift, Horner
-evaluation) runs on Python integers.  Fraction and GaussRational appear only
-at the edges: the constructor accepts int, Fraction and GaussRational
-coefficients, and `coeffs`, `coefficient` and the string forms hand them
-out.  PolySeries is a power series in t whose coefficients are Poly values
-in x; the truncation order is fixed at construction and every binary
-operation propagates the minimum of the operand orders, so precision loss is
-explicit instead of silent.
+common-denominator addition, the fused three-term recurrence step, the
+additions-only Taylor shift, Horner evaluation) runs on Python integers.
+Fraction and GaussRational appear only at the edges: the constructor accepts
+int, Fraction and GaussRational coefficients, and `coeffs`, `coefficient`
+and the string forms hand them out.  PolySeries is a power series in t
+whose coefficients are Poly values in x; the truncation order is fixed at
+construction and every binary operation propagates the minimum of the operand
+orders, so precision loss is explicit instead of silent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .exactnum import GaussRational, bernoulli
 
-__all__ = ["Poly", "PolySeries", "X", "elementary"]
+__all__ = ["Poly", "PolySeries", "X", "elementary", "recurrence_step"]
 
 
 def _norm_coeff(c):
@@ -146,6 +146,34 @@ def _scale(p: "Poly", c) -> "Poly":
         return _make([r * x for x in num], None if im is None else [r * y for y in im],
                      p._den * d)
     return _make(_lincomb(num, r, im or (), -s), _lincomb(num, s, im or (), r), p._den * d)
+
+
+def recurrence_step(p: "Poly", q: "Poly", a, b, d=0) -> "Poly":
+    """(a x + d) p + b q, the step of a three-term recurrence, for exact scalars a, b, d.
+
+    For real p, q and rational a, b, d it combines the integer numerators over one
+    common denominator and canonicalizes once, where Poly([d, a]) * p + b * q runs a
+    gcd pass in each of its three operations; the result is the same canonical Poly.
+    """
+    (an, ai, ad), (bn, bi, bd), (dn, di, dd) = _parts(a), _parts(b), _parts(d)
+    if ai or bi or di or p._im is not None or q._im is not None:
+        return Poly([d, a]) * p + b * q
+    # (a x + d) p = (an dd x + dn ad) P / (ad dd p_den),  b q = bn Q / (bd q_den)
+    den_p, den_q = ad * dd * p._den, bd * q._den
+    g = math.gcd(den_p, den_q)
+    mp, mq = den_q // g, den_p // g
+    s, t, u = an * dd * mp, dn * ad * mp, bn * mq
+    P, Q = p._num, q._num
+    out = [0, *(s * c for c in P)]
+    if len(out) < len(Q):
+        out.extend([0] * (len(Q) - len(out)))
+    if t:
+        for k, c in enumerate(P):
+            out[k] += t * c
+    if u:
+        for k, c in enumerate(Q):
+            out[k] += u * c
+    return _make(out, None, den_p * mp)
 
 
 class Poly:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .exactnum import GaussRational
-from .polyfps import Poly, PolySeries, X, elementary
+from .polyfps import Poly, PolySeries, X, elementary, recurrence_step
 from .report import CheckReport, CheckStatus, aggregate
 
 __all__ = [
@@ -112,7 +112,7 @@ class Recurrence:
         """p_0 .. p_{n_max}, exactly."""
         polys = [Poly(), Poly([self.p0])]  # p_{-1}, p_0
         for n in range(n_max):
-            polys.append(Poly([self.d(n), self.a(n)]) * polys[-1] + self.b(n) * polys[-2])
+            polys.append(recurrence_step(polys[-1], polys[-2], self.a(n), self.b(n), self.d(n)))
         return polys[1:]
 
     def value(self, n: int, x: Fraction) -> Fraction:

@@ -377,6 +377,7 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
             fn(*args)
         return info.value.args[0]
 
+    moment.cache_clear()  # a moment computed before the patch would never reach the rule
     monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
     assert [truncation(orthogonality_matrix, n) for n in range(81)] == FROZEN_TRUNCATIONS["quad"]
     assert [truncation(ft_numeric, n, 1.0) for n in range(25)] == FROZEN_TRUNCATIONS["ft"]
@@ -425,6 +426,28 @@ def test_moment_quadrature_agreement():
         assert moment(n).deviation < 1e-8, f"n = {n}"
     assert moment(2).numeric == pytest.approx(0.0, abs=1e-10)
     assert moment(4).numeric == pytest.approx(0.0, abs=1e-10)
+
+
+def test_each_moment_is_integrated_once_per_process(monkeypatch):
+    from mlpoly import analysis
+    calls = []
+
+    def counted(f, cfg):
+        calls.append(cfg.truncation)
+        return integrate(f, cfg)
+
+    moment.cache_clear()
+    monkeypatch.setattr(analysis, "integrate", counted)
+    first = [moment(n) for n in range(1, 62, 2)]
+    assert len(calls) == 31
+    assert [moment(n) for n in range(1, 62, 2)] == first
+    assert moment(9) is first[4]
+    assert len(calls) == 31
+    with pytest.raises(ValueError, match="no truncation below 400"):
+        moment(63)
+    moment.cache_clear()
+    assert moment(9) == first[4]
+    assert len(calls) == 32
 
 
 def test_ft_closed_frozen_values():

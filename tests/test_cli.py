@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from mlpoly import __version__
 from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _emit_json,
                         _emit_records, main)
-from mlpoly.sequences import SeqKind, generate
+from mlpoly.sequences import RECURRENCES, SeqKind, generate
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,30 @@ def test_eval_past_the_float_range_keeps_the_exact_value(capsys):
     code, out, _ = run_cli(capsys, "eval", "--seq", "g", "--n", "3", "--x", "1e400",
                            "--format", "csv")
     assert code == 0 and out.splitlines()[1].endswith(",")  # an empty float field
+
+
+def test_eval_prints_values_past_the_integer_string_limit(capsys):
+    # 4590 and 5790 characters: past CPython's 4300-digit limit on int-to-str conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for token, n, x in (("g-monic", 500, "1e9"), ("g", 200, "1e30")):
+        code, out, _ = run_cli(capsys, "eval", "--seq", token, "--n", str(n), f"--x={x}")
+        assert code == 0, (token, n, x)
+        value = RECURRENCES[SeqKind.from_token(token)].value(n, Fraction(x))
+        num, _, den = json.loads(out)["value"].partition("/")
+        assert len(num) > 4300 and int(Decimal(num)) == value.numerator
+        assert int(Decimal(den or "1")) == value.denominator
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_eval_refuses_a_point_past_the_digit_bound_at_once(capsys):
+    from mlpoly.cli import EVAL_DIGITS
+    for x in ("1e99999", "-1e-99999", "1e999999999999", f"10e{EVAL_DIGITS + 1}"):
+        code, out, err = run_cli(capsys, "eval", "--seq", "g", "--n", "200", f"--x={x}")
+        assert _one_line_error(code, out, err), x
+        assert f"the bound of {EVAL_DIGITS} digits" in err, x
+    # n * log10(max(|numerator|, denominator)) against the bound: 99 500, then 100 500
+    assert run_cli(capsys, "eval", "--seq", "g", "--n", "500", "--x=3e-199")[0] == 0
+    assert _one_line_error(*run_cli(capsys, "eval", "--seq", "g", "--n", "500", "--x=3e-201"))
 
 
 def test_eval_rejects_bad_point(capsys):
@@ -212,6 +237,21 @@ def test_quadrature_output_does_not_depend_on_the_blas_thread_count():
                                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n)).stdout
                 for n in ("1", "2")}
         assert len(outs) == 1, argv
+
+
+def test_a_process_repeating_moments_prints_the_bytes_of_fresh_processes():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    sizes = ("61", "9", "29", "61")
+    code = ("from mlpoly.cli import main\n"
+            f"for m in {sizes!r}:\n"
+            "    assert main(['moments', '--max-n', m]) == 0\n")
+    one = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         timeout=120, env=env).stdout
+    fresh = b"".join(subprocess.run([sys.executable, "-m", "mlpoly", "moments", "--max-n", m],
+                                    capture_output=True, check=True, timeout=120,
+                                    env=env).stdout for m in sizes)
+    assert one == fresh
 
 
 def test_ft(capsys):
@@ -395,11 +435,12 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
 
 
 def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
-    from mlpoly.cli import (SERIES_CEILING, TABLE_CEILING, VERIFY_CEILING, ZEROS_CEILING,
-                            _build_parser)
-    # the largest sizes in use
+    from mlpoly.cli import (FT_CEILING, QUAD_CEILING, SERIES_CEILING, TABLE_CEILING,
+                            VERIFY_CEILING, ZEROS_CEILING, _build_parser)
+    # the largest sizes in use, and the refusal tests of quad and ft keep their messages
     assert ZEROS_CEILING >= 400 and TABLE_CEILING >= 200
     assert SERIES_CEILING >= 40 and VERIFY_CEILING >= 80
+    assert QUAD_CEILING >= 150 and FT_CEILING >= 170
     parser = _build_parser()
     for argv in (["zeros", "--n", "100000000"], ["zeros", "--n", str(ZEROS_CEILING + 1)],
                  ["coeffs", "--seq", "g", "--n", str(TABLE_CEILING + 1)],
@@ -408,7 +449,10 @@ def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
                  ["series", "--kind", "tan-half", "--order", "2000"],
                  ["series", "--kind", "phi-monic", "--order", str(SERIES_CEILING + 1)],
                  ["verify", "--suite", "exact", "--max-n", str(VERIFY_CEILING + 1)],
-                 ["verify", "--max-n", "100000000"]):
+                 ["verify", "--max-n", "100000000"],
+                 ["quad", "--max-n", str(QUAD_CEILING + 1)], ["quad", "--max-n", "3000"],
+                 ["ft", "--n", str(FT_CEILING + 1), "--s", "1"],
+                 ["ft", "--n", "3000000", "--s", "1"]):
         code, out, err = run_cli(capsys, *argv)
         assert _one_line_error(code, out, err), argv
         assert "is above the ceiling" in err
@@ -419,6 +463,22 @@ def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
     assert parser.parse_args(["series", "--kind", "g", "--order",
                               str(SERIES_CEILING)]).order == SERIES_CEILING
     assert parser.parse_args(["verify", "--max-n", str(VERIFY_CEILING)]).max_n == VERIFY_CEILING
+    assert parser.parse_args(["quad", "--max-n", str(QUAD_CEILING)]).max_n == QUAD_CEILING
+    assert parser.parse_args(["ft", "--n", str(FT_CEILING), "--s", "1"]).n == FT_CEILING
+
+
+def test_quad_and_ft_ceilings_cut_only_sizes_refused_anyway(capsys):
+    from mlpoly.cli import FT_CEILING, QUAD_CEILING
+    # quad serves --max-n 102 and refuses every size from 103; ft serves --n 120 and
+    # refuses from 121, whatever s is (its quadrature truncation does not depend on s)
+    assert run_cli(capsys, "quad", "--max-n", "102")[0] == 0
+    for n in (103, QUAD_CEILING):
+        code, out, err = run_cli(capsys, "quad", "--max-n", str(n))
+        assert _one_line_error(code, out, err) and "no truncation below 400" in err, n
+    for s in ("1", "0", "30"):
+        assert run_cli(capsys, "ft", "--n", "120", "--s", s)[0] == 0, s
+        for n in (121, FT_CEILING):
+            assert _one_line_error(*run_cli(capsys, "ft", "--n", str(n), "--s", s)), (n, s)
 
 
 def test_exact_commands_do_not_load_numpy():

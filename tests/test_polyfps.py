@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly.exactnum import GaussRational
-from mlpoly.polyfps import Poly, PolySeries, X, elementary
+from mlpoly.polyfps import Poly, PolySeries, X, elementary, recurrence_step
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 _polys = st.lists(_fractions, max_size=6).map(Poly)
@@ -325,6 +325,16 @@ def test_kernel_division_by_zero_and_by_gaussian():
     i = GaussRational(0, 1)
     assert (X / i) * i == X
     assert Poly([GaussRational(2, 4)]) / GaussRational(1, 2) == Poly([2])
+
+
+@given(_coeff_lists, _coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-9, 9)),
+       st.one_of(_fractions, _gaussians), st.one_of(_fractions, _gaussians))
+@settings(max_examples=80, deadline=None)
+def test_kernel_recurrence_step_matches_the_poly_operations(a, b, sa, sb, sd):
+    p, q = Poly(a), Poly(b)
+    step = recurrence_step(p, q, sa, sb, sd)
+    assert step == Poly([sd, sa]) * p + sb * q
+    _assert_canonical(step)
 
 
 @given(_coeff_lists, st.integers(0, 8))

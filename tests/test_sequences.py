@@ -78,6 +78,23 @@ def test_recurrence_families_have_one_definition():
     assert sequences.RECURRENCES[SeqKind.G].members(0) == [Poly([1])]
 
 
+def _members_by_poly_operations(rec, n_max):
+    polys = [Poly(), Poly([rec.p0])]
+    for n in range(n_max):
+        polys.append(Poly([rec.d(n), rec.a(n)]) * polys[-1] + rec.b(n) * polys[-2])
+    return polys[1:]
+
+
+def test_fused_recurrence_step_builds_the_same_tables():
+    for kind, rec in sequences.RECURRENCES.items():
+        assert rec.members(200) == _members_by_poly_operations(rec, 200), kind
+    # fractional a, b and d with unrelated denominators, none of them a family's
+    perturbed = sequences.Recurrence(3, lambda n: F(2 * n + 3, 3 * n + 7),
+                                     lambda n: F(-(n * n + 1), 5 * n + 2),
+                                     d=lambda n: F(n - 4, 6 * n + 1))
+    assert perturbed.members(60) == _members_by_poly_operations(perturbed, 60)
+
+
 def test_generate_validates_input():
     with pytest.raises(ValueError):
         generate(SeqKind.G, -1)
