@@ -25,7 +25,7 @@ import numpy as np
 from .exactnum import ZetaEven, to_float, zeta_even
 from .polyfps import Poly
 from .report import CheckReport, CheckStatus
-from .sequences import (RECURRENCES, SeqKind, g_oracle_mismatches, generate,
+from .sequences import (RECURRENCES, Recurrence, SeqKind, g_oracle_mismatches, generate,
                         oracle_hypergeometric_g)
 
 __all__ = [
@@ -305,8 +305,23 @@ def zeros_range(lo: int, hi: int, tol: float = 1e-12) -> dict[int, list[float]]:
 
 
 def zeros(n: int, tol: float = 1e-12) -> list[float]:
-    """All n zeros of the monic reduced member, checked as zeros_range checks them."""
-    return zeros_range(n, n, tol)[n]
+    """All n zeros of the monic reduced member, checked as zeros_range checks them.
+
+    Each (n, tol) is bisected once per process for each PHI_MONIC entry, while it is
+    among the _ZEROS_KEPT most recently asked; every call gets a list of its own."""
+    return list(_zeros(RECURRENCES[SeqKind.PHI_MONIC], n, tol))
+
+
+# Zero sets zeros() keeps: tol is any float a caller passes, so the memo is bounded by
+# memory, about 4 MB at 64 sets of the 2000 zeros of the CLI's largest size.
+_ZEROS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_ZEROS_KEPT)
+def _zeros(entry: Recurrence, n: int, tol: float) -> tuple[float, ...]:
+    """zeros() for one PHI_MONIC entry, which JacobiMatrix.build reads.  The entry is only
+    a key: a frozen Recurrence hashes by its fields, so a patched family gets its own."""
+    return tuple(zeros_range(n, n, tol)[n])
 
 
 def _weight_array(t: np.ndarray) -> np.ndarray:
@@ -422,7 +437,17 @@ def integrate(f, cfg: QuadConfig) -> float:
 
 
 def orthogonality_matrix(n_max: int) -> np.ndarray:
-    """Gram matrix of the reduced family under t/sinh(pi t); target diag 2/(n+1)."""
+    """Gram matrix of the reduced family under t/sinh(pi t); target diag 2/(n+1).
+
+    Read-only: each size is integrated once per process for each PHI entry."""
+    return _gram(RECURRENCES[SeqKind.PHI], n_max)
+
+
+@functools.cache  # every size from 103 fails the tail bound and raises: at most 103, < 3 MB
+def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
+    """orthogonality_matrix for one PHI entry, which generate and member_values read.  The
+    entry is only a key: a frozen Recurrence hashes by its fields, so a patched family
+    gets its own."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
     tab = generate(SeqKind.PHI, n_max)
@@ -434,12 +459,19 @@ def orthogonality_matrix(n_max: int) -> np.ndarray:
     # blocks of at most 2048 nodes keep the member values held at once small (1.3 MB at
     # n = 80, not 7.9); the lower triangle is summed and mirrored, so out is exactly symmetric
     for lo in range(0, pts.size, 2048):
-        block = slice(lo, lo + 2048)
+        # from n = 63 (T >= 228) sinh(pi t) overflows at the ends and the weight is exactly
+        # 0 (2990 of 12040 nodes at n = 80): each block is cut to the span of its nonzero
+        # weights, and a block without one is skipped
+        live = np.flatnonzero(wts[lo:lo + 2048])
+        if live.size == 0:
+            continue
+        block = slice(lo + live[0], lo + live[-1] + 1)
         phi = member_values(SeqKind.PHI, n_max, pts[block])
         for i in range(n_max + 1):
             out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
     upper = np.triu_indices(n_max + 1, 1)
     out[upper] = out.T[upper]
+    out.setflags(write=False)  # the cache hands the same array to every caller
     return out
 
 

@@ -128,15 +128,29 @@ def _cmd_coeffs(args, argv) -> int:
     return 0
 
 
+# The forms Fraction reads: [sign] integer, [sign] p/q, or a decimal with an exponent
+_POINT = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)"
+                    r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?:\d+(?:_\d+)*)?)?"
+                    r"(?:e(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*", re.IGNORECASE)
+
+
 def _point(text: str, n: int) -> Fraction:
     """The --x of eval as an exact rational, refused at once when the value of member n
     there could pass EVAL_DIGITS digits: when H^max(n, 1) > 10^EVAL_DIGITS for the larger
     H of the point's numerator and denominator.  An exponent past EVAL_DIGITS is refused
-    before the point is built, since 1e<exponent> alone would take that many digits."""
-    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
-    if exponent is not None and abs(int(exponent[1])) > EVAL_DIGITS:
-        raise ValueError(f"--x exponent {exponent[1]} is past the bound of {EVAL_DIGITS} digits")
-    x = Fraction(text)
+    before the point is built, since 1e<exponent> alone would take that many digits.
+    The digits are read through Decimal, which has no limit on their number, where
+    Fraction(text) stops at CPython's 4300; the process-wide limit is left as it is."""
+    form = _POINT.fullmatch(text)
+    if form is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    exponent = form["exp"]
+    if exponent is not None and abs(int(Decimal(exponent))) > EVAL_DIGITS:
+        raise ValueError(f"--x exponent {exponent} is past the bound of {EVAL_DIGITS} digits")
+    if form["den"] is None:
+        x = Fraction(Decimal(text))
+    else:
+        x = Fraction(int(Decimal(form["sign"] + form["num"])), int(Decimal(form["den"])))
     if max(n, 1) * math.log10(max(abs(x.numerator), x.denominator)) > EVAL_DIGITS:
         raise ValueError(f"member {n} at --x={text} would pass the bound of "
                          f"{EVAL_DIGITS} digits")

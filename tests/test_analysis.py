@@ -9,15 +9,17 @@ forms from the scalar layer.
 import hashlib
 import math
 import warnings
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mlpoly.analysis import (JacobiMatrix, _spectra, ft_closed, ft_numeric, integrate,
-                             make_quad_config, member_values, moment, orthogonality_matrix,
-                             zeros, zeros_range, _coeff_norm, _ft_sinh_form,
-                             _gamma_tail, _weight_array)
+from mlpoly.analysis import (JacobiMatrix, _spectra, ft_closed, ft_numeric, gram_deviation,
+                             integrate, make_quad_config, member_values, moment,
+                             orthogonality_matrix, zeros, zeros_range, _coeff_norm,
+                             _ft_sinh_form, _gamma_tail, _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate
@@ -208,11 +210,13 @@ def test_the_estimates_spare_most_counts(monkeypatch):
         calls.append((lanes, out.copy()))
         return out
 
+    analysis._zeros.cache_clear()  # zeros kept from an earlier test would run no count
     monkeypatch.setattr(analysis._SturmLanes, "count", recorded)
     zeros(400)
     assert len(calls) <= 10
     for n in (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373, 400):
         calls.clear()
+        analysis._zeros.cache_clear()  # zeros(400) above is kept
         zeros(n)
         (lanes, at_lower), (_, at_upper) = calls[:2]  # the first tier's two counts
         assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank), n
@@ -345,6 +349,62 @@ def test_orthogonality_matrix_is_exactly_symmetric():
         assert np.array_equal(mat, mat.T), n
 
 
+def test_a_patched_family_gets_a_gram_matrix_and_zeros_of_its_own(monkeypatch):
+    # the memo keys each result by the RECURRENCES entry it reads, and a frozen
+    # Recurrence hashes by its fields, so a replaced entry is never served the old result
+    from mlpoly import sequences
+    intact_gram, intact_zeros = orthogonality_matrix(12), zeros(24)
+    phi, monic = (sequences.RECURRENCES[kind] for kind in (SeqKind.PHI, SeqKind.PHI_MONIC))
+    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
+                        replace(phi, b=lambda n: phi.b(n) + (n == 3)))
+    broken = replace(monic, b=lambda n: monic.b(n) - (n == 3))
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC, broken)
+    assert gram_deviation(orthogonality_matrix(12)) > 1e-3  # p_4 onward are not orthogonal
+    off = [math.sqrt(-broken.b(k)) for k in range(1, 24)]
+    dense = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    assert zeros(24) == pytest.approx(list(dense), abs=1e-9)
+    assert zeros(24) != pytest.approx(intact_zeros, abs=1e-3)
+    monkeypatch.undo()
+    assert orthogonality_matrix(12) is intact_gram and zeros(24) == intact_zeros
+
+
+def test_a_second_gram_matrix_or_zero_set_does_no_work(monkeypatch):
+    from mlpoly import analysis
+    rows, counts = [], []
+    true_values, true_count = analysis.member_values, analysis._SturmLanes.count
+
+    def values(kind, n_max, t):
+        rows.append(t.size)
+        return true_values(kind, n_max, t)
+
+    def count(lanes, x):
+        counts.append(x.size)
+        return true_count(lanes, x)
+
+    analysis._gram.cache_clear()
+    analysis._zeros.cache_clear()
+    monkeypatch.setattr(analysis, "member_values", values)
+    monkeypatch.setattr(analysis._SturmLanes, "count", count)
+    gram, zs = orthogonality_matrix(80), zeros(400)
+    assert rows and counts
+    rows.clear()
+    counts.clear()
+    assert orthogonality_matrix(80) is gram and zeros(400) == zs
+    assert rows == [] and counts == []
+    with pytest.raises(ValueError, match="read-only"):  # every caller gets this one array
+        gram[0, 0] = 1.0
+    # a refused size raises every time, and nothing is kept for it
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no truncation below 400"):
+            orthogonality_matrix(103)
+    assert analysis._gram.cache_info().currsize == 1
+    # every tol is a key of its own, and the zero sets kept are bounded
+    for k in range(analysis._ZEROS_KEPT + 8):
+        zeros(2, 1e-12 * (k + 1))
+    assert analysis._zeros.cache_info().currsize == analysis._ZEROS_KEPT
+
+
 # The truncation T the tail bound picks for quad --max-n 0..80, ft --n 0..24 and
 # moments n = 1..61.  Frozen: evaluating members by their recurrence must not move
 # the coefficient norm the bound reads, so no truncation changes with it.
@@ -377,7 +437,9 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
             fn(*args)
         return info.value.args[0]
 
-    moment.cache_clear()  # a moment computed before the patch would never reach the rule
+    # a result computed before the patch would never reach the rule
+    moment.cache_clear()
+    analysis._gram.cache_clear()
     monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
     assert [truncation(orthogonality_matrix, n) for n in range(81)] == FROZEN_TRUNCATIONS["quad"]
     assert [truncation(ft_numeric, n, 1.0) for n in range(25)] == FROZEN_TRUNCATIONS["ft"]
@@ -520,6 +582,7 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
         out[2] = [z + 1.0 for z in out[2]]
         return out
 
+    analysis._zeros.cache_clear()  # zeros kept from an earlier test would skip the sweep
     monkeypatch.setattr(analysis, "_spectra", shifted)
     with pytest.raises(RuntimeError, match="interlacing violated"):
         zeros(3)
