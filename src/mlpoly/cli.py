@@ -32,8 +32,9 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
 # SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 4.7-5.3 s and prints
 # 100 MB, and eval --n 500 0.15 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
-# series --order 300 takes 11.7 s for phi-monic, the slowest kind (phi 6.4 s, g 6.0 s);
-# verify --suite exact --max-n 160 takes 20 s (numeric and all refuse from 103 at once).
+# series --order 300 takes 2.5-2.9 s for phi-monic, the slowest kind (phi 1.5-1.8 s,
+# g 1.4-1.8 s); verify --suite exact --max-n 160 takes 9-10 s (numeric and all refuse
+# from 103 at once).
 # quad and ft refuse every size from 103 and from 121 by their tail bound, in 0.3 s at
 # their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
 # ran past 30 s inside math.factorial; the ceilings leave the refusal messages of

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
-from .polyfps import Poly, PolySeries, X, elementary
+from .polyfps import Poly, PolySeries, X, combine, elementary
 from .report import CheckReport, CheckStatus, aggregate
 from .sequences import SeqKind, SeqTable, generate, monic_egf
 
@@ -35,15 +36,10 @@ __all__ = [
 _CYCLE = (Poly([1]), X, Poly([-1]), -X)
 
 
-def _apply(p: Poly, weights: Sequence) -> Poly:
+def _apply(p: Poly, weights: Sequence[Poly]) -> Poly:
     """sum_{k <= deg p} weights[k] D^k p: every higher derivative of p is zero."""
-    acc = Poly()
-    dk = p
-    for w in weights[: p.degree + 1]:
-        if w:  # a zero scalar weight, as every even term of 2 tan(D/2), adds nothing
-            acc = acc + w * dk
-        dk = dk.derivative()
-    return acc
+    derivatives = accumulate(range(p.degree), lambda dk, _: dk.derivative(), initial=p)
+    return combine((1, w, dk) for w, dk in zip(weights, derivatives))
 
 
 def ode_coeffs(n: int) -> tuple[Poly, ...]:
@@ -55,7 +51,7 @@ def ode_coeffs(n: int) -> tuple[Poly, ...]:
 
 def ode_residual(n: int) -> Poly:
     """sum_{k=1..n} (alpha_k + beta_k x) p_n^(k) / k! - n p_n; contract: zero."""
-    weights = [Fraction(-n)] + [c / math.factorial(k) for k, c in enumerate(ode_coeffs(n), 1)]
+    weights = [Poly([-n])] + [c / math.factorial(k) for k, c in enumerate(ode_coeffs(n), 1)]
     return _apply(generate(SeqKind.PHI_MONIC, n)[n], weights)
 
 
@@ -83,10 +79,8 @@ def trig_operator_eigencheck(n_max: int) -> CheckReport:
 def _expansion_residual(tab: SeqTable, n: int, shift: int,
                         coeff: Callable[[int, int], Fraction]) -> Poly:
     """p'_{n+shift} - sum_k coeff(n, k) p_{n-2k} over one table; contract: zero."""
-    rhs = Poly()
-    for k in range(n // 2 + 1):
-        rhs = rhs + coeff(n, k) * tab[n - 2 * k]
-    return tab[n + shift].derivative() - rhs
+    return combine([(1, tab[n + shift].derivative()),
+                    *((-coeff(n, k), tab[n - 2 * k]) for k in range(n // 2 + 1))])
 
 
 def derivative_expansion_monic(n_max: int) -> CheckReport:
@@ -146,12 +140,10 @@ def convolution_residual(n: int) -> Poly:
     if n < 1:
         raise ValueError("index must be at least 1")
     tab = generate(SeqKind.PHI_MONIC, n)
-    acc = Poly()
-    for k in range(n + 1):
-        weight = Fraction(1, math.factorial(k) * math.factorial(n - k))
-        term = tab[k].derivative(2) * tab[n - k] - tab[k].derivative() * tab[n - k].derivative()
-        acc = acc + weight * term
-    return acc
+    weights = [Fraction(1, math.factorial(k) * math.factorial(n - k)) for k in range(n + 1)]
+    return combine(term for k, w in enumerate(weights) for term in (
+        (w, tab[k].derivative(2), tab[n - k]),
+        (-w, tab[k].derivative(), tab[n - k].derivative())))
 
 
 def convolution_check(n_max: int) -> CheckReport:
@@ -226,9 +218,10 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
                      f"delta_n > 0 at every real x for 1 <= n <= {n_max}")
 
 
-def _tan_weights(order: int) -> list[Fraction]:
-    """2 tan(D/2) through D^(order-1), from the Bernoulli-built series the series layer exposes."""
-    return [c.coefficient(0) for c in elementary("tan_half", order)]
+def _tan_weights(order: int) -> tuple[Poly, ...]:
+    """2 tan(D/2) through D^(order-1): the constant coefficients of the Bernoulli-built
+    series the series layer exposes."""
+    return elementary("tan_half", order).coeffs
 
 
 def lowering_apply(p: Poly) -> Poly:

@@ -4,9 +4,10 @@ Poly is the coefficient workhorse.  It stores one canonical integer form:
 the real numerators, the imaginary numerators (None for a real polynomial)
 and one positive common denominator, trimmed so the zero polynomial is the
 empty tuple over 1, with the gcd of all those integers equal to 1.  Equality
-and hashing therefore compare three fields, and the kernel (convolution,
-common-denominator addition, the fused three-term recurrence step, the
-additions-only Taylor shift, Horner evaluation) runs on Python integers.
+and hashing therefore compare three fields, and the kernel (`combine`, one
+sum of scaled products over one common denominator that every sum, product
+and scaling goes through; the additions-only Taylor shift; Horner
+evaluation) runs on Python integers.
 Fraction and GaussRational appear only at the edges: the constructor accepts
 int, Fraction and GaussRational coefficients, and `coeffs`, `coefficient`
 and the string forms hand them out.  PolySeries is a power series in t
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .exactnum import GaussRational, bernoulli
 
-__all__ = ["Poly", "PolySeries", "X", "elementary", "recurrence_step"]
+__all__ = ["Poly", "PolySeries", "X", "combine", "elementary"]
 
 
 def _norm_coeff(c):
@@ -53,26 +54,19 @@ def _parts(c) -> tuple[int, int, int]:
     raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
 
 
-def _lincomb(a, ma: int, b, mb: int) -> list[int]:
-    """ma*a + mb*b, coefficient by coefficient, for integer sequences of any lengths."""
-    if len(a) < len(b):
-        a, ma, b, mb = b, mb, a, ma
-    out = [ma * x for x in a]
-    for k, y in enumerate(b):
-        out[k] += mb * y
-    return out
-
-
-def _conv(a, b) -> list[int]:
-    """Product of two integer coefficient sequences (schoolbook convolution)."""
-    if not a or not b:
-        return []
+def _addmul(acc: list[int], a, b) -> None:
+    """acc += a*b in place, a*b the product (schoolbook convolution) of two integer
+    coefficient sequences; acc grows where it is shorter than the product."""
     lb = len(b)
-    out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
-            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
-    return out
+            if len(acc) < i:
+                acc.extend([0] * (i - len(acc)))
+            k = min(len(acc) - i, lb)  # the overlap, added; the rest of the row, appended
+            if k:
+                acc[i:i + k] = [o + x * y for o, y in zip(acc[i:i + k], b)]
+            if k < lb:
+                acc.extend([x * y for y in b[k:]])
 
 
 def _shift_one(cs: list[int]) -> list[int]:
@@ -102,11 +96,10 @@ def _horner(cs, p: int, q: int) -> int:
     return acc
 
 
-def _make(num, im, den: int) -> "Poly":
-    """The canonical Poly of (num + i*im)/den for den > 0; im may be None or shorter than num."""
-    num = list(num)
+def _make(num: list[int], im: list[int] | None, den: int) -> "Poly":
+    """The canonical Poly of (num + i*im)/den for den > 0, taking over the lists num and im;
+    im may be None, and either list shorter than the other."""
     if im is not None:
-        im = list(im)
         if len(im) < len(num):
             im.extend([0] * (len(num) - len(im)))
         elif len(num) < len(im):
@@ -138,42 +131,44 @@ def _raw(num: tuple, im: tuple | None, den: int) -> "Poly":
     return p
 
 
-def _scale(p: "Poly", c) -> "Poly":
-    """p times the exact scalar c."""
-    r, s, d = _parts(c)
-    num, im = p._num, p._im
-    if not s:
-        return _make([r * x for x in num], None if im is None else [r * y for y in im],
-                     p._den * d)
-    return _make(_lincomb(num, r, im or (), -s), _lincomb(num, s, im or (), r), p._den * d)
+def combine(terms: Iterable[tuple]) -> "Poly":
+    """The sum of c p, or of c p q, over terms (c, p) and (c, p, q): c an exact scalar,
+    p and q Poly values, real or Gaussian.
 
-
-def recurrence_step(p: "Poly", q: "Poly", a, b, d=0) -> "Poly":
-    """(a x + d) p + b q, the step of a three-term recurrence, for exact scalars a, b, d.
-
-    For real p, q and rational a, b, d it combines the integer numerators over one
-    common denominator and canonicalizes once, where Poly([d, a]) * p + b * q runs a
-    gcd pass in each of its three operations; the result is the same canonical Poly.
+    The one kernel of Poly arithmetic.  Every term is put over the lcm of the term
+    denominators, its scalar is folded into its shorter factor, the integer products are
+    summed into one accumulator (two when a term is Gaussian), and the sum is put in
+    canonical form once, where pairwise Poly operations would run a gcd pass per term.
     """
-    (an, ai, ad), (bn, bi, bd), (dn, di, dd) = _parts(a), _parts(b), _parts(d)
-    if ai or bi or di or p._im is not None or q._im is not None:
-        return Poly([d, a]) * p + b * q
-    # (a x + d) p = (an dd x + dn ad) P / (ad dd p_den),  b q = bn Q / (bd q_den)
-    den_p, den_q = ad * dd * p._den, bd * q._den
-    g = math.gcd(den_p, den_q)
-    mp, mq = den_q // g, den_p // g
-    s, t, u = an * dd * mp, dn * ad * mp, bn * mq
-    P, Q = p._num, q._num
-    out = [0, *(s * c for c in P)]
-    if len(out) < len(Q):
-        out.extend([0] * (len(Q) - len(out)))
-    if t:
-        for k, c in enumerate(P):
-            out[k] += t * c
-    if u:
-        for k, c in enumerate(Q):
-            out[k] += u * c
-    return _make(out, None, den_p * mp)
+    live, den, gauss = [], 1, False
+    for c, *factors in terms:
+        r, s, d = _parts(c)
+        p, q = factors if len(factors) == 2 else (_ONE, *factors)
+        if (r or s) and p._num and q._num:
+            if len(q._num) < len(p._num):
+                p, q = q, p
+            d *= p._den * q._den
+            den = math.lcm(den, d)
+            gauss = gauss or bool(s) or p._im is not None or q._im is not None
+            live.append((r, s, d, p, q))
+    re, im = [], [] if gauss else None
+    for r, s, d, p, q in live:
+        m = den // d
+        r, s = r * m, s * m
+        # (r + s i)(A + B i) = a + b i, then (a + b i)(C + D i); b and D are None when real
+        A, B, C, D = p._num, p._im, q._num, q._im
+        if B is None:
+            a, b = [r * x for x in A], [s * x for x in A] if s else None
+        else:
+            a, b = [r * x - s * y for x, y in zip(A, B)], [s * x + r * y for x, y in zip(A, B)]
+        _addmul(re, a, C)
+        if b is not None:
+            _addmul(im, b, C)
+        if D is not None:
+            _addmul(im, a, D)
+            if b is not None:
+                _addmul(re, [-y for y in b], D)
+    return _make(re, im, den)
 
 
 class Poly:
@@ -251,25 +246,15 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self._num, self._im, self._den))
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign*other over the least common denominator."""
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        ma, mb = db // g, sign * (da // g)
-        im = None
-        if self._im is not None or other._im is not None:
-            im = _lincomb(self._im or (), ma, other._im or (), mb)
-        return _make(_lincomb(self._num, ma, other._num, mb), im, da * (db // g))
-
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._combine(other, 1)
+        return combine(((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._combine(other, -1)
+        return combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
         im = None if self._im is None else tuple(-c for c in self._im)
@@ -277,20 +262,14 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self._num, other._num
-            den = self._den * other._den
-            if self._im is None and other._im is None:
-                return _make(_conv(a, b), None, den)
-            ai, bi = self._im or (), other._im or ()
-            return _make(_lincomb(_conv(a, b), 1, _conv(ai, bi), -1),
-                         _lincomb(_conv(a, bi), 1, _conv(ai, b), 1), den)
+            return combine(((1, self, other),))
         if _is_scalar(other):
-            return _scale(self, other)
+            return combine(((other, self),))
         return NotImplemented
 
     def __rmul__(self, other):
         if _is_scalar(other):
-            return _scale(self, other)
+            return combine(((other, self),))
         return NotImplemented
 
     def __truediv__(self, scalar):
@@ -302,7 +281,7 @@ class Poly:
         # 1/((r + s i)/d) = d (r - s i) / (r^2 + s^2)
         inverse = (Fraction(d, r) if not s
                    else GaussRational(Fraction(d * r, r * r + s * s), Fraction(-d * s, r * r + s * s)))
-        return _scale(self, inverse)
+        return combine(((inverse, self),))
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
@@ -418,6 +397,7 @@ class Poly:
 
 
 X = Poly((0, 1))
+_ONE = Poly([1])
 
 
 class PolySeries:
@@ -489,13 +469,9 @@ class PolySeries:
     def __mul__(self, other):
         if isinstance(other, PolySeries):
             m = min(self.order, other.order)
-            out = []
-            for n in range(m):
-                acc = Poly()
-                for k in range(n + 1):
-                    acc = acc + self.coeffs[k] * other.coeffs[n - k]
-                out.append(acc)
-            return PolySeries(m, out)
+            a, b = self.coeffs, other.coeffs
+            return PolySeries(m, [combine((1, a[k], b[n - k]) for k in range(n + 1))
+                                  for n in range(m)])
         if isinstance(other, Poly) or _is_scalar(other):
             return PolySeries(self.order, [c * other for c in self.coeffs])
         return NotImplemented
@@ -515,10 +491,7 @@ class PolySeries:
         inv0 = Fraction(1) / c0.coefficient(0)
         out = [Poly([inv0])]
         for n in range(1, self.order):
-            acc = Poly()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc * (-inv0))
+            out.append(combine((-inv0, self.coeffs[k], out[n - k]) for k in range(1, n + 1)))
         return PolySeries(self.order, out)
 
     def __truediv__(self, other):
@@ -541,10 +514,8 @@ class PolySeries:
             raise ValueError("exp requires a series with zero constant term")
         out = [Poly([1])]
         for n in range(1, self.order):
-            acc = Poly()
-            for k in range(1, n + 1):
-                acc = acc + (k * self.coeffs[k]) * out[n - k]
-            out.append(acc / Fraction(n))
+            out.append(combine((Fraction(k, n), self.coeffs[k], out[n - k])
+                               for k in range(1, n + 1)))
         return PolySeries(self.order, out)
 
     def compose(self, inner: "PolySeries") -> "PolySeries":

@@ -55,7 +55,8 @@ def test_coeffs_member_is_the_last_row_of_its_table(capsys):
             _, table, _ = run_cli(capsys, "coeffs", "--seq", seq, "--max-n", str(n))
             assert json.loads(member) == json.loads(table)[-1], (seq, n)
             # the table is written row by row, in the bytes of one json.dumps of the list
-            rows = generate(SeqKind.from_token(seq), n).to_json_rows()
+            held = generate(SeqKind.from_token(seq), n)
+            rows = [held.json_row(k) for k in range(n + 1)]
             assert table == json.dumps(rows, indent=2, sort_keys=True) + "\n", (seq, n)
 
 
@@ -403,6 +404,40 @@ def test_verify_exact_40_bytes_are_pinned(capsys, fmt):
     code, out, _ = run_cli(capsys, *(argv if fmt == "json" else argv + ["--format", "csv"]))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_40_SHA256[fmt]
+
+
+# The exact series and tables print no floats either.
+_SERIES_40_SHA256 = {
+    "g": "a0d2ef1ae9156a2dc4b82a5506aa401e604e687481eba22affe778f28f44796b",
+    "g-monic": "3e4ac707db34a7bbdca09999a3547a9c9285480ced6e9fe20d4a87cd83f587ac",
+    "phi": "e937bd2ea0c746d83f50d9babbd2b6161f53fdf277ad3282923c4442c411a1b3",
+    "phi-monic": "10deec79f407099bf87e4cbf503aab5cf720841b0375a1947640c051be6ef6dd",
+    "arctan-half": "cb620f3037c49528ff19fcfa7d214de0eef3c4fa9b160214721da875b1de2348",
+    "artanh": "0b898d994aa909935444a8289583e5c482a3fdd8ffa76a2ee95a606621cd3743",
+    "tan-half": "112e16e74f3948aaf3acc8755258f7a06ae9ae5eebf3a0cd76a0e1f805e4c6c8",
+    "log-ratio": "0b898d994aa909935444a8289583e5c482a3fdd8ffa76a2ee95a606621cd3743",
+}
+_COEFFS_60_SHA256 = {
+    "g": "4d016a4fa155977c1f0697ab0173ff9e0352993f212e399a9bb3b09b3d211667",
+    "g-monic": "1437fc1d84ff55e7491678beef54fe335849102c4ff6174c24186daecf78b09b",
+    "phi": "7149593448dcc2e74bc5b61df604fb789215b1a325b2ee715fe44526533e0917",
+    "phi-monic": "9cee25852c504169d54d78b5c73e4a6dd5557648f45ee5ab8bdac62ca579cd7a",
+    "pidduck": "bfd461cb33eb51b6201fb9270a34a55438bd3b3f7b64a418b202e83a255e1ad4",
+}
+
+
+@pytest.mark.parametrize("kind", _SERIES_TOKENS)
+def test_series_40_bytes_are_pinned(capsys, kind):
+    code, out, _ = run_cli(capsys, "series", "--kind", kind, "--order", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_40_SHA256[kind]
+
+
+@pytest.mark.parametrize("seq", _SEQ_TOKENS)
+def test_coeffs_60_bytes_are_pinned(capsys, seq):
+    code, out, _ = run_cli(capsys, "coeffs", "--seq", seq, "--max-n", "60")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _COEFFS_60_SHA256[seq]
 
 
 def test_audit(capsys):

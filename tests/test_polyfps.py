@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly.exactnum import GaussRational
-from mlpoly.polyfps import Poly, PolySeries, X, elementary, recurrence_step
+from mlpoly.polyfps import Poly, PolySeries, X, combine, elementary
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 _polys = st.lists(_fractions, max_size=6).map(Poly)
@@ -24,6 +24,10 @@ _gaussians = st.builds(GaussRational, _fractions, _fractions)
 # coefficient lists, real or Gaussian, kept next to the Poly built from them
 _real_lists = st.lists(_fractions, max_size=7)
 _coeff_lists = st.one_of(_real_lists, st.lists(st.one_of(_fractions, _gaussians), max_size=7))
+_scalars = st.one_of(_fractions, _gaussians, st.integers(-9, 9))
+# kernel terms as coefficient lists: (c, a) for c a, (c, a, b) for c a b
+_terms = st.lists(st.one_of(st.tuples(_scalars, _coeff_lists),
+                            st.tuples(_scalars, _coeff_lists, _coeff_lists)), max_size=5)
 
 
 def test_poly_construction_trims_and_reports_degree():
@@ -327,14 +331,34 @@ def test_kernel_division_by_zero_and_by_gaussian():
     assert Poly([GaussRational(2, 4)]) / GaussRational(1, 2) == Poly([2])
 
 
-@given(_coeff_lists, _coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-9, 9)),
-       st.one_of(_fractions, _gaussians), st.one_of(_fractions, _gaussians))
-@settings(max_examples=80, deadline=None)
-def test_kernel_recurrence_step_matches_the_poly_operations(a, b, sa, sb, sd):
-    p, q = Poly(a), Poly(b)
-    step = recurrence_step(p, q, sa, sb, sd)
-    assert step == Poly([sd, sa]) * p + sb * q
-    _assert_canonical(step)
+def _ref_combine(terms):
+    out = []
+    for c, *factors in terms:
+        product = _ref_mul(*factors) if len(factors) == 2 else _trim(*factors)
+        out = [x + c * y for x, y in zip_longest(out, product, fillvalue=Fraction(0))]
+    return _trim(out)
+
+
+@given(_terms)
+@settings(max_examples=120, deadline=None)
+def test_kernel_combine_matches_the_reference(terms):
+    as_polys = [(c, *map(Poly, factors)) for c, *factors in terms]
+    total = combine(as_polys)
+    assert total.coeffs == _ref_combine(terms)
+    _assert_canonical(total)
+    # each term with its negation: the sum cancels to the canonical zero
+    cancelled = combine(as_polys + [(-c, *factors) for c, *factors in as_polys])
+    assert (cancelled._num, cancelled._im, cancelled._den) == ((), None, 1)
+
+
+def test_kernel_combine_examples():
+    assert combine([]) == Poly() and combine(iter(())) == Poly()
+    i = GaussRational(0, 1)
+    # (x + i)(x - i) = x^2 + 1: the imaginary parts cancel to a real canonical form
+    real = combine([(1, Poly([i, 1]), Poly([-i, 1]))])
+    assert (real._num, real._im, real._den) == ((1, 0, 1), None, 1)
+    assert combine([(Fraction(1, 2), X, X), (Fraction(-1, 2), X, X), (3, Poly([2]))]) == Poly([6])
+    assert combine([(0, X), (1, Poly(), X)]) == Poly()
 
 
 @given(_coeff_lists, st.integers(0, 8))

@@ -9,6 +9,7 @@ whole package.
 
 import math
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -241,9 +242,19 @@ def test_a_live_g_series_serves_every_later_read(monkeypatch):
 
 def test_live_table_entry_dies_with_its_last_holder():
     table = generate(SeqKind.G, 25)
-    assert sequences._LIVE.get(SeqKind.G) is table
+    entry = sequences.RECURRENCES[SeqKind.G]
+    assert sequences._LIVE.get(entry) is table
     del table
-    assert SeqKind.G not in sequences._LIVE
+    assert entry not in sequences._LIVE
+
+
+def test_a_held_table_is_not_served_for_a_replaced_entry(monkeypatch):
+    held = generate(SeqKind.PHI, 6)
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
+                        replace(sequences.RECURRENCES[SeqKind.PHI], p0=3))
+    assert generate(SeqKind.PHI, 6)[0] == Poly([3]) and generate(SeqKind.PHI, 4)[0] == Poly([3])
+    monkeypatch.undo()
+    assert generate(SeqKind.PHI, 6) is held
 
 
 def test_seq_kind_tokens():
@@ -258,7 +269,7 @@ def test_seq_table_json_rows():
     table = generate(SeqKind.PHI_MONIC, 2)
     assert len(table) == 3
     assert table.max_n == 2
-    rows = table.to_json_rows()
+    rows = [table.json_row(n) for n in range(len(table))]
     assert rows == [
         {"kind": "PHI_MONIC", "n": 0, "coeffs": ["1"]},
         {"kind": "PHI_MONIC", "n": 1, "coeffs": ["0", "1"]},

@@ -24,19 +24,15 @@ from mlpoly.sequences import SeqKind
 
 
 class _CountingLive(weakref.WeakValueDictionary):
-    """The live-table registry, counting registrations: one per table built."""
+    """The live-table registry, counting registrations by family: one per table built."""
 
     def __init__(self):
         super().__init__()
         self.built = Counter()
 
-    def __setitem__(self, key, value):
-        self.built[key] += 1
-        super().__setitem__(key, value)
-
-    def setdefault(self, key, default=None):
-        self.built[key] += 1
-        return super().setdefault(key, default)
+    def __setitem__(self, key, table):
+        self.built[table.kind] += 1
+        super().__setitem__(key, table)
 
 
 def _count_calls(monkeypatch, calls, name):
@@ -136,12 +132,10 @@ def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
         monkeypatch.setitem(sequences.RECURRENCES, kind,
                             replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
         monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
-        sequences.g_oracle_mismatches.cache_clear()
         try:
             reports = suite.exact_suite(8)
         finally:
             monkeypatch.undo()
-            sequences.g_oracle_mismatches.cache_clear()
         status = {r.identity: r.status for r in reports}
         assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing, kind
         assert all(r.note.startswith("failing indices: [") and r.residual is None
@@ -174,17 +168,23 @@ def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
     monkeypatch.setitem(sequences.RECURRENCES, kind,
                         replace(rec, **{field: breaks(getattr(rec, field))}))
     monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
-    sequences.g_oracle_mismatches.cache_clear()
-    try:
-        for name, failing in (("exact", _READS_TABLE[kind]),
-                              ("all", _READS_TABLE[kind] | numeric_fails)):
-            code, payload = _verify(capsys, name)
-            assert code == 1, name
-            assert listed(payload) == intact[name]  # every report is printed
-            assert {r["identity"] for r in payload["reports"]
-                    if r["status"] == "FAIL"} == failing, name
-    finally:
-        sequences.g_oracle_mismatches.cache_clear()
+    for name, failing in (("exact", _READS_TABLE[kind]),
+                          ("all", _READS_TABLE[kind] | numeric_fails)):
+        code, payload = _verify(capsys, name)
+        assert code == 1, name
+        assert listed(payload) == intact[name]  # every report is printed
+        assert {r["identity"] for r in payload["reports"]
+                if r["status"] == "FAIL"} == failing, name
+
+
+def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(monkeypatch):
+    # the oracle memo is kept for each G entry, so a changed entry is checked afresh
+    assert sequences.g_oracle_mismatches(8) == ()
+    rec = sequences.RECURRENCES[SeqKind.G]
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
+                        replace(rec, b=lambda n, b=rec.b: b(n) + Fraction(n == 3, 7)))
+    status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
+    assert {i for i, s in status.items() if s is CheckStatus.FAIL} == _READS_TABLE[SeqKind.G]
 
 
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
