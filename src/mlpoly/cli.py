@@ -13,6 +13,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .exactnum import to_float
@@ -30,8 +31,9 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # for hours (zeros bisects about 2n lanes at a time, after a dense SVD of size n/2 that
 # grows as n^3; the exact suite grows as n^4).  At the ceiling, on one core of a 2-core
 # x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
-# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 4.7-5.3 s and prints
-# 100 MB, and eval --n 500 0.15 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
+# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 3.9-4.8 s and prints
+# 100 MB (0.35 s of it writing the JSON, most of the rest converting the coefficients to
+# strings), and eval --n 500 0.13 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
 # series --order 300 takes 2.5-2.9 s for phi-monic, the slowest kind (phi 1.5-1.8 s,
 # g 1.4-1.8 s); verify --suite exact --max-n 160 takes 9-10 s (numeric and all refuse
 # from 103 at once).
@@ -52,20 +54,66 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _float_json(v: float) -> str:
+    """v as json writes it; strict JSON, so a non-finite v raises json's own ValueError."""
+    if not math.isfinite(v):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return float.__repr__(v)
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """The text json.dumps writes for a JSON value with string keys at an indent of 2,
+    keys sorted and strict (allow_nan off), with its lines after the first indented by
+    pad.  json takes its C encoder only without an indent, so this walks containers
+    itself and hands each list of strings or of floats to one C-level join of the escaper
+    and the float repr json uses."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        return _float_json(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        body = None
+        try:  # each map raises TypeError at the first value of another type
+            if isinstance(obj[0], str):
+                body = sep.join(map(encode_basestring_ascii, obj))
+            elif isinstance(obj[0], float):
+                body = sep.join(map(float.__repr__, obj))
+                if not math.isfinite(sum(obj)):  # also when finite values overflow
+                    for v in obj:
+                        _float_json(v)
+        except TypeError:
+            pass
+        if body is None:
+            body = sep.join([_dumps(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                                   for k, v in sorted(obj.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(obj)  # bool, None, an int subclass; anything else raises json's error
+
+
 def _emit_json(payload) -> None:
     """payload as indented JSON.  An iterator is written as a list one element at a time,
     in the same bytes, so that only one element's strings are alive at once; it is used
     for rows of exact strings, which cannot fail half way through."""
     # strict JSON: a non-finite float raises ValueError, which main turns into exit 2
     if not isinstance(payload, Iterator):
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(_dumps(payload))
         return
-    sep = "[\n"
+    sep = "[\n  "
     for item in payload:
-        text = json.dumps(item, indent=2, sort_keys=True, allow_nan=False)
-        sys.stdout.write(sep + "  " + text.replace("\n", "\n  "))
-        sep = ",\n"
-    sys.stdout.write("[]\n" if sep == "[\n" else "\n]\n")
+        sys.stdout.write(sep + _dumps(item, "  "))
+        sep = ",\n  "
+    sys.stdout.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:

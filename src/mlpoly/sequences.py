@@ -103,7 +103,7 @@ class Recurrence:
     p0: int
     a: Callable[[int], Fraction]
     b: Callable[[int], Fraction]
-    d: Callable[[int], Fraction] = lambda n: Fraction(0)
+    d: Callable[[int], Fraction] = lambda n, zero=Fraction(0): zero  # built once, not per step
 
     def members(self, n_max: int) -> list[Poly]:
         """p_0 .. p_{n_max}, exactly."""
@@ -120,11 +120,16 @@ class Recurrence:
             raise ValueError("table length must be non-negative")
         # p_{k-1}(x) and p_k(x) as integer numerators over one denominator, reduced once
         prev, cur, den = 0, self.p0, 1
+        xn, xd = x.numerator, x.denominator
         for k in range(n):
-            s, b = self.a(k) * x + self.d(k), self.b(k)
-            m = math.lcm(s.denominator, b.denominator)
-            prev, cur = cur * m, (s.numerator * (m // s.denominator) * cur
-                                  + b.numerator * (m // b.denominator) * prev)
+            a, b, d = self.a(k), self.b(k), self.d(k)
+            # s = a x + d in lowest terms, so that m is the least common denominator of s and b
+            sn = a.numerator * xn * d.denominator + d.numerator * a.denominator * xd
+            sd = a.denominator * xd * d.denominator
+            g = math.gcd(sn, sd)
+            sn, sd = sn // g, sd // g
+            m = math.lcm(sd, b.denominator)
+            prev, cur = cur * m, sn * (m // sd) * cur + b.numerator * (m // b.denominator) * prev
             den *= m
         return Fraction(cur, den)
 

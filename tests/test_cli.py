@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly import __version__
-from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _emit_json,
+from mlpoly import cli
+from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _dumps, _emit_json,
                         _emit_records, main)
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 
@@ -63,6 +64,65 @@ def test_coeffs_member_is_the_last_row_of_its_table(capsys):
 def test_emit_json_writes_an_empty_iterator_as_an_empty_list(capsys):
     _emit_json(iter([]))
     assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
+
+
+def _reference_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+# JSON values with string keys, with the strings and numbers the escaper and the float
+# repr treat apart: non-ASCII, control characters, quotes, backslashes, DEL and lone
+# surrogates; signed zero, the float repr's switch to an exponent, the least subnormal,
+# and integers past 2**63
+_texts = st.text(st.one_of(st.characters(exclude_categories=()),
+                           st.sampled_from('"\\\x7f\x00\x1f\n\ud800\udfffé\U0001f600')))
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 1e16, 9999999999999998.0, 5e-324, 1e-7]))
+_scalars = st.one_of(_texts, _finite, st.integers(), st.sampled_from([2**63, -2**64, 10**40]),
+                     st.booleans(), st.none())
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_texts, inner, max_size=4),
+                            st.lists(_texts, max_size=4), st.lists(_finite, max_size=4)),
+    max_leaves=20)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert _dumps(value) == _reference_json(value)
+
+
+@given(st.lists(_json_values, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_emit_json_writes_an_iterator_as_json_dumps_writes_its_list(rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(iter(rows))
+    assert out.getvalue() == _reference_json(rows) + "\n"  # "[]\n" for no rows
+
+
+_PAYLOAD_ARGVS = (
+    [["verify", "--suite", suite, "--max-n", "8"] for suite in ("all", "numeric", "exact")]
+    + [["audit"]]
+    + [["coeffs", "--seq", seq, flag, "30"] for seq in _SEQ_TOKENS for flag in ("--n", "--max-n")]
+    + [["series", "--kind", kind, "--order", "12"] for kind in _SERIES_TOKENS]
+    + [["eval", "--seq", seq, "--n", "40", "--x=-9/8"] for seq in _SEQ_TOKENS]
+    + [["eval", "--seq", "g", "--n", "3", "--x", "1e400"],  # "float": null
+       ["zeros", "--n", "24"], ["quad", "--max-n", "12"], ["ft", "--n", "5", "--s", "0.37"],
+       ["moments", "--max-n", "21"]])
+
+
+def test_every_payload_prints_the_bytes_of_json_dumps(capsys, monkeypatch):
+    # the same process with the emitter swapped for the json.dumps reference: unlike a
+    # digest of float output, this holds on any BLAS
+    shipped = [run_cli(capsys, *argv) for argv in _PAYLOAD_ARGVS]
+    monkeypatch.setattr(cli, "_dumps",
+                        lambda obj, pad="": _reference_json(obj).replace("\n", "\n" + pad))
+    for argv, (code, out, err) in zip(_PAYLOAD_ARGVS, shipped):
+        assert code in (0, 1) and out and err == "", argv
+        assert run_cli(capsys, *argv) == (code, out, err), argv
 
 
 def test_coeffs_requires_exactly_one_selector(capsys):
@@ -220,11 +280,18 @@ def test_zeros_rejects_non_finite_tol(capsys):
 
 
 def test_emit_json_refuses_non_finite_floats(capsys):
-    from mlpoly.cli import _emit_json
-    for v in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            _emit_json({"x": v})
+    for v in (math.nan, math.inf, -math.inf):
+        # alone, in a dict, last in a list of floats, and in a list of mixed values
+        for payload in (v, {"x": v}, [1.0, 2.0, v], ["a", 1, v], [[0.5], {"y": [v]}]):
+            with pytest.raises(ValueError) as expected:
+                _reference_json(payload)
+            with pytest.raises(ValueError) as raised:
+                _emit_json(payload)
+            assert str(raised.value) == str(expected.value), payload
+    assert str(raised.value) == "Out of range float values are not JSON compliant: -inf"
     assert capsys.readouterr().out == ""
+    # finite floats whose sum overflows are written
+    assert _dumps([1e308, 1e308, -1e308]) == _reference_json([1e308, 1e308, -1e308])
 
 
 def test_quad(capsys):

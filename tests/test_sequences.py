@@ -11,8 +11,11 @@ import math
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlpoly import sequences
 from mlpoly.polyfps import Poly, X
@@ -86,14 +89,27 @@ def _members_by_poly_operations(rec, n_max):
     return polys[1:]
 
 
+# fractional a, b and d with unrelated denominators, none of them a family's
+_PERTURBED = sequences.Recurrence(3, lambda n: F(2 * n + 3, 3 * n + 7),
+                                  lambda n: F(-(n * n + 1), 5 * n + 2),
+                                  d=lambda n: F(n - 4, 6 * n + 1))
+
+
 def test_fused_recurrence_step_builds_the_same_tables():
     for kind, rec in sequences.RECURRENCES.items():
         assert rec.members(200) == _members_by_poly_operations(rec, 200), kind
-    # fractional a, b and d with unrelated denominators, none of them a family's
-    perturbed = sequences.Recurrence(3, lambda n: F(2 * n + 3, 3 * n + 7),
-                                     lambda n: F(-(n * n + 1), 5 * n + 2),
-                                     d=lambda n: F(n - 4, 6 * n + 1))
-    assert perturbed.members(60) == _members_by_poly_operations(perturbed, 60)
+    assert _PERTURBED.members(60) == _members_by_poly_operations(_PERTURBED, 60)
+
+
+@given(st.sampled_from([*sequences.RECURRENCES.items(), (SeqKind.G, _PERTURBED)]),
+       st.integers(0, 40),
+       st.one_of(st.just(F(0)), st.fractions(max_value=0),
+                 st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**60))))
+@settings(max_examples=150, deadline=None)
+def test_value_is_the_table_member_at_the_point(kind_entry, n, x):
+    kind, entry = kind_entry
+    with mock.patch.dict(sequences.RECURRENCES, {kind: entry}):
+        assert entry.value(n, x) == generate(kind, n)[n](x)
 
 
 def test_generate_validates_input():
