@@ -380,6 +380,9 @@ def _gamma_tail(degree: int, rate: float, upper: float) -> float:
     return total
 
 
+# A frozen result of four numbers, kept: the Fourier grid asks for 9 configs 45 times, and
+# every served size of quad, moments and ft needs fewer than 300 configs in all.
+@functools.lru_cache(maxsize=512)
 def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
                      rate: float = math.pi, coeff_norm: float = 1.0) -> QuadConfig:
     """Smallest integer truncation whose two-sided tail bound clears abs_tol/2.

@@ -34,9 +34,9 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 3.9-4.8 s and prints
 # 100 MB (0.35 s of it writing the JSON, most of the rest converting the coefficients to
 # strings), and eval --n 500 0.13 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
-# series --order 300 takes 2.5-2.9 s for phi-monic, the slowest kind (phi 1.5-1.8 s,
-# g 1.4-1.8 s); verify --suite exact --max-n 160 takes 9-10 s (numeric and all refuse
-# from 103 at once).
+# series --order 300 takes 1.2-2.1 s for phi-monic, phi and g, the slowest kinds;
+# verify --suite exact --max-n 160 takes 5-9.5 s across runs
+# (numeric and all refuse from 103 at once).
 # quad and ft refuse every size from 103 and from 121 by their tail bound, in 0.3 s at
 # their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
 # ran past 30 s inside math.factorial; the ceilings leave the refusal messages of

@@ -175,60 +175,80 @@ def generate(kind: SeqKind, n_max: int) -> SeqTable:
     return table
 
 
-def oracle_hypergeometric_g(n: int) -> Poly:
-    """g_n rebuilt from the terminating hypergeometric sum.
+def _pochhammer(start: int, count: int) -> list[Poly]:
+    """(start - x)_j for j = 0 .. count - 1, each one product by (start + j - 1 - x) from
+    the one before."""
+    basis = [Poly([1])]
+    for j in range(count - 1):
+        basis.append(basis[-1] * Poly([start + j, -1]))
+    return basis
 
-    g_n = 2x * sum_{j=0}^{n-1} (1-n)_j (1-x)_j 2^j / ((2)_j j!), with the
-    Pochhammer factor in x expanded as exact polynomial algebra.
-    """
-    if n < 1:
-        raise ValueError("the hypergeometric form starts at n = 1")
+
+# The parameters of the two sum routes: g_n = 2x 2F1(1-n, 1-x; 2; z) at z = 2, and
+# g_n(x) = 2x M_{n-1}(x-1; beta, c) at beta = 2, c = -1.
+_HYPERGEOMETRIC_Z = 2
+_MEIXNER_BETA, _MEIXNER_C = Fraction(2), Fraction(-1)
+
+
+def _hypergeometric_g(n: int, poch_x: Sequence[Poly]) -> Poly:
+    """g_n = 2x * sum_{j=0}^{n-1} (1-n)_j (1-x)_j z^j / ((2)_j j!), poch_x[j] = (1-x)_j."""
     terms = []
-    scalar = Fraction(1)           # (1-n)_j 2^j / ((2)_j j!)
-    poch_x = Poly([1])             # (1-x)_j
+    scalar = Fraction(2)           # 2 (1-n)_j z^j / ((2)_j j!)
     for j in range(n):
-        terms.append((2 * scalar, X, poch_x))
-        scalar = scalar * Fraction(2 * (1 - n + j), (2 + j) * (j + 1))
-        poch_x = poch_x * Poly([1 + j, -1])
+        terms.append((scalar, X, poch_x[j]))
+        scalar = scalar * Fraction(_HYPERGEOMETRIC_Z * (1 - n + j), (2 + j) * (j + 1))
     return combine(terms)
 
 
-def _meixner(k: int, beta: Fraction, c: Fraction) -> Poly:
-    """Meixner polynomial M_k(y; beta, c) as an exact Poly in y."""
-    z = 1 - 1 / Fraction(c)
+def _meixner_g(n: int, poch_y: Sequence[Poly]) -> Poly:
+    """g_n = 2x * M_{n-1}(x-1; beta, c), poch_y[j] = (-y)_j.
+
+    The Meixner sum M_k(y; beta, c) = sum_{j=0}^{k} (-k)_j (-y)_j z^j / ((beta)_j j!),
+    z = 1 - 1/c, is built in its own variable y and only then shifted to x - 1, which
+    keeps this route structurally distinct from the hypergeometric one.
+    """
+    k, beta = n - 1, _MEIXNER_BETA
+    z = 1 - 1 / _MEIXNER_C
     terms = []
     scalar = Fraction(1)           # (-k)_j z^j / ((beta)_j j!)
-    poch_y = Poly([1])             # (-y)_j
     for j in range(k + 1):
-        terms.append((scalar, poch_y))
+        terms.append((scalar, poch_y[j]))
         scalar = scalar * (-k + j) * z / ((beta + j) * (j + 1))
-        poch_y = poch_y * Poly([j, -1])
-    return combine(terms)
+    return combine(((2, X, combine(terms).shift(-1)),))
+
+
+def oracle_hypergeometric_g(n: int) -> Poly:
+    """g_n rebuilt from the terminating hypergeometric sum, over a Pochhammer basis of its
+    own: g_n = 2x 2F1(1-n, 1-x; 2; 2)."""
+    if n < 1:
+        raise ValueError("the hypergeometric form starts at n = 1")
+    return _hypergeometric_g(n, _pochhammer(1, n))
 
 
 def oracle_meixner_g(n: int) -> Poly:
-    """g_n via the Meixner connection: g_n(x) = 2x * M_{n-1}(x-1; 2, -1).
-
-    The Meixner sum is built in its own variable and only then shifted to
-    x - 1, which keeps this route structurally distinct from the
-    hypergeometric oracle.
-    """
+    """g_n via the Meixner connection g_n(x) = 2x * M_{n-1}(x-1; 2, -1), over a Pochhammer
+    basis of its own."""
     if n < 1:
         raise ValueError("the Meixner form starts at n = 1")
-    m = _meixner(n - 1, Fraction(2), Fraction(-1))
-    return 2 * X * m.shift(-1)
+    return _meixner_g(n, _pochhammer(0, n))
+
+
+# The t^2 coefficient of the denominator 1 + t^2/4 of the monic series.
+_MONIC_DENOMINATOR_T2 = Fraction(1, 4)
 
 
 def monic_egf(order: int) -> PolySeries:
     """Exponential generating series of the monic reduced family.
 
     exp(2x*arctan(t/2)) / (1 + t^2/4), truncated at the given order; the
-    t^n coefficient is phi-hat_n / n!.
+    t^n coefficient is phi-hat_n / n!.  The division is the recurrence
+    f_n = e_n - f_{n-2}/4 on the coefficients e_n of the exponential.
     """
     numerator = (elementary("arctan_half", order) * X).exp()
-    denom_coeffs = [Poly([1]), Poly(), Poly([Fraction(1, 4)])]
-    denominator = PolySeries(order, denom_coeffs[:order])
-    return numerator / denominator
+    out: list[Poly] = []
+    for n, e in enumerate(numerator.coeffs):
+        out.append(combine(((1, e), (-_MONIC_DENOMINATOR_T2, out[n - 2]))) if n > 1 else e)
+    return PolySeries(order, out)
 
 
 # One weak entry per family, its longest series built, shared like _LIVE's tables: the
@@ -291,8 +311,10 @@ def _g_oracle_mismatches(entry: Recurrence, n_max: int) -> tuple[int, ...]:
     a frozen Recurrence hashes by its fields, so a patched family gets its own."""
     g = generate(SeqKind.G, n_max)
     series = generating_series(SeqKind.G, n_max + 1)
+    # each sum route's basis once for the call: (1-x)_j for j < n <= n_max, (-y)_j for j <= n-1
+    poch_x, poch_y = _pochhammer(1, n_max), _pochhammer(0, n_max)
     return tuple(n for n in range(1, n_max + 1)
-                 if not (g[n] == oracle_hypergeometric_g(n) == oracle_meixner_g(n)
+                 if not (g[n] == _hypergeometric_g(n, poch_x) == _meixner_g(n, poch_y)
                          == series.coeff(n)))
 
 
@@ -300,22 +322,28 @@ def reduce_from_g(n: int) -> Poly:
     """phi_n built from g_{n+1} evaluated on the imaginary axis.
 
     Maps coefficient a_k of g_{n+1} to a_k * i^(k-n-1) with the division by x
-    realized as an index shift.  The result must come out exactly real with a
-    vanishing source constant term; anything else means the sign conventions
-    have been broken and is raised rather than returned.
+    realized as an index shift; on g_{n+1}'s integer numerators that map is a
+    sign pattern.  The result must come out exactly real with a vanishing
+    source constant term; anything else means the sign conventions have been
+    broken and is raised rather than returned.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
     g = generate(SeqKind.G, n + 1)[n + 1]
-    if g.coefficient(0):
+    num = g.numerators
+    if num and num[0]:
         raise ValueError("source polynomial has a nonzero constant term; cannot divide by x")
+    # i^e for e = k - n - 1 is +-1 for even e, (-1)^(e/2), and imaginary for odd e
     out = []
-    for k in range(1, g.degree + 1):
-        z = GaussRational.i_power(k - n - 1) * g.coefficient(k)
-        if not z.is_real:
-            raise ValueError("imaginary residue in the reduction; sign convention broken")
-        out.append(z.re)
-    return Poly(out)
+    for k in range(1, len(num)):
+        e = k - n - 1
+        if e % 2:
+            if num[k]:
+                raise ValueError("imaginary residue in the reduction; sign convention broken")
+            out.append(0)
+        else:
+            out.append(-num[k] if e % 4 else num[k])
+    return Poly(out) / g.denominator
 
 
 def difference_relation_checks(n_max: int) -> list[CheckReport]:
@@ -325,6 +353,10 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
     2. g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)
     3. (x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0 for monic reduced p_n
 
+    Relation 3 is the difference equation of the Meixner-Pollaczek polynomials
+    P_n^(lambda)(x; phi) at lambda = 1, phi = pi/2 (Koekoek, Lesky & Swarttouw 2010,
+    sec. 9.7), of which p_n is the monic form.
+
     All three are zero-polynomial contracts; one report per relation, which on
     failure lists every n with a nonzero residual.
     """
@@ -332,21 +364,25 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
         raise ValueError("need at least n = 1 to check the relations")
     g = generate(SeqKind.G, n_max)
     p = generate(SeqKind.PHI_MONIC, n_max)
+    g_up = [q.shift(1) for q in g.polys]  # g_n(x+1), each once: relations 1 and 2 read it
     i = GaussRational.i_power(1)
+    x_plus_i, x_minus_i = Poly([i, 1]), Poly([-i, 1])
     return [
         aggregate(
             "difference-relation-g", 1, n_max,
-            lambda n: (X * g[n].shift(1) - 2 * n * g[n] - X * g[n].shift(-1)).is_zero(),
+            lambda n: combine(((1, X, g_up[n]), (-2 * n, g[n]),
+                               (-1, X, g[n].shift(-1)))).is_zero(),
             "x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0; exact for all n in range"),
         aggregate(
             "recurrence-difference-g", 1, n_max,
-            lambda n: (g[n].shift(1) - g[n - 1].shift(1) - g[n] - g[n - 1]).is_zero(),
+            lambda n: combine(((1, g_up[n]), (-1, g_up[n - 1]), (-1, g[n]),
+                               (-1, g[n - 1]))).is_zero(),
             "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x); exact for all n in range"),
         aggregate(
             "difference-relation-phi-monic-complex", 0, n_max,
-            lambda n: (Poly([i, 1]) * p[n].shift(i)
-                       - GaussRational(Fraction(0), Fraction(2 * (n + 1))) * p[n]
-                       - Poly([-i, 1]) * p[n].shift(-i)).is_zero(),
+            lambda n: combine(((1, x_plus_i, p[n].shift(i)),
+                               (GaussRational(Fraction(0), Fraction(-2 * (n + 1))), p[n]),
+                               (-1, x_minus_i, p[n].shift(-i)))).is_zero(),
             "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact; "
             "exact for all n in range"),
     ]

@@ -7,6 +7,7 @@ structurally different routes is the core correctness argument for the
 whole package.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import replace
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly import sequences
-from mlpoly.polyfps import Poly, X
+from mlpoly.exactnum import GaussRational
+from mlpoly.polyfps import Poly, PolySeries, X, elementary
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
                               generate, generating_series, monic_egf, oracle_gf,
@@ -187,6 +189,96 @@ def test_reduction_examples():
     assert reduce_from_g(0) == Poly([2])
     assert reduce_from_g(1) == 2 * X
     assert reduce_from_g(2) == Poly([F(-2, 3), 0, F(4, 3)])
+
+
+# The routes as each rebuilt its pieces per call: the references of the shared-basis sums,
+# the division recurrence of the monic series and the sign pattern of the reduction.
+def _ref_hypergeometric_g(n):
+    terms, scalar, poch_x = Poly(), F(1), Poly([1])
+    for j in range(n):
+        terms = terms + 2 * scalar * X * poch_x
+        scalar = scalar * F(2 * (1 - n + j), (2 + j) * (j + 1))
+        poch_x = poch_x * Poly([1 + j, -1])
+    return terms
+
+
+def _ref_meixner_g(n):
+    k, beta, z = n - 1, F(2), 1 - 1 / F(-1)
+    m, scalar, poch_y = Poly(), F(1), Poly([1])
+    for j in range(k + 1):
+        m = m + scalar * poch_y
+        scalar = scalar * (-k + j) * z / ((beta + j) * (j + 1))
+        poch_y = poch_y * Poly([j, -1])
+    return 2 * X * m.shift(-1)
+
+
+def _ref_reduce_from_g(n):
+    g = generate(SeqKind.G, n + 1)[n + 1]
+    if g.coefficient(0):
+        raise ValueError("source polynomial has a nonzero constant term; cannot divide by x")
+    out = []
+    for k in range(1, g.degree + 1):
+        z = GaussRational.i_power(k - n - 1) * g.coefficient(k)
+        if not z.is_real:
+            raise ValueError("imaginary residue in the reduction; sign convention broken")
+        out.append(z.re)
+    return Poly(out)
+
+
+def test_the_shared_basis_sums_equal_the_public_oracles():
+    poch_x, poch_y = sequences._pochhammer(1, 60), sequences._pochhammer(0, 60)
+    assert poch_x[3] == Poly([1, -1]) * Poly([2, -1]) * Poly([3, -1])
+    assert poch_y[3] == Poly([0, -1]) * Poly([1, -1]) * Poly([2, -1])
+    for n in range(1, 61):
+        assert (sequences._hypergeometric_g(n, poch_x) == oracle_hypergeometric_g(n)
+                == _ref_hypergeometric_g(n)), n
+        assert sequences._meixner_g(n, poch_y) == oracle_meixner_g(n) == _ref_meixner_g(n), n
+
+
+def test_the_g_oracles_build_each_pochhammer_basis_once(monkeypatch):
+    # one product by a degree-one factor (a - x) per basis member past (a - x)_0: 2(n - 1)
+    # per call, where rebuilding both bases for every index took n(n + 1)
+    products = []
+    poly_mul = Poly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Poly) and other.degree == 1 and other.coefficient(1) == -1:
+            products.append(other)
+        return poly_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for n, expected in ((10, 18), (20, 38)):
+        # an empty memo, restored afterwards: the memo would otherwise serve the call
+        monkeypatch.setattr(sequences, "_g_oracle_mismatches",
+                            functools.cache(sequences._g_oracle_mismatches.__wrapped__))
+        products.clear()
+        assert sequences.g_oracle_mismatches(n) == ()
+        assert len(products) == expected, n
+
+
+def test_monic_egf_equals_the_series_division():
+    for order in range(1, 61):
+        numerator = (elementary("arctan_half", order) * X).exp()
+        denominator = PolySeries(order, [Poly([1]), Poly(), Poly([F(1, 4)])][:order])
+        assert monic_egf(order) == numerator / denominator, order
+
+
+def test_reduce_from_g_equals_the_i_power_map():
+    for n in range(61):
+        assert reduce_from_g(n) == _ref_reduce_from_g(n), n
+
+
+@pytest.mark.parametrize("at, message", [(0, "nonzero constant term"),
+                                         (3, "imaginary residue")])
+def test_reduce_from_g_refuses_a_g_table_off_the_imaginary_axis(monkeypatch, at, message):
+    # d(0) gives g_1 a constant term; d(3) gives g_4 terms of the wrong parity
+    rec = sequences.RECURRENCES[SeqKind.G]
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
+                        replace(rec, d=lambda n, d=rec.d: F(1, 7) if n == at else d(n)))
+    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
+    for reduce in (reduce_from_g, _ref_reduce_from_g):
+        with pytest.raises(ValueError, match=message):
+            reduce(at)
 
 
 def test_pidduck_difference_invariant():

@@ -5,6 +5,7 @@ layers share runs once under `all`, and it holds the family tables the
 checks read for the whole run instead of letting each check rebuild them.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -185,6 +186,27 @@ def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(monke
                         replace(rec, b=lambda n, b=rec.b: b(n) + Fraction(n == 3, 7)))
     status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == _READS_TABLE[SeqKind.G]
+
+
+@pytest.mark.parametrize("piece, broken, failing", [
+    # the scalar z^j of the hypergeometric sum, at z = 3 for 2, and the Meixner c: one route
+    # of the G oracles each, so only their report fails
+    ("_HYPERGEOMETRIC_Z", 3, {"g-oracle-equivalence"}),
+    ("_MEIXNER_C", Fraction(-2), {"g-oracle-equivalence"}),
+    # the 1/4 of the monic series' denominator 1 + t^2/4: the PHI_MONIC series route fails,
+    # while G G_xx = (G_x)^2 holds for any denominator that does not depend on x
+    ("_MONIC_DENOMINATOR_T2", Fraction(1, 3), {"phi-oracle-equivalence"}),
+])
+def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
+        monkeypatch, piece, broken, failing):
+    # an empty oracle memo and series registry for the run, restored afterwards: the memo
+    # is kept for each G entry, which a broken oracle leaves as it is
+    monkeypatch.setattr(sequences, "_g_oracle_mismatches",
+                        functools.cache(sequences._g_oracle_mismatches.__wrapped__))
+    monkeypatch.setattr(sequences, "_LIVE_SERIES", weakref.WeakValueDictionary())
+    monkeypatch.setattr(sequences, piece, broken)
+    status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
+    assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
 
 
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
