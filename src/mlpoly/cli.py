@@ -199,7 +199,10 @@ def _point(text: str, n: int) -> Fraction:
     if form["den"] is None:
         x = Fraction(Decimal(text))
     else:
-        x = Fraction(int(Decimal(form["sign"] + form["num"])), int(Decimal(form["den"])))
+        den = int(Decimal(form["den"]))
+        if not den:
+            raise ValueError(f"--x={text} has a zero denominator")
+        x = Fraction(int(Decimal(form["sign"] + form["num"])), den)
     if max(n, 1) * math.log10(max(abs(x.numerator), x.denominator)) > EVAL_DIGITS:
         raise ValueError(f"member {n} at --x={text} would pass the bound of "
                          f"{EVAL_DIGITS} digits")

@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, Bernoulli
-numbers and even zeta values.
+"""Exact scalar arithmetic: Bernoulli numbers and even zeta values.
 
 Rational values are stdlib ``fractions.Fraction`` objects, which are always
 kept in canonical form (reduced, positive denominator, 0 == 0/1).  This
-module adds the Gaussian extension Q(i), the number-theoretic constants the
-identity checks consume, and the float conversion shared by the rest of the
-package.
+module adds the number-theoretic constants the identity checks consume and
+the float conversion shared by the rest of the package; no complex value is
+needed, since the one Gaussian relation is checked on its real and imaginary
+parts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "GaussRational",
     "ZetaEven",
     "bernoulli",
     "zeta_even",
@@ -29,106 +28,6 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
-
-
-@dataclass(frozen=True, eq=False)
-class GaussRational:
-    """Exact complex number re + im*i with rational components.
-
-    Only ring operations are needed by the checks (evaluation at x +- i and
-    the i-power reduction map); Poly divides by a Gaussian scalar itself.
-    """
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-
-    @staticmethod
-    def _coerce(v) -> "GaussRational | None":
-        if isinstance(v, GaussRational):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return GaussRational(_as_fraction(v))
-        return None
-
-    @staticmethod
-    def i_power(k: int) -> "GaussRational":
-        """i**k for any integer k (negative exponents wrap mod 4)."""
-        return _I_POWERS[k % 4]
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
-
-    __repr__ = __str__
-
-
-_I_POWERS = (
-    GaussRational(Fraction(1)),
-    GaussRational(Fraction(0), Fraction(1)),
-    GaussRational(Fraction(-1)),
-    GaussRational(Fraction(0), Fraction(-1)),
-)
 
 
 @dataclass(frozen=True)

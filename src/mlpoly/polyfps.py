@@ -1,16 +1,15 @@
 """Dense exact polynomials in x and truncated formal power series in t.
 
-Poly is the coefficient workhorse.  It stores one canonical integer form:
-the real numerators, the imaginary numerators (None for a real polynomial)
-and one positive common denominator, trimmed so the zero polynomial is the
-empty tuple over 1, with the gcd of all those integers equal to 1.  Equality
-and hashing therefore compare three fields, and the kernel (`combine`, one
-sum of scaled products over one common denominator that every sum, product
-and scaling goes through; the additions-only Taylor shift; Horner
-evaluation) runs on Python integers.
-Fraction and GaussRational appear only at the edges: the constructor accepts
-int, Fraction and GaussRational coefficients, and `coeffs`, `coefficient`
-and the string forms hand them out.  PolySeries is a power series in t
+Poly is the coefficient workhorse, a polynomial with rational coefficients.  It
+stores one canonical integer form: the numerators and one positive common
+denominator, trimmed so the zero polynomial is the empty tuple over 1, with the
+gcd of all those integers equal to 1.  Equality and hashing therefore compare two
+fields, and the kernel (`combine`, one sum of scaled products over one common
+denominator that every sum, product and scaling goes through; the additions-only
+Taylor shift; Horner evaluation) runs on Python integers.
+Fraction appears only at the edges: the constructor accepts int and Fraction
+coefficients, and `coeffs`, `coefficient` and the string forms hand them out.
+PolySeries is a power series in t
 whose coefficients are Poly values in x; the truncation order is fixed at
 construction and every binary operation propagates the minimum of the operand
 orders, so precision loss is explicit instead of silent.
@@ -23,35 +22,22 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .exactnum import GaussRational, bernoulli
+from .exactnum import bernoulli
 
 __all__ = ["Poly", "PolySeries", "X", "combine", "elementary"]
 
 
-def _norm_coeff(c):
-    if isinstance(c, (Fraction, GaussRational)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
-
-
 def _is_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, GaussRational))
+    return isinstance(v, (int, Fraction))
 
 
-def _parts(c) -> tuple[int, int, int]:
-    """(re, im, den) with c = (re + im*i)/den and den > 0, for an exact scalar c."""
+def _parts(c) -> tuple[int, int]:
+    """(num, den) with c = num/den and den > 0, for a rational scalar c."""
     if isinstance(c, int):
-        return c, 0, 1
+        return c, 1
     if isinstance(c, Fraction):
-        return c.numerator, 0, c.denominator
-    if isinstance(c, GaussRational):
-        re, im = c.re, c.im
-        den = math.lcm(re.denominator, im.denominator)
-        return (re.numerator * (den // re.denominator),
-                im.numerator * (den // im.denominator), den)
-    raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
+        return c.numerator, c.denominator
+    raise TypeError(f"polynomial coefficients must be exact rationals, got {type(c).__name__}")
 
 
 def _addmul(acc: list[int], a, b) -> None:
@@ -96,100 +82,68 @@ def _horner(cs, p: int, q: int) -> int:
     return acc
 
 
-def _make(num: list[int], im: list[int] | None, den: int) -> "Poly":
-    """The canonical Poly of (num + i*im)/den for den > 0, taking over the lists num and im;
-    im may be None, and either list shorter than the other."""
-    if im is not None:
-        if len(im) < len(num):
-            im.extend([0] * (len(num) - len(im)))
-        elif len(num) < len(im):
-            num.extend([0] * (len(im) - len(num)))
-        while num and not num[-1] and not im[-1]:
-            num.pop()
-            im.pop()
-        if not any(im):
-            im = None
-    else:
-        while num and not num[-1]:
-            num.pop()
+def _make(num: list[int], den: int) -> "Poly":
+    """The canonical Poly of num/den for den > 0, taking over the list num."""
+    while num and not num[-1]:
+        num.pop()
     if not num:
-        return _raw((), None, 1)
-    g = math.gcd(den, *num) if im is None else math.gcd(den, *num, *im)
+        return _raw((), 1)
+    g = math.gcd(den, *num)
     if g != 1:
         den //= g
         num = [c // g for c in num]
-        if im is not None:
-            im = [c // g for c in im]
-    return _raw(tuple(num), None if im is None else tuple(im), den)
+    return _raw(tuple(num), den)
 
 
-def _raw(num: tuple, im: tuple | None, den: int) -> "Poly":
+def _raw(num: tuple, den: int) -> "Poly":
     p = object.__new__(Poly)
     object.__setattr__(p, "_num", num)
-    object.__setattr__(p, "_im", im)
     object.__setattr__(p, "_den", den)
     return p
 
 
 def combine(terms: Iterable[tuple]) -> "Poly":
-    """The sum of c p, or of c p q, over terms (c, p) and (c, p, q): c an exact scalar,
-    p and q Poly values, real or Gaussian.
+    """The sum of c p, or of c p q, over terms (c, p) and (c, p, q): c a rational scalar,
+    p and q Poly values.
 
     The one kernel of Poly arithmetic.  Every term is put over the lcm of the term
     denominators, its scalar is folded into its shorter factor, the integer products are
-    summed into one accumulator (two when a term is Gaussian), and the sum is put in
-    canonical form once, where pairwise Poly operations would run a gcd pass per term.
+    summed into one accumulator, and the sum is put in canonical form once, where pairwise
+    Poly operations would run a gcd pass per term.
     """
-    live, den, gauss = [], 1, False
+    live, den = [], 1
     for c, *factors in terms:
-        r, s, d = _parts(c)
+        r, d = _parts(c)
         p, q = factors if len(factors) == 2 else (_ONE, *factors)
-        if (r or s) and p._num and q._num:
+        if r and p._num and q._num:
             if len(q._num) < len(p._num):
                 p, q = q, p
             d *= p._den * q._den
             den = math.lcm(den, d)
-            gauss = gauss or bool(s) or p._im is not None or q._im is not None
-            live.append((r, s, d, p, q))
-    re, im = [], [] if gauss else None
-    for r, s, d, p, q in live:
-        m = den // d
-        r, s = r * m, s * m
-        # (r + s i)(A + B i) = a + b i, then (a + b i)(C + D i); b and D are None when real
-        A, B, C, D = p._num, p._im, q._num, q._im
-        if B is None:
-            a, b = [r * x for x in A], [s * x for x in A] if s else None
-        else:
-            a, b = [r * x - s * y for x, y in zip(A, B)], [s * x + r * y for x, y in zip(A, B)]
-        _addmul(re, a, C)
-        if b is not None:
-            _addmul(im, b, C)
-        if D is not None:
-            _addmul(im, a, D)
-            if b is not None:
-                _addmul(re, [-y for y in b], D)
-    return _make(re, im, den)
+            live.append((r, d, p._num, q._num))
+    acc: list[int] = []
+    for r, d, a, b in live:
+        r *= den // d
+        _addmul(acc, a if r == 1 else [r * x for x in a], b)
+    return _make(acc, den)
 
 
 class Poly:
     """Dense univariate polynomial with exact coefficients.
 
-    Stored as integer numerators (real, and imaginary or None) over one
-    positive denominator in lowest terms, trailing zeros removed; the zero
-    polynomial has no coefficients and degree -1.  Instances are immutable
-    and hashable, and equal polynomials have equal fields.
+    Stored as integer numerators over one positive denominator in lowest
+    terms, trailing zeros removed; the zero polynomial has no coefficients and
+    degree -1.  Instances are immutable and hashable, and equal polynomials
+    have equal fields.
     """
 
-    __slots__ = ("_num", "_im", "_den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
         parts = [_parts(c) for c in coeffs]
-        den = math.lcm(*(d for _, _, d in parts)) if parts else 1
-        num = [r * (den // d) for r, _, d in parts]
-        im = [s * (den // d) for _, s, d in parts] if any(s for _, s, _ in parts) else None
-        canon = _make(num, im, den)
+        den = math.lcm(*(d for _, d in parts)) if parts else 1
+        canon = _make([r * (den // d) for r, d in parts], den)
         object.__setattr__(self, "_num", canon._num)
-        object.__setattr__(self, "_im", canon._im)
         object.__setattr__(self, "_den", canon._den)
 
     def __setattr__(self, name, value) -> None:
@@ -197,16 +151,13 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        """Ascending-degree coefficients: Fractions, or GaussRationals when not real."""
+        """Ascending-degree coefficients as Fractions."""
         den = self._den
-        if self._im is None:
-            return tuple(Fraction(c, den) for c in self._num)
-        return tuple(GaussRational(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(self._num, self._im))
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def numerators(self) -> tuple[int, ...]:
-        """Ascending-degree integer numerators of the real parts, over `denominator`."""
+        """Ascending-degree integer numerators, over `denominator`."""
         return self._num
 
     @property
@@ -222,10 +173,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_real(self) -> bool:
-        """True when no coefficient carries an imaginary component."""
-        return self._im is None
-
     @property
     def leading_coefficient(self):
         return self.coefficient(self.degree)
@@ -234,17 +181,15 @@ class Poly:
         """Coefficient of x**k (zero beyond the stored degree)."""
         if not 0 <= k < len(self._num):
             return Fraction(0)
-        if self._im is None:
-            return Fraction(self._num[k], self._den)
-        return GaussRational(Fraction(self._num[k], self._den), Fraction(self._im[k], self._den))
+        return Fraction(self._num[k], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._den == other._den and self._num == other._num and self._im == other._im
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._num, self._im, self._den))
+        return hash((self._num, self._den))
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -257,8 +202,7 @@ class Poly:
         return combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
-        im = None if self._im is None else tuple(-c for c in self._im)
-        return _raw(tuple(-c for c in self._num), im, self._den)
+        return _raw(tuple(-c for c in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -275,13 +219,10 @@ class Poly:
     def __truediv__(self, scalar):
         if not _is_scalar(scalar):
             return NotImplemented
-        r, s, d = _parts(scalar)
-        if not r and not s:
+        r, d = _parts(scalar)
+        if not r:
             raise ZeroDivisionError("polynomial division by zero")
-        # 1/((r + s i)/d) = d (r - s i) / (r^2 + s^2)
-        inverse = (Fraction(d, r) if not s
-                   else GaussRational(Fraction(d * r, r * r + s * s), Fraction(-d * s, r * r + s * s)))
-        return combine(((inverse, self),))
+        return combine(((Fraction(d, r), self),))
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
@@ -295,28 +236,18 @@ class Poly:
         """Horner evaluation; exact for exact inputs, float for floats.
 
         At an int or Fraction p/q the Horner sum runs on the integers scaled
-        by q^deg and one Fraction is built at the end; at a float it runs over
-        the correctly rounded quotients num/den.
+        by q^deg and one Fraction is built at the end; at any other point, a
+        float say, it runs over the correctly rounded quotients num/den.
         """
-        num, im, den = self._num, self._im, self._den
+        num, den = self._num, self._den
         if isinstance(x, (int, Fraction)):
             if not num:
                 return Fraction(0)
             p, q = x.numerator, x.denominator
-            scale = den * q ** (len(num) - 1)
-            re = Fraction(_horner(num, p, q), scale)
-            if im is None:
-                return re
-            return GaussRational(re, Fraction(_horner(im, p, q), scale))
-        if isinstance(x, float) and im is None:
-            acc = x * 0
-            for c in reversed(num):
-                acc = acc * x + c / den
-            return acc
-        # any other point, a GaussRational say: Horner over the edge coefficients
+            return Fraction(_horner(num, p, q), den * q ** (len(num) - 1))
         acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        for c in reversed(num):
+            acc = acc * x + c / den
         return acc
 
     def derivative(self, k: int = 1) -> "Poly":
@@ -326,40 +257,33 @@ class Poly:
         if k == 0:
             return self
         factors = [math.perm(j, k) for j in range(k, len(self._num))]  # j!/(j-k)!
-        im = None if self._im is None else [f * c for f, c in zip(factors, self._im[k:])]
-        return _make([f * c for f, c in zip(factors, self._num[k:])], im, self._den)
+        return _make([f * c for f, c in zip(factors, self._num[k:])], self._den)
 
     def shift(self, a) -> "Poly":
-        """p(x + a), expanded exactly, over Z[i] when a is Gaussian.
+        """p(x + a), expanded exactly, for a rational a.
 
-        With a = w/q (w a Gaussian integer, q > 0): the numerators of
-        q^deg p(a x) are shifted by 1 with integer additions only, and
-        coefficient k of the result is then multiplied by (q/w)^k, an exact
-        division.
+        With a = w/q (q > 0): the numerators of q^deg p(a x) are shifted by 1
+        with integer additions only, and coefficient k of the result is then
+        multiplied by (q/w)^k, an exact division.
         """
-        r, s, q = _parts(a)
+        w, q = _parts(a)
         n = self.degree
-        if (not r and not s) or n < 1:
+        if not w or n < 1:
             return self
-        re, im = list(self._num), list(self._im or [0] * (n + 1))
-        # w^k and q^(n-k), walked up and down together
-        wr, wi, qk = 1, 0, q ** n
+        cs = list(self._num)
+        wk, qk = 1, q ** n  # w^k and q^(n-k), walked up and down together
         for k in range(n + 1):
-            re[k], im[k] = (wr * re[k] - wi * im[k]) * qk, (wr * im[k] + wi * re[k]) * qk
-            wr, wi, qk = wr * r - wi * s, wr * s + wi * r, qk // q
-        re, im = _shift_one(re), _shift_one(im) if any(im) else im
-        # divide coefficient k by w^k, i.e. multiply by conj(w)^k / |w|^(2k), and by q^k
-        norm, wr, wi, qk, nk = r * r + s * s, 1, 0, 1, 1
+            cs[k] *= wk * qk
+            wk, qk = wk * w, qk // q
+        cs = _shift_one(cs)
+        wk, qk = 1, 1
         for k in range(n + 1):
-            re[k], im[k] = ((wr * re[k] - wi * im[k]) * qk // nk,
-                            (wr * im[k] + wi * re[k]) * qk // nk)
-            wr, wi, qk, nk = wr * r + wi * s, wi * r - wr * s, qk * q, nk * norm
-        return _make(re, im, self._den * q ** n)
+            cs[k] = cs[k] * qk // wk
+            wk, qk = wk * w, qk * q
+        return _make(cs, self._den * q ** n)
 
     def to_strings(self) -> list[str]:
-        """Ascending-degree "num/den" strings; rejects Gaussian coefficients."""
-        if self._im is not None:
-            raise ValueError("cannot serialize a non-real coefficient as num/den")
+        """Ascending-degree "num/den" strings."""
         den, out = self._den, []
         for c in self._num:  # Fraction's str, without building one per coefficient
             g = math.gcd(c, den)
@@ -531,7 +455,7 @@ class PolySeries:
 
     def scale_t(self, factor) -> "PolySeries":
         """Substitute t -> factor*t for an exact scalar factor."""
-        factor = _norm_coeff(factor)
+        factor = Fraction(*_parts(factor))
         out, power = [], Fraction(1)
         for c in self.coeffs:
             out.append(c * power)
@@ -553,7 +477,7 @@ class PolySeries:
             if p.coefficient(0):
                 raise ValueError(f"t^{n} coefficient is not divisible by x")
             # dropping a zero constant term keeps the canonical form
-            out.append(_raw(p._num[1:], None if p._im is None else p._im[1:], p._den))
+            out.append(_raw(p._num[1:], p._den))
         return PolySeries(self.order, out)
 
     def dx(self) -> "PolySeries":

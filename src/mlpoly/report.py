@@ -38,11 +38,7 @@ class CheckReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        # residual polynomials with Gaussian coefficients are described in
-        # the note instead; the serialized residual field stays rational
-        residual = None
-        if self.residual is not None and self.residual.is_real():
-            residual = self.residual.to_strings()
+        residual = None if self.residual is None else self.residual.to_strings()
         d = {
             "identity": self.identity,
             "n_range": [self.n_range[0], self.n_range[1]],

@@ -1,4 +1,4 @@
-"""Scalar layer: Bernoulli numbers, even zeta values, Gaussian rationals.
+"""Scalar layer: Bernoulli numbers and even zeta values.
 
 The Bernoulli and zeta values are checked against two independent routes:
 the Akiyama-Tanigawa triangle (exact) and Euler-Maclaurin-corrected partial
@@ -10,10 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from mlpoly.exactnum import GaussRational, ZetaEven, bernoulli, to_float, zeta_even
+from mlpoly.exactnum import ZetaEven, bernoulli, to_float, zeta_even
 
 KNOWN_BERNOULLI = {
     0: Fraction(1),
@@ -105,39 +103,3 @@ def test_to_float():
     assert to_float(zeta_even(2)) == pytest.approx(math.pi**2 / 6, rel=1e-15)
     with pytest.raises(TypeError):
         to_float(1.5)
-
-
-_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
-_gauss = st.builds(GaussRational, _fractions, _fractions)
-
-
-@given(_gauss, _gauss, _gauss)
-@settings(max_examples=60, deadline=None)
-def test_gauss_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == GaussRational(0)
-
-
-def test_gauss_i_power_cycle():
-    i = GaussRational.i_power(1)
-    assert i * i == GaussRational(-1)
-    assert GaussRational.i_power(0) == GaussRational(1)
-    for k in range(-8, 9):
-        assert GaussRational.i_power(k) == GaussRational.i_power(k % 4)
-
-
-def test_gauss_mixed_arithmetic_and_predicates():
-    z = GaussRational(Fraction(1, 2), Fraction(-3))
-    assert 2 * z == GaussRational(1, -6)
-    assert z + 1 == GaussRational(Fraction(3, 2), -3)
-    assert 1 - z == GaussRational(Fraction(1, 2), 3)
-    assert not z.is_real and GaussRational(5).is_real
-    assert complex(z) == 0.5 - 3j
-    assert str(z) == "1/2-3*i"
-    assert str(GaussRational(0, 1)) == "1*i"
-    with pytest.raises(TypeError):
-        GaussRational(0.5, 0)

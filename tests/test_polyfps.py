@@ -15,16 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly.exactnum import GaussRational
 from mlpoly.polyfps import Poly, PolySeries, X, combine, elementary
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 _polys = st.lists(_fractions, max_size=6).map(Poly)
-_gaussians = st.builds(GaussRational, _fractions, _fractions)
-# coefficient lists, real or Gaussian, kept next to the Poly built from them
-_real_lists = st.lists(_fractions, max_size=7)
-_coeff_lists = st.one_of(_real_lists, st.lists(st.one_of(_fractions, _gaussians), max_size=7))
-_scalars = st.one_of(_fractions, _gaussians, st.integers(-9, 9))
+# coefficient lists, kept next to the Poly built from them
+_coeff_lists = st.lists(_fractions, max_size=7)
+_scalars = st.one_of(_fractions, st.integers(-9, 9))
 # kernel terms as coefficient lists: (c, a) for c a, (c, a, b) for c a b
 _terms = st.lists(st.one_of(st.tuples(_scalars, _coeff_lists),
                             st.tuples(_scalars, _coeff_lists, _coeff_lists)), max_size=5)
@@ -39,6 +36,9 @@ def test_poly_construction_trims_and_reports_degree():
     assert X.degree == 1
     assert Poly([1, 2]).leading_coefficient == 2
     assert Poly().leading_coefficient == 0
+    for inexact in (0.5, 1j):
+        with pytest.raises(TypeError):
+            Poly([1, inexact])
 
 
 def test_poly_is_immutable_and_hashable():
@@ -66,8 +66,6 @@ def test_poly_evaluation():
     assert p(Fraction(0)) == Fraction(3, 2)
     assert p(Fraction(1, 2)) == Fraction(5, 16)
     assert p(2.0) == pytest.approx(-2.5)
-    # exact Gaussian evaluation: i is a root of x^2 + 1
-    assert not (X * X + Poly([1]))(GaussRational(0, 1))
 
 
 def test_poly_derivative():
@@ -84,8 +82,6 @@ def test_poly_derivative():
 def test_poly_shift_examples():
     assert (X**2).shift(1) == Poly([1, 2, 1])
     assert (2 * X).shift(Fraction(-1, 2)) == Poly([-1, 2])
-    p = Poly([0, 0, 1]).shift(GaussRational(0, 1))  # (x + i)^2
-    assert p == Poly([GaussRational(-1), GaussRational(0, 2), GaussRational(1)])
 
 
 @given(_polys, _fractions, _fractions)
@@ -119,8 +115,6 @@ def test_poly_string_forms():
     assert str(Poly([0, -1])) == "-x"
     assert p.to_strings() == ["-1/2", "0", "1"]
     assert Poly.from_strings(["-1/2", "0", "1"]) == p
-    with pytest.raises(ValueError):
-        Poly([GaussRational(0, 1)]).to_strings()
 
 
 def test_series_constructor_enforces_order_invariant():
@@ -248,8 +242,8 @@ def test_series_equality_and_iteration():
         a.order = 5
 
 
-# The integer kernel against a naive per-coefficient reference over Fraction
-# and GaussRational, which is how Poly computed before its integer form.
+# The integer kernel against a naive per-coefficient reference over Fraction,
+# which is how Poly computed before its integer form.
 
 def _trim(cs):
     cs = list(cs)
@@ -286,11 +280,10 @@ def _ref_float_horner(cs, x):
 
 
 def _assert_canonical(p):
-    num, im, den = p._num, p._im, p._den
+    num, den = p._num, p._den
     assert den > 0
-    assert math.gcd(den, *num, *(im or ())) == 1
-    assert im is None or (len(im) == len(num) and any(im))
-    assert not num or num[-1] or im[-1]
+    assert math.gcd(den, *num) == 1
+    assert not num or num[-1]
 
 
 @given(_coeff_lists, _coeff_lists)
@@ -306,7 +299,7 @@ def test_kernel_ring_operations_match_the_reference(a, b):
         _assert_canonical(r)
 
 
-@given(_coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-9, 9)))
+@given(_coeff_lists, _scalars)
 @settings(max_examples=80, deadline=None)
 def test_kernel_scalar_products_match_the_reference(a, c):
     p = Poly(a)
@@ -326,9 +319,9 @@ def test_kernel_scalar_division_matches_the_reference(a, c):
 def test_kernel_division_by_zero_and_by_gaussian():
     with pytest.raises(ZeroDivisionError):
         X / 0
-    i = GaussRational(0, 1)
-    assert (X / i) * i == X
-    assert Poly([GaussRational(2, 4)]) / GaussRational(1, 2) == Poly([2])
+    # a Gaussian scalar is not a coefficient
+    with pytest.raises(TypeError):
+        X / 1j
 
 
 def _ref_combine(terms):
@@ -348,15 +341,11 @@ def test_kernel_combine_matches_the_reference(terms):
     _assert_canonical(total)
     # each term with its negation: the sum cancels to the canonical zero
     cancelled = combine(as_polys + [(-c, *factors) for c, *factors in as_polys])
-    assert (cancelled._num, cancelled._im, cancelled._den) == ((), None, 1)
+    assert (cancelled._num, cancelled._den) == ((), 1)
 
 
 def test_kernel_combine_examples():
     assert combine([]) == Poly() and combine(iter(())) == Poly()
-    i = GaussRational(0, 1)
-    # (x + i)(x - i) = x^2 + 1: the imaginary parts cancel to a real canonical form
-    real = combine([(1, Poly([i, 1]), Poly([-i, 1]))])
-    assert (real._num, real._im, real._den) == ((1, 0, 1), None, 1)
     assert combine([(Fraction(1, 2), X, X), (Fraction(-1, 2), X, X), (3, Poly([2]))]) == Poly([6])
     assert combine([(0, X), (1, Poly(), X)]) == Poly()
 
@@ -371,7 +360,7 @@ def test_kernel_derivative_matches_the_reference(a, k):
     _assert_canonical(Poly(a).derivative(k))
 
 
-@given(_coeff_lists, st.one_of(_fractions, _gaussians, st.integers(-3, 3)))
+@given(_coeff_lists, st.one_of(_fractions, st.integers(-3, 3)))
 @settings(max_examples=80, deadline=None)
 def test_kernel_shift_matches_the_reference(a, shift):
     p = Poly(a).shift(shift)
@@ -386,7 +375,7 @@ def test_kernel_rational_evaluation_matches_the_reference(a, x):
     assert Poly(a)(x) == expected
 
 
-@given(_real_lists, st.floats(min_value=-50, max_value=50))
+@given(_coeff_lists, st.floats(min_value=-50, max_value=50))
 @settings(max_examples=80, deadline=None)
 def test_kernel_float_evaluation_is_bit_identical_to_fraction_horner(a, x):
     assert Poly(a)(x) == _ref_float_horner(_trim(a), x)
@@ -399,25 +388,15 @@ def test_float_evaluation_past_the_float_range_raises_overflow():
 
 def test_canonical_form_examples():
     p = Poly([Fraction(2, 6), Fraction(4, 6), 0, 0])
-    assert (p._num, p._im, p._den) == ((1, 2), None, 3)
+    assert (p._num, p._den) == ((1, 2), 3)
     z = Poly([0, 0])
-    assert (z._num, z._im, z._den) == ((), None, 1)
-    g = Poly([GaussRational(Fraction(1, 2), Fraction(1, 3)), GaussRational(0, 0)])
-    assert (g._num, g._im, g._den) == ((3,), (2,), 6)
+    assert (z._num, z._den) == ((), 1)
     assert (Poly([-2, 4]) / -2)._den == 1
 
 
 def test_hash_agrees_with_equality_across_coefficient_types():
-    gauss = Poly([GaussRational(1), GaussRational(2)])
-    assert gauss == Poly([1, 2]) == Poly([Fraction(2, 2), 2])
-    assert hash(gauss) == hash(Poly([1, 2]))
-    assert len({gauss, Poly([1, 2]), Poly([Fraction(1), Fraction(2)])}) == 1
-    shifted = (X * X).shift(GaussRational(0, 1)).shift(GaussRational(0, -1))
-    assert shifted.is_real() and shifted == X * X and hash(shifted) == hash(X * X)
-
-
-@given(_real_lists)
-@settings(max_examples=40, deadline=None)
-def test_hash_of_real_polynomial_ignores_gaussian_wrapping(a):
-    p, q = Poly(a), Poly([GaussRational(c) for c in a])
-    assert p == q and hash(p) == hash(q)
+    assert Poly([1, 2]) == Poly([Fraction(2, 2), 2])
+    assert hash(Poly([Fraction(2, 2), 2])) == hash(Poly([1, 2]))
+    assert len({Poly([1, 2]), Poly([Fraction(1), Fraction(2)])}) == 1
+    shifted = (X * X).shift(Fraction(1, 3)).shift(Fraction(-1, 3))
+    assert shifted == X * X and hash(shifted) == hash(X * X)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly import sequences
-from mlpoly.exactnum import GaussRational
 from mlpoly.polyfps import Poly, PolySeries, X, elementary
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
@@ -212,16 +211,34 @@ def _ref_meixner_g(n):
     return 2 * X * m.shift(-1)
 
 
+# Gaussian rationals as (re, im) pairs of Fractions, for the references of the two routes
+# that read the imaginary axis.
+def _gauss_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gauss_horner(cs, z):
+    """sum_k cs[k] z^k for rational cs at a Gaussian point z."""
+    acc = (F(0), F(0))
+    for c in reversed(cs):
+        re, im = _gauss_mul(acc, z)
+        acc = (re + c, im)
+    return acc
+
+
 def _ref_reduce_from_g(n):
     g = generate(SeqKind.G, n + 1)[n + 1]
     if g.coefficient(0):
         raise ValueError("source polynomial has a nonzero constant term; cannot divide by x")
     out = []
     for k in range(1, g.degree + 1):
-        z = GaussRational.i_power(k - n - 1) * g.coefficient(k)
-        if not z.is_real:
+        i_power = (F(1), F(0))
+        for _ in range((k - n - 1) % 4):  # i^(k-n-1), the exponent taken mod 4
+            i_power = _gauss_mul(i_power, (F(0), F(1)))
+        re, im = _gauss_mul(i_power, (g.coefficient(k), F(0)))
+        if im:
             raise ValueError("imaginary residue in the reduction; sign convention broken")
-        out.append(z.re)
+        out.append(re)
     return Poly(out)
 
 
@@ -303,6 +320,15 @@ def test_parity():
         for table in (phi, phi_monic):
             flipped = Poly([(-1) ** k * c for k, c in enumerate(table[n].coeffs)])
             assert flipped == (-1) ** n * table[n]
+
+
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=24), max_size=9),
+       st.fractions(min_value=-20, max_value=20, max_denominator=24), st.sampled_from((1, -1)))
+@settings(max_examples=100, deadline=None)
+def test_the_parts_of_relation_3_are_the_value_at_x_plus_s_i(cs, x0, s):
+    # E(x0) + i O(x0) = p(x0 + s i), the right side by Horner on Gaussian pairs
+    e, o = sequences._at_shift_by_i(Poly(cs), s)
+    assert (e(x0), o(x0)) == _gauss_horner(cs, (x0, F(s)))
 
 
 def test_difference_relation_checks_pass():

@@ -209,6 +209,96 @@ def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
 
 
+# The FAIL reports of run_suite("all", 8) with one RECURRENCES entry perturbed: p0 by 1, or
+# a, b or d by 1/7 at n = 0 or n = 3.  Each report maps to its first failing index, the
+# failures then running to max_n = 8; to its failing indices where they do not; or to None
+# for a numeric report.  b(0) multiplies p_{-1} = 0, so changing it is inert in every family.
+_G_FROM_4 = {"difference-relation-g": 4, "g-monic-oracle-equivalence": 4,
+             "g-oracle-equivalence": 4, "g-special-values": 4, "phi-oracle-equivalence": 3,
+             "pidduck-oracle-equivalence": 4, "recurrence-difference-g": 4}
+_PHI_MONIC_FROM_4 = {"convolution-identity": 4, "derivative-expansion-monic": 3,
+                     "difference-relation-phi-monic-complex": 4, "lowering-operator": 4,
+                     "ode-residual": 4, "phi-oracle-equivalence": 4,
+                     "trig-operator-eigenrelation": 4, "turan-recurrence": (2, 3)}
+_FAULT_MATRIX = {
+    (SeqKind.G, "p0", None): {"g-monic-oracle-equivalence": 0, "g-oracle-equivalence": 1,
+                              "g-special-values": 1, "phi-oracle-equivalence": 0,
+                              "pidduck-oracle-equivalence": 0},
+    (SeqKind.G, "a", 0): {"g-monic-oracle-equivalence": 1, "g-oracle-equivalence": 1,
+                          "g-special-values": 1, "phi-oracle-equivalence": 0,
+                          "pidduck-oracle-equivalence": 1, "recurrence-difference-g": (1,)},
+    (SeqKind.G, "a", 3): _G_FROM_4,
+    (SeqKind.G, "b", 0): {},
+    (SeqKind.G, "b", 3): _G_FROM_4,
+    (SeqKind.G, "d", 0): {"difference-relation-g": 1, "g-monic-oracle-equivalence": 1,
+                          "g-oracle-equivalence": 1, "g-special-values": 1,
+                          "phi-oracle-equivalence": 0, "pidduck-oracle-equivalence": 1,
+                          "recurrence-difference-g": 2},
+    (SeqKind.G, "d", 3): _G_FROM_4,
+    (SeqKind.PHI, "p0", None): {"orthogonality-matrix": None, "phi-oracle-equivalence": 0},
+    (SeqKind.PHI, "a", 0): {"orthogonality-matrix": None, "phi-oracle-equivalence": 1},
+    (SeqKind.PHI, "a", 3): {"orthogonality-matrix": None, "phi-oracle-equivalence": 4},
+    (SeqKind.PHI, "b", 0): {},
+    (SeqKind.PHI, "b", 3): {"orthogonality-matrix": None, "phi-oracle-equivalence": 4},
+    (SeqKind.PHI, "d", 0): {"orthogonality-matrix": None, "phi-oracle-equivalence": 1,
+                            "phi-parity": 1},
+    (SeqKind.PHI, "d", 3): {"orthogonality-matrix": None, "phi-oracle-equivalence": 4,
+                            "phi-parity": 4},
+    (SeqKind.PHI_MONIC, "p0", None): {"fourier-closed-vs-quadrature": None,
+                                      "phi-oracle-equivalence": 0, "turan-recurrence": (1,)},
+    (SeqKind.PHI_MONIC, "a", 0): {"convolution-identity": 2,
+                                  "derivative-expansion-monic": (0, 2, 3, 4, 5, 6, 7, 8),
+                                  "difference-relation-phi-monic-complex": 2,
+                                  "fourier-closed-vs-quadrature": None,
+                                  "lowering-operator": (1, 3, 4, 5, 6, 7, 8), "ode-residual": 2,
+                                  "phi-oracle-equivalence": 1, "trig-operator-eigenrelation": 2,
+                                  "turan-recurrence": (1,)},
+    (SeqKind.PHI_MONIC, "a", 3): {**_PHI_MONIC_FROM_4, "fourier-closed-vs-quadrature": None},
+    (SeqKind.PHI_MONIC, "b", 0): {},
+    (SeqKind.PHI_MONIC, "b", 3): {**_PHI_MONIC_FROM_4, "fourier-closed-vs-quadrature": None,
+                                  "zeros-reference": None},
+    (SeqKind.PHI_MONIC, "d", 0): {"convolution-identity": 3, "derivative-expansion-monic": 1,
+                                  "difference-relation-phi-monic-complex": 1,
+                                  "lowering-operator": 2, "ode-residual": 1,
+                                  "phi-oracle-equivalence": 1, "phi-parity": 1,
+                                  "trig-operator-eigenrelation": 1, "turan-recurrence": (1,)},
+    (SeqKind.PHI_MONIC, "d", 3): {**_PHI_MONIC_FROM_4, "phi-parity": 4},
+    **{(kind, field, at): {identity: 0 if field == "p0" else 1 if at == 0 else 4}
+       for kind, identity in ((SeqKind.G_MONIC, "g-monic-oracle-equivalence"),
+                              (SeqKind.PIDDUCK, "pidduck-oracle-equivalence"))
+       for field, at in (("p0", None), ("a", 0), ("a", 3), ("b", 3), ("d", 0), ("d", 3))},
+    (SeqKind.G_MONIC, "b", 0): {},
+    (SeqKind.PIDDUCK, "b", 0): {},
+}
+
+
+def _perturbed(rec, field, at):
+    if field == "p0":
+        return replace(rec, p0=rec.p0 + 1)
+    step = getattr(rec, field)
+    return replace(rec, **{field: lambda n: step(n) + Fraction(1, 7) if n == at else step(n)})
+
+
+def test_each_perturbed_entry_fails_exactly_the_reports_that_read_it(monkeypatch):
+    # one process, no memo cleared between the runs: each memo is keyed by the entry it reads
+    assert not [r for r in suite.run_suite("all", 8) if r.status is CheckStatus.FAIL]
+    assert len(_FAULT_MATRIX) == 5 * 7
+    for (kind, field, at), expected in _FAULT_MATRIX.items():
+        row = kind, field, at
+        monkeypatch.setitem(sequences.RECURRENCES, kind,
+                            _perturbed(sequences.RECURRENCES[kind], field, at))
+        try:
+            reports = suite.run_suite("all", 8)
+        finally:
+            monkeypatch.undo()
+        failing = {r.identity: r.note for r in reports if r.status is CheckStatus.FAIL}
+        assert failing.keys() == expected.keys(), row
+        for identity, first in expected.items():
+            if first is not None:
+                indices = list(range(first, 9)) if isinstance(first, int) else list(first)
+                assert failing[identity] == f"failing indices: {indices}", (row, identity)
+
+
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
     ok = aggregate("some-check", 0, 5, lambda n: True, "holds exactly")
     assert (ok.status, ok.n_range, ok.note, ok.residual) == (
