@@ -185,14 +185,15 @@ def egf_pde_residual(order: int) -> PolySeries:
 
 
 def turan(n: int) -> Poly:
-    """delta_n = p_n^2 - p_{n-1} p_{n+1} over the monic reduced family.
-
-    The n = 0 member uses the empty-product convention p_{-1} = 0, giving
-    delta_0 = 1.
-    """
+    """delta_n = p_n^2 - p_{n-1} p_{n+1} over the monic reduced family; the n = 0 member
+    uses the empty-product convention p_{-1} = 0, giving delta_0 = 1."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    tab = generate(SeqKind.PHI_MONIC, n + 1)
+    return _turan(generate(SeqKind.PHI_MONIC, n + 1), n)
+
+
+def _turan(tab: SeqTable, n: int) -> Poly:
+    """turan(n) over a monic reduced table that reaches p_{n+1}."""
     below = tab[n - 1] if n else Poly()
     return tab[n] * tab[n] - below * tab[n + 1]
 
@@ -206,8 +207,8 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
     """
     if n_max < 1:
         raise ValueError("need at least n = 1")
-    tab = generate(SeqKind.PHI_MONIC, n_max + 2)  # held, so each turan(n) reads it
-    deltas = [turan(n) for n in range(n_max + 2)]
+    tab = generate(SeqKind.PHI_MONIC, n_max + 2)
+    deltas = [_turan(tab, n) for n in range(n_max + 2)]
 
     def holds(n: int) -> bool:
         rhs = Fraction(n * (n + 1), 4) * deltas[n] + Fraction(n + 1, 2) * (tab[n] * tab[n])

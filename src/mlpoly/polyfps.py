@@ -332,7 +332,7 @@ class PolySeries:
     operations truncate to the smaller operand order.
     """
 
-    __slots__ = ("order", "coeffs", "__weakref__")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()) -> None:
         if order < 1:

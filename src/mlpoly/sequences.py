@@ -22,10 +22,9 @@ equation of the monic reduced family, is checked on its real and imaginary parts
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,6 +38,7 @@ __all__ = [
     "SeqTable",
     "Recurrence",
     "RECURRENCES",
+    "shared_run",
     "generate",
     "oracle_hypergeometric_g",
     "oracle_meixner_g",
@@ -108,10 +108,10 @@ class Recurrence:
     b: Callable[[int], Fraction]
     d: Callable[[int], Fraction] = lambda n, zero=Fraction(0): zero  # built once, not per step
 
-    def members(self, n_max: int) -> list[Poly]:
-        """p_0 .. p_{n_max}, exactly."""
-        polys = [Poly(), Poly([self.p0])]  # p_{-1}, p_0
-        for n in range(n_max):
+    def members(self, n_max: int, head: Sequence[Poly] = ()) -> list[Poly]:
+        """p_0 .. p_{n_max}, exactly, continuing from head = p_0 .. p_k when given."""
+        polys = [Poly(), *(head or [Poly([self.p0])])]  # p_{-1}, p_0 ..
+        for n in range(len(polys) - 2, n_max):
             p, q = polys[-1], polys[-2]
             polys.append(combine(((self.a(n), X, p), (self.d(n), p), (self.b(n), q))))
         return polys[1:]
@@ -156,26 +156,41 @@ RECURRENCES = {
 }
 
 
-# One weak entry per RECURRENCES entry, its last and so longest table built: a table is
-# shared only while some caller still holds it, so none outlives the query or suite that
-# built it, and a family whose entry is replaced gets a table of its own.
-_LIVE: weakref.WeakValueDictionary[Recurrence, SeqTable] = weakref.WeakValueDictionary()
+# The open run's memo, None outside one: each family's longest table under its RECURRENCES
+# entry (a replaced entry gets a table of its own), each family's longest series under its
+# kind, and the G oracles' verdicts under (G entry, n_max).
+_run: dict | None = None
+
+
+@contextmanager
+def shared_run() -> Iterator[None]:
+    """Keep what generate, generating_series and g_oracle_mismatches build until exit and
+    serve it to their later calls; nothing outlives the run."""
+    global _run
+    _run = {}
+    try:
+        yield
+    finally:
+        _run = None
+
+
+def _memo() -> dict:  # outside a run a new dict each call, so nothing is kept
+    return {} if _run is None else _run
 
 
 def generate(kind: SeqKind, n_max: int) -> SeqTable:
     """Exact table of polynomials 0..n_max for one family, by its RECURRENCES entry.
 
-    While a long enough table of the family is alive, returns it or its prefix.
+    Inside a run, serves a prefix of the family's kept table, or extends it.
     """
     if n_max < 0:
         raise ValueError("table length must be non-negative")
-    entry = RECURRENCES[kind]
-    live = _LIVE.get(entry)
-    if live is not None and n_max <= live.max_n:
-        return live if n_max == live.max_n else SeqTable(kind, live.polys[: n_max + 1])
-    table = SeqTable(kind, tuple(entry.members(n_max)))
-    _LIVE[entry] = table
-    return table
+    entry, memo = RECURRENCES[kind], _memo()
+    kept = memo.get(entry)
+    if kept is not None and n_max <= kept.max_n:
+        return kept if n_max == kept.max_n else SeqTable(kind, kept.polys[: n_max + 1])
+    memo[entry] = SeqTable(kind, tuple(entry.members(n_max, kept.polys if kept else ())))
+    return memo[entry]
 
 
 def _pochhammer(start: int, count: int) -> list[Poly]:
@@ -254,11 +269,6 @@ def monic_egf(order: int) -> PolySeries:
     return PolySeries(order, out)
 
 
-# One weak entry per family, its longest series built, shared like _LIVE's tables: the
-# Pidduck series and the oracles of G and G_MONIC read the one G series a run holds.
-_LIVE_SERIES: weakref.WeakValueDictionary[SeqKind, PolySeries] = weakref.WeakValueDictionary()
-
-
 def generating_series(kind: SeqKind, order: int) -> PolySeries:
     """The exact generating series of one family, truncated at order.
 
@@ -268,11 +278,12 @@ def generating_series(kind: SeqKind, order: int) -> PolySeries:
     PIDDUCK is G's series times 1/(1-t), whose t^n coefficient g_0 + ... + g_n
     is the Pidduck member P_n.
 
-    While a long enough series of the family is alive, returns it or its truncation.
+    Inside a run, serves a truncation of the family's kept series, as PIDDUCK's reads G's.
     """
-    live = _LIVE_SERIES.get(kind)
-    if live is not None and order <= live.order:
-        return live if order == live.order else live.truncate(order)
+    memo = _memo()
+    kept = memo.get(kind)
+    if kept is not None and order <= kept.order:
+        return kept if order == kept.order else kept.truncate(order)
     if kind is SeqKind.G:
         series = (elementary("log_ratio", order) * X).exp()
     elif kind is SeqKind.PHI:
@@ -285,7 +296,7 @@ def generating_series(kind: SeqKind, order: int) -> PolySeries:
         series = PolySeries(order, accumulate(generating_series(SeqKind.G, order).coeffs))
     else:
         raise ValueError(f"no generating-series oracle for kind {kind.value}")
-    _LIVE_SERIES[kind] = series
+    memo[kind] = series
     return series
 
 
@@ -300,25 +311,19 @@ def oracle_gf(kind: SeqKind, n: int, order: int | None = None) -> Poly:
 
 
 def g_oracle_mismatches(n_max: int) -> tuple[int, ...]:
-    """Indices 1..n_max where g_n differs from its hypergeometric, Meixner or series oracle.
-
-    Memoized for each G entry, because the exact suite and the erratum audit both check
-    n_max = 20.
-    """
-    return _g_oracle_mismatches(RECURRENCES[SeqKind.G], n_max)
-
-
-@functools.cache
-def _g_oracle_mismatches(entry: Recurrence, n_max: int) -> tuple[int, ...]:
-    """g_oracle_mismatches for one G entry, which generate reads.  The entry is only a key:
-    a frozen Recurrence hashes by its fields, so a patched family gets its own."""
+    """Indices 1..n_max where g_n differs from its hypergeometric, Meixner or series oracle;
+    kept for the run, as the exact suite and the erratum audit both check n_max = 20."""
+    memo, key = _memo(), (RECURRENCES[SeqKind.G], n_max)
+    if key in memo:
+        return memo[key]
     g = generate(SeqKind.G, n_max)
     series = generating_series(SeqKind.G, n_max + 1)
     # each sum route's basis once for the call: (1-x)_j for j < n <= n_max, (-y)_j for j <= n-1
     poch_x, poch_y = _pochhammer(1, n_max), _pochhammer(0, n_max)
-    return tuple(n for n in range(1, n_max + 1)
-                 if not (g[n] == _hypergeometric_g(n, poch_x) == _meixner_g(n, poch_y)
-                         == series.coeff(n)))
+    memo[key] = tuple(n for n in range(1, n_max + 1)
+                      if not (g[n] == _hypergeometric_g(n, poch_x) == _meixner_g(n, poch_y)
+                              == series.coeff(n)))
+    return memo[key]
 
 
 def reduce_from_g(n: int) -> Poly:

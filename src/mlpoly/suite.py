@@ -1,13 +1,13 @@
 """Verification suites: one plan of checks per layer, run by one runner.
 
-A plan holds the family tables its checks read and lists its steps, each a
-callable with hashable arguments.  An exact check is one step over a whole
-range, `(check, max_n)` or an `aggregate` of a per-index predicate; a numeric
-check is a `bounded` deviation.  Both verdicts come from `report`, so every
-PASS or FAIL has one shape.  The runner calls each distinct step once (so a
-check two layers share runs once in `all`) and sorts the reports by a
-canonical key, so the output is reproducible byte for byte no matter how the
-individual checks were scheduled.
+A plan lists its steps, each a callable with hashable arguments.  An exact check
+is one step over a whole range, `(check, max_n)` or an `aggregate` of a per-index
+predicate; a numeric check is a `bounded` deviation.  Both verdicts come from
+`report`, so every PASS or FAIL has one shape.  The runner calls each distinct
+step once (so a check two layers share runs once in `all`) in one
+`sequences.shared_run`, where the steps share each family's table and series,
+and sorts the reports by a canonical key, so the output is reproducible byte
+for byte no matter how the individual checks were scheduled.
 """
 
 from __future__ import annotations
@@ -22,23 +22,23 @@ from .identities import (convolution_check, derivative_expansion_monic,
                          lowering_check, ode_residual, trig_operator_eigencheck,
                          turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
-from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, SeqTable,
-                        difference_relation_checks, g_oracle_mismatches, generate,
-                        generating_series, reduce_from_g, rodrigues_audit)
+from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, difference_relation_checks,
+                        g_oracle_mismatches, generate, generating_series, reduce_from_g,
+                        rodrigues_audit, shared_run)
 
 __all__ = ["exact_suite", "numeric_suite", "audit_suite", "run_suite", "summarize"]
 
 _ZERO_REFS = {2: 0.707, 3: 1.414, 4: 2.163, 5: 2.945}
 _FT_S_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
-# (tables held while the steps run, steps); a step is (callable, *hashable args)
-# returning a report or a list of them, read from the module's names at each call.
-Plan = tuple[list[SeqTable], list[tuple]]
+# A plan's steps; a step is (callable, *hashable args) returning a report or a list of
+# them, read from the module's names at each call.
+Plan = list[tuple]
 
 
 def _table_checks(max_n: int) -> list[CheckReport]:
-    """The checks that read the held tables member by member."""
-    g_series = generating_series(SeqKind.G, max_n + 1)  # held: every G-series read shares it
+    """The checks that read the family tables member by member, route against route."""
+    g_series = generating_series(SeqKind.G, max_n + 1)
     mismatches = g_oracle_mismatches(max_n)
     g, phi, monic, g_monic, pidduck = (generate(kind, max_n) for kind in (
         SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC, SeqKind.G_MONIC, SeqKind.PIDDUCK))
@@ -92,10 +92,7 @@ def _egf_pde(order: int) -> CheckReport:
 
 
 def _exact_plan(max_n: int) -> Plan:
-    # held past max_n as far as reduce_from_g, the derivative expansions and Turan read
-    tables = [generate(SeqKind.G, max_n + 1), generate(SeqKind.PHI, max_n + 1),
-              generate(SeqKind.PHI_MONIC, max_n + 2)]
-    return tables, [
+    return [
         (_table_checks, max_n),
         (difference_relation_checks, max_n),
         (aggregate, "ode-residual", 1, max_n, lambda n: ode_residual(n).is_zero(),
@@ -133,24 +130,23 @@ def _bounded_checks(max_n: int) -> list[CheckReport]:
 
 
 def _numeric_plan(max_n: int) -> Plan:
-    tables = [generate(SeqKind.PHI_MONIC, 8)]  # the Fourier loop reads members n <= 8
-    return tables, [(_bounded_checks, max_n)] + [
-        (rodrigues_audit, n, RODRIGUES_POINTS) for n in (1, 2, 3)]
+    return [(_bounded_checks, max_n)] + [(rodrigues_audit, n, RODRIGUES_POINTS) for n in (1, 2, 3)]
 
 
 def _audit_plan() -> Plan:
     # the five printed errata, three adjudicated in analysis; the other two layers
     # share the last two
-    return [], [(own_erratum_audit,), (derivative_expansion_reduced_audit, 20),
+    return [(own_erratum_audit,), (derivative_expansion_reduced_audit, 20),
                 (rodrigues_audit, 1, RODRIGUES_POINTS)]
 
 
 def _run(*plans: Plan) -> list[CheckReport]:
-    """Call each distinct step once, in order, while the plans hold their tables; sort once."""
+    """Call each distinct step once, in order, in one shared run; sort once."""
     reports: list[CheckReport] = []
-    for fn, *args in dict.fromkeys(step for _, steps in plans for step in steps):
-        out = fn(*args)
-        reports.extend(out if isinstance(out, list) else [out])
+    with shared_run():
+        for fn, *args in dict.fromkeys(step for plan in plans for step in plan):
+            out = fn(*args)
+            reports.extend(out if isinstance(out, list) else [out])
     return sorted(reports, key=lambda r: (r.identity, r.n_range, r.note))
 
 
@@ -175,11 +171,9 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckReport]:
     if name == "numeric":
         return _run(_numeric_plan(numeric_n))
     if name == "all":
-        # plans built exact first, so its longer tables serve the numeric plan's prefix;
         # numeric steps run first, so a size past the quadrature's reach fails before any
         # exact step has run (the reports are sorted, so the order does not show)
-        exact = _exact_plan(exact_n)
-        return _run(_numeric_plan(numeric_n), exact, _audit_plan())
+        return _run(_numeric_plan(numeric_n), _exact_plan(exact_n), _audit_plan())
     raise ValueError(f"unknown suite: {name!r}")
 
 

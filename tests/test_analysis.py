@@ -9,7 +9,6 @@ forms from the scalar layer.
 import hashlib
 import math
 import warnings
-import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -355,7 +354,6 @@ def test_a_patched_family_gets_a_gram_matrix_and_zeros_of_its_own(monkeypatch):
     from mlpoly import sequences
     intact_gram, intact_zeros = orthogonality_matrix(12), zeros(24)
     phi, monic = (sequences.RECURRENCES[kind] for kind in (SeqKind.PHI, SeqKind.PHI_MONIC))
-    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
     monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
                         replace(phi, b=lambda n: phi.b(n) + (n == 3)))
     broken = replace(monic, b=lambda n: monic.b(n) - (n == 3))

@@ -6,7 +6,6 @@ wrong constant.
 """
 
 import math
-import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -121,7 +120,6 @@ def test_convolution_check_fails_where_the_residual_is_nonzero(
     rec = sequences.RECURRENCES[SeqKind.PHI_MONIC]
     monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC,
                         replace(rec, **{field: breaks(getattr(rec, field))}))
-    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
     assert [n for n in range(1, 13) if not convolution_residual(n).is_zero()] == failing
     report = convolution_check(12)
     assert report.status is CheckStatus.FAIL
@@ -169,13 +167,19 @@ def test_turan_recurrence_check_passes():
         turan_recurrence_check(0)
 
 
+def test_turan_recurrence_check_computes_each_member_once(members_built):
+    # called outside a run, where nothing is kept: every delta_n comes from the one table
+    assert turan_recurrence_check(30).status is CheckStatus.PASS
+    assert members_built == {SeqKind.PHI_MONIC: 33}
+
+
 def test_turan_recurrence_check_fails_a_wrong_base_case(monkeypatch):
     # h_n = -prod_{k<n} c_k solves the recurrence's homogeneous part, so delta_n + h_n
     # passes every recurrence step; only the base case sees delta_1 = -1/2
-    def shifted(n, turan=turan):
-        return turan(n) - Poly([math.prod(F(k * (k + 1), 4) for k in range(1, n))])
+    def shifted(tab, n, turan=identities._turan):
+        return turan(tab, n) - Poly([math.prod(F(k * (k + 1), 4) for k in range(1, n))])
 
-    monkeypatch.setattr(identities, "turan", shifted)
+    monkeypatch.setattr(identities, "_turan", shifted)
     report = turan_recurrence_check(5)
     assert report.status is CheckStatus.FAIL
     assert report.note == "failing indices: [1]"

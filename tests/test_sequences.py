@@ -7,9 +7,8 @@ structurally different routes is the core correctness argument for the
 whole package.
 """
 
-import functools
 import math
-import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -265,9 +264,6 @@ def test_the_g_oracles_build_each_pochhammer_basis_once(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     for n, expected in ((10, 18), (20, 38)):
-        # an empty memo, restored afterwards: the memo would otherwise serve the call
-        monkeypatch.setattr(sequences, "_g_oracle_mismatches",
-                            functools.cache(sequences._g_oracle_mismatches.__wrapped__))
         products.clear()
         assert sequences.g_oracle_mismatches(n) == ()
         assert len(products) == expected, n
@@ -292,7 +288,6 @@ def test_reduce_from_g_refuses_a_g_table_off_the_imaginary_axis(monkeypatch, at,
     rec = sequences.RECURRENCES[SeqKind.G]
     monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
                         replace(rec, d=lambda n, d=rec.d: F(1, 7) if n == at else d(n)))
-    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
     for reduce in (reduce_from_g, _ref_reduce_from_g):
         with pytest.raises(ValueError, match=message):
             reduce(at)
@@ -343,20 +338,22 @@ def test_difference_relation_checks_pass():
         difference_relation_checks(0)
 
 
-def test_generate_shares_a_live_table():
-    big = generate(SeqKind.PHI_MONIC, 30)
-    small = generate(SeqKind.PHI_MONIC, 12)
-    assert small.max_n == 12
-    assert all(a is b for a, b in zip(small.polys, big.polys))
-    assert generate(SeqKind.PHI_MONIC, 30) is big
-    kept = big.polys[:13]
-    del big, small
-    again = generate(SeqKind.PHI_MONIC, 12)
-    assert again.polys == kept
-    assert again[12] is not kept[12]  # rebuilt, not shared
+def test_generate_shares_a_live_table(members_built):
+    # inside a run a shorter table is a prefix of the kept one and a longer one continues it
+    with sequences.shared_run():
+        big = generate(SeqKind.PHI_MONIC, 30)
+        small = generate(SeqKind.PHI_MONIC, 12)
+        assert small.max_n == 12
+        assert all(a is b for a, b in zip(small.polys, big.polys))
+        assert generate(SeqKind.PHI_MONIC, 30) is big
+        longer = generate(SeqKind.PHI_MONIC, 40)
+        assert all(a is b for a, b in zip(big.polys, longer.polys))
+        assert generate(SeqKind.PHI_MONIC, 40) is longer
+    assert members_built == Counter({SeqKind.PHI_MONIC: 41})
+    assert longer.polys == tuple(sequences.RECURRENCES[SeqKind.PHI_MONIC].members(40))
 
 
-def test_a_live_g_series_serves_every_later_read(monkeypatch):
+def _count_elementary(monkeypatch):
     calls = []
     original = sequences.elementary
 
@@ -365,30 +362,46 @@ def test_a_live_g_series_serves_every_later_read(monkeypatch):
         return original(kind, order)
 
     monkeypatch.setattr(sequences, "elementary", counted)
-    monkeypatch.setattr(sequences, "_LIVE_SERIES", weakref.WeakValueDictionary())
-    held = generating_series(SeqKind.G, 31)
-    assert generating_series(SeqKind.G, 31) is held
-    assert generating_series(SeqKind.G, 12).coeffs == held.coeffs[:12]
-    pidduck = generating_series(SeqKind.PIDDUCK, 31)
-    assert calls == ["log_ratio"]  # the Pidduck series is summed from the held G series
+    return calls
+
+
+def test_a_live_g_series_serves_every_later_read(monkeypatch):
+    calls = _count_elementary(monkeypatch)
+    with sequences.shared_run():
+        held = generating_series(SeqKind.G, 31)
+        assert generating_series(SeqKind.G, 31) is held
+        assert generating_series(SeqKind.G, 12).coeffs == held.coeffs[:12]
+        pidduck = generating_series(SeqKind.PIDDUCK, 31)
+    assert calls == ["log_ratio"]  # the Pidduck series is summed from the kept G series
     assert pidduck.coeff(30) - pidduck.coeff(29) == held.coeff(30)
 
 
-def test_live_table_entry_dies_with_its_last_holder():
-    table = generate(SeqKind.G, 25)
-    entry = sequences.RECURRENCES[SeqKind.G]
-    assert sequences._LIVE.get(entry) is table
-    del table
-    assert entry not in sequences._LIVE
+def test_outside_a_run_nothing_is_kept(monkeypatch, members_built):
+    calls = _count_elementary(monkeypatch)
+    with sequences.shared_run():
+        assert sequences.g_oracle_mismatches(8) == ()
+        generate(SeqKind.G, 25)
+    assert members_built == Counter({SeqKind.G: 26}) and calls == ["log_ratio"]
+    members_built.clear()
+    calls.clear()
+    # each call builds afresh, the oracles' tables and series too
+    assert generate(SeqKind.G, 12) is not generate(SeqKind.G, 12)
+    assert sequences.g_oracle_mismatches(8) == sequences.g_oracle_mismatches(8) == ()
+    assert generating_series(SeqKind.G, 9) is not generating_series(SeqKind.G, 9)
+    assert members_built == Counter({SeqKind.G: 2 * 13 + 2 * 9})
+    assert calls == ["log_ratio"] * 4
 
 
 def test_a_held_table_is_not_served_for_a_replaced_entry(monkeypatch):
-    held = generate(SeqKind.PHI, 6)
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
-                        replace(sequences.RECURRENCES[SeqKind.PHI], p0=3))
-    assert generate(SeqKind.PHI, 6)[0] == Poly([3]) and generate(SeqKind.PHI, 4)[0] == Poly([3])
-    monkeypatch.undo()
-    assert generate(SeqKind.PHI, 6) is held
+    # inside a run each RECURRENCES entry keeps a table of its own
+    with sequences.shared_run():
+        held = generate(SeqKind.PHI, 6)
+        monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
+                            replace(sequences.RECURRENCES[SeqKind.PHI], p0=3))
+        assert generate(SeqKind.PHI, 6)[0] == Poly([3])
+        assert generate(SeqKind.PHI, 4)[0] == Poly([3])
+        monkeypatch.undo()
+        assert generate(SeqKind.PHI, 6) is held
 
 
 def test_seq_kind_tokens():

@@ -1,16 +1,15 @@
 """Verification suites: one plan of checks, each check run once.
 
 The runner drops repeated steps before calling any, so a check that two
-layers share runs once under `all`, and it holds the family tables the
-checks read for the whole run instead of letting each check rebuild them.
+layers share runs once under `all`, and it runs them in one shared run of
+`sequences`, so the checks share each family's table instead of rebuilding
+it, and no table, series or verdict is kept past the run.
 """
 
-import functools
 import json
 import os
 import subprocess
 import sys
-import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,16 +23,9 @@ from mlpoly.report import CheckStatus, aggregate
 from mlpoly.sequences import SeqKind
 
 
-class _CountingLive(weakref.WeakValueDictionary):
-    """The live-table registry, counting registrations by family: one per table built."""
-
-    def __init__(self):
-        super().__init__()
-        self.built = Counter()
-
-    def __setitem__(self, key, table):
-        self.built[table.kind] += 1
-        super().__setitem__(key, table)
+def _per_family(built):
+    """The members computed for each family, without the erratum audit's printed variant."""
+    return Counter({kind: built[kind] for kind in SeqKind if built[kind]})
 
 
 def _count_calls(monkeypatch, calls, name):
@@ -48,32 +40,39 @@ def _count_calls(monkeypatch, calls, name):
         monkeypatch.setattr(module, name, counted)
 
 
-def test_all_runs_each_shared_check_once(monkeypatch):
+# Members p_0 .. p_m of each family computed by one run, m the largest index it reads:
+# p_{max_n + 1} of G and PHI, p_{max_n + 2} of PHI_MONIC, p_{max_n} of the other two.
+def _each_member_once(max_n):
+    return Counter({SeqKind.G: max_n + 2, SeqKind.PHI: max_n + 2, SeqKind.PHI_MONIC: max_n + 3,
+                    SeqKind.G_MONIC: max_n + 1, SeqKind.PIDDUCK: max_n + 1})
+
+
+def test_all_runs_each_shared_check_once(monkeypatch, members_built):
     calls = Counter()
     _count_calls(monkeypatch, calls, "derivative_expansion_reduced_audit")
     _count_calls(monkeypatch, calls, "rodrigues_audit")
-    live = _CountingLive()
-    monkeypatch.setattr(sequences, "_LIVE", live)
     reports = suite.run_suite("all")
     assert len(reports) == 27
     assert calls["derivative_expansion_reduced_audit", 20] == 1
     assert calls["rodrigues_audit", 1] == 1
-    assert sum(live.built.values()) <= 10
+    assert _per_family(members_built) == _each_member_once(20)
 
 
-def test_numeric_suite_builds_phi_monic_at_most_once(monkeypatch):
-    live = _CountingLive()
-    monkeypatch.setattr(sequences, "_LIVE", live)
-    suite.numeric_suite()
-    assert live.built[SeqKind.PHI_MONIC] <= 1
+def test_numeric_suite_builds_phi_monic_at_most_once(members_built):
+    # the Fourier loop reads p_n for n <= 8, Rodrigues g_n for n <= 3, the Gram matrix
+    # phi_n for n <= 12 (none where an earlier test left that matrix in its memo)
+    suite.run_suite("numeric")
+    assert members_built[SeqKind.PHI] in (0, 13)
+    assert _per_family(members_built) - Counter({SeqKind.PHI: 13}) == Counter(
+        {SeqKind.PHI_MONIC: 9, SeqKind.G: 4})
 
 
-def test_all_at_small_max_n_builds_each_table_once(monkeypatch):
-    # the exact plan holds PHI_MONIC only to max_n + 2 < 8, which the Fourier loop reads
-    live = _CountingLive()
-    monkeypatch.setattr(sequences, "_LIVE", live)
+def test_all_at_small_max_n_builds_each_table_once(members_built):
+    # the audit reads g_n and phi_n to n = 20 and 21, the Fourier loop p_n to n = 8
     suite.run_suite("all", 3)
-    assert live.built[SeqKind.PHI_MONIC] <= 2
+    assert _per_family(members_built) == Counter(
+        {SeqKind.G: 21, SeqKind.PHI: 22, SeqKind.PHI_MONIC: 9, SeqKind.G_MONIC: 4,
+         SeqKind.PIDDUCK: 4})
 
 
 def test_all_refuses_a_size_past_the_quadrature_before_any_exact_step(monkeypatch):
@@ -91,12 +90,11 @@ def test_all_refuses_a_size_past_the_quadrature_before_any_exact_step(monkeypatc
     assert calls == Counter({("orthogonality_matrix", 140): 1})
 
 
-def test_generating_the_shifted_and_rescaled_families_builds_one_table_each(monkeypatch):
+def test_generating_the_shifted_and_rescaled_families_builds_one_table_each(members_built):
     for kind in (SeqKind.G_MONIC, SeqKind.PIDDUCK):
-        live = _CountingLive()
-        monkeypatch.setattr(sequences, "_LIVE", live)
+        members_built.clear()
         sequences.generate(kind, 30)
-        assert live.built == Counter({kind: 1})
+        assert members_built == Counter({kind: 31})
 
 
 def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
@@ -106,7 +104,6 @@ def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
         rec = sequences.RECURRENCES[kind]
         monkeypatch.setitem(sequences.RECURRENCES, kind,
                             replace(rec, b=lambda n, b=rec.b: b(n) + 1))
-        monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
         status = {r.identity: r.status for r in suite._table_checks(6)}
         assert status[identity] is CheckStatus.FAIL
         assert list(status.values()).count(CheckStatus.FAIL) == 1
@@ -132,7 +129,6 @@ def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
         rec = sequences.RECURRENCES[kind]
         monkeypatch.setitem(sequences.RECURRENCES, kind,
                             replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
-        monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
         try:
             reports = suite.exact_suite(8)
         finally:
@@ -168,7 +164,6 @@ def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
     rec = sequences.RECURRENCES[kind]
     monkeypatch.setitem(sequences.RECURRENCES, kind,
                         replace(rec, **{field: breaks(getattr(rec, field))}))
-    monkeypatch.setattr(sequences, "_LIVE", weakref.WeakValueDictionary())
     for name, failing in (("exact", _READS_TABLE[kind]),
                           ("all", _READS_TABLE[kind] | numeric_fails)):
         code, payload = _verify(capsys, name)
@@ -179,7 +174,7 @@ def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
 
 
 def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(monkeypatch):
-    # the oracle memo is kept for each G entry, so a changed entry is checked afresh
+    # a verdict kept by a run, or computed outside one, serves no later run
     assert sequences.g_oracle_mismatches(8) == ()
     rec = sequences.RECURRENCES[SeqKind.G]
     monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
@@ -199,14 +194,20 @@ def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(monke
 ])
 def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
         monkeypatch, piece, broken, failing):
-    # an empty oracle memo and series registry for the run, restored afterwards: the memo
-    # is kept for each G entry, which a broken oracle leaves as it is
-    monkeypatch.setattr(sequences, "_g_oracle_mismatches",
-                        functools.cache(sequences._g_oracle_mismatches.__wrapped__))
-    monkeypatch.setattr(sequences, "_LIVE_SERIES", weakref.WeakValueDictionary())
     monkeypatch.setattr(sequences, piece, broken)
     status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
+
+
+def test_a_route_broken_after_a_run_fails_the_next_run(monkeypatch):
+    # one process, no memo touched: the G oracles' verdict of the first run, for the same
+    # G entry and size, must not serve the runs after a sum route is broken
+    assert not [r for r in suite.run_suite("exact", 8) if r.status is CheckStatus.FAIL]
+    for piece, broken in (("_HYPERGEOMETRIC_Z", 3), ("_MEIXNER_C", Fraction(-2))):
+        monkeypatch.setattr(sequences, piece, broken)
+        status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
+        monkeypatch.undo()
+        assert status["g-oracle-equivalence"] is CheckStatus.FAIL, piece
 
 
 # The FAIL reports of run_suite("all", 8) with one RECURRENCES entry perturbed: p0 by 1, or
@@ -323,7 +324,8 @@ def test_import_mlpoly_loads_no_submodule_and_no_numpy():
     assert out == "0.1.0 []\n"
 
 
-def test_exact_suite_holds_through_n_40():
+def test_exact_suite_holds_through_n_40(members_built):
     reports = suite.exact_suite(40)
     assert reports
     assert [r.identity for r in reports if r.status.value == "FAIL"] == []
+    assert members_built == _each_member_once(40)
