@@ -320,7 +320,10 @@ _ZEROS_KEPT = 64
 @functools.lru_cache(maxsize=_ZEROS_KEPT)
 def _zeros(entry: Recurrence, n: int, tol: float) -> tuple[float, ...]:
     """zeros() for one PHI_MONIC entry, which JacobiMatrix.build reads.  The entry is only
-    a key: a frozen Recurrence hashes by its fields, so a patched family gets its own."""
+    a key: a frozen Recurrence hashes by its fields, so a patched family gets its own.
+
+    The key is (entry, n, tol) only, so a kept zero set does not see code of this module
+    replaced at run time (the Sturm counts, say); tests that replace it clear the memo."""
     return tuple(zeros_range(n, n, tol)[n])
 
 
@@ -450,7 +453,10 @@ def orthogonality_matrix(n_max: int) -> np.ndarray:
 def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     """orthogonality_matrix for one PHI entry, which generate and member_values read.  The
     entry is only a key: a frozen Recurrence hashes by its fields, so a patched family
-    gets its own."""
+    gets its own.
+
+    The key is (entry, n_max) only, so a kept matrix does not see code of this module
+    replaced at run time (the weight, say); tests that replace it clear the memo."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
     tab = generate(SeqKind.PHI, n_max)
@@ -498,7 +504,9 @@ def moment(n: int) -> MomentResult:
 
     Closed form: (1 - (-1)^n) (2^(n+1) - 1)/2^n * n! * zeta(n+1), which is 0
     for even n and a rational multiple of pi^(n+1) for odd n.  Each n is integrated
-    once per process: moments --max-n reports every odd index up to its size.
+    once per process: moments --max-n reports every odd index up to its size.  The key
+    is n only, so a kept result does not see code of this module replaced at run time
+    (the quadrature rule, say); tests that replace it clear the memo.
     """
     if n < 1:
         raise ValueError("moment index starts at 1")
@@ -520,9 +528,6 @@ def moment(n: int) -> MomentResult:
     return MomentResult(n, closed, numeric, deviation)
 
 
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
 @dataclass(frozen=True)
 class FtValue:
     """One Fourier-transform value with the i^n phase factored out.
@@ -534,14 +539,6 @@ class FtValue:
     n: int
     s: float
     value: float
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.n % 4]
-
-    @property
-    def complex_value(self) -> complex:
-        return self.phase * self.value
 
 
 def ft_closed(n: int, s: float) -> FtValue:

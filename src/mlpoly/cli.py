@@ -35,7 +35,7 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # 100 MB (0.35 s of it writing the JSON, most of the rest converting the coefficients to
 # strings), and eval --n 500 0.13 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
 # series --order 300 takes 1.2-2.1 s for phi-monic, phi and g, the slowest kinds;
-# verify --suite exact --max-n 160 takes 5-9.5 s across runs
+# verify --suite exact --max-n 160 takes 4.3-6.1 s across six runs
 # (numeric and all refuse from 103 at once).
 # quad and ft refuse every size from 103 and from 121 by their tail bound, in 0.3 s at
 # their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000

@@ -3,6 +3,8 @@
 Everything in this module is exact: operator series applied to a polynomial
 are truncated at its degree, where they terminate by nilpotence, so each
 check is a yes/no statement about polynomial residuals with no tolerances.
+The finite (n-th order) and the infinite (cos D + x sin D) differential equations
+are one statement on members of degree <= n, so one residual per n decides both.
 """
 
 from __future__ import annotations
@@ -17,22 +19,18 @@ from .report import CheckReport, CheckStatus, aggregate
 from .sequences import SeqKind, SeqTable, generate, monic_egf
 
 __all__ = [
-    "ode_coeffs",
-    "ode_residual",
-    "trig_operator_apply",
     "trig_operator_eigencheck",
     "derivative_expansion_monic",
     "derivative_expansion_reduced_audit",
-    "convolution_residual",
     "convolution_check",
     "egf_pde_residual",
-    "turan",
     "turan_recurrence_check",
-    "lowering_apply",
     "lowering_check",
 ]
 
-# cos(k pi/2) + x sin(k pi/2), which takes only these values, with period 4
+# cos(k pi/2) + x sin(k pi/2), which takes only these values, with period 4: the
+# coefficient alpha_k + beta_k x of p^(k)/k! in the n-th order equation, k = 1..n, so
+# that on a member of degree <= n that equation is T - (n+1), T = cos D + x sin D
 _CYCLE = (Poly([1]), X, Poly([-1]), -X)
 
 
@@ -42,38 +40,32 @@ def _apply(p: Poly, weights: Sequence[Poly]) -> Poly:
     return combine((1, w, dk) for w, dk in zip(weights, derivatives))
 
 
-def ode_coeffs(n: int) -> tuple[Poly, ...]:
-    """The coefficients alpha_k + beta_k x of the n-th order equation, k = 1..n."""
-    if n < 1:
-        raise ValueError("the equation order starts at n = 1")
-    return tuple(_CYCLE[k % 4] for k in range(1, n + 1))
-
-
-def ode_residual(n: int) -> Poly:
-    """sum_{k=1..n} (alpha_k + beta_k x) p_n^(k) / k! - n p_n; contract: zero."""
-    weights = [Poly([-n])] + [c / math.factorial(k) for k, c in enumerate(ode_coeffs(n), 1)]
-    return _apply(generate(SeqKind.PHI_MONIC, n)[n], weights)
-
-
 def _trig_weights(n: int) -> list[Poly]:
     """cos D + x sin D through D^n: the coefficient of D^k is (cos(k pi/2) + x sin(k pi/2))/k!."""
     return [_CYCLE[k % 4] / math.factorial(k) for k in range(n + 1)]
 
 
-def trig_operator_apply(p: Poly) -> Poly:
-    """(cos D + x sin D) p, with both series truncated at deg p by nilpotence."""
-    return _apply(p, _trig_weights(p.degree))
+def trig_operator_eigencheck(n_max: int) -> list[CheckReport]:
+    """The finite and the infinite equation, from one residual per n over one table:
+    r_n = (cos D + x sin D) p_n - (n+1) p_n.
 
-
-def trig_operator_eigencheck(n_max: int) -> CheckReport:
-    """(cos D + x sin D) p_n = (n+1) p_n exactly for 0 <= n <= n_max."""
-    if n_max < 0:
-        raise ValueError("index must be non-negative")
+    trig-operator-eigenrelation: r_n = 0 for 0 <= n <= n_max.
+    ode-residual: sum_{k=1..n} (alpha_k + beta_k x) p_n^(k)/k! - n p_n = 0 for
+    1 <= n <= n_max; on a member of degree <= n that residual is r_n, so the report holds
+    at n when r_n = 0 and deg p_n <= n.
+    """
+    if n_max < 1:
+        raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
     weights = _trig_weights(n_max)
-    return aggregate("trig-operator-eigenrelation", 0, n_max,
-                     lambda n: _apply(tab[n], weights) == (n + 1) * tab[n],
-                     "(cos D + x sin D) p_n = (n+1) p_n exactly")
+    # T - (n+1) differs from T only at D^0, where 1 - (n+1) = -n
+    vanishes = [_apply(tab[n], [Poly([-n]), *weights[1:]]).is_zero() for n in range(n_max + 1)]
+    return [
+        aggregate("ode-residual", 1, n_max, lambda n: vanishes[n] and tab[n].degree <= n,
+                  "n-th order differential equation holds exactly"),
+        aggregate("trig-operator-eigenrelation", 0, n_max, lambda n: vanishes[n],
+                  "(cos D + x sin D) p_n = (n+1) p_n exactly"),
+    ]
 
 
 def _expansion_residual(tab: SeqTable, n: int, shift: int,
@@ -135,19 +127,9 @@ def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
                        residual=printed_residual, note=note)
 
 
-def convolution_residual(n: int) -> Poly:
-    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!); contract: zero."""
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    tab = generate(SeqKind.PHI_MONIC, n)
-    weights = [Fraction(1, math.factorial(k) * math.factorial(n - k)) for k in range(n + 1)]
-    return combine(term for k, w in enumerate(weights) for term in (
-        (w, tab[k].derivative(2), tab[n - k]),
-        (-w, tab[k].derivative(), tab[n - k].derivative())))
-
-
 def convolution_check(n_max: int) -> CheckReport:
-    """convolution_residual(n) = 0 for 1 <= n <= n_max, proved at integer points.
+    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) = 0 for 1 <= n <= n_max, proved
+    at integer points.
 
     With A_k = L p_k, L the table's common denominator, L^2 n! r_n(x) is the integer
     sum_k C(n, k) [A''_k A_{n-k} - A'_k A'_{n-k}](x), r_n the residual.  deg r_n is at
@@ -184,16 +166,9 @@ def egf_pde_residual(order: int) -> PolySeries:
     return g * gx.dx() - gx * gx
 
 
-def turan(n: int) -> Poly:
-    """delta_n = p_n^2 - p_{n-1} p_{n+1} over the monic reduced family; the n = 0 member
-    uses the empty-product convention p_{-1} = 0, giving delta_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return _turan(generate(SeqKind.PHI_MONIC, n + 1), n)
-
-
 def _turan(tab: SeqTable, n: int) -> Poly:
-    """turan(n) over a monic reduced table that reaches p_{n+1}."""
+    """delta_n = p_n^2 - p_{n-1} p_{n+1} over a monic reduced table that reaches p_{n+1};
+    the n = 0 member uses the empty-product convention p_{-1} = 0, giving delta_0 = 1."""
     below = tab[n - 1] if n else Poly()
     return tab[n] * tab[n] - below * tab[n + 1]
 
@@ -219,24 +194,13 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
                      f"delta_n > 0 at every real x for 1 <= n <= {n_max}")
 
 
-def _tan_weights(order: int) -> tuple[Poly, ...]:
-    """2 tan(D/2) through D^(order-1): the constant coefficients of the Bernoulli-built
-    series the series layer exposes."""
-    return elementary("tan_half", order).coeffs
-
-
-def lowering_apply(p: Poly) -> Poly:
-    """Apply the lowering operator 2 tan(D/2) to a polynomial; truncation at deg p is exact
-    by nilpotence."""
-    return _apply(p, _tan_weights(p.degree + 1)) if p.degree > 0 else Poly()
-
-
 def lowering_check(n_max: int) -> CheckReport:
     """2 tan(D/2) p_n = n p_{n-1} exactly for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
-    weights = _tan_weights(n_max + 1)
+    # 2 tan(D/2) through D^n_max: the constant coefficients of the Bernoulli-built series
+    weights = elementary("tan_half", n_max + 1).coeffs
     return aggregate("lowering-operator", 1, n_max,
                      lambda n: _apply(tab[n], weights) == n * tab[n - 1],
                      f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

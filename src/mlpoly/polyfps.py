@@ -173,10 +173,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    @property
-    def leading_coefficient(self):
-        return self.coefficient(self.degree)
-
     def coefficient(self, k: int):
         """Coefficient of x**k (zero beyond the stored degree)."""
         if not 0 <= k < len(self._num):
@@ -290,10 +286,6 @@ class Poly:
             out.append(str(c // g) if den == g else f"{c // g}/{den // g}")
         return out
 
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "Poly":
-        return cls([Fraction(s) for s in items])
-
     def __str__(self) -> str:
         coeffs = self.coeffs
         if not coeffs:
@@ -405,29 +397,6 @@ class PolySeries:
             return PolySeries(self.order, [other * c for c in self.coeffs])
         return NotImplemented
 
-    def reciprocal(self) -> "PolySeries":
-        """Multiplicative inverse; the t^0 coefficient must be a nonzero constant."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        if c0.degree > 0:
-            raise ValueError("series reciprocal requires a constant t^0 coefficient")
-        inv0 = Fraction(1) / c0.coefficient(0)
-        out = [Poly([inv0])]
-        for n in range(1, self.order):
-            out.append(combine((-inv0, self.coeffs[k], out[n - k]) for k in range(1, n + 1)))
-        return PolySeries(self.order, out)
-
-    def __truediv__(self, other):
-        if isinstance(other, PolySeries):
-            m = min(self.order, other.order)
-            return self.truncate(m) * other.truncate(m).reciprocal()
-        if _is_scalar(other):
-            if isinstance(other, int):
-                other = Fraction(other)
-            return PolySeries(self.order, [c / other for c in self.coeffs])
-        return NotImplemented
-
     def exp(self) -> "PolySeries":
         """Series exponential of a series with zero constant term.
 
@@ -441,17 +410,6 @@ class PolySeries:
             out.append(combine((Fraction(k, n), self.coeffs[k], out[n - k])
                                for k in range(1, n + 1)))
         return PolySeries(self.order, out)
-
-    def compose(self, inner: "PolySeries") -> "PolySeries":
-        """self(inner(t)); the inner series must have zero constant term."""
-        if not inner.coeffs[0].is_zero():
-            raise ValueError("composition requires an inner series with zero constant term")
-        m = min(self.order, inner.order)
-        inner = inner.truncate(m)
-        res = PolySeries(m)
-        for c in reversed(self.coeffs[:m]):
-            res = res * inner + PolySeries(m, [c])
-        return res
 
     def scale_t(self, factor) -> "PolySeries":
         """Substitute t -> factor*t for an exact scalar factor."""

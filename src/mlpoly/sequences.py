@@ -41,8 +41,6 @@ __all__ = [
     "shared_run",
     "generate",
     "oracle_hypergeometric_g",
-    "oracle_meixner_g",
-    "oracle_gf",
     "generating_series",
     "g_oracle_mismatches",
     "monic_egf",
@@ -243,14 +241,6 @@ def oracle_hypergeometric_g(n: int) -> Poly:
     return _hypergeometric_g(n, _pochhammer(1, n))
 
 
-def oracle_meixner_g(n: int) -> Poly:
-    """g_n via the Meixner connection g_n(x) = 2x * M_{n-1}(x-1; 2, -1), over a Pochhammer
-    basis of its own."""
-    if n < 1:
-        raise ValueError("the Meixner form starts at n = 1")
-    return _meixner_g(n, _pochhammer(0, n))
-
-
 # The t^2 coefficient of the denominator 1 + t^2/4 of the monic series.
 _MONIC_DENOMINATOR_T2 = Fraction(1, 4)
 
@@ -298,16 +288,6 @@ def generating_series(kind: SeqKind, order: int) -> PolySeries:
         raise ValueError(f"no generating-series oracle for kind {kind.value}")
     memo[kind] = series
     return series
-
-
-def oracle_gf(kind: SeqKind, n: int, order: int | None = None) -> Poly:
-    """Extract one polynomial from the exact generating series of its family."""
-    if order is None:
-        order = n + 2
-    if order <= n:
-        raise ValueError("truncation order must exceed the target index")
-    coeff = generating_series(kind, order).coeff(n)
-    return coeff * Fraction(math.factorial(n)) if kind is SeqKind.PHI_MONIC else coeff
 
 
 def g_oracle_mismatches(n_max: int) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Verification suites: one plan of checks per layer, run by one runner.
 
-A plan lists its steps, each a callable with hashable arguments.  An exact check
-is one step over a whole range, `(check, max_n)` or an `aggregate` of a per-index
-predicate; a numeric check is a `bounded` deviation.  Both verdicts come from
+A plan lists its steps, each a callable with hashable arguments.  Every exact step
+is `(check, size)`, one or more `aggregate` reports over a whole range; a numeric
+check is a `bounded` deviation.  Both verdicts come from
 `report`, so every PASS or FAIL has one shape.  The runner calls each distinct
 step once (so a check two layers share runs once in `all`) in one
 `sequences.shared_run`, where the steps share each family's table and series,
@@ -19,14 +19,13 @@ from .analysis import (ft_closed, ft_numeric, gram_deviation, moment,
                        orthogonality_matrix, own_erratum_audit, zeros_range)
 from .identities import (convolution_check, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
-                         lowering_check, ode_residual, trig_operator_eigencheck,
-                         turan_recurrence_check)
+                         lowering_check, trig_operator_eigencheck, turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
 from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, difference_relation_checks,
                         g_oracle_mismatches, generate, generating_series, reduce_from_g,
                         rodrigues_audit, shared_run)
 
-__all__ = ["exact_suite", "numeric_suite", "audit_suite", "run_suite", "summarize"]
+__all__ = ["audit_suite", "run_suite", "summarize"]
 
 _ZERO_REFS = {2: 0.707, 3: 1.414, 4: 2.163, 5: 2.945}
 _FT_S_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -95,9 +94,7 @@ def _exact_plan(max_n: int) -> Plan:
     return [
         (_table_checks, max_n),
         (difference_relation_checks, max_n),
-        (aggregate, "ode-residual", 1, max_n, lambda n: ode_residual(n).is_zero(),
-         "n-th order differential equation holds exactly"),
-        (trig_operator_eigencheck, max_n),
+        (trig_operator_eigencheck, max_n),  # ode-residual and trig-operator-eigenrelation
         (derivative_expansion_monic, max_n),
         (derivative_expansion_reduced_audit, max_n),
         (convolution_check, max_n),
@@ -148,14 +145,6 @@ def _run(*plans: Plan) -> list[CheckReport]:
             out = fn(*args)
             reports.extend(out if isinstance(out, list) else [out])
     return sorted(reports, key=lambda r: (r.identity, r.n_range, r.note))
-
-
-def exact_suite(max_n: int = 20) -> list[CheckReport]:
-    return _run(_exact_plan(max_n))
-
-
-def numeric_suite(max_n: int = 12) -> list[CheckReport]:
-    return _run(_numeric_plan(max_n))
 
 
 def audit_suite() -> list[CheckReport]:

@@ -21,14 +21,13 @@ from fractions import Fraction
 import pytest
 
 from mlpoly.analysis import ft_closed, ft_numeric, moment, orthogonality_matrix, zeros
-from mlpoly.identities import (convolution_residual, derivative_expansion_monic,
-                               egf_pde_residual, lowering_check, ode_residual,
+from mlpoly.identities import (convolution_check, derivative_expansion_monic,
+                               egf_pde_residual, lowering_check,
                                trig_operator_eigencheck, turan_recurrence_check)
 from mlpoly.polyfps import Poly, X
 from mlpoly.report import CheckStatus
-from mlpoly.sequences import (SeqKind, generate, oracle_gf,
-                              oracle_hypergeometric_g, oracle_meixner_g,
-                              reduce_from_g)
+from mlpoly.sequences import (SeqKind, g_oracle_mismatches, generate, generating_series,
+                              oracle_hypergeometric_g, reduce_from_g)
 from mlpoly.suite import audit_suite
 
 F = Fraction
@@ -58,14 +57,11 @@ def test_criterion_1_first_monic_members_exact():
 
 def test_criterion_2_oracle_equivalence_to_20():
     start = time.perf_counter()
-    g = generate(SeqKind.G, 20)
     phi = generate(SeqKind.PHI, 20)
-    ok = all(
-        g[n] == oracle_hypergeometric_g(n) == oracle_meixner_g(n)
-        == oracle_gf(SeqKind.G, n)
-        for n in range(1, 21))
+    phi_series = generating_series(SeqKind.PHI, 22)
+    ok = g_oracle_mismatches(20) == ()  # hypergeometric, Meixner and series against g_n
     ok = ok and all(
-        phi[n] == oracle_gf(SeqKind.PHI, n) == reduce_from_g(n)
+        phi[n] == phi_series.coeff(n) == reduce_from_g(n)
         for n in range(21))
     elapsed = time.perf_counter() - start
     _verdict(2, ok and elapsed < 10.0,
@@ -88,12 +84,12 @@ def test_criterion_3_zeros_reference_bound_interlacing():
 
 def test_criterion_4_differential_suite_exact():
     start = time.perf_counter()
-    ok = all(ode_residual(n).is_zero() for n in range(1, 31))
-    ok = ok and all(trig_operator_eigencheck(n).status is CheckStatus.PASS
-                    for n in range(31))
+    # the finite equation for 1 <= n <= 30 and the operator eigenrelation for 0 <= n <= 30,
+    # the two reports of one step
+    ok = all(r.status is CheckStatus.PASS for r in trig_operator_eigencheck(30))
     ok = ok and all(derivative_expansion_monic(n).status is CheckStatus.PASS
                     for n in range(31))
-    ok = ok and all(convolution_residual(n).is_zero() for n in range(1, 21))
+    ok = ok and convolution_check(20).status is CheckStatus.PASS
     ok = ok and egf_pde_residual(16).is_zero()
     ok = ok and turan_recurrence_check(25).status is CheckStatus.PASS
     ok = ok and lowering_check(30).status is CheckStatus.PASS

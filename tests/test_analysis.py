@@ -246,7 +246,7 @@ def test_zeros_range_agrees_with_zeros_size_by_size():
 
 def test_zeros_bisects_each_size_once_over_a_run(monkeypatch):
     from mlpoly import analysis
-    from mlpoly.suite import numeric_suite
+    from mlpoly.suite import run_suite
     sweeps = []
     true_spectra = analysis._spectra
 
@@ -255,7 +255,7 @@ def test_zeros_bisects_each_size_once_over_a_run(monkeypatch):
         return true_spectra(sizes, tol)
 
     monkeypatch.setattr(analysis, "_spectra", recorded)
-    numeric_suite()
+    run_suite("numeric")
     assert sweeps == [list(range(1, 25))]  # the zeros-reference sizes, in one sweep
 
 
@@ -522,14 +522,6 @@ def test_ft_closed_frozen_values():
 def test_ft_closed_rejects_nan_s():
     with pytest.raises(ValueError, match="got nan"):
         ft_closed(3, math.nan)
-
-
-def test_ft_phase_convention():
-    v = ft_closed(2, 1.0)
-    assert v.phase == -1
-    assert v.complex_value == -v.value
-    assert ft_closed(3, 1.0).phase == -1j
-    assert ft_closed(4, 1.0).phase == 1
 
 
 def test_ft_closed_matches_sinh_form():

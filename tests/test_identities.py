@@ -12,52 +12,55 @@ from fractions import Fraction
 import pytest
 
 from mlpoly import identities, sequences
-from mlpoly.identities import (convolution_check, convolution_residual,
-                               derivative_expansion_monic,
+from mlpoly.identities import (convolution_check, derivative_expansion_monic,
                                derivative_expansion_reduced_audit,
-                               egf_pde_residual, lowering_apply,
-                               lowering_check, ode_coeffs, ode_residual,
-                               trig_operator_apply, trig_operator_eigencheck,
-                               turan, turan_recurrence_check)
-from mlpoly.polyfps import Poly, X
+                               egf_pde_residual, lowering_check,
+                               trig_operator_eigencheck, turan_recurrence_check)
+from mlpoly.polyfps import Poly, X, combine
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate
 
 F = Fraction
 
 
-def test_ode_coeffs_cycle():
-    # alpha_k + beta_k x for k = 1..4: alpha = (0, -1, 0, 1), beta = (1, 0, -1, 0)
-    assert ode_coeffs(4) == (X, Poly([-1]), -X, Poly([1]))
-    longer = ode_coeffs(9)
-    assert longer[4:8] == longer[0:4]  # period 4
-    with pytest.raises(ValueError):
-        ode_coeffs(0)
+def _reports(n_max):
+    """The two reports of the equations' one step, by identity."""
+    return {r.identity: r for r in trig_operator_eigencheck(n_max)}
 
 
 def test_ode_residual_hand_case():
-    # n = 2: x p' - p''/2 - 2p must vanish for p = x^2 - 1/2
+    # sum_{k=1..n} (alpha_k + beta_k x) p^(k)/k! - n p with alpha = (0, -1, 0, 1) and
+    # beta = (1, 0, -1, 0) for k = 1..4, written out: n = 2 for p_2 = x^2 - 1/2 and
+    # n = 4 for p_4 = x^4 - 5x^2 + 3/2
     p = Poly([F(-1, 2), 0, 1])
-    manual = X * p.derivative() - p.derivative(2) / 2 - 2 * p
-    assert manual.is_zero()
-    assert ode_residual(2).is_zero()
+    assert (X * p.derivative() - p.derivative(2) / 2 - 2 * p).is_zero()
+    p = Poly([F(3, 2), 0, -5, 0, 1])
+    assert (X * p.derivative() - p.derivative(2) / 2 - X * p.derivative(3) / 6
+            + p.derivative(4) / 24 - 4 * p).is_zero()
+    report = _reports(4)["ode-residual"]
+    assert (report.status, report.n_range) == (CheckStatus.PASS, (1, 4))
 
 
 def test_ode_residual_vanishes_up_to_30():
     for n in range(1, 31):
-        assert ode_residual(n).is_zero(), f"n = {n}"
+        report = _reports(n)["ode-residual"]
+        assert (report.status, report.n_range) == (CheckStatus.PASS, (1, n))
 
 
 def test_trig_operator_hand_case():
-    # p = x^2 - 1/2: cos-part p - p''/2 = x^2 - 3/2, sin-part p' = 2x
+    # p = x^2 - 1/2: cos-part p - p''/2 = x^2 - 3/2, sin-part x p' = 2x^2, so T p = 3p
     p = Poly([F(-1, 2), 0, 1])
-    assert trig_operator_apply(p) == Poly([F(-3, 2), 0, 3])
-    assert trig_operator_apply(Poly()) == Poly()
+    assert p - p.derivative(2) / 2 + X * p.derivative() == Poly([F(-3, 2), 0, 3]) == 3 * p
+    report = _reports(2)["trig-operator-eigenrelation"]
+    assert (report.status, report.n_range) == (CheckStatus.PASS, (0, 2))
 
 
 def test_trig_operator_eigenrelation_up_to_30():
-    for n in range(31):
-        assert trig_operator_eigencheck(n).status is CheckStatus.PASS
+    for n in range(1, 31):
+        report = _reports(n)["trig-operator-eigenrelation"]
+        assert (report.status, report.n_range) == (CheckStatus.PASS, (0, n))
+    with pytest.raises(ValueError):
+        trig_operator_eigencheck(0)
 
 
 def test_derivative_expansion_monic_hand_case():
@@ -93,11 +96,19 @@ def test_corrected_reduced_expansion_recomputed():
         assert tab[n + 1].derivative() == rhs, f"n = {n}"
 
 
+def _ref_convolution_residual(n):
+    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) over the coefficients, the
+    reference of the integer-point route of convolution_check."""
+    tab = generate(SeqKind.PHI_MONIC, n)
+    weights = [F(1, math.factorial(k) * math.factorial(n - k)) for k in range(n + 1)]
+    return combine(term for k, w in enumerate(weights) for term in (
+        (w, tab[k].derivative(2), tab[n - k]),
+        (-w, tab[k].derivative(), tab[n - k].derivative())))
+
+
 def test_convolution_residual_vanishes_up_to_20():
     for n in range(1, 21):
-        assert convolution_residual(n).is_zero(), f"n = {n}"
-    with pytest.raises(ValueError):
-        convolution_residual(0)
+        assert _ref_convolution_residual(n).is_zero(), f"n = {n}"
 
 
 def test_convolution_check_passes_through_40():
@@ -120,7 +131,7 @@ def test_convolution_check_fails_where_the_residual_is_nonzero(
     rec = sequences.RECURRENCES[SeqKind.PHI_MONIC]
     monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC,
                         replace(rec, **{field: breaks(getattr(rec, field))}))
-    assert [n for n in range(1, 13) if not convolution_residual(n).is_zero()] == failing
+    assert [n for n in range(1, 13) if not _ref_convolution_residual(n).is_zero()] == failing
     report = convolution_check(12)
     assert report.status is CheckStatus.FAIL
     assert report.note == f"failing indices: {failing}"
@@ -133,11 +144,10 @@ def test_egf_pde_residual_is_zero_through_order_16():
 
 
 def test_turan_low_members():
-    assert turan(0) == Poly([1])
-    assert turan(1) == Poly([F(1, 2)])
-    assert turan(2) == Poly([F(1, 4), 0, 1])
-    with pytest.raises(ValueError):
-        turan(-1)
+    tab = generate(SeqKind.PHI_MONIC, 3)
+    assert identities._turan(tab, 0) == Poly([1])
+    assert identities._turan(tab, 1) == Poly([F(1, 2)])
+    assert identities._turan(tab, 2) == Poly([F(1, 4), 0, 1])
 
 
 def test_turan_recurrence_recomputed():
@@ -154,8 +164,9 @@ def test_turan_recurrence_recomputed():
 def test_turan_is_positive_at_sampled_rational_points():
     # independent of the induction proof the check rests on: delta_n > 0 at 101 exact
     # rational points spanning [-n, n]
+    tab = generate(SeqKind.PHI_MONIC, 13)
     for n in range(1, 13):
-        delta = turan(n)
+        delta = tab[n] * tab[n] - tab[n - 1] * tab[n + 1]
         assert all(delta(F(n * (2 * j - 100), 100)) > 0 for j in range(101)), f"n = {n}"
 
 
@@ -186,10 +197,13 @@ def test_turan_recurrence_check_fails_a_wrong_base_case(monkeypatch):
 
 
 def test_lowering_hand_case():
+    # 2 tan(D/2) = D + D^3/12 + ... on degree <= 3: D p_2 = 2x = 2 p_1, and
+    # D p_3 + D^3 p_3 / 12 = 3x^2 - 3/2 = 3 p_2 for p_3 = x^3 - 2x
     tab = generate(SeqKind.PHI_MONIC, 3)
-    assert lowering_apply(tab[2]) == 2 * tab[1]
-    assert lowering_apply(tab[3]) == 3 * tab[2]
-    assert lowering_apply(Poly([7])) == Poly()
+    assert tab[2].derivative() == 2 * tab[1] == 2 * X
+    assert tab[3].derivative() + tab[3].derivative(3) / 12 == 3 * tab[2] == Poly([F(-3, 2), 0, 3])
+    report = lowering_check(3)
+    assert (report.status, report.n_range) == (CheckStatus.PASS, (1, 3))
 
 
 def test_lowering_check_up_to_30(monkeypatch):

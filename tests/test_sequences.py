@@ -21,9 +21,8 @@ from mlpoly import sequences
 from mlpoly.polyfps import Poly, PolySeries, X, elementary
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
-                              generate, generating_series, monic_egf, oracle_gf,
-                              oracle_hypergeometric_g, oracle_meixner_g,
-                              reduce_from_g, rodrigues_audit)
+                              generate, generating_series, monic_egf,
+                              oracle_hypergeometric_g, reduce_from_g, rodrigues_audit)
 
 F = Fraction
 
@@ -121,7 +120,7 @@ def test_monic_families_are_monic():
     for kind in (SeqKind.PHI_MONIC, SeqKind.G_MONIC):
         table = generate(kind, 15)
         for n in range(16):
-            assert table[n].leading_coefficient == 1
+            assert table[n].coefficient(n) == 1
             assert table[n].degree == n
 
 
@@ -139,25 +138,29 @@ def test_pidduck_recurrence_equals_shift_average_and_series():
     g = generate(SeqKind.G, 60)
     pidduck = generate(SeqKind.PIDDUCK, 60)
     for n in range(61):
-        assert pidduck[n] == (g[n].shift(1) + g[n]) / 2 == oracle_gf(SeqKind.PIDDUCK, n)
+        assert pidduck[n] == (g[n].shift(1) + g[n]) / 2
     assert generating_series(SeqKind.PIDDUCK, 61).coeffs == pidduck.polys
 
 
 def test_oracle_equivalence_g():
     g = generate(SeqKind.G, 20)
+    series = generating_series(SeqKind.G, 21)
+    poch_y = sequences._pochhammer(0, 20)
     for n in range(1, 21):
         assert g[n] == oracle_hypergeometric_g(n)
-        assert g[n] == oracle_meixner_g(n)
-        assert g[n] == oracle_gf(SeqKind.G, n)
+        assert g[n] == sequences._meixner_g(n, poch_y)
+        assert g[n] == series.coeff(n)
 
 
 def test_oracle_equivalence_phi():
     phi = generate(SeqKind.PHI, 20)
     phi_monic = generate(SeqKind.PHI_MONIC, 20)
+    phi_series, monic_series = (generating_series(kind, 21)
+                                for kind in (SeqKind.PHI, SeqKind.PHI_MONIC))
     for n in range(21):
-        assert phi[n] == oracle_gf(SeqKind.PHI, n)
+        assert phi[n] == phi_series.coeff(n)
         assert phi[n] == reduce_from_g(n)
-        assert phi_monic[n] == oracle_gf(SeqKind.PHI_MONIC, n)
+        assert phi_monic[n] == monic_series.coeff(n) * math.factorial(n)
         assert phi_monic[n] == F(math.factorial(n + 1), 2 ** (n + 1)) * phi[n]
 
 
@@ -165,11 +168,7 @@ def test_oracle_input_validation():
     with pytest.raises(ValueError):
         oracle_hypergeometric_g(0)
     with pytest.raises(ValueError):
-        oracle_meixner_g(0)
-    with pytest.raises(ValueError):
-        oracle_gf(SeqKind.G_MONIC, 3)
-    with pytest.raises(ValueError):
-        oracle_gf(SeqKind.G, 5, order=5)
+        generating_series(SeqKind.G_MONIC, 4)
     with pytest.raises(ValueError):
         reduce_from_g(-1)
     with pytest.raises(ValueError):
@@ -180,7 +179,7 @@ def test_monic_egf_small_orders():
     # regression: the denominator 1 + t^2/4 must truncate cleanly below order 3
     assert monic_egf(1).coeff(0) == Poly([1])
     assert monic_egf(2).coeff(1) == X
-    assert oracle_gf(SeqKind.PHI_MONIC, 0) == Poly([1])
+    assert generating_series(SeqKind.PHI_MONIC, 1).coeff(0) == Poly([1])
 
 
 def test_reduction_examples():
@@ -248,7 +247,7 @@ def test_the_shared_basis_sums_equal_the_public_oracles():
     for n in range(1, 61):
         assert (sequences._hypergeometric_g(n, poch_x) == oracle_hypergeometric_g(n)
                 == _ref_hypergeometric_g(n)), n
-        assert sequences._meixner_g(n, poch_y) == oracle_meixner_g(n) == _ref_meixner_g(n), n
+        assert sequences._meixner_g(n, poch_y) == _ref_meixner_g(n), n
 
 
 def test_the_g_oracles_build_each_pochhammer_basis_once(monkeypatch):
@@ -269,11 +268,24 @@ def test_the_g_oracles_build_each_pochhammer_basis_once(monkeypatch):
         assert len(products) == expected, n
 
 
+def _ref_series_quotient(num, den):
+    """num/den for series of one order whose t^0 coefficient of den is a nonzero constant:
+    num times 1/den, whose t^n coefficient is -(sum_{k=1..n} d_k r_{n-k}) / d_0."""
+    inv0 = 1 / den.coeff(0).coefficient(0)
+    r = [Poly([inv0])]
+    for n in range(1, den.order):
+        acc = Poly()
+        for k in range(1, n + 1):
+            acc = acc + den.coeff(k) * r[n - k]
+        r.append(-inv0 * acc)
+    return num * PolySeries(den.order, r)
+
+
 def test_monic_egf_equals_the_series_division():
     for order in range(1, 61):
         numerator = (elementary("arctan_half", order) * X).exp()
         denominator = PolySeries(order, [Poly([1]), Poly(), Poly([F(1, 4)])][:order])
-        assert monic_egf(order) == numerator / denominator, order
+        assert monic_egf(order) == _ref_series_quotient(numerator, denominator), order
 
 
 def test_reduce_from_g_equals_the_i_power_map():

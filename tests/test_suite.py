@@ -6,6 +6,7 @@ layers share runs once under `all`, and it runs them in one shared run of
 it, and no table, series or verdict is kept past the run.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from mlpoly import analysis, sequences, suite
+from mlpoly import analysis, identities, sequences, suite
 from mlpoly.cli import main
 from mlpoly.report import CheckStatus, aggregate
 from mlpoly.sequences import SeqKind
@@ -130,7 +131,7 @@ def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
         monkeypatch.setitem(sequences.RECURRENCES, kind,
                             replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
         try:
-            reports = suite.exact_suite(8)
+            reports = suite.run_suite("exact", 8)
         finally:
             monkeypatch.undo()
         status = {r.identity: r.status for r in reports}
@@ -310,7 +311,7 @@ def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
 
 
 def test_all_is_the_union_of_the_three_suites():
-    union = suite.exact_suite(3) + suite.numeric_suite(3) + suite.audit_suite()
+    union = suite.run_suite("exact", 3) + suite.run_suite("numeric", 3) + suite.audit_suite()
     key = lambda r: (r.identity, r.n_range, r.note)
     assert suite.run_suite("all", 3) == sorted(set(union), key=key)
 
@@ -325,7 +326,49 @@ def test_import_mlpoly_loads_no_submodule_and_no_numpy():
 
 
 def test_exact_suite_holds_through_n_40(members_built):
-    reports = suite.exact_suite(40)
+    reports = suite.run_suite("exact", 40)
     assert reports
     assert [r.identity for r in reports if r.status.value == "FAIL"] == []
     assert members_built == _each_member_once(40)
+
+
+def test_the_finite_and_infinite_equations_share_one_residual_per_n(monkeypatch):
+    # one operator sum per n for both equations (n = 0..8), one per n for the lowering
+    # operator (n = 1..8); a residual of its own for the finite equation would add 8
+    applied = []
+    apply = identities._apply
+
+    def counted(p, weights):
+        applied.append(p)
+        return apply(p, weights)
+
+    monkeypatch.setattr(identities, "_apply", counted)
+    reports = suite.run_suite("exact", 8)
+    assert len(applied) == 17
+    assert {(r.identity, r.n_range, r.status) for r in reports
+            if r.identity in ("ode-residual", "trig-operator-eigenrelation")} == {
+        ("ode-residual", (1, 8), CheckStatus.PASS),
+        ("trig-operator-eigenrelation", (0, 8), CheckStatus.PASS)}
+
+
+def test_every_public_name_is_reached_from_the_package():
+    # each name a module lists in __all__ is read by some module of the package, not only
+    # defined and listed: a name that only tests call belongs in the tests
+    src = Path(suite.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    unread = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                unread[name] = [n for n in ast.literal_eval(node.value) if n not in read]
+    assert {"identities.py", "sequences.py", "suite.py", "polyfps.py"} <= unread.keys()
+    assert {name: names for name, names in unread.items() if names} == {}
