@@ -2,15 +2,19 @@
 
 Every command is exercised in process through main(argv); the double-run
 determinism check compares captured output byte for byte.  The BLAS
-thread-count check runs fresh processes, since numpy reads the count on import.
+thread-count check runs fresh processes, since numpy reads the count on import,
+and so do the checks of the process entry, `python -m mlpoly`, which runs main
+with the cycle collector off.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -372,6 +376,15 @@ def test_a_process_repeating_quad_and_zeros_prints_the_bytes_of_fresh_processes(
     assert one == fresh
 
 
+def test_verify_and_audit_in_one_process_print_the_bytes_of_fresh_processes():
+    # a fresh process runs with the cycle collector off and a frozen heap, main in process
+    # with the caller's collector
+    one, fresh = _one_process_and_fresh([["verify", "--suite", "all"],
+                                         ["verify", "--suite", "all", "--format", "csv"],
+                                         ["audit"]])
+    assert one == fresh
+
+
 # sha256 of quad stdout where sinh(pi t) overflows and nodes of weight 0 are skipped,
 # as the sums over every node printed it (numpy 2.4, x86-64).  Kept, never updated: a
 # build whose sums round otherwise leaves the skip out.
@@ -588,6 +601,70 @@ def test_version_flag(capsys):
 
 def _one_line_error(code, out, err):
     return code == 2 and out == "" and err.startswith("mlpoly: error: ") and err.count("\n") == 1
+
+
+def _entry_process(*args):
+    """A fresh `python ARGS` process with src/ on its path; text output."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ,
+                                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+
+
+def test_the_process_entry_keeps_the_exit_contract_of_main():
+    done = _entry_process("-m", "mlpoly", "--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"mlpoly {__version__}\n", "")
+    # argparse's SystemExit: the usage, then one error line
+    done = _entry_process("-m", "mlpoly", "coeffs", "--seq", "zz", "--n", "1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: mlpoly coeffs ")
+    assert done.stderr.count(": error: ") == 1
+    assert done.stderr.splitlines()[-1].startswith(
+        "mlpoly coeffs: error: argument --seq: invalid choice: 'zz'")
+    # a refusal main returns
+    done = _entry_process("-m", "mlpoly", "quad", "--max-n", "-1")
+    assert _one_line_error(done.returncode, done.stdout, done.stderr)
+
+
+def test_main_leaves_the_collector_of_its_caller_as_it_found_it(capsys):
+    queries = (["coeffs", "--seq", "g", "--n", "3"],
+               ["eval", "--seq", "phi", "--n", "3", "--x", "1/2"], ["zeros", "--n", "4"],
+               ["quad", "--max-n", "3"], ["ft", "--n", "2", "--s", "1"],
+               ["moments", "--max-n", "5"], ["verify", "--suite", "exact", "--max-n", "3"],
+               ["audit"], ["series", "--kind", "g", "--order", "3"], ["--version"])
+    enabled = gc.isenabled()
+    try:
+        for collector in (gc.enable, gc.disable):
+            collector()
+            state = (gc.isenabled(), gc.get_freeze_count())
+            for argv in queries:
+                with contextlib.suppress(SystemExit):
+                    main(argv)
+                capsys.readouterr()
+                assert (gc.isenabled(), gc.get_freeze_count()) == state, argv
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_importing_the_entry_changes_nothing_until_run_is_called():
+    # the installed command's wrapper imports the module pyproject.toml names, then calls
+    # the function; python -m mlpoly calls the same one
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^mlpoly = "mlpoly.__main__:run"$', pyproject, re.M)
+    for argv, ends in ((["coeffs", "--seq", "g", "--n", "2"], "returned 0"),
+                       (["--version"], "exited 0")):
+        code = ("import gc, sys\n"
+                "import mlpoly.__main__ as entry\n"
+                "assert gc.isenabled() and gc.get_freeze_count() == 0\n"
+                "assert 'mlpoly.cli' not in sys.modules and 'numpy' not in sys.modules\n"
+                f"sys.argv = ['mlpoly', *{argv!r}]\n"
+                "try:\n"
+                "    ends = f'returned {entry.run()}'\n"
+                "except SystemExit as exc:\n"
+                "    ends = f'exited {exc.code}'\n"
+                "print(ends, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        done = _entry_process("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == f"{ends} False True\n", argv
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys):
