@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .sequences import (RECURRENCES, Recurrence, SeqKind, g_oracle_mismatches, g
                         oracle_hypergeometric_g)
 
 __all__ = [
-    "JacobiMatrix",
-    "QuadConfig",
-    "FtValue",
     "MomentResult",
     "zeros",
     "zeros_range",
@@ -43,26 +41,20 @@ __all__ = [
     "moment",
     "ft_closed",
     "ft_numeric",
+    "ft_numeric_grid",
     "own_erratum_audit",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix of the monic recurrence: zero diagonal,
-    off-diagonal sqrt(-b(k)) = sqrt(c_k) = sqrt(k(k+1))/2."""
-
-    n: int
-    off_diagonal: tuple[float, ...]
-
-    @classmethod
-    def build(cls, n: int) -> "JacobiMatrix":
-        if n < 1:
-            raise ValueError("matrix size must be at least 1")
-        monic = RECURRENCES[SeqKind.PHI_MONIC]
-        return cls(n, tuple(math.sqrt(-monic.b(k)) for k in range(1, n)))
+def _off_diagonal(n: int) -> list[float]:
+    """The off-diagonal of the n x n Jacobi matrix J of the monic recurrence, whose
+    diagonal is zero: sqrt(-b(k)) = sqrt(c_k) = sqrt(k(k+1))/2 for k = 1 .. n - 1."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
+    monic = RECURRENCES[SeqKind.PHI_MONIC]
+    return [math.sqrt(-monic.b(k)) for k in range(1, n)]
 
 
 # Pivot rows per block of the Sturm count: a block's pivots are written into one buffer,
@@ -105,7 +97,7 @@ class _SturmLanes:
 
     def __init__(self, sizes: list[int]):
         """sizes: distinct, largest first."""
-        self.off = np.array(JacobiMatrix.build(sizes[0]).off_diagonal)
+        self.off = np.array(_off_diagonal(sizes[0]))
         off_sq = self.off * self.off
         per_size = [n - n % 2 for n in sizes]  # lanes of each size
         # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
@@ -319,7 +311,7 @@ _ZEROS_KEPT = 64
 
 @functools.lru_cache(maxsize=_ZEROS_KEPT)
 def _zeros(entry: Recurrence, n: int, tol: float) -> tuple[float, ...]:
-    """zeros() for one PHI_MONIC entry, which JacobiMatrix.build reads.  The entry is only
+    """zeros() for one PHI_MONIC entry, which _off_diagonal reads.  The entry is only
     a key: a frozen Recurrence hashes by its fields, so a patched family gets its own.
 
     The key is (entry, n, tol) only, so a kept zero set does not see code of this module
@@ -357,14 +349,6 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Truncation T of the unit-panel rule over [-T, T], set by make_quad_config's
-    tail bound; against that tail the panel error of these entire integrands is negligible."""
-
-    truncation: float
-
-
 def _gamma_tail(degree: int, rate: float, upper: float) -> float:
     """Exact tail integral of t^degree e^(-rate t) over [upper, infinity).
 
@@ -383,12 +367,14 @@ def _gamma_tail(degree: int, rate: float, upper: float) -> float:
     return total
 
 
-# A frozen result of four numbers, kept: the Fourier grid asks for 9 configs 45 times, and
-# every served size of quad, moments and ft needs fewer than 300 configs in all.
+# A pure function of four numbers, kept: every served size of quad, moments and ft needs
+# fewer than 300 truncations in all.
 @functools.lru_cache(maxsize=512)
 def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
-                     rate: float = math.pi, coeff_norm: float = 1.0) -> QuadConfig:
-    """Smallest integer truncation whose two-sided tail bound clears abs_tol/2.
+                     rate: float = math.pi, coeff_norm: float = 1.0) -> float:
+    """The truncation T of the unit-panel rule over [-T, T]: the smallest integer whose
+    two-sided tail bound clears abs_tol/2, as a float.  Against that tail the panel error
+    of these entire integrands is negligible.
 
     The envelope constant uses 1/sinh(rate*t) <= 2 e^(-rate t)/(1 - e^(-2 rate T)),
     so the bound is rigorous for integrands of the form
@@ -413,33 +399,50 @@ def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
             hi = mid
         else:
             lo = mid + 1
-    return QuadConfig(truncation=float(hi))
+    return float(hi)
+
+
+# The positive half of the 20-node Gauss-Legendre rule on [-1/2, 1/2], ascending: half of
+# what numpy.polynomial.legendre.leggauss(20) gives on [-1, 1] (numpy 2.4), which is
+# symmetric to the bit.  Written out, so that no run imports numpy.polynomial.
+_HALF_NODES = (0.03826326056674867, 0.11389292557082253, 0.18685304435770977,
+               0.25543350097541356, 0.3180268403632575, 0.3731659532300754,
+               0.4195584859111094, 0.456117214125663, 0.4819859636389569, 0.4965642995925475)
+_HALF_WEIGHTS = (0.07637669356536314, 0.07458649323630212, 0.0710480546591912,
+                 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
+                 0.04163837078835236, 0.031336024167054395, 0.020300714900193223,
+                 0.008807003569575447)
 
 
 @functools.cache
 def _unit_panel() -> tuple[np.ndarray, np.ndarray]:
-    """The one panel rule: 20-node Gauss-Legendre on [-1/2, 1/2], computed once."""
-    nodes, wts = (0.5 * a for a in np.polynomial.legendre.leggauss(20))
+    """The one panel rule: 20-node Gauss-Legendre on [-1/2, 1/2], ascending nodes."""
+    nodes = np.array(tuple(-v for v in _HALF_NODES[::-1]) + _HALF_NODES)
+    wts = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
     for a in (nodes, wts):
         a.setflags(write=False)  # the cache hands the same arrays to every caller
     return nodes, wts
 
 
-def _panel_points(cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+def _panel_points(truncation: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the unit panels centred at -T + 1/2, ..., T - 1/2."""
     nodes, wts = _unit_panel()
-    mids = np.arange(-cfg.truncation, cfg.truncation) + 0.5
+    mids = np.arange(-truncation, truncation) + 0.5
     return (mids[:, None] + nodes).ravel(), np.tile(wts, mids.size)
 
 
-def integrate(f, cfg: QuadConfig) -> float:
-    """Integral of a vectorized callback over [-T, T] by fixed GL panels."""
-    pts, allw = _panel_points(cfg)
-    vals = np.asarray(f(pts), dtype=float)
+def _panel_sum(allw: np.ndarray, vals: np.ndarray) -> float:
+    """The rule's sum of integrand values at the panel nodes, refused where one is not finite."""
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand produced a non-finite value inside the panel range")
     # einsum, unlike BLAS dot, sums in an order that does not depend on the thread count
     return float(np.einsum("k,k->", allw, vals))
+
+
+def integrate(f, truncation: float) -> float:
+    """Integral of a vectorized callback over [-T, T] by fixed GL panels, T = truncation."""
+    pts, allw = _panel_points(truncation)
+    return _panel_sum(allw, np.asarray(f(pts), dtype=float))
 
 
 def orthogonality_matrix(n_max: int) -> np.ndarray:
@@ -490,8 +493,7 @@ def gram_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - target)))
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     n: int
     closed: Fraction | ZetaEven
     numeric: float
@@ -515,34 +517,22 @@ def moment(n: int) -> MomentResult:
     else:
         factor = Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
         closed = zeta_even(n + 1).scaled(factor)
-    cfg = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
+    truncation = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
     limit = 1.0 if n == 1 else 0.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(t == 0.0, limit, t**n / np.sinh(t))
 
-    numeric = integrate(integrand, cfg)
+    numeric = integrate(integrand, truncation)
     closed_f = to_float(closed)
     deviation = abs(numeric - closed_f) / max(1.0, abs(closed_f))
     return MomentResult(n, closed, numeric, deviation)
 
 
-@dataclass(frozen=True)
-class FtValue:
-    """One Fourier-transform value with the i^n phase factored out.
-
-    value is the real number v such that the transform equals i^n * v; the
-    phase is exact by construction.
-    """
-
-    n: int
-    s: float
-    value: float
-
-
-def ft_closed(n: int, s: float) -> FtValue:
-    """Closed-form transform of the weighted monic member.
+def ft_closed(n: int, s: float) -> float:
+    """Closed-form transform of the weighted monic member, with the i^n phase factored out:
+    the real v such that the transform equals i^n * v, the phase exact by construction.
 
     Evaluated as (n+1)!/(2^(n+1) sqrt(2 pi)) * tanh^n(s/2) * sech^2(s/2),
     the overflow-free equivalent of the sinh-quotient form.  The constant
@@ -556,11 +546,10 @@ def ft_closed(n: int, s: float) -> FtValue:
     half = 0.5 * s
     try:
         sech = 1.0 / math.cosh(half)
-        v = (math.factorial(n + 1) / (2.0 ** (n + 1) * _SQRT_2PI)
-             * math.tanh(half) ** n * sech * sech)
+        return (math.factorial(n + 1) / (2.0 ** (n + 1) * _SQRT_2PI)
+                * math.tanh(half) ** n * sech * sech)
     except OverflowError:  # (n+1)! from n = 170 on, or cosh(s/2), is past the float range
-        v = _ft_closed_log(n, half)
-    return FtValue(n, s, v)
+        return _ft_closed_log(n, half)
 
 
 def _ft_closed_log(n: int, half: float) -> float:
@@ -577,26 +566,30 @@ def _ft_closed_log(n: int, half: float) -> float:
     return math.copysign(v, t) if n % 2 else v
 
 
-def ft_numeric(n: int, s: float) -> FtValue:
-    """Transform by direct quadrature of p_n(t) w(t) e^(ist)/sqrt(2 pi).
+def ft_numeric(n: int, s: float) -> float:
+    """Transform by direct quadrature of p_n(t) w(t) e^(ist)/sqrt(2 pi), with the i^n
+    phase factored out as in ft_closed.
 
     Parity collapses the integral to a cosine (even n) or sine (odd n) form;
     the residual phase is folded into the factored-out i^n convention so the
     value compares directly against ft_closed.
     """
+    return ft_numeric_grid(n, (s,))[0]
+
+
+def ft_numeric_grid(n: int, ss: Sequence[float]) -> list[float]:
+    """ft_numeric(n, s) for each s of ss, bit for bit, from one evaluation of the weighted
+    member p_n(t) w(t) at the panel nodes, which does not depend on s."""
     if n < 0:
         raise ValueError("index must be non-negative")
     norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
-    cfg = make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm)
+    pts, allw = _panel_points(make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm))
     trig = np.cos if n % 2 == 0 else np.sin
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return member_values(SeqKind.PHI_MONIC, n, t)[n] * _weight_array(t) * trig(s * t)
-
-    # s * t overflows for huge |s|; integrate rejects the non-finite values
+    sign = (-1) ** (n // 2)
+    # s * t overflows for huge |s|; _panel_sum rejects the non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
-        v = (-1) ** (n // 2) * integrate(integrand, cfg) / _SQRT_2PI
-    return FtValue(n, s, v)
+        weighted = member_values(SeqKind.PHI_MONIC, n, pts)[n] * _weight_array(pts)
+        return [sign * _panel_sum(allw, weighted * trig(s * pts)) / _SQRT_2PI for s in ss]
 
 
 def _ft_sinh_form(n: int, s: float) -> float:
@@ -632,23 +625,23 @@ def own_erratum_audit() -> list[CheckReport]:
     for n in range(0, 7):
         for s in (0.5, 1.0, 2.0):
             reference = _ft_sinh_form(n, s)
-            good = ft_closed(n, s).value
+            good = ft_closed(n, s)
             bad = 2.0 * good  # the 2^n variant is exactly twice the 2^(n+1) one
             dev_good = max(dev_good, abs(good - reference) / abs(reference))
             dev_printed = min(dev_printed, abs(bad - reference) / abs(reference))
-    quad0 = ft_numeric(0, 0.0).value
+    quad0 = ft_numeric(0, 0.0)
     constant_report = CheckReport(
         "fourier-tanh-constant", (0, 6), CheckStatus.AUDITED, max_deviation=dev_good,
         note=(f"tanh/sech rewriting needs divisor 2^(n+1): it matches the sinh form "
               f"to {dev_good:.2e} relative and quadrature at n=0, s=0 "
-              f"({quad0:.6f} vs {ft_closed(0, 0.0).value:.6f}); the printed 2^n "
+              f"({quad0:.6f} vs {ft_closed(0, 0.0):.6f}); the printed 2^n "
               f"variant is high by a factor of 2 (relative error >= {dev_printed:.3f})"))
 
     # 3. The n = 0 display: its second expression halves the first.
     s0 = 1.3
     first = 1.0 / ((1.0 + math.cosh(s0)) * _SQRT_2PI)
     second = 0.5 * math.sqrt(2.0 / math.pi) * math.sinh(0.5 * s0) ** 2 / math.sinh(s0) ** 2
-    closed0 = ft_closed(0, s0).value
+    closed0 = ft_closed(0, s0)
     return [sign_report, constant_report, CheckReport(
         "fourier-n0-display", (0, 0), CheckStatus.AUDITED,
         max_deviation=abs(first - closed0) / closed0,

@@ -4,14 +4,12 @@ verification suites, and the erratum audit, as deterministic JSON or CSV."""
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -22,7 +20,9 @@ from .report import CheckReport
 from .sequences import RECURRENCES, SeqKind, generate, generating_series
 
 # The float layers (analysis, and suite, which runs it) load numpy, so each handler that
-# needs them imports them itself: coeffs, eval and series never pay for numpy.
+# needs them imports them itself: coeffs, eval and series never pay for numpy.  csv and
+# decimal are imported where they are used too: a default verify writes JSON and reads no
+# exact point.
 
 _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
@@ -61,6 +61,18 @@ def _float_json(v: float) -> str:
     return float.__repr__(v)
 
 
+class _Symmetric(list):
+    """The rows of a symmetric matrix of floats, a list of lists that json writes as any
+    other; _dumps writes each mirrored pair of entries from one repr."""
+
+
+def _symmetric_texts(rows: list[list[float]], fmt) -> list[list[str]]:
+    """fmt of each entry of a symmetric matrix given by its rows, each mirrored pair formatted
+    once, from the lower triangle."""
+    lower = [list(map(fmt, row[: i + 1])) for i, row in enumerate(rows)]
+    return [low + [below[i] for below in lower[i + 1:]] for i, low in enumerate(lower)]
+
+
 def _dumps(obj, pad: str = "") -> str:
     """The text json.dumps writes for a JSON value with string keys at an indent of 2,
     keys sorted and strict (allow_nan off), with its lines after the first indented by
@@ -77,6 +89,8 @@ def _dumps(obj, pad: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if type(obj) is _Symmetric:
+            return _symmetric_json(obj, pad)
         sep = ",\n" + inner
         body = None
         try:  # each map raises TypeError at the first value of another type
@@ -101,6 +115,19 @@ def _dumps(obj, pad: str = "") -> str:
     return json.dumps(obj)  # bool, None, an int subclass; anything else raises json's error
 
 
+def _symmetric_json(rows: _Symmetric, pad: str) -> str:
+    """_dumps of a symmetric matrix, each mirrored pair of entries written from one repr."""
+    for row in rows:  # strict JSON, one row at a time as for any list of floats
+        if not math.isfinite(sum(row)):
+            for v in row:
+                _float_json(v)
+    inner = pad + "  "
+    sep, row_sep = ",\n" + inner, ",\n" + inner + "  "
+    body = sep.join([f"[\n{inner}  {row_sep.join(texts)}\n{inner}]"
+                     for texts in _symmetric_texts(rows, float.__repr__)])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def _emit_json(payload) -> None:
     """payload as indented JSON.  An iterator is written as a list one element at a time,
     in the same bytes, so that only one element's strings are alive at once; it is used
@@ -118,6 +145,7 @@ def _emit_json(payload) -> None:
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     """The header, then each row as it comes: a generator of rows is never held whole."""
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -177,10 +205,11 @@ def _cmd_coeffs(args, argv) -> int:
     return 0
 
 
-# The forms Fraction reads: [sign] integer, [sign] p/q, or a decimal with an exponent
-_POINT = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)"
-                    r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?:\d+(?:_\d+)*)?)?"
-                    r"(?:e(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*", re.IGNORECASE)
+# The forms Fraction reads: [sign] integer, [sign] p/q, or a decimal with an exponent;
+# compiled at the first eval, by re's own cache
+_POINT = (r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:\d+(?:_\d+)*)?)"
+          r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?:\d+(?:_\d+)*)?)?"
+          r"(?:e(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*")
 
 
 def _point(text: str, n: int) -> Fraction:
@@ -190,7 +219,8 @@ def _point(text: str, n: int) -> Fraction:
     before the point is built, since 1e<exponent> alone would take that many digits.
     The digits are read through Decimal, which has no limit on their number, where
     Fraction(text) stops at CPython's 4300; the process-wide limit is left as it is."""
-    form = _POINT.fullmatch(text)
+    from decimal import Decimal
+    form = re.fullmatch(_POINT, text, re.IGNORECASE)
     if form is None:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     exponent = form["exp"]
@@ -213,6 +243,7 @@ def _exact_str(q: Fraction) -> str:
     """str(q), also where a numerator or denominator is past CPython's limit on integer
     string conversion (4300 digits by default), which Decimal does not apply; the
     process-wide limit is left as it is."""
+    from decimal import Decimal
     num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
     return num if den == "1" else f"{num}/{den}"
 
@@ -244,11 +275,12 @@ def _cmd_quad(args, argv) -> int:
     from .analysis import gram_deviation, orthogonality_matrix
     mat = orthogonality_matrix(args.max_n)
     dev = gram_deviation(mat)
+    # _gram mirrors its lower triangle, so the matrix is symmetric to the bit
     if args.format == "csv":
         _emit_csv([f"c{j}" for j in range(args.max_n + 1)],
-                  [[_fmt(v) for v in row] for row in mat.tolist()])
+                  _symmetric_texts(mat.tolist(), _fmt))
     else:
-        _emit_json({"size": args.max_n + 1, "matrix": mat.tolist(),
+        _emit_json({"size": args.max_n + 1, "matrix": _Symmetric(mat.tolist()),
                     "max_abs_deviation": dev,
                     "target": "2/(n+1) on the diagonal, 0 elsewhere"})
     return 0
@@ -259,8 +291,8 @@ def _cmd_ft(args, argv) -> int:
     closed = ft_closed(args.n, args.s)
     numeric = ft_numeric(args.n, args.s)
     _emit_records({"n": args.n, "s": args.s, "phase": f"i^{args.n}",
-                   "closed": closed.value, "numeric": numeric.value,
-                   "abs_deviation": abs(closed.value - numeric.value)}, args.format)
+                   "closed": closed, "numeric": numeric,
+                   "abs_deviation": abs(closed - numeric)}, args.format)
     return 0
 
 

@@ -11,7 +11,6 @@ parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -30,21 +29,35 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
 class ZetaEven:
     """Exact value rational_part * pi**pi_power (pi_power even, >= 2).
 
     Keeping pi symbolic lets the moment checks separate the exact rational
-    content from the single transcendental factor.
+    content from the single transcendental factor.  Instances are immutable and
+    hashable, and compare by their two fields.
     """
 
-    rational_part: Fraction
-    pi_power: int
+    __slots__ = ("rational_part", "pi_power")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational_part", _as_fraction(self.rational_part))
-        if self.pi_power < 2 or self.pi_power % 2 != 0:
+    def __init__(self, rational_part: Fraction | int, pi_power: int) -> None:
+        object.__setattr__(self, "rational_part", _as_fraction(rational_part))
+        if pi_power < 2 or pi_power % 2 != 0:
             raise ValueError("pi_power must be an even integer >= 2")
+        object.__setattr__(self, "pi_power", pi_power)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("ZetaEven is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZetaEven):
+            return NotImplemented
+        return self.rational_part == other.rational_part and self.pi_power == other.pi_power
+
+    def __hash__(self) -> int:
+        return hash((self.rational_part, self.pi_power))
+
+    def __repr__(self) -> str:
+        return f"ZetaEven(rational_part={self.rational_part!r}, pi_power={self.pi_power!r})"
 
     def scaled(self, factor: Fraction | int) -> "ZetaEven":
         """Same pi power, rational part multiplied by an exact factor."""

@@ -14,9 +14,9 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyfps import Poly, PolySeries, X, combine, elementary
+from .polyfps import Poly, PolySeries, X, combine, elementary, horner
 from .report import CheckReport, CheckStatus, aggregate
-from .sequences import SeqKind, SeqTable, generate, monic_egf
+from .sequences import SeqKind, SeqTable, generate, generating_series
 
 __all__ = [
     "trig_operator_eigencheck",
@@ -143,9 +143,11 @@ def convolution_check(n_max: int) -> CheckReport:
     deg = [p.degree for p in tab.polys]
     points = [max(deg[k] + deg[n - k] for k in range(n + 1)) - 1 for n in range(n_max + 1)]
     den = math.lcm(*(p.denominator for p in tab.polys))
-    ders = [(a, a.derivative(), a.derivative(2)) for a in (den * p for p in tab.polys)]
+    # the integer coefficients of A_k and of its two derivatives
+    ders = [(a.numerators, a.derivative().numerators, a.derivative(2).numerators)
+            for a in (den * p for p in tab.polys)]
     # at[x][j][k]: the j-th derivative of A_k at the integer x
-    at = [[[int(f(x)) for f in col] for col in zip(*ders)] for x in range(max(points))]
+    at = [[[horner(cs, x, 1) for cs in col] for col in zip(*ders)] for x in range(max(points))]
 
     def vanishes(n: int) -> bool:
         combs = [math.comb(n, k) for k in range(n + 1)]
@@ -158,10 +160,11 @@ def convolution_check(n_max: int) -> CheckReport:
 
 
 def egf_pde_residual(order: int) -> PolySeries:
-    """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero."""
+    """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero.
+    Inside a run, the series is a truncation of the one the run keeps."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    g = monic_egf(order)
+    g = generating_series(SeqKind.PHI_MONIC, order)
     gx = g.dx()
     return g * gx.dx() - gx * gx
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .exactnum import bernoulli
 
-__all__ = ["Poly", "PolySeries", "X", "combine", "elementary"]
+__all__ = ["Poly", "PolySeries", "X", "combine", "elementary", "horner"]
 
 
 def _is_scalar(v) -> bool:
@@ -68,8 +68,9 @@ def _shift_one(cs: list[int]) -> list[int]:
     return c
 
 
-def _horner(cs, p: int, q: int) -> int:
-    """q^deg * sum_k cs[k] (p/q)^k, for integer cs, p and q."""
+def horner(cs, p: int, q: int) -> int:
+    """q^deg * sum_k cs[k] (p/q)^k, for integer cs, p and q, deg = len(cs) - 1: the value at
+    p/q of the integer polynomial with coefficients cs, scaled to an integer."""
     acc = 0
     if q == 1:  # an integer point: q^k = 1, so no bookkeeping
         for c in reversed(cs):
@@ -102,29 +103,43 @@ def _raw(num: tuple, den: int) -> "Poly":
     return p
 
 
+# the integer numerators of the constant 1, the other factor of a term (c, p)
+_UNIT = (1,)
+
+
 def combine(terms: Iterable[tuple]) -> "Poly":
     """The sum of c p, or of c p q, over terms (c, p) and (c, p, q): c a rational scalar,
     p and q Poly values.
 
     The one kernel of Poly arithmetic.  Every term is put over the lcm of the term
-    denominators, its scalar is folded into its shorter factor, the integer products are
-    summed into one accumulator, and the sum is put in canonical form once, where pairwise
-    Poly operations would run a gcd pass per term.
+    denominators, its scalar is folded into its shorter factor (a scalar alone is the
+    shorter factor of a two-element term), the integer products are summed into one
+    accumulator, and the sum is put in canonical form once, where pairwise Poly
+    operations would run a gcd pass per term.
     """
-    live, den = [], 1
-    for c, *factors in terms:
-        r, d = _parts(c)
-        p, q = factors if len(factors) == 2 else (_ONE, *factors)
-        if r and p._num and q._num:
+    live = []
+    for term in terms:
+        c = term[0]
+        r, d = (c, 1) if isinstance(c, int) else _parts(c)
+        if not r:
+            continue
+        p = term[1]
+        if len(term) == 2:
+            if p._num:
+                live.append((r, d * p._den, _UNIT, p._num))
+            continue
+        q = term[2]
+        if p._num and q._num:
             if len(q._num) < len(p._num):
                 p, q = q, p
-            d *= p._den * q._den
-            den = math.lcm(den, d)
-            live.append((r, d, p._num, q._num))
+            live.append((r, d * p._den * q._den, p._num, q._num))
+    den = math.lcm(*[t[1] for t in live])
     acc: list[int] = []
     for r, d, a, b in live:
         r *= den // d
-        _addmul(acc, a if r == 1 else [r * x for x in a], b)
+        if r != 1:
+            a = (r,) if a is _UNIT else [r * x for x in a]
+        _addmul(acc, a, b)
     return _make(acc, den)
 
 
@@ -240,7 +255,7 @@ class Poly:
             if not num:
                 return Fraction(0)
             p, q = x.numerator, x.denominator
-            return Fraction(_horner(num, p, q), den * q ** (len(num) - 1))
+            return Fraction(horner(num, p, q), den * q ** (len(num) - 1))
         acc = x * 0
         for c in reversed(num):
             acc = acc * x + c / den
@@ -279,9 +294,16 @@ class Poly:
         return _make(cs, self._den * q ** n)
 
     def to_strings(self) -> list[str]:
-        """Ascending-degree "num/den" strings."""
-        den, out = self._den, []
-        for c in self._num:  # Fraction's str, without building one per coefficient
+        """Ascending-degree "num/den" strings: Fraction's str, without building one per
+        coefficient."""
+        den = self._den
+        if den == 1:
+            return list(map(str, self._num))
+        out = []
+        for c in self._num:
+            if not c:
+                out.append("0")
+                continue
             g = math.gcd(c, den)
             out.append(str(c // g) if den == g else f"{c // g}/{den // g}")
         return out
@@ -313,7 +335,6 @@ class Poly:
 
 
 X = Poly((0, 1))
-_ONE = Poly([1])
 
 
 class PolySeries:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .polyfps import Poly
 
@@ -28,8 +28,7 @@ class CheckStatus(Enum):
     AUDITED = "AUDITED"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     identity: str
     n_range: tuple[int, int]
     status: CheckStatus

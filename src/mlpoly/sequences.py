@@ -73,10 +73,17 @@ class SeqKind(Enum):
 _KIND_TOKENS = {kind.token: kind for kind in SeqKind}
 
 
-@dataclass(frozen=True)
 class SeqTable:
-    kind: SeqKind
-    polys: tuple[Poly, ...]
+    """The members p_0 .. p_max_n of one family, indexed by n; immutable."""
+
+    __slots__ = ("kind", "polys")
+
+    def __init__(self, kind: SeqKind, polys: tuple[Poly, ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "polys", polys)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("SeqTable is immutable")
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -206,14 +213,32 @@ _HYPERGEOMETRIC_Z = 2
 _MEIXNER_BETA, _MEIXNER_C = Fraction(2), Fraction(-1)
 
 
+def _over_one_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(m, den) with m[j] / den = r_0 r_1 ... r_{j-1} for the ratios r_i = num_i / den_i
+    (den_i != 0), all on integers and den the least common denominator of these products:
+    m[j] carries the numerators before j and the denominators from j on, over the product
+    of every den_i, and one gcd reduces them all."""
+    m, num = [], 1
+    for r_num, _ in ratios:
+        m.append(num)
+        num *= r_num
+    m.append(num)
+    cofactor = 1
+    for j in range(len(ratios) - 1, -1, -1):
+        cofactor *= ratios[j][1]
+        m[j] *= cofactor
+    g = math.gcd(cofactor, *m)
+    return [c // g for c in m], cofactor // g
+
+
 def _hypergeometric_g(n: int, poch_x: Sequence[Poly]) -> Poly:
-    """g_n = 2x * sum_{j=0}^{n-1} (1-n)_j (1-x)_j z^j / ((2)_j j!), poch_x[j] = (1-x)_j."""
-    terms = []
-    scalar = Fraction(2)           # 2 (1-n)_j z^j / ((2)_j j!)
-    for j in range(n):
-        terms.append((scalar, X, poch_x[j]))
-        scalar = scalar * Fraction(_HYPERGEOMETRIC_Z * (1 - n + j), (2 + j) * (j + 1))
-    return combine(terms)
+    """g_n = 2x * sum_{j=0}^{n-1} (1-n)_j (1-x)_j z^j / ((2)_j j!), poch_x[j] = (1-x)_j.
+
+    The scalar (1-n)_j z^j / ((2)_j j!) of term j is the product of the term ratios
+    z (1-n+i) / ((2+i)(i+1)), i < j, carried as an integer over one common denominator."""
+    scalars, den = _over_one_denominator(
+        [(_HYPERGEOMETRIC_Z * (1 - n + i), (2 + i) * (i + 1)) for i in range(n - 1)])
+    return combine(((Fraction(2, den), X, combine(zip(scalars, poch_x))),))
 
 
 def _meixner_g(n: int, poch_y: Sequence[Poly]) -> Poly:
@@ -221,16 +246,17 @@ def _meixner_g(n: int, poch_y: Sequence[Poly]) -> Poly:
 
     The Meixner sum M_k(y; beta, c) = sum_{j=0}^{k} (-k)_j (-y)_j z^j / ((beta)_j j!),
     z = 1 - 1/c, is built in its own variable y and only then shifted to x - 1, which
-    keeps this route structurally distinct from the hypergeometric one.
+    keeps this route structurally distinct from the hypergeometric one.  Its scalars are
+    products of the term ratios (-k+i) z / ((beta+i)(i+1)), i < j, carried as an integer
+    over one common denominator.
     """
     k, beta = n - 1, _MEIXNER_BETA
     z = 1 - 1 / _MEIXNER_C
-    terms = []
-    scalar = Fraction(1)           # (-k)_j z^j / ((beta)_j j!)
-    for j in range(k + 1):
-        terms.append((scalar, poch_y[j]))
-        scalar = scalar * (-k + j) * z / ((beta + j) * (j + 1))
-    return combine(((2, X, combine(terms).shift(-1)),))
+    # (-k+i) z / ((beta+i)(i+1)) on integers: z = zn/zd and beta + i = (bn + i bd)/bd
+    zn, zd, bn, bd = z.numerator, z.denominator, beta.numerator, beta.denominator
+    scalars, den = _over_one_denominator(
+        [((-k + i) * zn * bd, zd * (bn + i * bd) * (i + 1)) for i in range(k)])
+    return combine(((Fraction(2, den), X, combine(zip(scalars, poch_y)).shift(-1)),))
 
 
 def oracle_hypergeometric_g(n: int) -> Poly:

@@ -120,10 +120,10 @@ def test_criterion_6_moments_match_zeta_forms():
 
 
 def test_criterion_7_fourier_closed_vs_quadrature():
-    dev = max(abs(ft_numeric(n, s).value - ft_closed(n, s).value)
+    dev = max(abs(ft_numeric(n, s) - ft_closed(n, s))
               for n in range(9) for s in (0.25, 0.5, 1.0, 2.0, 4.0))
     ok = dev < 1e-6
-    ok = ok and abs(ft_closed(0, 0.0).value - 0.199471) < 1e-6
+    ok = ok and abs(ft_closed(0, 0.0) - 0.199471) < 1e-6
     _verdict(7, ok, f"transform quadrature matches the closed form to {dev:.2e} "
                     "(< 1e-6) on n <= 8 and the five-point s grid; "
                     "n=0, s=0 value is 0.199471")
@@ -160,7 +160,7 @@ def test_criterion_8_erratum_audit_verdicts():
             worst = max(worst, abs(tanh_form - sinh_form) / sinh_form)
             ok = ok and abs(2 * tanh_form - sinh_form) / sinh_form > 0.9
     ok = ok and worst < 1e-12
-    ok = ok and abs(ft_numeric(0, 0.0).value
+    ok = ok and abs(ft_numeric(0, 0.0)
                     - 1 / (2 * math.sqrt(2 * math.pi))) < 1e-9
     ok = ok and "factor of 2" in reports["fourier-tanh-constant"].note
 
@@ -169,7 +169,7 @@ def test_criterion_8_erratum_audit_verdicts():
     s0 = 1.3
     first = 1.0 / ((1.0 + math.cosh(s0)) * math.sqrt(2 * math.pi))
     second = 0.5 * math.sqrt(2 / math.pi) * math.sinh(s0 / 2) ** 2 / math.sinh(s0) ** 2
-    ok = ok and abs(first - ft_closed(0, s0).value) / first < 1e-14
+    ok = ok and abs(first - ft_closed(0, s0)) / first < 1e-14
     ok = ok and abs(second - first / 2) / first < 1e-14
     ok = ok and "low by a factor" in reports["fourier-n0-display"].note
 

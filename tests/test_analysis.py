@@ -15,24 +15,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlpoly.analysis import (JacobiMatrix, _spectra, ft_closed, ft_numeric, gram_deviation,
-                             integrate, make_quad_config, member_values, moment,
-                             orthogonality_matrix, zeros, zeros_range, _coeff_norm,
-                             _ft_sinh_form, _gamma_tail, _weight_array)
+from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
+                             gram_deviation, integrate, make_quad_config, member_values,
+                             moment, orthogonality_matrix, zeros, zeros_range, _coeff_norm,
+                             _ft_sinh_form, _gamma_tail, _unit_panel, _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate
-from mlpoly.suite import audit_suite
+from mlpoly.suite import _FT_S_GRID, audit_suite
 
 F = Fraction
 
 
 def test_jacobi_matrix_entries():
-    jm = JacobiMatrix.build(4)
-    assert jm.off_diagonal == pytest.approx(
-        (math.sqrt(2) / 2, math.sqrt(6) / 2, math.sqrt(3)))
+    assert _off_diagonal(4) == pytest.approx(
+        [math.sqrt(2) / 2, math.sqrt(6) / 2, math.sqrt(3)])
     with pytest.raises(ValueError):
-        JacobiMatrix.build(0)
+        _off_diagonal(0)
 
 
 def test_zeros_closed_form_members():
@@ -101,7 +100,7 @@ def _scalar_zeros(n, tol, guarded=None):
 
     `guarded`, if given, collects the bisection step of every pivot the guard replaces.
     """
-    off_sq = [b * b for b in JacobiMatrix.build(n).off_diagonal]
+    off_sq = [b * b for b in _off_diagonal(n)]
     pivmin = max(1e-290, 2.3e-16 * max(off_sq, default=1.0))
     bound = math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
 
@@ -289,8 +288,8 @@ def test_weight_total_mass():
 def test_make_quad_config_grows_with_degree():
     small = make_quad_config(1)
     large = make_quad_config(25)
-    assert large.truncation >= small.truncation
-    assert small.truncation >= 4.0
+    assert large >= small
+    assert small >= 4.0
     with pytest.raises(ValueError):
         make_quad_config(-1)
     with pytest.raises(ValueError):
@@ -319,9 +318,9 @@ def test_make_quad_config_equals_the_linear_scan():
     # the two ends of the range: T = 4, and a bound that clears at 399 but not at 398
     cases += [(0, 1.0, math.pi, 1.0), (300, 1e-10, math.pi, 3.7e-247)]
     for case in cases:
-        assert make_quad_config(*case).truncation == _scanned_truncation(*case), case
-    assert make_quad_config(0, 1.0).truncation == 4.0
-    assert make_quad_config(300, coeff_norm=3.7e-247).truncation == 399.0
+        assert make_quad_config(*case) == _scanned_truncation(*case), case
+    assert make_quad_config(0, 1.0) == 4.0
+    assert make_quad_config(300, coeff_norm=3.7e-247) == 399.0
     # T = 399 fails, so every smaller T does too
     assert _scanned_truncation(250, 1e-10, math.pi, 1.0) is None
     with pytest.raises(ValueError, match="no truncation below 400"):
@@ -427,8 +426,8 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
     class Picked(Exception):
         pass
 
-    def stop_at_the_rule(cfg):
-        raise Picked(cfg.truncation)
+    def stop_at_the_rule(truncation):
+        raise Picked(truncation)
 
     def truncation(fn, *args):
         with pytest.raises(Picked) as info:
@@ -457,8 +456,7 @@ def test_member_values_follow_the_exact_members():
 
 def test_jacobi_matrix_reads_the_monic_recurrence_bit_for_bit():
     # sqrt(-b(k)) = sqrt(k(k+1)/4) rounds exactly like sqrt(k(k+1))/2
-    assert JacobiMatrix.build(401).off_diagonal == tuple(
-        math.sqrt(k * (k + 1)) / 2.0 for k in range(1, 401))
+    assert _off_diagonal(401) == [math.sqrt(k * (k + 1)) / 2.0 for k in range(1, 401)]
 
 
 def test_monic_norms():
@@ -492,9 +490,9 @@ def test_each_moment_is_integrated_once_per_process(monkeypatch):
     from mlpoly import analysis
     calls = []
 
-    def counted(f, cfg):
-        calls.append(cfg.truncation)
-        return integrate(f, cfg)
+    def counted(f, truncation):
+        calls.append(truncation)
+        return integrate(f, truncation)
 
     moment.cache_clear()
     monkeypatch.setattr(analysis, "integrate", counted)
@@ -511,10 +509,10 @@ def test_each_moment_is_integrated_once_per_process(monkeypatch):
 
 
 def test_ft_closed_frozen_values():
-    assert ft_closed(0, 0.0).value == pytest.approx(1 / (2 * math.sqrt(2 * math.pi)),
+    assert ft_closed(0, 0.0) == pytest.approx(1 / (2 * math.sqrt(2 * math.pi)),
                                                     rel=1e-15)
-    assert ft_closed(0, 0.0).value == pytest.approx(0.19947114020071635, rel=1e-14)
-    assert ft_closed(1, 1.0).value == pytest.approx(0.07249399409756802, rel=1e-14)
+    assert ft_closed(0, 0.0) == pytest.approx(0.19947114020071635, rel=1e-14)
+    assert ft_closed(1, 1.0) == pytest.approx(0.07249399409756802, rel=1e-14)
     with pytest.raises(ValueError):
         ft_closed(-1, 0.0)
 
@@ -527,21 +525,59 @@ def test_ft_closed_rejects_nan_s():
 def test_ft_closed_matches_sinh_form():
     for n in range(7):
         for s in (0.3, 0.9, 1.7, 3.1):
-            assert ft_closed(n, s).value == pytest.approx(_ft_sinh_form(n, s),
-                                                          rel=1e-12)
+            assert ft_closed(n, s) == pytest.approx(_ft_sinh_form(n, s), rel=1e-12)
 
 
 def test_ft_quadrature_agreement_on_grid():
     for n in range(9):
         for s in (0.25, 0.5, 1.0, 2.0, 4.0):
-            dev = abs(ft_numeric(n, s).value - ft_closed(n, s).value)
+            dev = abs(ft_numeric(n, s) - ft_closed(n, s))
             assert dev < 1e-6, (n, s)
 
 
+def _ft_numeric_one_at_a_time(n, s):
+    """ft_numeric by one integrate call, whose integrand evaluates the weighted member at
+    this s alone."""
+    norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
+    trig = np.cos if n % 2 == 0 else np.sin
+
+    def integrand(t):
+        return member_values(SeqKind.PHI_MONIC, n, t)[n] * _weight_array(t) * trig(s * t)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integrate(integrand, make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm))
+    return (-1) ** (n // 2) * total / math.sqrt(2.0 * math.pi)
+
+
+def test_the_shared_fourier_grid_gives_the_bits_of_one_s_at_a_time():
+    for n in range(9):
+        alone = [_ft_numeric_one_at_a_time(n, s) for s in _FT_S_GRID]
+        assert ft_numeric_grid(n, _FT_S_GRID) == alone, n
+        assert [ft_numeric(n, s) for s in _FT_S_GRID] == alone, n
+    sampled = (0.0, -0.375, 0.625, 1.5, 7.25, 40.0)
+    for n in range(25):  # the sizes of FROZEN_TRUNCATIONS["ft"]
+        alone = [_ft_numeric_one_at_a_time(n, s) for s in sampled]
+        assert ft_numeric_grid(n, sampled) == alone, n
+        assert [ft_numeric(n, s) for s in sampled] == alone, n
+    with pytest.raises(ValueError, match="non-finite"):
+        _ft_numeric_one_at_a_time(3, 1e308)
+    with pytest.raises(ValueError, match="non-finite"):
+        ft_numeric_grid(3, (1.0, 1e308))
+
+
+def test_unit_panel_is_half_the_20_node_gauss_legendre_rule():
+    nodes, wts = _unit_panel()
+    x, w = np.polynomial.legendre.leggauss(20)
+    for got, ref in ((nodes, 0.5 * x), (wts, 0.5 * w)):
+        assert got.dtype == np.float64 and got.shape == (20,) and not got.flags.writeable
+        if np.__version__.startswith("2.4."):  # the build the quad digests were recorded on
+            assert got.tobytes() == ref.tobytes()
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
 def test_ft_numeric_odd_member_vanishes_at_origin():
-    assert ft_numeric(1, 0.0).value == 0.0
-    assert ft_numeric(0, 0.0).value == pytest.approx(ft_closed(0, 0.0).value,
-                                                     abs=1e-9)
+    assert ft_numeric(1, 0.0) == 0.0
+    assert ft_numeric(0, 0.0) == pytest.approx(ft_closed(0, 0.0), abs=1e-9)
 
 
 def test_erratum_audit_shape():
@@ -588,11 +624,11 @@ def test_ft_closed_past_the_float_range():
     from mlpoly.analysis import _ft_closed_log
     # the log-space form agrees with the direct product where both exist
     for n, s in ((5, -2.0), (160, 0.3), (169, 40.0)):
-        assert _ft_closed_log(n, 0.5 * s) == pytest.approx(ft_closed(n, s).value, rel=1e-12)
-    assert math.isfinite(ft_closed(170, 1.0).value) and ft_closed(170, 1.0).value > 0
-    assert ft_closed(171, -1.0).value < 0
-    assert ft_closed(2, 1e308).value == 0.0
-    assert ft_closed(300, 0.0).value == 0.0
+        assert _ft_closed_log(n, 0.5 * s) == pytest.approx(ft_closed(n, s), rel=1e-12)
+    assert math.isfinite(ft_closed(170, 1.0)) and ft_closed(170, 1.0) > 0
+    assert ft_closed(171, -1.0) < 0
+    assert ft_closed(2, 1e308) == 0.0
+    assert ft_closed(300, 0.0) == 0.0
     with pytest.raises(ValueError, match="exceeds the float range"):
         ft_closed(1000, 10.0)
     for s in (math.inf, math.nan, 1e308):

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 
 from mlpoly import __version__
 from mlpoly import cli
-from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _build_parser, _dumps, _emit_json,
-                        _emit_records, main)
+from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _Symmetric, _build_parser, _dumps,
+                        _emit_json, _emit_records, _symmetric_texts, main)
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 
 
@@ -302,6 +302,31 @@ def test_emit_json_refuses_non_finite_floats(capsys):
     assert capsys.readouterr().out == ""
     # finite floats whose sum overflows are written
     assert _dumps([1e308, 1e308, -1e308]) == _reference_json([1e308, 1e308, -1e308])
+
+
+@st.composite
+def _symmetric_rows(draw):
+    n = draw(st.integers(1, 5))
+    lower = [[draw(_finite) for _ in range(i + 1)] for i in range(n)]
+    return [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(_symmetric_rows(), st.sampled_from(["", "  "]))
+@settings(max_examples=100, deadline=None)
+def test_a_symmetric_matrix_is_written_as_json_dumps_writes_its_rows(rows, pad):
+    assert _dumps(_Symmetric(rows), pad) == _reference_json(rows).replace("\n", "\n" + pad)
+    assert _symmetric_texts(rows, repr) == [[repr(v) for v in row] for row in rows]
+
+
+def test_a_symmetric_matrix_with_a_non_finite_entry_is_refused_as_json_dumps_refuses_it():
+    for v in (math.nan, math.inf, -math.inf):
+        # on the diagonal, and mirrored, where row-major order reaches the upper copy first
+        for rows in ([[1.0, 2.0], [2.0, v]], [[0.5, v, 1.0], [v, 1.0, 3.0], [1.0, 3.0, 2.0]]):
+            with pytest.raises(ValueError) as expected:
+                _reference_json(rows)
+            with pytest.raises(ValueError) as raised:
+                _dumps(_Symmetric(rows))
+            assert str(raised.value) == str(expected.value), rows
 
 
 def test_quad(capsys):
@@ -740,6 +765,27 @@ def test_exact_commands_do_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
     assert out == "[]\n"
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh python process started with args imports, by -X importtime."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                         timeout=120).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_verify_does_not_load_the_modules_only_other_commands_use():
+    # numpy.polynomial (the panel rule is written out), csv (the CSV writer) and decimal
+    # (eval's exact strings); the standard library's fractions imports decimal itself on
+    # CPython 3.10-3.13, so a module counts where importing fractions alone does not load it
+    unused = {"numpy.polynomial", "csv", "decimal"} - _imported("-c", "import fractions")
+    assert {"numpy.polynomial", "csv"} <= unused
+    loaded = _imported("-m", "mlpoly", "verify", "--suite", "all")
+    assert "mlpoly.suite" in loaded and "numpy" in loaded
+    assert not unused & loaded
 
 
 def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):

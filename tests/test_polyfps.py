@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlpoly.polyfps import Poly, PolySeries, X, combine, elementary
@@ -114,6 +114,14 @@ def test_poly_string_forms():
     assert str(Poly([0, -1])) == "-x"
     assert p.to_strings() == ["-1/2", "0", "1"]
     assert Poly([Fraction(c) for c in p.to_strings()]) == p
+
+
+@given(st.one_of(_coeff_lists, st.lists(st.integers(-10**30, 10**30), max_size=7)))
+@settings(max_examples=80, deadline=None)
+def test_to_strings_writes_fraction_strings(a):
+    # zero numerators, and integer polynomials, whose denominator is 1, among them
+    p = Poly(a)
+    assert p.to_strings() == [str(c) for c in p.coeffs]
 
 
 def test_series_constructor_enforces_order_invariant():
@@ -335,6 +343,12 @@ def _ref_combine(terms):
 
 @given(_terms)
 @settings(max_examples=120, deadline=None)
+# every branch of the kernel, whatever is drawn: a single term of each shape, int and zero
+# scalars, and zero polynomials on either side of a product
+@example([(3, [Fraction(1, 2), 1])])
+@example([(Fraction(-2, 3), [1, 2], [Fraction(1, 5)])])
+@example([(0, [1, 2]), (0, [1], [3]), (4, []), (5, [], [1, 2]), (6, [1, 2], [0, 0])])
+@example([(1, [2, 3], [1]), (-7, [1], [1, 2, 3]), (2, [Fraction(1, 6)]), (True, [5])])
 def test_kernel_combine_matches_the_reference(terms):
     as_polys = [(c, *map(Poly, factors)) for c, *factors in terms]
     total = combine(as_polys)
