@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
 from fractions import Fraction
@@ -53,8 +54,8 @@ def _off_diagonal(n: int) -> list[float]:
     diagonal is zero: sqrt(-b(k)) = sqrt(c_k) = sqrt(k(k+1))/2 for k = 1 .. n - 1."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    monic = RECURRENCES[SeqKind.PHI_MONIC]
-    return [math.sqrt(-monic.b(k)) for k in range(1, n)]
+    nums, dens = RECURRENCES[SeqKind.PHI_MONIC].b.terms(n)
+    return [math.sqrt(-c / d) for c, d in zip(nums[1:], dens[1:])]
 
 
 # Pivot rows per block of the Sturm count: a block's pivots are written into one buffer,
@@ -342,10 +343,12 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     """Rows p_0(t) .. p_{n_max}(t) of a RECURRENCES family, by its recurrence in floats:
     the stable route (Gautschi 2004, sec. 2.1), where power-basis sums cancel badly."""
     rec = RECURRENCES[kind]
+    # each int/int quotient is correctly rounded, as float(Fraction) is
+    a, b, d = (list(map(operator.truediv, *r.terms(n_max))) for r in (rec.a, rec.b, rec.d))
     out = np.empty((n_max + 2, t.size))
     out[0], out[1] = 0.0, rec.p0  # row 0 is p_{-1}
     for n in range(n_max):
-        out[n + 2] = (float(rec.a(n)) * t + float(rec.d(n))) * out[n + 1] + float(rec.b(n)) * out[n]
+        out[n + 2] = (a[n] * t + d[n]) * out[n + 1] + b[n] * out[n]
     return out[1:]
 
 
@@ -609,7 +612,7 @@ def own_erratum_audit() -> list[CheckReport]:
     # 1. Sign of the base three-term recurrence: the minus-sign variant first
     #    diverges from every oracle at n = 3.
     g = RECURRENCES[SeqKind.G]
-    printed = replace(g, b=lambda n: -g.b(n)).members(3)
+    printed = replace(g, b=-g.b).members(3)
     oracle3 = oracle_hypergeometric_g(3)
     agree = not g_oracle_mismatches(20)
     residual = printed[3] - oracle3

@@ -33,7 +33,7 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
 # SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 3.9-4.8 s and prints
 # 100 MB (0.35 s of it writing the JSON, most of the rest converting the coefficients to
-# strings), and eval --n 500 0.13 s (up to 1.1 s at a point on the EVAL_DIGITS bound);
+# strings), and eval --n 500 0.06 s (0.66-0.71 s at a point on the EVAL_DIGITS bound);
 # series --order 300 takes 1.2-2.1 s for phi-monic, phi and g, the slowest kinds;
 # verify --suite exact --max-n 160 takes 4.3-6.1 s across six runs
 # (numeric and all refuse from 103 at once).
@@ -346,6 +346,15 @@ class _AboveCeiling(Exception):
     which reports it in one line like every other invalid value."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses as main does: argparse's usage, then one `mlpoly: error: <message>` line,
+    exit 2.  add_subparsers builds each command's parser of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"mlpoly: error: {message}\n")
+
+
 def _size_up_to(ceiling: int):
     """argparse type: an integer size no larger than ceiling."""
     def size(text: str) -> int:
@@ -358,7 +367,7 @@ def _size_up_to(ceiling: int):
 
 @functools.cache  # one parser per process: parse_args returns a fresh namespace each call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlpoly",
         description="Exact generation and verification toolkit for the "
                     "Mittag-Leffler polynomial family")

@@ -107,15 +107,15 @@ def _raw(num: tuple, den: int) -> "Poly":
 _UNIT = (1,)
 
 
-def combine(terms: Iterable[tuple]) -> "Poly":
-    """The sum of c p, or of c p q, over terms (c, p) and (c, p, q): c a rational scalar,
-    p and q Poly values.
+def combine(terms: Iterable[tuple], over: int = 1) -> "Poly":
+    """The sum of c p, or of c p q, over terms (c, p) and (c, p, q), divided by the positive
+    integer over: c a rational scalar, p and q Poly values.
 
     The one kernel of Poly arithmetic.  Every term is put over the lcm of the term
-    denominators, its scalar is folded into its shorter factor (a scalar alone is the
-    shorter factor of a two-element term), the integer products are summed into one
-    accumulator, and the sum is put in canonical form once, where pairwise Poly
-    operations would run a gcd pass per term.
+    denominators, its scalar is folded into its shorter factor (a term (c, p) is a scaled
+    add of p's numerators), the integer products are summed into one accumulator, which
+    the first live term starts, and the sum is put in canonical form once, where pairwise
+    Poly operations would run a gcd pass per term.
     """
     live = []
     for term in terms:
@@ -133,14 +133,21 @@ def combine(terms: Iterable[tuple]) -> "Poly":
             if len(q._num) < len(p._num):
                 p, q = q, p
             live.append((r, d * p._den * q._den, p._num, q._num))
-    den = math.lcm(*[t[1] for t in live])
+    if not live:
+        return _raw((), 1)
+    den = live[0][1] if len(live) == 1 else math.lcm(*[t[1] for t in live])
     acc: list[int] = []
     for r, d, a, b in live:
         r *= den // d
-        if r != 1:
-            a = (r,) if a is _UNIT else [r * x for x in a]
-        _addmul(acc, a, b)
-    return _make(acc, den)
+        if a is not _UNIT:
+            _addmul(acc, a if r == 1 else [r * x for x in a], b)
+        elif not acc:
+            acc = list(b) if r == 1 else [r * y for y in b]
+        else:
+            k = min(len(acc), len(b))
+            acc[:k] = [o + r * y for o, y in zip(acc, b)]
+            acc.extend([r * y for y in b[k:]])
+    return _make(acc, den * over)
 
 
 class Poly:

@@ -23,19 +23,20 @@ equation of the monic reduced family, is checked on its real and imaginary parts
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 
-from .polyfps import Poly, PolySeries, X, combine, elementary
+from .polyfps import Poly, PolySeries, X, combine, elementary, horner
 from .report import CheckReport, CheckStatus, aggregate
 
 __all__ = [
     "SeqKind",
     "SeqTable",
+    "Ratio",
     "Recurrence",
     "RECURRENCES",
     "shared_run",
@@ -99,26 +100,91 @@ class SeqTable:
         return {"kind": self.kind.value, "n": n, "coeffs": self.polys[n].to_strings()}
 
 
+def _values(coeffs: Sequence[int], count: int) -> list[int]:
+    """c(0) .. c(count - 1) for the integer polynomial c in n with these ascending
+    coefficients, by forward differences: c(0) .. c(deg) by Horner, then each value is deg
+    additions, one itertools.accumulate per order of difference."""
+    if len(coeffs) < 2:
+        return [coeffs[0] if coeffs else 0] * count
+    diffs = [horner(coeffs, k, 1) for k in range(len(coeffs))]
+    for j in range(1, len(diffs)):  # diffs[i] becomes (delta^i c)(0), the last constant in n
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    values = repeat(diffs[-1])
+    for start in diffs[-2::-1]:
+        values = accumulate(values, initial=start)
+    return list(islice(values, count))
+
+
+class Ratio:
+    """num(n) / den(n), two integer polynomials in n given by their ascending coefficients.
+
+    Immutable: two Ratios with the same coefficient tuples are equal and hash alike.  A
+    call at one n returns the Fraction, for readers at the edges; a recurrence steps on
+    the integers of terms.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)) -> None:
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("Ratio is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ratio):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"Ratio({self.num!r}, {self.den!r})"
+
+    def __call__(self, n: int) -> Fraction:
+        return Fraction(horner(self.num, n, 1), horner(self.den, n, 1))
+
+    def __neg__(self) -> "Ratio":
+        return Ratio(tuple(-c for c in self.num), self.den)
+
+    def terms(self, count: int) -> tuple[list[int], list[int]]:
+        """(nums, dens) with nums[k] / dens[k] = num(k) / den(k) and dens[k] > 0 for
+        k = 0 .. count - 1, in one pass each; ZeroDivisionError where den vanishes."""
+        nums, dens = _values(self.num, count), _values(self.den, count)
+        if dens and min(dens) <= 0:
+            if 0 in dens:
+                raise ZeroDivisionError(f"{self} has a zero denominator at n = {dens.index(0)}")
+            nums = [-c if d < 0 else c for c, d in zip(nums, dens)]
+            dens = list(map(abs, dens))
+        return nums, dens
+
+
 @dataclass(frozen=True)
 class Recurrence:
     """p_{n+1} = (a(n) x + d(n)) p_n + b(n) p_{n-1} for n >= 0, from p_{-1} = 0 and the
     constant p_0.
 
-    a, b and d return the exact step coefficients, d zero unless given;
-    p_1 = (a(0) x + d(0)) p_0.
+    a, b and d are the Ratios of the step coefficients, d zero unless given;
+    p_1 = (a(0) x + d(0)) p_0.  Frozen, so two equal entries are one memo key.
     """
 
     p0: int
-    a: Callable[[int], Fraction]
-    b: Callable[[int], Fraction]
-    d: Callable[[int], Fraction] = lambda n, zero=Fraction(0): zero  # built once, not per step
+    a: Ratio
+    b: Ratio
+    d: Ratio = Ratio(())
 
     def members(self, n_max: int, head: Sequence[Poly] = ()) -> list[Poly]:
         """p_0 .. p_{n_max}, exactly, continuing from head = p_0 .. p_k when given."""
         polys = [Poly(), *(head or [Poly([self.p0])])]  # p_{-1}, p_0 ..
+        (an, ad), (bn, bd), (dn, dd) = (r.terms(n_max) for r in (self.a, self.b, self.d))
         for n in range(len(polys) - 2, n_max):
             p, q = polys[-1], polys[-2]
-            polys.append(combine(((self.a(n), X, p), (self.d(n), p), (self.b(n), q))))
+            m = math.lcm(ad[n], bd[n], dd[n])  # the step's coefficients over one denominator
+            polys.append(combine(((an[n] * (m // ad[n]), X, p), (dn[n] * (m // dd[n]), p),
+                                  (bn[n] * (m // bd[n]), q)), m))
         return polys[1:]
 
     def value(self, n: int, x: Fraction) -> Fraction:
@@ -129,41 +195,40 @@ class Recurrence:
         # p_{k-1}(x) and p_k(x) as integer numerators over one denominator, reduced once
         prev, cur, den = 0, self.p0, 1
         xn, xd = x.numerator, x.denominator
-        for k in range(n):
-            a, b, d = self.a(k), self.b(k), self.d(k)
+        for an, ad, bn, bd, dn, dd in zip(*self.a.terms(n), *self.b.terms(n), *self.d.terms(n)):
             # s = a x + d in lowest terms, so that m is the least common denominator of s and b
-            sn = a.numerator * xn * d.denominator + d.numerator * a.denominator * xd
-            sd = a.denominator * xd * d.denominator
+            sn = an * xn * dd + dn * ad * xd
+            sd = ad * xd * dd
             g = math.gcd(sn, sd)
             sn, sd = sn // g, sd // g
-            m = math.lcm(sd, b.denominator)
-            prev, cur = cur * m, sn * (m // sd) * cur + b.numerator * (m // b.denominator) * prev
+            m = math.lcm(sd, bd)
+            prev, cur = cur * m, sn * (m // sd) * cur + bn * (m // bd) * prev
             den *= m
         return Fraction(cur, den)
 
 
 # The one definition of each family, read by generate, the exact point evaluator of
 # mlpoly eval, the float evaluator and Jacobi matrix of the analysis layer, and the
-# erratum audit's printed variant.
+# erratum audit's printed variant.  A Ratio's tuples are the coefficients of n^0, n^1, ..
 RECURRENCES = {
     # (n+1) g_{n+1} = 2x g_n + (n-1) g_{n-1};  g_0 = 1, g_1 = 2x
-    SeqKind.G: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n - 1, n + 1)),
+    SeqKind.G: Recurrence(1, Ratio((2,), (1, 1)), Ratio((-1, 1), (1, 1))),
     # (n+2) phi_{n+1} = 2x phi_n - n phi_{n-1};  phi_0 = 2, phi_1 = 2x
-    SeqKind.PHI: Recurrence(2, lambda n: Fraction(2, n + 2), lambda n: Fraction(-n, n + 2)),
+    SeqKind.PHI: Recurrence(2, Ratio((2,), (2, 1)), Ratio((0, -1), (2, 1))),
     # p_{n+1} = x p_n - c_n p_{n-1}, c_n = n(n+1)/4;  p_0 = 1, p_1 = x
-    SeqKind.PHI_MONIC: Recurrence(1, lambda n: Fraction(1), lambda n: Fraction(-n * (n + 1), 4)),
+    SeqKind.PHI_MONIC: Recurrence(1, Ratio((1,)), Ratio((0, -1, -1), (4,))),
     # q_{n+1} = x q_n + n(n-1)/4 q_{n-1};  q_0 = 1, q_1 = x  (q_n = n!/2^n g_n)
-    SeqKind.G_MONIC: Recurrence(1, lambda n: Fraction(1), lambda n: Fraction(n * (n - 1), 4)),
+    SeqKind.G_MONIC: Recurrence(1, Ratio((1,)), Ratio((0, -1, 1), (4,))),
     # (n+1) P_{n+1} = (2x+1) P_n + n P_{n-1};  P_0 = 1, P_1 = 2x + 1
     # (P_n = (g_n(x+1) + g_n(x))/2)
-    SeqKind.PIDDUCK: Recurrence(1, lambda n: Fraction(2, n + 1), lambda n: Fraction(n, n + 1),
-                                d=lambda n: Fraction(1, n + 1)),
+    SeqKind.PIDDUCK: Recurrence(1, Ratio((2,), (1, 1)), Ratio((0, 1), (1, 1)),
+                                d=Ratio((1,), (1, 1))),
 }
 
 
 # The open run's memo, None outside one: each family's longest table under its RECURRENCES
-# entry (a replaced entry gets a table of its own), each family's longest series under its
-# kind, and the G oracles' verdicts under (G entry, n_max).
+# entry (an equal entry shares it, a changed one gets a table of its own), each family's
+# longest series under its kind, and the G oracles' verdicts under (G entry, n_max).
 _run: dict | None = None
 
 
@@ -238,7 +303,7 @@ def _hypergeometric_g(n: int, poch_x: Sequence[Poly]) -> Poly:
     z (1-n+i) / ((2+i)(i+1)), i < j, carried as an integer over one common denominator."""
     scalars, den = _over_one_denominator(
         [(_HYPERGEOMETRIC_Z * (1 - n + i), (2 + i) * (i + 1)) for i in range(n - 1)])
-    return combine(((Fraction(2, den), X, combine(zip(scalars, poch_x))),))
+    return combine(((2, X, combine(zip(scalars, poch_x))),), den)
 
 
 def _meixner_g(n: int, poch_y: Sequence[Poly]) -> Poly:
@@ -256,7 +321,7 @@ def _meixner_g(n: int, poch_y: Sequence[Poly]) -> Poly:
     zn, zd, bn, bd = z.numerator, z.denominator, beta.numerator, beta.denominator
     scalars, den = _over_one_denominator(
         [((-k + i) * zn * bd, zd * (bn + i * bd) * (i + 1)) for i in range(k)])
-    return combine(((Fraction(2, den), X, combine(zip(scalars, poch_y)).shift(-1)),))
+    return combine(((2, X, combine(zip(scalars, poch_y)).shift(-1)),), den)
 
 
 def oracle_hypergeometric_g(n: int) -> Poly:
@@ -384,9 +449,8 @@ def _at_shift_by_i(p: Poly, s: int) -> tuple[Poly, Poly]:
     r_re, r_im = _i_power_parts(r.shift(1).numerators, -s)
     o_re, o_im = _i_power_parts(o.shift(1).numerators, -s)
     # (r_re + i r_im) + i (o_re + i o_im), over the denominator of p
-    scale = Fraction(1, p.denominator)
-    return (combine(((scale, r_re), (-scale, o_im))),
-            combine(((scale, r_im), (scale, o_re))))
+    return (combine(((1, r_re), (-1, o_im)), p.denominator),
+            combine(((1, r_im), (1, o_re)), p.denominator))
 
 
 def _relation_3_holds(p: Poly, n: int) -> bool:

@@ -107,7 +107,8 @@ def _exact_plan(max_n: int) -> Plan:
 def _bounded_checks(max_n: int) -> list[CheckReport]:
     # the Jacobi matrix is real only while every -b(k) > 0; a family without one has no
     # zeros to match, so its deviation is unmeasured and zeros-reference fails
-    real = all(RECURRENCES[SeqKind.PHI_MONIC].b(k) < 0 for k in range(1, 24))
+    nums, _ = RECURRENCES[SeqKind.PHI_MONIC].b.terms(24)  # over positive denominators
+    real = all(c < 0 for c in nums[1:])
     found = zeros_range(1, 24) if real else {}  # one sweep; bound and interlacing checks run inside
     zero_dev = max(abs(found[n][-1] - ref) for n, ref in _ZERO_REFS.items()) if real else math.inf
     return [

@@ -9,7 +9,6 @@ forms from the scalar layer.
 import hashlib
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -347,16 +346,12 @@ def test_orthogonality_matrix_is_exactly_symmetric():
         assert np.array_equal(mat, mat.T), n
 
 
-def test_a_patched_family_gets_a_gram_matrix_and_zeros_of_its_own(monkeypatch):
+def test_a_patched_family_gets_a_gram_matrix_and_zeros_of_its_own(monkeypatch, perturb):
     # the memo keys each result by the RECURRENCES entry it reads, and a frozen
     # Recurrence hashes by its fields, so a replaced entry is never served the old result
-    from mlpoly import sequences
     intact_gram, intact_zeros = orthogonality_matrix(12), zeros(24)
-    phi, monic = (sequences.RECURRENCES[kind] for kind in (SeqKind.PHI, SeqKind.PHI_MONIC))
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
-                        replace(phi, b=lambda n: phi.b(n) + (n == 3)))
-    broken = replace(monic, b=lambda n: monic.b(n) - (n == 3))
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC, broken)
+    perturb(SeqKind.PHI, "b", 1, 3)
+    broken = perturb(SeqKind.PHI_MONIC, "b", -1, 3)
     assert gram_deviation(orthogonality_matrix(12)) > 1e-3  # p_4 onward are not orthogonal
     off = [math.sqrt(-broken.b(k)) for k in range(1, 24)]
     dense = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))

@@ -638,13 +638,17 @@ def _entry_process(*args):
 def test_the_process_entry_keeps_the_exit_contract_of_main():
     done = _entry_process("-m", "mlpoly", "--version")
     assert (done.returncode, done.stdout, done.stderr) == (0, f"mlpoly {__version__}\n", "")
-    # argparse's SystemExit: the usage, then one error line
-    done = _entry_process("-m", "mlpoly", "coeffs", "--seq", "zz", "--n", "1")
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("usage: mlpoly coeffs ")
-    assert done.stderr.count(": error: ") == 1
-    assert done.stderr.splitlines()[-1].startswith(
-        "mlpoly coeffs: error: argument --seq: invalid choice: 'zz'")
+    # argparse's SystemExit: the usage, then one error line with main's prefix
+    for argv, usage, last in (
+            (["coeffs", "--seq", "zz", "--n", "1"], "usage: mlpoly coeffs ",
+             "mlpoly: error: argument --seq: invalid choice: 'zz'"),
+            (["nosuch"], "usage: mlpoly [-h]",
+             "mlpoly: error: argument command: invalid choice: 'nosuch'")):
+        done = _entry_process("-m", "mlpoly", *argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(usage)
+        assert done.stderr.count(": error: ") == 1
+        assert done.stderr.splitlines()[-1].startswith(last)
     # a refusal main returns
     done = _entry_process("-m", "mlpoly", "quad", "--max-n", "-1")
     assert _one_line_error(done.returncode, done.stdout, done.stderr)

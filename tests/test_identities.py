@@ -5,13 +5,13 @@ sweeps run; a sweep alone would also pass if both sides carried the same
 wrong constant.
 """
 
+import functools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from mlpoly import identities, sequences
+from mlpoly import identities
 from mlpoly.identities import (convolution_check, derivative_expansion_monic,
                                derivative_expansion_reduced_audit,
                                egf_pde_residual, lowering_check,
@@ -121,16 +121,13 @@ def test_convolution_check_passes_through_40():
 
 @pytest.mark.parametrize("field, breaks, failing", [
     # a constant term in p_1 or p_4 breaks parity, so r_n has no parity to halve its points
-    ("d", lambda d: lambda n: Fraction(1, 7) if n == 0 else d(n), list(range(3, 13))),
-    ("d", lambda d: lambda n: Fraction(1, 7) if n == 3 else d(n), list(range(4, 13))),
-    ("b", lambda b: lambda n: b(n) + (n == 3), list(range(4, 13))),
+    ("d", lambda bump: bump(Fraction(1, 7), 0), list(range(3, 13))),
+    ("d", lambda bump: bump(Fraction(1, 7), 3), list(range(4, 13))),
+    ("b", lambda bump: bump(1, 3), list(range(4, 13))),
 ])
-def test_convolution_check_fails_where_the_residual_is_nonzero(
-        monkeypatch, field, breaks, failing):
+def test_convolution_check_fails_where_the_residual_is_nonzero(perturb, field, breaks, failing):
     # the point route fails exactly the indices whose coefficient residual is nonzero
-    rec = sequences.RECURRENCES[SeqKind.PHI_MONIC]
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI_MONIC,
-                        replace(rec, **{field: breaks(getattr(rec, field))}))
+    breaks(functools.partial(perturb, SeqKind.PHI_MONIC, field))
     assert [n for n in range(1, 13) if not _ref_convolution_residual(n).is_zero()] == failing
     report = convolution_check(12)
     assert report.status is CheckStatus.FAIL

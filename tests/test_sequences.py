@@ -13,14 +13,15 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly import sequences
+from mlpoly import analysis, sequences
 from mlpoly.polyfps import Poly, PolySeries, X, elementary
 from mlpoly.report import CheckStatus
-from mlpoly.sequences import (SeqKind, SeqTable, difference_relation_checks,
+from mlpoly.sequences import (Ratio, SeqKind, SeqTable, difference_relation_checks,
                               generate, generating_series, monic_egf,
                               oracle_hypergeometric_g, reduce_from_g, rodrigues_audit)
 
@@ -74,6 +75,8 @@ def test_recurrence_families_have_one_definition():
                  SeqKind.PHI_MONIC: [Poly([1]), X], SeqKind.G_MONIC: [Poly([1]), X],
                  SeqKind.PIDDUCK: [Poly([1]), Poly([1, 2])]}
     assert set(sequences.RECURRENCES) == set(first_two) == set(SeqKind)
+    assert all(type(r) is Ratio for rec in sequences.RECURRENCES.values()
+               for r in (rec.a, rec.b, rec.d))
     for kind, first in first_two.items():
         members = sequences.RECURRENCES[kind].members(30)
         assert members[:2] == first
@@ -89,9 +92,8 @@ def _members_by_poly_operations(rec, n_max):
 
 
 # fractional a, b and d with unrelated denominators, none of them a family's
-_PERTURBED = sequences.Recurrence(3, lambda n: F(2 * n + 3, 3 * n + 7),
-                                  lambda n: F(-(n * n + 1), 5 * n + 2),
-                                  d=lambda n: F(n - 4, 6 * n + 1))
+_PERTURBED = sequences.Recurrence(3, Ratio((3, 2), (7, 3)), Ratio((-1, 0, -1), (2, 5)),
+                                  d=Ratio((-4, 1), (1, 6)))
 
 
 def test_fused_recurrence_step_builds_the_same_tables():
@@ -109,6 +111,75 @@ def test_value_is_the_table_member_at_the_point(kind_entry, n, x):
     kind, entry = kind_entry
     with mock.patch.dict(sequences.RECURRENCES, {kind: entry}):
         assert entry.value(n, x) == generate(kind, n)[n](x)
+
+
+def test_stepping_a_recurrence_builds_no_fraction_per_step(monkeypatch):
+    # value builds its one result; members and member_values build none
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    x, t = F(5, 7), np.linspace(-3.0, 3.0, 7)
+    for kind, entry in sequences.RECURRENCES.items():
+        counts = []
+        for n in (20, 200):
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            built.clear()
+            entry.value(n, x)
+            entry.members(n)
+            analysis.member_values(kind, min(n, 120), t)  # the monic rows pass 1e308 by 200
+            monkeypatch.undo()
+            counts.append(len(built))
+        assert counts == [1, 1], kind
+
+
+# degree <= 2 in n; a denominator with positive coefficients has no root at n >= 0, and its
+# negation tests the sign normalization of Ratio.terms
+_NUMS = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(tuple)
+_DENS = st.lists(st.integers(0, 9), max_size=2).flatmap(
+    lambda rest: st.sampled_from([1, -1]).flatmap(
+        lambda sign: st.integers(1, 9).map(lambda c0: tuple(sign * c for c in (c0, *rest)))))
+
+
+@given(st.integers(-3, 3), st.builds(Ratio, _NUMS, _DENS), st.builds(Ratio, _NUMS, _DENS),
+       st.builds(Ratio, _NUMS.filter(any), _DENS), st.integers(0, 12),
+       st.fractions(min_value=-5, max_value=5, max_denominator=50))
+@settings(max_examples=100, deadline=None)
+def test_a_random_entry_steps_alike_on_tables_points_and_floats(p0, a, b, d, n, x):
+    entry = sequences.Recurrence(p0, a, b, d)
+    assert entry.value(n, x) == entry.members(n)[n](x)
+    # the float rows, bit for bit, against the recurrence on float(Fraction(num, den))
+    t = np.array([-2.5, -0.5, 0.0, 0.75, 3.0])
+    with mock.patch.dict(sequences.RECURRENCES, {SeqKind.G: entry}):
+        rows = analysis.member_values(SeqKind.G, n, t)
+    expected = np.empty((n + 2, t.size))
+    expected[0], expected[1] = 0.0, p0
+    for k in range(n):
+        expected[k + 2] = ((float(a(k)) * t + float(d(k))) * expected[k + 1]
+                           + float(b(k)) * expected[k])
+    assert rows.tobytes() == expected[1:].tobytes()
+
+
+def test_ratios_and_entries_compare_and_hash_by_value(monkeypatch, members_built):
+    r = Ratio((2,), (1, 1))
+    assert r == Ratio((2,), (1, 1)) and hash(r) == hash(Ratio((2,), (1, 1)))
+    assert r != Ratio((2,), (1, 2)) and -r == Ratio((-2,), (1, 1)) and -(-r) == r
+    assert r(3) == F(1, 2) and r.terms(4) == ([2, 2, 2, 2], [1, 2, 3, 4])
+    assert Ratio((0, 0, 1), (-1,)).terms(4) == ([0, -1, -4, -9], [1, 1, 1, 1])
+    with pytest.raises(ZeroDivisionError):
+        Ratio((1,), (-2, 1)).terms(3)
+    # an equal G entry built apart is one memo key: a run builds one table for both
+    g = sequences.RECURRENCES[SeqKind.G]
+    twin = sequences.Recurrence(1, Ratio((2,), (1, 1)), Ratio((-1, 1), (1, 1)))
+    assert twin == g and hash(twin) == hash(g) and twin is not g
+    with sequences.shared_run():
+        held = generate(SeqKind.G, 12)
+        monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G, twin)
+        assert generate(SeqKind.G, 12) is held
+    assert members_built == Counter({SeqKind.G: 13})
 
 
 def test_generate_validates_input():
@@ -295,11 +366,9 @@ def test_reduce_from_g_equals_the_i_power_map():
 
 @pytest.mark.parametrize("at, message", [(0, "nonzero constant term"),
                                          (3, "imaginary residue")])
-def test_reduce_from_g_refuses_a_g_table_off_the_imaginary_axis(monkeypatch, at, message):
+def test_reduce_from_g_refuses_a_g_table_off_the_imaginary_axis(perturb, at, message):
     # d(0) gives g_1 a constant term; d(3) gives g_4 terms of the wrong parity
-    rec = sequences.RECURRENCES[SeqKind.G]
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
-                        replace(rec, d=lambda n, d=rec.d: F(1, 7) if n == at else d(n)))
+    perturb(SeqKind.G, "d", F(1, 7), at)
     for reduce in (reduce_from_g, _ref_reduce_from_g):
         with pytest.raises(ValueError, match=message):
             reduce(at)

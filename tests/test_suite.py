@@ -7,12 +7,12 @@ it, and no table, series or verdict is kept past the run.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,13 +98,11 @@ def test_generating_the_shifted_and_rescaled_families_builds_one_table_each(memb
         assert members_built == Counter({kind: 31})
 
 
-def test_oracle_reports_catch_a_broken_recurrence(monkeypatch):
+def test_oracle_reports_catch_a_broken_recurrence(monkeypatch, perturb):
     # the routes read G's table and series, never the entry of the family they check
     for kind, identity in ((SeqKind.G_MONIC, "g-monic-oracle-equivalence"),
                            (SeqKind.PIDDUCK, "pidduck-oracle-equivalence")):
-        rec = sequences.RECURRENCES[kind]
-        monkeypatch.setitem(sequences.RECURRENCES, kind,
-                            replace(rec, b=lambda n, b=rec.b: b(n) + 1))
+        perturb(kind, "b", 1)
         status = {r.identity: r.status for r in suite._table_checks(6)}
         assert status[identity] is CheckStatus.FAIL
         assert list(status.values()).count(CheckStatus.FAIL) == 1
@@ -123,13 +121,11 @@ _READS_TABLE = {
 }
 
 
-def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch):
+def test_a_broken_recurrence_fails_every_route_that_reads_it(monkeypatch, perturb):
     # b(3) off by one: each check that reads the broken table from p_4 on fails, and lists
     # every failing index; parity and the series route (egf-pde) never see it
     for kind, failing in _READS_TABLE.items():
-        rec = sequences.RECURRENCES[kind]
-        monkeypatch.setitem(sequences.RECURRENCES, kind,
-                            replace(rec, b=lambda n, b=rec.b: b(n) + (n == 3)))
+        perturb(kind, "b", 1, 3)
         try:
             reports = suite.run_suite("exact", 8)
         finally:
@@ -150,21 +146,19 @@ def _verify(capsys, suite_name):
 
 @pytest.mark.parametrize("kind, field, breaks, numeric_fails", [
     # g_n gains a constant term from n = 3 (n = 0): the imaginary-axis route cannot reduce it
-    (SeqKind.G, "d", lambda d: lambda n: Fraction(1, 7) if n == 3 else d(n), set()),
-    (SeqKind.G, "d", lambda d: lambda n: Fraction(1, 7) if n == 0 else d(n), set()),
+    (SeqKind.G, "d", lambda bump: bump(Fraction(1, 7), 3), set()),
+    (SeqKind.G, "d", lambda bump: bump(Fraction(1, 7), 0), set()),
     # -b(3) < 0: no real Jacobi matrix, so no zeros; the Fourier route reads members n <= 8
-    (SeqKind.PHI_MONIC, "b", lambda b: lambda n: b(n) + 7 * (n == 3),
+    (SeqKind.PHI_MONIC, "b", lambda bump: bump(7, 3),
      {"zeros-reference", "fourier-closed-vs-quadrature"}),
 ])
 def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
-        monkeypatch, capsys, kind, field, breaks, numeric_fails):
+        perturb, capsys, kind, field, breaks, numeric_fails):
     def listed(payload):
         return {(r["identity"], tuple(r["n_range"])) for r in payload["reports"]}
 
     intact = {name: listed(_verify(capsys, name)[1]) for name in ("exact", "all")}
-    rec = sequences.RECURRENCES[kind]
-    monkeypatch.setitem(sequences.RECURRENCES, kind,
-                        replace(rec, **{field: breaks(getattr(rec, field))}))
+    breaks(functools.partial(perturb, kind, field))
     for name, failing in (("exact", _READS_TABLE[kind]),
                           ("all", _READS_TABLE[kind] | numeric_fails)):
         code, payload = _verify(capsys, name)
@@ -174,12 +168,10 @@ def test_a_family_a_route_cannot_be_built_from_is_a_fail_report(
                 if r["status"] == "FAIL"} == failing, name
 
 
-def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(monkeypatch):
+def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(perturb):
     # a verdict kept by a run, or computed outside one, serves no later run
     assert sequences.g_oracle_mismatches(8) == ()
-    rec = sequences.RECURRENCES[SeqKind.G]
-    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G,
-                        replace(rec, b=lambda n, b=rec.b: b(n) + Fraction(n == 3, 7)))
+    perturb(SeqKind.G, "b", Fraction(1, 7), 3)
     status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == _READS_TABLE[SeqKind.G]
 
@@ -274,21 +266,13 @@ _FAULT_MATRIX = {
 }
 
 
-def _perturbed(rec, field, at):
-    if field == "p0":
-        return replace(rec, p0=rec.p0 + 1)
-    step = getattr(rec, field)
-    return replace(rec, **{field: lambda n: step(n) + Fraction(1, 7) if n == at else step(n)})
-
-
-def test_each_perturbed_entry_fails_exactly_the_reports_that_read_it(monkeypatch):
+def test_each_perturbed_entry_fails_exactly_the_reports_that_read_it(monkeypatch, perturb):
     # one process, no memo cleared between the runs: each memo is keyed by the entry it reads
     assert not [r for r in suite.run_suite("all", 8) if r.status is CheckStatus.FAIL]
     assert len(_FAULT_MATRIX) == 5 * 7
     for (kind, field, at), expected in _FAULT_MATRIX.items():
         row = kind, field, at
-        monkeypatch.setitem(sequences.RECURRENCES, kind,
-                            _perturbed(sequences.RECURRENCES[kind], field, at))
+        perturb(kind, field, 1 if field == "p0" else Fraction(1, 7), at)
         try:
             reports = suite.run_suite("all", 8)
         finally:
