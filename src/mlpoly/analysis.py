@@ -18,7 +18,6 @@ import functools
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,11 +61,11 @@ def _off_diagonal(n: int) -> list[float]:
 # and its negative pivots are counted with one comparison and one column sum.
 _PIVOT_BLOCK = 32
 
-# Half-widths of the brackets around the eigenvalue estimates that _spectra certifies, in
-# units of eps times the lane's bound; a lane that no tier certifies bisects with a count
-# at every step.  The SVD estimates sit within 17 eps * bound of the bisected values up
-# to size 2000, so the first tier certifies every lane there.
-_CERTIFICATE_TIERS = (64.0, 2.0**16)
+# Half-width of the brackets around the eigenvalue estimates that _spectra certifies, in
+# units of eps times the lane's bound; a lane it does not certify bisects with a count at
+# every step.  The SVD estimates sit within 17 eps * bound of the bisected values up to
+# size 2000, so it certifies every lane there.
+_CERTIFICATE_HALF_WIDTH = 64.0
 
 
 class _SturmLanes:
@@ -199,14 +198,13 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     counts L < U with c(L) <= k < c(U) decide every step whose midpoint lies outside
     (L, U): a midpoint <= L has a count <= c(L) and goes low, one >= U goes high,
     just as counting it would send it.  Each lane's (L, U) is an eigenvalue
-    estimate +- a half-width of _CERTIFICATE_TIERS, certified by one count at each
-    end; a lane that fails takes the next, wider tier, and a lane that fails every
-    tier keeps (-inf, inf) and so counts at every step.  A lane takes the steps its
-    (L, U) decides without a count, and waits at the first midpoint strictly inside
-    (L, U); once every live lane waits, one count decides all their steps (every
-    later midpoint lies inside the bracket that count left, so it certifies no
-    further step).  The lanes do not step together, so a count runs once per
-    undecided midpoint of the lane that has the most, not once per step at which
+    estimate +- _CERTIFICATE_HALF_WIDTH eps times its bound, certified by one count at
+    each end; a lane that fails keeps (-inf, inf) and so counts at every step.  A lane
+    takes the steps its (L, U) decides without a count, and waits at the first midpoint
+    strictly inside (L, U); once every live lane waits, one count decides all their
+    steps (every later midpoint lies inside the bracket that count left, so it
+    certifies no further step).  The lanes do not step together, so a count runs once
+    per undecided midpoint of the lane that has the most, not once per step at which
     some lane has one.  The estimates decide no step themselves: a poor one only
     fails its certificate or leaves a wide (L, U), which costs counts and never a
     bit.
@@ -223,18 +221,11 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     lanes = _SturmLanes(sizes)
     rank, bound = lanes.rank, lanes.bound
     estimate = _eigen_estimates(sizes, lanes.off)
-    cert_lo, cert_hi = np.full(rank.size, -np.inf), np.full(rank.size, np.inf)
-    uncertified = np.ones(rank.size, dtype=bool)
-    for scale in _CERTIFICATE_TIERS:
-        if not uncertified.any():
-            break
-        half = scale * np.finfo(float).eps * bound
-        lower, upper = estimate - half, estimate + half
-        ok = uncertified & (lanes.count(lower) <= rank)
-        ok &= lanes.count(upper) > rank
-        np.copyto(cert_lo, lower, where=ok)
-        np.copyto(cert_hi, upper, where=ok)
-        uncertified &= ~ok
+    half = _CERTIFICATE_HALF_WIDTH * np.finfo(float).eps * bound
+    lower, upper = estimate - half, estimate + half
+    ok = lanes.count(lower) <= rank
+    ok &= lanes.count(upper) > rank
+    cert_lo, cert_hi = np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf)
 
     lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
     steps = np.zeros(rank.size, dtype=np.int64)  # the steps each lane has taken
@@ -313,7 +304,7 @@ _ZEROS_KEPT = 64
 @functools.lru_cache(maxsize=_ZEROS_KEPT)
 def _zeros(entry: Recurrence, n: int, tol: float) -> tuple[float, ...]:
     """zeros() for one PHI_MONIC entry, which _off_diagonal reads.  The entry is only
-    a key: a frozen Recurrence hashes by its fields, so a patched family gets its own.
+    a key: a Recurrence hashes by its fields, so a patched family gets its own.
 
     The key is (entry, n, tol) only, so a kept zero set does not see code of this module
     replaced at run time (the Sturm counts, say); tests that replace it clear the memo."""
@@ -458,7 +449,7 @@ def orthogonality_matrix(n_max: int) -> np.ndarray:
 @functools.cache  # every size from 103 fails the tail bound and raises: at most 103, < 3 MB
 def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     """orthogonality_matrix for one PHI entry, which generate and member_values read.  The
-    entry is only a key: a frozen Recurrence hashes by its fields, so a patched family
+    entry is only a key: a Recurrence hashes by its fields, so a patched family
     gets its own.
 
     The key is (entry, n_max) only, so a kept matrix does not see code of this module
@@ -466,7 +457,7 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("size must be non-negative")
     tab = generate(SeqKind.PHI, n_max)
-    norm = max(_coeff_norm(p) for p in tab.polys)
+    norm = max(_coeff_norm(p) for p in tab)
     pts, allw = _panel_points(make_quad_config(2 * n_max + 1, abs_tol=1e-10,
                                                coeff_norm=norm * norm))
     wts = allw * _weight_array(pts)
@@ -612,7 +603,7 @@ def own_erratum_audit() -> list[CheckReport]:
     # 1. Sign of the base three-term recurrence: the minus-sign variant first
     #    diverges from every oracle at n = 3.
     g = RECURRENCES[SeqKind.G]
-    printed = replace(g, b=-g.b).members(3)
+    printed = g._replace(b=-g.b).members(3)
     oracle3 = oracle_hypergeometric_g(3)
     agree = not g_oracle_mismatches(20)
     residual = printed[3] - oracle3

@@ -198,10 +198,9 @@ def _cmd_coeffs(args, argv) -> int:
     ns = [n_max] if args.n is not None else range(n_max + 1)
     if args.format == "csv":
         _emit_coeff_csv(["kind", "n"], [([kind.value, n], table[n]) for n in ns])
-    elif args.n is not None:
-        _emit_json(table.json_row(args.n))
-    else:
-        _emit_json(table.json_row(n) for n in ns)
+        return 0
+    rows = ({"kind": kind.value, "n": n, "coeffs": table[n].to_strings()} for n in ns)
+    _emit_json(next(rows) if args.n is not None else rows)  # --n prints one object
     return 0
 
 
@@ -325,7 +324,7 @@ def _cmd_series(args, argv) -> int:
     if args.order < 1:
         raise ValueError("series order must be at least 1")
     if kind == "g-monic":
-        coeffs = generate(SeqKind.G_MONIC, args.order - 1).polys
+        coeffs = generate(SeqKind.G_MONIC, args.order - 1)
     elif kind in _SEQ_TOKENS:
         coeffs = generating_series(SeqKind.from_token(kind), args.order).coeffs
     else:

@@ -4,8 +4,7 @@ Rational values are stdlib ``fractions.Fraction`` objects, which are always
 kept in canonical form (reduced, positive denominator, 0 == 0/1).  This
 module adds the number-theoretic constants the identity checks consume and
 the float conversion shared by the rest of the package; no complex value is
-needed, since the one Gaussian relation is checked on its real and imaginary
-parts.
+needed.
 """
 
 from __future__ import annotations

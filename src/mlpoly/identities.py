@@ -4,7 +4,8 @@ Everything in this module is exact: operator series applied to a polynomial
 are truncated at its degree, where they terminate by nilpotence, so each
 check is a yes/no statement about polynomial residuals with no tolerances.
 The finite (n-th order) and the infinite (cos D + x sin D) differential equations
-are one statement on members of degree <= n, so one residual per n decides both.
+are one statement on members of degree <= n, and so is the difference equation in
+steps of i, so one residual per n decides all three.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import accumulate
 
 from .polyfps import Poly, PolySeries, X, combine, elementary, horner
 from .report import CheckReport, CheckStatus, aggregate
-from .sequences import SeqKind, SeqTable, generate, generating_series
+from .sequences import SeqKind, generate, generating_series
 
 __all__ = [
     "trig_operator_eigencheck",
@@ -46,13 +47,21 @@ def _trig_weights(n: int) -> list[Poly]:
 
 
 def trig_operator_eigencheck(n_max: int) -> list[CheckReport]:
-    """The finite and the infinite equation, from one residual per n over one table:
-    r_n = (cos D + x sin D) p_n - (n+1) p_n.
+    """The finite and the infinite equation and the difference equation, from one residual
+    per n over one table: r_n = (cos D + x sin D) p_n - (n+1) p_n.
 
     trig-operator-eigenrelation: r_n = 0 for 0 <= n <= n_max.
     ode-residual: sum_{k=1..n} (alpha_k + beta_k x) p_n^(k)/k! - n p_n = 0 for
     1 <= n <= n_max; on a member of degree <= n that residual is r_n, so the report holds
     at n when r_n = 0 and deg p_n <= n.
+    difference-relation-phi-monic-complex: R_n = (x+i) p_n(x+i) - 2(n+1)i p_n(x)
+    - (x-i) p_n(x-i) = 0 for 0 <= n <= n_max, the difference equation of the
+    Meixner-Pollaczek polynomials P_n^(lambda)(x; phi) at lambda = 1, phi = pi/2 (Koekoek,
+    Lesky & Swarttouw 2010, sec. 9.7), of which p_n is the monic form.  For a real
+    polynomial p Taylor's theorem gives p(x +- i) = cos D p +- i sin D p, so
+    (x+i) p(x+i) - (x-i) p(x-i) = 2i (cos D + x sin D) p and R_n = 2i r_n: the report
+    holds at n exactly when r_n = 0.  A recurrence step raises the degree by at most one,
+    so deg p_n <= n <= n_max and the weights through D^n_max are the whole operator.
     """
     if n_max < 1:
         raise ValueError("need at least n = 1")
@@ -65,10 +74,13 @@ def trig_operator_eigencheck(n_max: int) -> list[CheckReport]:
                   "n-th order differential equation holds exactly"),
         aggregate("trig-operator-eigenrelation", 0, n_max, lambda n: vanishes[n],
                   "(cos D + x sin D) p_n = (n+1) p_n exactly"),
+        aggregate("difference-relation-phi-monic-complex", 0, n_max, lambda n: vanishes[n],
+                  "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact; "
+                  "exact for all n in range"),
     ]
 
 
-def _expansion_residual(tab: SeqTable, n: int, shift: int,
+def _expansion_residual(tab: Sequence[Poly], n: int, shift: int,
                         coeff: Callable[[int, int], Fraction]) -> Poly:
     """p'_{n+shift} - sum_k coeff(n, k) p_{n-2k} over one table; contract: zero."""
     return combine([(1, tab[n + shift].derivative()),
@@ -140,12 +152,12 @@ def convolution_check(n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
-    deg = [p.degree for p in tab.polys]
+    deg = [p.degree for p in tab]
     points = [max(deg[k] + deg[n - k] for k in range(n + 1)) - 1 for n in range(n_max + 1)]
-    den = math.lcm(*(p.denominator for p in tab.polys))
+    den = math.lcm(*(p.denominator for p in tab))
     # the integer coefficients of A_k and of its two derivatives
     ders = [(a.numerators, a.derivative().numerators, a.derivative(2).numerators)
-            for a in (den * p for p in tab.polys)]
+            for a in (den * p for p in tab)]
     # at[x][j][k]: the j-th derivative of A_k at the integer x
     at = [[[horner(cs, x, 1) for cs in col] for col in zip(*ders)] for x in range(max(points))]
 
@@ -169,11 +181,12 @@ def egf_pde_residual(order: int) -> PolySeries:
     return g * gx.dx() - gx * gx
 
 
-def _turan(tab: SeqTable, n: int) -> Poly:
-    """delta_n = p_n^2 - p_{n-1} p_{n+1} over a monic reduced table that reaches p_{n+1};
-    the n = 0 member uses the empty-product convention p_{-1} = 0, giving delta_0 = 1."""
+def _turan(tab: Sequence[Poly], squares: Sequence[Poly], n: int) -> Poly:
+    """delta_n = p_n^2 - p_{n-1} p_{n+1} over a monic reduced table that reaches p_{n+1},
+    with squares[n] = p_n^2; the n = 0 member uses the empty-product convention
+    p_{-1} = 0, giving delta_0 = 1."""
     below = tab[n - 1] if n else Poly()
-    return tab[n] * tab[n] - below * tab[n + 1]
+    return combine(((1, squares[n]), (-1, below, tab[n + 1])))
 
 
 def turan_recurrence_check(n_max: int) -> CheckReport:
@@ -186,10 +199,12 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max + 2)
-    deltas = [_turan(tab, n) for n in range(n_max + 2)]
+    squares = [p * p for p in tab[: n_max + 2]]  # each p_n^2 once, for delta_n and the step
+    deltas = [_turan(tab, squares, n) for n in range(n_max + 2)]
 
     def holds(n: int) -> bool:
-        rhs = Fraction(n * (n + 1), 4) * deltas[n] + Fraction(n + 1, 2) * (tab[n] * tab[n])
+        # 4 delta_{n+1} = n(n+1) delta_n + 2(n+1) p_n^2
+        rhs = combine(((n * (n + 1), deltas[n]), (2 * (n + 1), squares[n])), 4)
         return deltas[n + 1] == rhs and (n > 1 or deltas[1] == Poly([Fraction(1, 2)]))
 
     return aggregate("turan-recurrence", 1, n_max, holds,

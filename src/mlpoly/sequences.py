@@ -16,8 +16,7 @@ three oracles and is adjudicated separately by the erratum audit rather than
 silently rewritten.
 
 Every polynomial here is real.  The imaginary-axis reduction is a sign pattern on
-integer numerators, and the one Gaussian relation, the Meixner-Pollaczek difference
-equation of the monic reduced family, is checked on its real and imaginary parts.
+integer numerators.
 """
 
 from __future__ import annotations
@@ -25,17 +24,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
+from typing import NamedTuple
 
 from .polyfps import Poly, PolySeries, X, combine, elementary, horner
 from .report import CheckReport, CheckStatus, aggregate
 
 __all__ = [
     "SeqKind",
-    "SeqTable",
     "Ratio",
     "Recurrence",
     "RECURRENCES",
@@ -72,32 +70,6 @@ class SeqKind(Enum):
 
 
 _KIND_TOKENS = {kind.token: kind for kind in SeqKind}
-
-
-class SeqTable:
-    """The members p_0 .. p_max_n of one family, indexed by n; immutable."""
-
-    __slots__ = ("kind", "polys")
-
-    def __init__(self, kind: SeqKind, polys: tuple[Poly, ...]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "polys", polys)
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("SeqTable is immutable")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, n: int) -> Poly:
-        return self.polys[n]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.polys) - 1
-
-    def json_row(self, n: int) -> dict:
-        return {"kind": self.kind.value, "n": n, "coeffs": self.polys[n].to_strings()}
 
 
 def _values(coeffs: Sequence[int], count: int) -> list[int]:
@@ -162,13 +134,12 @@ class Ratio:
         return nums, dens
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """p_{n+1} = (a(n) x + d(n)) p_n + b(n) p_{n-1} for n >= 0, from p_{-1} = 0 and the
     constant p_0.
 
     a, b and d are the Ratios of the step coefficients, d zero unless given;
-    p_1 = (a(0) x + d(0)) p_0.  Frozen, so two equal entries are one memo key.
+    p_1 = (a(0) x + d(0)) p_0.  A tuple, so two equal entries are one memo key.
     """
 
     p0: int
@@ -248,18 +219,18 @@ def _memo() -> dict:  # outside a run a new dict each call, so nothing is kept
     return {} if _run is None else _run
 
 
-def generate(kind: SeqKind, n_max: int) -> SeqTable:
-    """Exact table of polynomials 0..n_max for one family, by its RECURRENCES entry.
+def generate(kind: SeqKind, n_max: int) -> tuple[Poly, ...]:
+    """Exact members p_0 .. p_n_max of one family, by its RECURRENCES entry.
 
-    Inside a run, serves a prefix of the family's kept table, or extends it.
+    Inside a run, serves a prefix of the family's kept tuple, or extends it.
     """
     if n_max < 0:
         raise ValueError("table length must be non-negative")
     entry, memo = RECURRENCES[kind], _memo()
-    kept = memo.get(entry)
-    if kept is not None and n_max <= kept.max_n:
-        return kept if n_max == kept.max_n else SeqTable(kind, kept.polys[: n_max + 1])
-    memo[entry] = SeqTable(kind, tuple(entry.members(n_max, kept.polys if kept else ())))
+    kept = memo.get(entry, ())
+    if n_max < len(kept):
+        return kept[: n_max + 1]  # the kept tuple itself when n_max is its last index
+    memo[entry] = tuple(entry.members(n_max, kept))
     return memo[entry]
 
 
@@ -425,64 +396,21 @@ def reduce_from_g(n: int) -> Poly:
     return Poly(out) / g.denominator
 
 
-def _i_power_parts(num: Sequence[int], unit: int) -> tuple[Poly, Poly]:
-    """(R, I) with sum_k num[k] (unit i)^k z^k = R(z) + i I(z), for integers num and
-    unit = +-1: the i^k sign map, i^k = (-1)^(k // 2) i^(k % 2), which sends even k to R
-    and odd k, times unit, to I."""
-    re, im = [0] * len(num), [0] * len(num)
-    for k, c in enumerate(num):
-        c = -c if k & 2 else c
-        if k & 1:
-            im[k] = unit * c
-        else:
-            re[k] = c
-    return Poly(re), Poly(im)
-
-
-def _at_shift_by_i(p: Poly, s: int) -> tuple[Poly, Poly]:
-    """(E, O) with p(x + s i) = E(x) + i O(x), for a real p and s = +-1.
-
-    x + s i = s i (1 + y) at y = -s i x, so the numerators of p(s i z) are split by the
-    sign map, each real part is shifted by 1 (z = 1 + y), and the sign map of (-s i)^k
-    takes y back to x."""
-    r, o = _i_power_parts(p.numerators, s)
-    r_re, r_im = _i_power_parts(r.shift(1).numerators, -s)
-    o_re, o_im = _i_power_parts(o.shift(1).numerators, -s)
-    # (r_re + i r_im) + i (o_re + i o_im), over the denominator of p
-    return (combine(((1, r_re), (-1, o_im)), p.denominator),
-            combine(((1, r_im), (1, o_re)), p.denominator))
-
-
-def _relation_3_holds(p: Poly, n: int) -> bool:
-    """(x+i) p(x+i) - 2(n+1)i p(x) - (x-i) p(x-i) = 0, its real and imaginary parts, with
-    p(x+i) = E+ + i O+ and p(x-i) = E- + i O- computed apart."""
-    e_up, o_up = _at_shift_by_i(p, 1)
-    e_down, o_down = _at_shift_by_i(p, -1)
-    return (combine(((1, X, e_up), (-1, o_up), (-1, X, e_down), (-1, o_down))).is_zero()
-            and combine(((1, X, o_up), (1, e_up), (-2 * (n + 1), p),
-                         (-1, X, o_down), (1, e_down))).is_zero())
-
-
 def difference_relation_checks(n_max: int) -> list[CheckReport]:
-    """Exactly verify the three shift relations of the families.
+    """Exactly verify the two shift relations of g_n.
 
     1. x g_n(x+1) - 2n g_n(x) - x g_n(x-1) = 0
     2. g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x)
-    3. (x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0 for monic reduced p_n
 
-    Relation 3 is the difference equation of the Meixner-Pollaczek polynomials
-    P_n^(lambda)(x; phi) at lambda = 1, phi = pi/2 (Koekoek, Lesky & Swarttouw 2010,
-    sec. 9.7), of which p_n is the monic form.  It is Gaussian-exact, checked on its
-    real and imaginary parts, both real polynomials.
-
-    All three are zero-polynomial contracts; one report per relation, which on
-    failure lists every n with a nonzero residual.
+    Both are zero-polynomial contracts; one report per relation, which on failure lists
+    every n with a nonzero residual.  The difference equation of the monic reduced family
+    is 2i times its trig-operator residual, so `identities.trig_operator_eigencheck`
+    reports it.
     """
     if n_max < 1:
         raise ValueError("need at least n = 1 to check the relations")
     g = generate(SeqKind.G, n_max)
-    p = generate(SeqKind.PHI_MONIC, n_max)
-    g_up = [q.shift(1) for q in g.polys]  # g_n(x+1), each once: relations 1 and 2 read it
+    g_up = [q.shift(1) for q in g]  # g_n(x+1), each once: relations 1 and 2 read it
     return [
         aggregate(
             "difference-relation-g", 1, n_max,
@@ -494,11 +422,6 @@ def difference_relation_checks(n_max: int) -> list[CheckReport]:
             lambda n: combine(((1, g_up[n]), (-1, g_up[n - 1]), (-1, g[n]),
                                (-1, g[n - 1]))).is_zero(),
             "g_n(x+1) - g_{n-1}(x+1) = g_n(x) + g_{n-1}(x); exact for all n in range"),
-        aggregate(
-            "difference-relation-phi-monic-complex", 0, n_max,
-            lambda n: _relation_3_holds(p[n], n),
-            "(x+i) p_n(x+i) - 2(n+1)i p_n(x) - (x-i) p_n(x-i) = 0, Gaussian-exact; "
-            "exact for all n in range"),
     ]
 
 

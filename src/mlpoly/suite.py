@@ -93,8 +93,9 @@ def _egf_pde(order: int) -> CheckReport:
 def _exact_plan(max_n: int) -> Plan:
     return [
         (_table_checks, max_n),
-        (difference_relation_checks, max_n),
-        (trig_operator_eigencheck, max_n),  # ode-residual and trig-operator-eigenrelation
+        (difference_relation_checks, max_n),  # the two relations of g_n
+        # ode-residual, trig-operator-eigenrelation and difference-relation-phi-monic-complex
+        (trig_operator_eigencheck, max_n),
         (derivative_expansion_monic, max_n),
         (derivative_expansion_reduced_audit, max_n),
         (convolution_check, max_n),

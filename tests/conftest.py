@@ -1,7 +1,7 @@
 """Shared fixtures."""
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -59,9 +59,9 @@ def perturb(monkeypatch):
     def perturbed(kind, field, by, at=None):
         rec = sequences.RECURRENCES[kind]
         if field == "p0":
-            entry = replace(rec, p0=rec.p0 + by)
+            entry = rec._replace(p0=rec.p0 + by)
         else:
-            entry = replace(rec, **{field: _Bumped(getattr(rec, field), Fraction(by), at)})
+            entry = rec._replace(**{field: _Bumped(getattr(rec, field), Fraction(by), at)})
         monkeypatch.setitem(sequences.RECURRENCES, kind, entry)
         return entry
 

@@ -179,8 +179,8 @@ def test_zeros_digests_at_the_ceiling_are_frozen():
 @pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
 def test_a_wrong_estimate_costs_counts_and_never_bits(monkeypatch, tol):
     # at 0.0 and shifted by 1 no lane certifies, so every step counts; scaled by
-    # 1 + 2^-40 the largest eigenvalues miss the first tier and certify at the second,
-    # while the smallest still certify at the first
+    # 1 + 2^-40 the largest eigenvalues miss the certificate and count at every step,
+    # while the smallest still certify
     from mlpoly import analysis
     true_estimates = analysis._eigen_estimates
     expected = {n: _scalar_zeros(n, tol) for n in (*range(1, 41), 137)}
@@ -195,9 +195,9 @@ def test_a_wrong_estimate_costs_counts_and_never_bits(monkeypatch, tol):
 
 def test_the_estimates_spare_most_counts(monkeypatch):
     # a broken estimate costs counts and no bit, so only the work can show it: every lane
-    # of the digest sizes certifies at the first tier, and zeros(400) counts at most 10
-    # times (7 measured), where the bisection without estimates counts at each of its
-    # 50 steps
+    # of the digest sizes and of the numeric suite's sweep certifies, and zeros(400)
+    # counts at most 10 times (7 measured), where the bisection without estimates counts
+    # at each of its 50 steps
     from mlpoly import analysis
     true_count = analysis._SturmLanes.count
     calls = []
@@ -215,8 +215,12 @@ def test_the_estimates_spare_most_counts(monkeypatch):
         calls.clear()
         analysis._zeros.cache_clear()  # zeros(400) above is kept
         zeros(n)
-        (lanes, at_lower), (_, at_upper) = calls[:2]  # the first tier's two counts
+        (lanes, at_lower), (_, at_upper) = calls[:2]  # the certificate's two counts
         assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank), n
+    calls.clear()
+    zeros_range(1, 24)
+    (lanes, at_lower), (_, at_upper) = calls[:2]
+    assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank)
 
 
 def test_zeros_digests_below_the_float_spacing_are_frozen():
@@ -310,7 +314,7 @@ def test_make_quad_config_equals_the_linear_scan():
     cases = [(n, 1e-10, 1.0, 1.0) for n in range(1, 62)]
     phi = generate(SeqKind.PHI, 80)
     for n in range(81):
-        norm = max(_coeff_norm(p) for p in phi.polys[: n + 1])
+        norm = max(_coeff_norm(p) for p in phi[: n + 1])
         cases.append((2 * n + 1, 1e-10, math.pi, norm * norm))
     monic = generate(SeqKind.PHI_MONIC, 39)
     cases += [(n + 1, 1e-9, math.pi, _coeff_norm(monic[n])) for n in range(40)]

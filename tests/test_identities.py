@@ -142,9 +142,10 @@ def test_egf_pde_residual_is_zero_through_order_16():
 
 def test_turan_low_members():
     tab = generate(SeqKind.PHI_MONIC, 3)
-    assert identities._turan(tab, 0) == Poly([1])
-    assert identities._turan(tab, 1) == Poly([F(1, 2)])
-    assert identities._turan(tab, 2) == Poly([F(1, 4), 0, 1])
+    squares = [p * p for p in tab]
+    assert identities._turan(tab, squares, 0) == Poly([1])
+    assert identities._turan(tab, squares, 1) == Poly([F(1, 2)])
+    assert identities._turan(tab, squares, 2) == Poly([F(1, 4), 0, 1])
 
 
 def test_turan_recurrence_recomputed():
@@ -184,8 +185,8 @@ def test_turan_recurrence_check_computes_each_member_once(members_built):
 def test_turan_recurrence_check_fails_a_wrong_base_case(monkeypatch):
     # h_n = -prod_{k<n} c_k solves the recurrence's homogeneous part, so delta_n + h_n
     # passes every recurrence step; only the base case sees delta_1 = -1/2
-    def shifted(tab, n, turan=identities._turan):
-        return turan(tab, n) - Poly([math.prod(F(k * (k + 1), 4) for k in range(1, n))])
+    def shifted(tab, squares, n, turan=identities._turan):
+        return turan(tab, squares, n) - Poly([math.prod(F(k * (k + 1), 4) for k in range(1, n))])
 
     monkeypatch.setattr(identities, "_turan", shifted)
     report = turan_recurrence_check(5)

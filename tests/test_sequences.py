@@ -9,7 +9,6 @@ whole package.
 
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -18,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly import analysis, sequences
+from mlpoly import analysis, identities, sequences
 from mlpoly.polyfps import Poly, PolySeries, X, elementary
 from mlpoly.report import CheckStatus
-from mlpoly.sequences import (Ratio, SeqKind, SeqTable, difference_relation_checks,
+from mlpoly.sequences import (Ratio, SeqKind, difference_relation_checks,
                               generate, generating_series, monic_egf,
                               oracle_hypergeometric_g, reduce_from_g, rodrigues_audit)
 
@@ -80,7 +79,7 @@ def test_recurrence_families_have_one_definition():
     for kind, first in first_two.items():
         members = sequences.RECURRENCES[kind].members(30)
         assert members[:2] == first
-        assert generate(kind, 30).polys == tuple(members)
+        assert generate(kind, 30) == tuple(members)
     assert sequences.RECURRENCES[SeqKind.G].members(0) == [Poly([1])]
 
 
@@ -210,7 +209,7 @@ def test_pidduck_recurrence_equals_shift_average_and_series():
     pidduck = generate(SeqKind.PIDDUCK, 60)
     for n in range(61):
         assert pidduck[n] == (g[n].shift(1) + g[n]) / 2
-    assert generating_series(SeqKind.PIDDUCK, 61).coeffs == pidduck.polys
+    assert generating_series(SeqKind.PIDDUCK, 61).coeffs == pidduck
 
 
 def test_oracle_equivalence_g():
@@ -280,8 +279,8 @@ def _ref_meixner_g(n):
     return 2 * X * m.shift(-1)
 
 
-# Gaussian rationals as (re, im) pairs of Fractions, for the references of the two routes
-# that read the imaginary axis.
+# Gaussian rationals as (re, im) pairs of Fractions, for the reference of the imaginary-axis
+# reduction and the identity that relation 3 rests on.
 def _gauss_mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
@@ -399,12 +398,18 @@ def test_parity():
 
 
 @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=24), max_size=9),
-       st.fractions(min_value=-20, max_value=20, max_denominator=24), st.sampled_from((1, -1)))
+       st.integers(min_value=0, max_value=12),
+       st.fractions(min_value=-20, max_value=20, max_denominator=24))
 @settings(max_examples=100, deadline=None)
-def test_the_parts_of_relation_3_are_the_value_at_x_plus_s_i(cs, x0, s):
-    # E(x0) + i O(x0) = p(x0 + s i), the right side by Horner on Gaussian pairs
-    e, o = sequences._at_shift_by_i(Poly(cs), s)
-    assert (e(x0), o(x0)) == _gauss_horner(cs, (x0, F(s)))
+def test_relation_3_is_2i_times_the_trig_operator_residual(cs, n, x0):
+    # for every real p, (x+i) p(x+i) - 2(n+1)i p(x) - (x-i) p(x-i) = 2i r with
+    # r = (cos D + x sin D) p - (n+1) p: the left side at x0 by Horner on Gaussian pairs
+    terms = [_gauss_mul((x0, F(s)), _gauss_horner(cs, (x0, F(s)))) for s in (1, -1)]
+    middle = _gauss_mul((F(0), F(-2 * (n + 1))), _gauss_horner(cs, (x0, F(0))))
+    left = (terms[0][0] + middle[0] - terms[1][0], terms[0][1] + middle[1] - terms[1][1])
+    p = Poly(cs)
+    r = identities._apply(p, [Poly([-n]), *identities._trig_weights(p.degree)[1:]])
+    assert left == (0, 2 * r(x0))
 
 
 def test_difference_relation_checks_pass():
@@ -412,7 +417,6 @@ def test_difference_relation_checks_pass():
     assert [r.identity for r in reports] == [
         "difference-relation-g",
         "recurrence-difference-g",
-        "difference-relation-phi-monic-complex",
     ]
     assert all(r.status is CheckStatus.PASS for r in reports)
     with pytest.raises(ValueError):
@@ -424,14 +428,14 @@ def test_generate_shares_a_live_table(members_built):
     with sequences.shared_run():
         big = generate(SeqKind.PHI_MONIC, 30)
         small = generate(SeqKind.PHI_MONIC, 12)
-        assert small.max_n == 12
-        assert all(a is b for a, b in zip(small.polys, big.polys))
+        assert len(small) == 13
+        assert all(a is b for a, b in zip(small, big))
         assert generate(SeqKind.PHI_MONIC, 30) is big
         longer = generate(SeqKind.PHI_MONIC, 40)
-        assert all(a is b for a, b in zip(big.polys, longer.polys))
+        assert all(a is b for a, b in zip(big, longer))
         assert generate(SeqKind.PHI_MONIC, 40) is longer
     assert members_built == Counter({SeqKind.PHI_MONIC: 41})
-    assert longer.polys == tuple(sequences.RECURRENCES[SeqKind.PHI_MONIC].members(40))
+    assert longer == tuple(sequences.RECURRENCES[SeqKind.PHI_MONIC].members(40))
 
 
 def _count_elementary(monkeypatch):
@@ -478,7 +482,7 @@ def test_a_held_table_is_not_served_for_a_replaced_entry(monkeypatch):
     with sequences.shared_run():
         held = generate(SeqKind.PHI, 6)
         monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
-                            replace(sequences.RECURRENCES[SeqKind.PHI], p0=3))
+                            sequences.RECURRENCES[SeqKind.PHI]._replace(p0=3))
         assert generate(SeqKind.PHI, 6)[0] == Poly([3])
         assert generate(SeqKind.PHI, 4)[0] == Poly([3])
         monkeypatch.undo()
@@ -493,17 +497,8 @@ def test_seq_kind_tokens():
         SeqKind.from_token("legendre")
 
 
-def test_seq_table_json_rows():
-    table = generate(SeqKind.PHI_MONIC, 2)
-    assert len(table) == 3
-    assert table.max_n == 2
-    rows = [table.json_row(n) for n in range(len(table))]
-    assert rows == [
-        {"kind": "PHI_MONIC", "n": 0, "coeffs": ["1"]},
-        {"kind": "PHI_MONIC", "n": 1, "coeffs": ["0", "1"]},
-        {"kind": "PHI_MONIC", "n": 2, "coeffs": ["-1/2", "0", "1"]},
-    ]
-    assert isinstance(table, SeqTable)
+def test_generate_returns_the_tuple_of_members():
+    assert generate(SeqKind.PHI_MONIC, 2) == (Poly([1]), X, Poly([F(-1, 2), 0, 1]))
 
 
 def test_rodrigues_audit_reports_mismatch():

@@ -317,8 +317,9 @@ def test_exact_suite_holds_through_n_40(members_built):
 
 
 def test_the_finite_and_infinite_equations_share_one_residual_per_n(monkeypatch):
-    # one operator sum per n for both equations (n = 0..8), one per n for the lowering
-    # operator (n = 1..8); a residual of its own for the finite equation would add 8
+    # one operator sum per n for both equations and the difference equation (n = 0..8), one
+    # per n for the lowering operator (n = 1..8); a residual of its own for the finite
+    # equation would add 8
     applied = []
     apply = identities._apply
 
@@ -330,9 +331,11 @@ def test_the_finite_and_infinite_equations_share_one_residual_per_n(monkeypatch)
     reports = suite.run_suite("exact", 8)
     assert len(applied) == 17
     assert {(r.identity, r.n_range, r.status) for r in reports
-            if r.identity in ("ode-residual", "trig-operator-eigenrelation")} == {
+            if r.identity in ("ode-residual", "trig-operator-eigenrelation",
+                              "difference-relation-phi-monic-complex")} == {
         ("ode-residual", (1, 8), CheckStatus.PASS),
-        ("trig-operator-eigenrelation", (0, 8), CheckStatus.PASS)}
+        ("trig-operator-eigenrelation", (0, 8), CheckStatus.PASS),
+        ("difference-relation-phi-monic-complex", (0, 8), CheckStatus.PASS)}
 
 
 def test_every_public_name_is_reached_from_the_package():
