@@ -7,6 +7,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -48,6 +49,11 @@ VERIFY_CEILING = 160
 QUAD_CEILING = 200
 FT_CEILING = 200
 EVAL_DIGITS = 100_000
+
+# The exit code when the reader closes stdout before the output ends (`mlpoly ... | head`):
+# what a shell reports for a process that SIGPIPE ended, 128 + 13, outside the 0/1/2 of a
+# finished command, since the output is cut short.
+CLOSED_STDOUT = 141
 
 
 def _fmt(v: float) -> str:
@@ -427,6 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns 0 when no report is FAIL, 1 when one is, 2 for a refusal or
+    a defect, and CLOSED_STDOUT when the reader closed stdout before the output ended."""
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
@@ -436,7 +444,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mlpoly: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args, argv)
+        code = args.handler(args, argv)
+        sys.stdout.flush()  # a reader that closed early is seen here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at shutdown stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     except _Usage as exc:
         parser.print_usage(sys.stderr)
         print(f"mlpoly: error: {exc}", file=sys.stderr)

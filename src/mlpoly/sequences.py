@@ -197,16 +197,21 @@ RECURRENCES = {
 }
 
 
-# The open run's memo, None outside one: each family's longest table under its RECURRENCES
-# entry (an equal entry shares it, a changed one gets a table of its own), each family's
-# longest series under its kind, and the G oracles' verdicts under (G entry, n_max).
+# Each family's longest table so far, with the RECURRENCES entry it was built from: one
+# table per family for the process (five at most, each as long as the largest n asked
+# for).  An equal entry shares it; a changed one, a patch of the data, replaces it.
+_tables: dict[SeqKind, tuple[Recurrence, tuple[Poly, ...]]] = {}
+
+# The open run's memo, None outside one: each family's longest series under its kind, and
+# the G oracles' verdicts under (G entry, n_max).  Both read module code besides the
+# RECURRENCES data, so neither outlives the run.
 _run: dict | None = None
 
 
 @contextmanager
 def shared_run() -> Iterator[None]:
-    """Keep what generate, generating_series and g_oracle_mismatches build until exit and
-    serve it to their later calls; nothing outlives the run."""
+    """Keep what generating_series and g_oracle_mismatches build until exit and serve it to
+    their later calls; neither outlives the run (generate keeps its tables regardless)."""
     global _run
     _run = {}
     try:
@@ -222,16 +227,20 @@ def _memo() -> dict:  # outside a run a new dict each call, so nothing is kept
 def generate(kind: SeqKind, n_max: int) -> tuple[Poly, ...]:
     """Exact members p_0 .. p_n_max of one family, by its RECURRENCES entry.
 
-    Inside a run, serves a prefix of the family's kept tuple, or extends it.
+    Serves a prefix of the family's kept tuple, or extends it, while the entry it was built
+    from equals the current one; otherwise builds afresh and keeps that table instead.
     """
     if n_max < 0:
         raise ValueError("table length must be non-negative")
-    entry, memo = RECURRENCES[kind], _memo()
-    kept = memo.get(entry, ())
+    entry = RECURRENCES[kind]
+    held, kept = _tables.get(kind, (entry, ()))
+    if held != entry:
+        kept = ()
     if n_max < len(kept):
         return kept[: n_max + 1]  # the kept tuple itself when n_max is its last index
-    memo[entry] = tuple(entry.members(n_max, kept))
-    return memo[entry]
+    kept = tuple(entry.members(n_max, kept))
+    _tables[kind] = entry, kept
+    return kept
 
 
 def _pochhammer(start: int, count: int) -> list[Poly]:

@@ -5,9 +5,12 @@ is `(check, size)`, one or more `aggregate` reports over a whole range; a numeri
 check is a `bounded` deviation.  Both verdicts come from
 `report`, so every PASS or FAIL has one shape.  The runner calls each distinct
 step once (so a check two layers share runs once in `all`) in one
-`sequences.shared_run`, where the steps share each family's table and series,
-and sorts the reports by a canonical key, so the output is reproducible byte
-for byte no matter how the individual checks were scheduled.
+`sequences.shared_run`, where the steps share each family's series and the G
+oracles' verdicts (the family tables are kept by `sequences.generate` for the
+whole process), and sorts the reports by a canonical key, so the output is
+reproducible byte for byte no matter how the individual checks were scheduled.
+The numeric and audit steps import the float layer, `analysis`, themselves, so
+the exact plan never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .analysis import (ft_closed, ft_numeric_grid, gram_deviation, moment,
-                       orthogonality_matrix, own_erratum_audit, zeros_range)
 from .identities import (convolution_check, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
                          lowering_check, trig_operator_eigencheck, turan_recurrence_check)
@@ -106,6 +107,8 @@ def _exact_plan(max_n: int) -> Plan:
 
 
 def _bounded_checks(max_n: int) -> list[CheckReport]:
+    from .analysis import (ft_closed, ft_numeric_grid, gram_deviation, moment,
+                           orthogonality_matrix, zeros_range)
     # the Jacobi matrix is real only while every -b(k) > 0; a family without one has no
     # zeros to match, so its deviation is unmeasured and zeros-reference fails
     nums, _ = RECURRENCES[SeqKind.PHI_MONIC].b.terms(24)  # over positive denominators
@@ -135,8 +138,9 @@ def _numeric_plan(max_n: int) -> Plan:
 def _audit_plan() -> Plan:
     # the five printed errata, three adjudicated in analysis; the other two layers
     # share the last two
+    from .analysis import own_erratum_audit
     return [(own_erratum_audit,), (derivative_expansion_reduced_audit, 20),
-                (rodrigues_audit, 1, RODRIGUES_POINTS)]
+            (rodrigues_audit, 1, RODRIGUES_POINTS)]
 
 
 def _run(*plans: Plan) -> list[CheckReport]:

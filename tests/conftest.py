@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from mlpoly import sequences
+from mlpoly import analysis, sequences
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Every test starts from an empty per-process memo: no family table, no Gram matrix,
+    zeros or moment kept from an earlier test, which may have patched what built them."""
+    sequences._tables.clear()
+    for memo in (analysis._gram, analysis._zeros, analysis.moment):
+        memo.cache_clear()
 
 
 @pytest.fixture

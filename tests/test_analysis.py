@@ -207,20 +207,20 @@ def test_the_estimates_spare_most_counts(monkeypatch):
         calls.append((lanes, out.copy()))
         return out
 
-    analysis._zeros.cache_clear()  # zeros kept from an earlier test would run no count
+    def certified():  # the certificate's two counts, the first of a call, hold every lane
+        (lanes, at_lower), (_, at_upper) = calls[:2]
+        return np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank)
+
     monkeypatch.setattr(analysis._SturmLanes, "count", recorded)
     zeros(400)
-    assert len(calls) <= 10
-    for n in (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373, 400):
+    assert len(calls) <= 10 and certified()
+    for n in (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373):
         calls.clear()
-        analysis._zeros.cache_clear()  # zeros(400) above is kept
         zeros(n)
-        (lanes, at_lower), (_, at_upper) = calls[:2]  # the certificate's two counts
-        assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank), n
+        assert certified(), n
     calls.clear()
     zeros_range(1, 24)
-    (lanes, at_lower), (_, at_upper) = calls[:2]
-    assert np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank)
+    assert certified()
 
 
 def test_zeros_digests_below_the_float_spacing_are_frozen():
@@ -378,8 +378,6 @@ def test_a_second_gram_matrix_or_zero_set_does_no_work(monkeypatch):
         counts.append(x.size)
         return true_count(lanes, x)
 
-    analysis._gram.cache_clear()
-    analysis._zeros.cache_clear()
     monkeypatch.setattr(analysis, "member_values", values)
     monkeypatch.setattr(analysis._SturmLanes, "count", count)
     gram, zs = orthogonality_matrix(80), zeros(400)
@@ -433,9 +431,6 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
             fn(*args)
         return info.value.args[0]
 
-    # a result computed before the patch would never reach the rule
-    moment.cache_clear()
-    analysis._gram.cache_clear()
     monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
     assert [truncation(orthogonality_matrix, n) for n in range(81)] == FROZEN_TRUNCATIONS["quad"]
     assert [truncation(ft_numeric, n, 1.0) for n in range(25)] == FROZEN_TRUNCATIONS["ft"]
@@ -493,7 +488,6 @@ def test_each_moment_is_integrated_once_per_process(monkeypatch):
         calls.append(truncation)
         return integrate(f, truncation)
 
-    moment.cache_clear()
     monkeypatch.setattr(analysis, "integrate", counted)
     first = [moment(n) for n in range(1, 62, 2)]
     assert len(calls) == 31
@@ -502,8 +496,7 @@ def test_each_moment_is_integrated_once_per_process(monkeypatch):
     assert len(calls) == 31
     with pytest.raises(ValueError, match="no truncation below 400"):
         moment(63)
-    moment.cache_clear()
-    assert moment(9) == first[4]
+    assert moment.__wrapped__(9) == first[4]  # a fresh computation, past the memo
     assert len(calls) == 32
 
 
@@ -607,7 +600,6 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
         out[2] = [z + 1.0 for z in out[2]]
         return out
 
-    analysis._zeros.cache_clear()  # zeros kept from an earlier test would skip the sweep
     monkeypatch.setattr(analysis, "_spectra", shifted)
     with pytest.raises(RuntimeError, match="interlacing violated"):
         zeros(3)

@@ -403,6 +403,16 @@ def test_a_process_repeating_quad_and_zeros_prints_the_bytes_of_fresh_processes(
     assert one == fresh
 
 
+def test_a_process_repeating_table_queries_prints_the_bytes_of_fresh_processes():
+    # after the first round every query reads a table generate kept: the --n 110 member is
+    # a prefix of the --max-n 200 table, and ft's norm reads the PHI_MONIC table
+    queries = [["coeffs", "--seq", "phi-monic", "--max-n", "200"],
+               ["coeffs", "--seq", "g", "--max-n", "200"], ["coeffs", "--seq", "g", "--n", "110"],
+               ["ft", "--n", "20", "--s", "0.5"], ["series", "--kind", "g-monic", "--order", "40"]]
+    one, fresh = _one_process_and_fresh(queries * 2)
+    assert one == fresh
+
+
 def test_verify_and_audit_in_one_process_print_the_bytes_of_fresh_processes():
     # a fresh process runs with the cycle collector off and a frozen heap, main in process
     # with the caller's collector
@@ -656,6 +666,20 @@ def test_the_process_entry_keeps_the_exit_contract_of_main():
     assert _one_line_error(done.returncode, done.stdout, done.stderr)
 
 
+def test_a_reader_that_closes_early_ends_the_command_silently():
+    # 2 MB of rows, far past what the pipe and the stdout buffer hold, so the writes after
+    # the close fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mlpoly", "coeffs", "--seq", "pidduck", "--max-n", "150"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+    assert proc.stdout.read(10) == b"[\n  {\n    "
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.CLOSED_STDOUT == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_main_leaves_the_collector_of_its_caller_as_it_found_it(capsys):
     queries = (["coeffs", "--seq", "g", "--n", "3"],
                ["eval", "--seq", "phi", "--n", "3", "--x", "1/2"], ["zeros", "--n", "4"],
@@ -764,7 +788,8 @@ def test_exact_commands_do_not_load_numpy():
             "from mlpoly import cli\n"
             "for argv in (['coeffs', '--seq', 'g', '--n', '5'],\n"
             "             ['eval', '--seq', 'pidduck', '--n', '5', '--x', '1/3'],\n"
-            "             ['series', '--kind', 'g', '--order', '5']):\n"
+            "             ['series', '--kind', 'g', '--order', '5'],\n"
+            "             ['verify', '--suite', 'exact', '--max-n', '3']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy')))")

@@ -170,13 +170,15 @@ def test_ratios_and_entries_compare_and_hash_by_value(monkeypatch, members_built
     assert Ratio((0, 0, 1), (-1,)).terms(4) == ([0, -1, -4, -9], [1, 1, 1, 1])
     with pytest.raises(ZeroDivisionError):
         Ratio((1,), (-2, 1)).terms(3)
-    # an equal G entry built apart is one memo key: a run builds one table for both
+    # an equal G entry built apart is the entry the process's G table was built from, so
+    # that table serves it, in a run and outside one
     g = sequences.RECURRENCES[SeqKind.G]
     twin = sequences.Recurrence(1, Ratio((2,), (1, 1)), Ratio((-1, 1), (1, 1)))
     assert twin == g and hash(twin) == hash(g) and twin is not g
+    held = generate(SeqKind.G, 12)
+    monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G, twin)
+    assert generate(SeqKind.G, 12) is held
     with sequences.shared_run():
-        held = generate(SeqKind.G, 12)
-        monkeypatch.setitem(sequences.RECURRENCES, SeqKind.G, twin)
         assert generate(SeqKind.G, 12) is held
     assert members_built == Counter({SeqKind.G: 13})
 
@@ -424,16 +426,15 @@ def test_difference_relation_checks_pass():
 
 
 def test_generate_shares_a_live_table(members_built):
-    # inside a run a shorter table is a prefix of the kept one and a longer one continues it
-    with sequences.shared_run():
-        big = generate(SeqKind.PHI_MONIC, 30)
-        small = generate(SeqKind.PHI_MONIC, 12)
-        assert len(small) == 13
-        assert all(a is b for a, b in zip(small, big))
-        assert generate(SeqKind.PHI_MONIC, 30) is big
-        longer = generate(SeqKind.PHI_MONIC, 40)
-        assert all(a is b for a, b in zip(big, longer))
-        assert generate(SeqKind.PHI_MONIC, 40) is longer
+    # a shorter table is a prefix of the kept one and a longer one continues it
+    big = generate(SeqKind.PHI_MONIC, 30)
+    small = generate(SeqKind.PHI_MONIC, 12)
+    assert len(small) == 13
+    assert all(a is b for a, b in zip(small, big))
+    assert generate(SeqKind.PHI_MONIC, 30) is big
+    longer = generate(SeqKind.PHI_MONIC, 40)
+    assert all(a is b for a, b in zip(big, longer))
+    assert generate(SeqKind.PHI_MONIC, 40) is longer
     assert members_built == Counter({SeqKind.PHI_MONIC: 41})
     assert longer == tuple(sequences.RECURRENCES[SeqKind.PHI_MONIC].members(40))
 
@@ -461,32 +462,42 @@ def test_a_live_g_series_serves_every_later_read(monkeypatch):
     assert pidduck.coeff(30) - pidduck.coeff(29) == held.coeff(30)
 
 
-def test_outside_a_run_nothing_is_kept(monkeypatch, members_built):
+def test_a_table_outlives_its_run_and_nothing_else_does(monkeypatch, members_built):
     calls = _count_elementary(monkeypatch)
     with sequences.shared_run():
         assert sequences.g_oracle_mismatches(8) == ()
-        generate(SeqKind.G, 25)
+        held = generate(SeqKind.G, 25)
     assert members_built == Counter({SeqKind.G: 26}) and calls == ["log_ratio"]
     members_built.clear()
     calls.clear()
-    # each call builds afresh, the oracles' tables and series too
-    assert generate(SeqKind.G, 12) is not generate(SeqKind.G, 12)
+    # the table is the process's: later calls, in a run or outside one, read it
+    assert all(a is b for a, b in zip(generate(SeqKind.G, 12), held))
+    assert len(generate(SeqKind.G, 12)) == 13 and generate(SeqKind.G, 25) is held
+    with sequences.shared_run():
+        assert generate(SeqKind.G, 25) is held
+    # the series and the oracles' verdicts are the run's: outside one each call builds them
     assert sequences.g_oracle_mismatches(8) == sequences.g_oracle_mismatches(8) == ()
     assert generating_series(SeqKind.G, 9) is not generating_series(SeqKind.G, 9)
-    assert members_built == Counter({SeqKind.G: 2 * 13 + 2 * 9})
-    assert calls == ["log_ratio"] * 4
+    assert members_built == Counter() and calls == ["log_ratio"] * 4
+    # a longer request continues the kept table
+    longer = generate(SeqKind.G, 30)
+    assert all(a is b for a, b in zip(held, longer)) and len(longer) == 31
+    assert members_built == Counter({SeqKind.G: 5})
 
 
-def test_a_held_table_is_not_served_for_a_replaced_entry(monkeypatch):
-    # inside a run each RECURRENCES entry keeps a table of its own
-    with sequences.shared_run():
-        held = generate(SeqKind.PHI, 6)
-        monkeypatch.setitem(sequences.RECURRENCES, SeqKind.PHI,
-                            sequences.RECURRENCES[SeqKind.PHI]._replace(p0=3))
+def test_a_held_table_is_not_served_for_a_replaced_entry(members_built):
+    # one table per family: a patched entry's table replaces the held one, and once the
+    # patch is undone the family's own entry builds an equal table afresh, then keeps it
+    held = generate(SeqKind.PHI, 6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sequences.RECURRENCES, SeqKind.PHI,
+                      sequences.RECURRENCES[SeqKind.PHI]._replace(p0=3))
         assert generate(SeqKind.PHI, 6)[0] == Poly([3])
         assert generate(SeqKind.PHI, 4)[0] == Poly([3])
-        monkeypatch.undo()
-        assert generate(SeqKind.PHI, 6) is held
+    again = generate(SeqKind.PHI, 6)
+    assert again == held and again is not held
+    assert generate(SeqKind.PHI, 6) is again
+    assert members_built == Counter({SeqKind.PHI: 3 * 7})
 
 
 def test_seq_kind_tokens():

@@ -1,9 +1,10 @@
 """Verification suites: one plan of checks, each check run once.
 
 The runner drops repeated steps before calling any, so a check that two
-layers share runs once under `all`, and it runs them in one shared run of
-`sequences`, so the checks share each family's table instead of rebuilding
-it, and no table, series or verdict is kept past the run.
+layers share runs once under `all`.  The checks share each family's table,
+which `sequences.generate` keeps for the process, and run in one shared run of
+`sequences`, so they share each series and verdict too, and neither is kept
+past the run.
 """
 
 import ast
@@ -61,11 +62,10 @@ def test_all_runs_each_shared_check_once(monkeypatch, members_built):
 
 def test_numeric_suite_builds_phi_monic_at_most_once(members_built):
     # the Fourier loop reads p_n for n <= 8, Rodrigues g_n for n <= 3, the Gram matrix
-    # phi_n for n <= 12 (none where an earlier test left that matrix in its memo)
+    # phi_n for n <= 12
     suite.run_suite("numeric")
-    assert members_built[SeqKind.PHI] in (0, 13)
-    assert _per_family(members_built) - Counter({SeqKind.PHI: 13}) == Counter(
-        {SeqKind.PHI_MONIC: 9, SeqKind.G: 4})
+    assert _per_family(members_built) == Counter(
+        {SeqKind.PHI_MONIC: 9, SeqKind.G: 4, SeqKind.PHI: 13})
 
 
 def test_all_at_small_max_n_builds_each_table_once(members_built):
@@ -298,6 +298,51 @@ def test_all_is_the_union_of_the_three_suites():
     union = suite.run_suite("exact", 3) + suite.run_suite("numeric", 3) + suite.audit_suite()
     key = lambda r: (r.identity, r.n_range, r.note)
     assert suite.run_suite("all", 3) == sorted(set(union), key=key)
+
+
+def test_the_numeric_suite_lists_its_reports():
+    # float bytes vary by platform, so the list pins what the numeric plan runs
+    assert [(r.identity, r.n_range, r.status.value) for r in suite.run_suite("numeric")] == [
+        ("fourier-closed-vs-quadrature", (0, 8), "PASS"),
+        ("orthogonality-matrix", (0, 12), "PASS"),
+        ("rodrigues-formula", (1, 1), "AUDITED"),
+        ("rodrigues-formula", (2, 2), "AUDITED"),
+        ("rodrigues-formula", (3, 3), "AUDITED"),
+        ("zeros-reference", (2, 24), "PASS"),
+        ("zeta-moments", (1, 9), "PASS"),
+    ]
+
+
+def _statuses(max_n):
+    return {r.identity: r.status for r in suite._bounded_checks(max_n)}
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_a_wrong_largest_zero_of_each_reference_size_fails_zeros_reference(monkeypatch, size):
+    zeros_range = analysis.zeros_range
+
+    def moved(lo, hi, tol=1e-12):
+        found = zeros_range(lo, hi, tol)
+        found[size] = [*found[size][:-1], found[size][-1] + 0.01]
+        return found
+
+    monkeypatch.setattr(analysis, "zeros_range", moved)
+    status = _statuses(4)
+    assert status["zeros-reference"] is CheckStatus.FAIL
+    assert list(status.values()).count(CheckStatus.FAIL) == 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_a_wrong_moment_of_each_odd_index_fails_zeta_moments(monkeypatch, n):
+    moment = analysis.moment
+
+    def moved(k):
+        return moment(k)._replace(deviation=1.0) if k == n else moment(k)
+
+    monkeypatch.setattr(analysis, "moment", moved)
+    status = _statuses(4)
+    assert status["zeta-moments"] is CheckStatus.FAIL
+    assert list(status.values()).count(CheckStatus.FAIL) == 1
 
 
 def test_import_mlpoly_loads_no_submodule_and_no_numpy():
