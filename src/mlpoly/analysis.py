@@ -118,18 +118,20 @@ class _SturmLanes:
         neg = np.empty((_PIVOT_BLOCK, lanes), dtype=bool)
         tally = np.empty(lanes, dtype=np.uint8)  # at most _PIVOT_BLOCK negative pivots
         # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
-        lane_size = np.repeat(sizes, per_size)
         bsqs = [0.0, *off_sq] if lanes else []  # sizes [1] alone have no lane
-        widths = [int(np.count_nonzero(lane_size >= j + 1)) for j in range(len(bsqs))]
+        # the lane sizes fall, so the lanes of size >= j + 1 end where -size passes -(j + 1)
+        widths = np.searchsorted(
+            -np.repeat(sizes, per_size), -np.arange(1, len(bsqs) + 1), side="right").tolist()
+        self._guard_rows = (pivmin, neg_pivmin, guard)
+        self._guarded: dict[int, list] = {}  # a block's guarded pivots, built at its first guard
         self._blocks = []
         for first in range(0, len(bsqs), _PIVOT_BLOCK):
             js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
             wide, narrow, rows = widths[js[0]], widths[js[-1]], len(js)
-            pivots = [(bsqs[j], *(a[:widths[j]] for a in (self._neg_x, piv[r], piv[r + 1],
-                                                          buf, pivmin, neg_pivmin, guard)))
-                      for r, j in enumerate(js)]
-            bare = [p[:5] for p in pivots]  # what an unguarded pivot reads and writes
-            self._blocks.append((piv[1:rows + 1, narrow:wide], bare, pivots,
+            # what an unguarded pivot reads and writes
+            bare = [(bsqs[j], *(a[:widths[j]] for a in (self._neg_x, piv[r], piv[r + 1], buf)))
+                    for r, j in enumerate(js)]
+            self._blocks.append((piv[1:rows + 1, narrow:wide], first, bare,
                                  piv[1:rows + 1, :wide], mag[:rows, :wide],
                                  float(pivmin[:wide].max()), neg[:rows, :wide],
                                  neg[:rows, :wide].view(np.uint8), tally[:wide],
@@ -142,7 +144,7 @@ class _SturmLanes:
         self._piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
         self._count.fill(0)
         with np.errstate(divide="ignore", over="ignore"):  # unguarded pivots may reach +-inf
-            for (ended, bare, pivots, block, mags, pmin, negs, negs_u8, tal, cnt, carry,
+            for (ended, first, bare, block, mags, pmin, negs, negs_u8, tal, cnt, carry,
                  last) in self._blocks:
                 ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
                 for bsq, nx, prev, dj, bj in bare:
@@ -150,7 +152,7 @@ class _SturmLanes:
                     np.subtract(nx, bj, out=dj)
                 np.abs(block, out=mags)
                 if mags.min() < pmin:  # a guard may fire: redo the block with it
-                    for bsq, nx, prev, dj, bj, pj, npj, gj in pivots:
+                    for bsq, nx, prev, dj, bj, pj, npj, gj in self._guarded_pivots(first, bare):
                         np.divide(bsq, prev, out=bj)
                         np.subtract(nx, bj, out=dj)
                         np.abs(dj, out=bj)
@@ -161,6 +163,15 @@ class _SturmLanes:
                 np.add(cnt, tal, out=cnt)
                 np.copyto(carry, last)
         return self._count
+
+    def _guarded_pivots(self, first: int, bare: list) -> list:
+        """The pivots of the block from pivot first, each with the 3 guard views of its
+        lanes (pivmin, -pivmin and the guard mask), built the first time its guard fires."""
+        pivots = self._guarded.get(first)
+        if pivots is None:  # a pivot's lanes are as many as its -x view has entries
+            pivots = self._guarded[first] = [(*p, *(a[:p[1].size] for a in self._guard_rows))
+                                              for p in bare]
+        return pivots
 
 
 def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
@@ -338,8 +349,15 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     a, b, d = (list(map(operator.truediv, *r.terms(n_max))) for r in (rec.a, rec.b, rec.d))
     out = np.empty((n_max + 2, t.size))
     out[0], out[1] = 0.0, rec.p0  # row 0 is p_{-1}
+    tail = np.empty(t.size)
+    # each row written in place, in the operation order of (a t + d) p_n + b p_{n-1}
     for n in range(n_max):
-        out[n + 2] = (a[n] * t + d[n]) * out[n + 1] + b[n] * out[n]
+        row = out[n + 2]
+        np.multiply(a[n], t, out=row)
+        np.add(row, d[n], out=row)
+        np.multiply(row, out[n + 1], out=row)
+        np.multiply(b[n], out[n], out=tail)
+        np.add(row, tail, out=row)
     return out[1:]
 
 

@@ -72,6 +72,11 @@ class _Symmetric(list):
     other; _dumps writes each mirrored pair of entries from one repr."""
 
 
+class _Plain(list):
+    """The strings of Poly.to_strings, made of -, digits and / alone, which json writes
+    unchanged inside quotes: _dumps writes them with one join and no escaper."""
+
+
 def _symmetric_texts(rows: list[list[float]], fmt) -> list[list[str]]:
     """fmt of each entry of a symmetric matrix given by its rows, each mirrored pair formatted
     once, from the lower triangle."""
@@ -84,7 +89,7 @@ def _dumps(obj, pad: str = "") -> str:
     keys sorted and strict (allow_nan off), with its lines after the first indented by
     pad.  json takes its C encoder only without an indent, so this walks containers
     itself and hands each list of strings or of floats to one C-level join of the escaper
-    and the float repr json uses."""
+    and the float repr json uses, and each _Plain list to one join with no escaper."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
@@ -97,6 +102,8 @@ def _dumps(obj, pad: str = "") -> str:
             return "[]"
         if type(obj) is _Symmetric:
             return _symmetric_json(obj, pad)
+        if type(obj) is _Plain:
+            return f'[\n{inner}"' + f'",\n{inner}"'.join(obj) + f'"\n{pad}]'
         sep = ",\n" + inner
         body = None
         try:  # each map raises TypeError at the first value of another type
@@ -205,7 +212,7 @@ def _cmd_coeffs(args, argv) -> int:
     if args.format == "csv":
         _emit_coeff_csv(["kind", "n"], [([kind.value, n], table[n]) for n in ns])
         return 0
-    rows = ({"kind": kind.value, "n": n, "coeffs": table[n].to_strings()} for n in ns)
+    rows = ({"kind": kind.value, "n": n, "coeffs": _Plain(table[n].to_strings())} for n in ns)
     _emit_json(next(rows) if args.n is not None else rows)  # --n prints one object
     return 0
 
@@ -338,7 +345,8 @@ def _cmd_series(args, argv) -> int:
     if args.format == "csv":
         _emit_coeff_csv(["t_power"], [([n], p) for n, p in enumerate(coeffs)])
     else:
-        _emit_json({"t_power": n, "coeffs": p.to_strings()} for n, p in enumerate(coeffs))
+        _emit_json({"t_power": n, "coeffs": _Plain(p.to_strings())}
+                   for n, p in enumerate(coeffs))
     return 0
 
 

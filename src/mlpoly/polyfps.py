@@ -429,14 +429,14 @@ class PolySeries:
         """Series exponential of a series with zero constant term.
 
         Uses the derivative recurrence n*f_n = sum_{k=1..n} k*u_k*f_{n-k},
-        which keeps the cost quadratic in the order.
+        which keeps the cost quadratic in the order: each f_n is one combine of the
+        integer-weighted terms, divided by n once.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires a series with zero constant term")
         out = [Poly([1])]
         for n in range(1, self.order):
-            out.append(combine((Fraction(k, n), self.coeffs[k], out[n - k])
-                               for k in range(1, n + 1)))
+            out.append(combine(((k, self.coeffs[k], out[n - k]) for k in range(1, n + 1)), n))
         return PolySeries(self.order, out)
 
     def scale_t(self, factor) -> "PolySeries":

@@ -75,9 +75,12 @@ _KIND_TOKENS = {kind.token: kind for kind in SeqKind}
 def _values(coeffs: Sequence[int], count: int) -> list[int]:
     """c(0) .. c(count - 1) for the integer polynomial c in n with these ascending
     coefficients, by forward differences: c(0) .. c(deg) by Horner, then each value is deg
-    additions, one itertools.accumulate per order of difference."""
+    additions, one itertools.accumulate per order of difference.  Up to 4 values per
+    coefficient are each one Horner: below that the table's fixed cost is the larger."""
     if len(coeffs) < 2:
         return [coeffs[0] if coeffs else 0] * count
+    if count <= 4 * len(coeffs):
+        return [horner(coeffs, k, 1) for k in range(count)]
     diffs = [horner(coeffs, k, 1) for k in range(len(coeffs))]
     for j in range(1, len(diffs)):  # diffs[i] becomes (delta^i c)(0), the last constant in n
         for i in range(len(diffs) - 1, j - 1, -1):

@@ -17,10 +17,11 @@ import pytest
 from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
                              gram_deviation, integrate, make_quad_config, member_values,
                              moment, orthogonality_matrix, zeros, zeros_range, _coeff_norm,
-                             _ft_sinh_form, _gamma_tail, _unit_panel, _weight_array)
+                             _ft_sinh_form, _gamma_tail, _panel_points, _unit_panel,
+                             _weight_array)
 from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
-from mlpoly.sequences import SeqKind, generate
+from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
 
 F = Fraction
@@ -446,6 +447,38 @@ def test_member_values_follow_the_exact_members():
         for n in range(13):
             exact = [float(tab[n](Fraction(x))) for x in t]
             assert list(vals[n]) == pytest.approx(exact, rel=1e-12, abs=1e-12), (kind, n)
+
+
+def test_member_values_are_the_expression_form_bit_for_bit():
+    # the rows are written in place, in the operation order of (a t + d) p_n + b p_{n-1}
+    t = _panel_points(301.0)[0]  # the 12040 nodes of quad --max-n 80
+    for kind, rec in RECURRENCES.items():
+        expected = np.empty((82, t.size))
+        expected[0], expected[1] = 0.0, rec.p0
+        for k in range(80):
+            expected[k + 2] = ((float(rec.a(k)) * t + float(rec.d(k))) * expected[k + 1]
+                               + float(rec.b(k)) * expected[k])
+        assert member_values(kind, 80, t).tobytes() == expected[1:].tobytes(), kind
+
+
+def test_gram_matrix_is_the_per_row_weighted_sum_bit_for_bit():
+    for n in (0, 12, 61, 80):
+        norm = max(_coeff_norm(p) for p in generate(SeqKind.PHI, n))
+        pts, allw = _panel_points(make_quad_config(2 * n + 1, abs_tol=1e-10,
+                                                   coeff_norm=norm * norm))
+        wts = allw * _weight_array(pts)
+        expected = np.zeros((n + 1, n + 1))
+        for lo in range(0, pts.size, 2048):
+            live = np.flatnonzero(wts[lo:lo + 2048])
+            if live.size:
+                block = slice(lo + live[0], lo + live[-1] + 1)
+                phi = member_values(SeqKind.PHI, n, pts[block])
+                for i in range(n + 1):
+                    weighted = phi[i] * wts[block]
+                    expected[i, : i + 1] += np.einsum("k,jk->j", weighted, phi[: i + 1])
+        upper = np.triu_indices(n + 1, 1)
+        expected[upper] = expected.T[upper]
+        assert orthogonality_matrix(n).tobytes() == expected.tobytes(), n
 
 
 def test_jacobi_matrix_reads_the_monic_recurrence_bit_for_bit():

@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 
 from mlpoly import __version__
 from mlpoly import cli
-from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _Symmetric, _build_parser, _dumps,
-                        _emit_json, _emit_records, _symmetric_texts, main)
-from mlpoly.sequences import RECURRENCES, SeqKind, generate
+from mlpoly.cli import (_SEQ_TOKENS, _SERIES_TOKENS, _Plain, _Symmetric, _build_parser,
+                        _dumps, _emit_json, _emit_records, _symmetric_texts, main)
+from mlpoly.polyfps import elementary
+from mlpoly.sequences import RECURRENCES, SeqKind, generate, generating_series
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +330,29 @@ def test_a_symmetric_matrix_with_a_non_finite_entry_is_refused_as_json_dumps_ref
             with pytest.raises(ValueError) as raised:
                 _dumps(_Symmetric(rows))
             assert str(raised.value) == str(expected.value), rows
+
+
+# what json writes unchanged inside quotes, and all that _Plain may hold
+_PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def test_every_coefficient_string_is_plain():
+    polys = [p for kind in SeqKind for p in generate(kind, 60)]
+    polys += [p for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC)
+              for p in generating_series(kind, 61).coeffs]
+    polys += [p for kind in ("arctan_half", "artanh", "tan_half", "log_ratio")
+              for p in elementary(kind, 61).coeffs]
+    for p in polys:
+        for text in p.to_strings():
+            assert _PLAIN.fullmatch(text), (p, text)
+
+
+@given(st.lists(st.from_regex(_PLAIN, fullmatch=True), max_size=5), st.sampled_from(["", "  "]))
+@settings(max_examples=100, deadline=None)
+def test_a_plain_list_is_written_as_json_dumps_writes_it(texts, pad):
+    assert _dumps(_Plain(texts), pad) == _reference_json(texts).replace("\n", "\n" + pad)
+    record = {"coeffs": _Plain(texts), "n": 3}
+    assert _dumps(record) == _reference_json({"coeffs": texts, "n": 3})
 
 
 def test_quad(capsys):

@@ -135,6 +135,14 @@ def test_stepping_a_recurrence_builds_no_fraction_per_step(monkeypatch):
         assert counts == [1, 1], kind
 
 
+@given(st.lists(st.integers(-10**6, 10**6), max_size=5), st.integers(0, 24))
+@settings(max_examples=200, deadline=None)
+def test_values_are_the_polynomial_at_each_n(coeffs, count):
+    # up to 24 values reach the difference table at every length, as well as direct Horner
+    expected = [sum(c * k**i for i, c in enumerate(coeffs)) for k in range(count)]
+    assert sequences._values(tuple(coeffs), count) == expected
+
+
 # degree <= 2 in n; a denominator with positive coefficients has no root at n >= 0, and its
 # negation tests the sign normalization of Ratio.terms
 _NUMS = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(tuple)
