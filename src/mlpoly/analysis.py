@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import ZetaEven, to_float, zeta_even
+from .exactnum import zeta_even
 from .polyfps import Poly
 from .report import CheckReport, CheckStatus
 from .sequences import (RECURRENCES, Recurrence, SeqKind, g_oracle_mismatches, generate,
@@ -506,8 +506,8 @@ def gram_deviation(mat: np.ndarray) -> float:
 
 
 class MomentResult(NamedTuple):
-    n: int
-    closed: Fraction | ZetaEven
+    closed: Fraction  # the exact coefficient of pi^(n+1)
+    closed_float: float
     numeric: float
     deviation: float
 
@@ -517,18 +517,18 @@ def moment(n: int) -> MomentResult:
     """Integral of t^n / sinh(t) over the line: exact closed form vs quadrature.
 
     Closed form: (1 - (-1)^n) (2^(n+1) - 1)/2^n * n! * zeta(n+1), which is 0
-    for even n and a rational multiple of pi^(n+1) for odd n.  Each n is integrated
-    once per process: moments --max-n reports every odd index up to its size.  The key
-    is n only, so a kept result does not see code of this module replaced at run time
-    (the quadrature rule, say); tests that replace it clear the memo.
+    for even n and a rational multiple of pi^(n+1) for odd n; the result carries
+    that rational as ``closed`` and float(closed) * pi^(n+1) as ``closed_float``.
+    Each n is integrated once per process: moments --max-n reports every odd index up
+    to its size.  The key is n only, so a kept result does not see code of this module
+    replaced at run time (the quadrature rule, say); tests that replace it clear the memo.
     """
     if n < 1:
         raise ValueError("moment index starts at 1")
     if n % 2 == 0:
-        closed: Fraction | ZetaEven = Fraction(0)
+        closed = Fraction(0)
     else:
-        factor = Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
-        closed = zeta_even(n + 1).scaled(factor)
+        closed = zeta_even(n + 1) * Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
     truncation = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
     limit = 1.0 if n == 1 else 0.0
 
@@ -537,9 +537,9 @@ def moment(n: int) -> MomentResult:
             return np.where(t == 0.0, limit, t**n / np.sinh(t))
 
     numeric = integrate(integrand, truncation)
-    closed_f = to_float(closed)
+    closed_f = float(closed) * math.pi ** (n + 1)
     deviation = abs(numeric - closed_f) / max(1.0, abs(closed_f))
-    return MomentResult(n, closed, numeric, deviation)
+    return MomentResult(closed, closed_f, numeric, deviation)
 
 
 def ft_closed(n: int, s: float) -> float:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .exactnum import to_float
 from .polyfps import Poly, elementary
 from .report import CheckReport
 from .sequences import RECURRENCES, SeqKind, generate, generating_series
@@ -315,7 +314,7 @@ def _cmd_moments(args, argv) -> int:
     rows = []
     for n in range(1, args.max_n + 1, 2):
         m = moment(n)
-        rows.append({"n": n, "closed": str(m.closed), "closed_float": to_float(m.closed),
+        rows.append({"n": n, "closed": f"{m.closed}*pi^{n + 1}", "closed_float": m.closed_float,
                      "numeric": m.numeric, "rel_deviation": m.deviation})
     _emit_records(rows, args.format)
     return 0

@@ -45,7 +45,6 @@ __all__ = [
     "monic_egf",
     "reduce_from_g",
     "difference_relation_checks",
-    "RODRIGUES_POINTS",
     "rodrigues_audit",
 ]
 
@@ -450,26 +449,24 @@ def _gamma_pair(half: float, x: float) -> float:
 RODRIGUES_POINTS = (0.1, 0.2, 0.3, 0.4)
 
 
-def rodrigues_audit(n: int, sample_points: Sequence[float]) -> CheckReport:
+def rodrigues_audit(n: int) -> CheckReport:
     """Numerically adjudicate the printed Rodrigues-type formula for g_n.
 
     Evaluates the printed right-hand side (2/n!) (x / w(x,1)) delta^n w(x,n),
     where w(x,m) = Gamma((m+1)/2 - x) Gamma((m+1)/2 + x) and delta is the
     central difference with unit step, against the recurrence polynomial at
-    each sample point.  The verdict (MATCH within 1e-9 relative, else
+    each of RODRIGUES_POINTS.  The verdict (MATCH within 1e-9 relative, else
     MISMATCH) is reported, never assumed: the formula fails a desk check at
     n = 1 and no corrected normalization is guessed.
     """
     if n < 1:
         raise ValueError("the audit starts at n = 1")
-    if not sample_points:
-        raise ValueError("at least one sample point is required")
     g_n = generate(SeqKind.G, n)[n]
     half = (n + 1) / 2.0
     scale = 2.0 / math.factorial(n)
     details = []
     max_dev = 0.0
-    for x in sample_points:
+    for x in RODRIGUES_POINTS:
         delta_n = 0.0
         for j in range(n + 1):
             delta_n += (-1) ** j * math.comb(n, j) * _gamma_pair(half, x + n / 2.0 - j)

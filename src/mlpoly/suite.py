@@ -22,7 +22,7 @@ from .identities import (convolution_check, derivative_expansion_monic,
                          derivative_expansion_reduced_audit, egf_pde_residual,
                          lowering_check, trig_operator_eigencheck, turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
-from .sequences import (RECURRENCES, RODRIGUES_POINTS, SeqKind, difference_relation_checks,
+from .sequences import (RECURRENCES, SeqKind, difference_relation_checks,
                         g_oracle_mismatches, generate, generating_series, reduce_from_g,
                         rodrigues_audit, shared_run)
 
@@ -132,7 +132,7 @@ def _bounded_checks(max_n: int) -> list[CheckReport]:
 
 
 def _numeric_plan(max_n: int) -> Plan:
-    return [(_bounded_checks, max_n)] + [(rodrigues_audit, n, RODRIGUES_POINTS) for n in (1, 2, 3)]
+    return [(_bounded_checks, max_n)] + [(rodrigues_audit, n) for n in (1, 2, 3)]
 
 
 def _audit_plan() -> Plan:
@@ -140,7 +140,7 @@ def _audit_plan() -> Plan:
     # share the last two
     from .analysis import own_erratum_audit
     return [(own_erratum_audit,), (derivative_expansion_reduced_audit, 20),
-            (rodrigues_audit, 1, RODRIGUES_POINTS)]
+            (rodrigues_audit, 1)]
 
 
 def _run(*plans: Plan) -> list[CheckReport]:

@@ -19,7 +19,6 @@ from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_
                              moment, orthogonality_matrix, zeros, zeros_range, _coeff_norm,
                              _ft_sinh_form, _gamma_tail, _panel_points, _unit_panel,
                              _weight_array)
-from mlpoly.exactnum import ZetaEven, to_float
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -497,11 +496,13 @@ def test_monic_norms():
 
 
 def test_moment_closed_forms():
-    assert moment(1).closed == ZetaEven(F(1, 2), 2)
-    assert moment(3).closed == ZetaEven(F(1, 4), 4)
-    assert moment(5).closed == ZetaEven(F(1, 2), 6)
+    # the coefficient of pi^(n+1)
+    assert moment(1).closed == F(1, 2)
+    assert moment(3).closed == F(1, 4)
+    assert moment(5).closed == F(1, 2)
     assert moment(2).closed == F(0)
-    assert to_float(moment(1).closed) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+    assert moment(1).closed_float == pytest.approx(math.pi**2 / 2, rel=1e-15)
+    assert moment(2).closed_float == 0.0
     with pytest.raises(ValueError):
         moment(0)
 

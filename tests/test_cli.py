@@ -482,6 +482,24 @@ def test_moments(capsys):
     assert all(r["rel_deviation"] < 1e-8 for r in rows)
 
 
+# sha256 of the 31 closed strings of moments --max-n 61, joined by newlines: exact
+# rationals times a power of pi, so the digest holds on every platform
+MOMENTS_61_CLOSED_SHA256 = "8c9c9fa21c7c55aa4a1c53f03627a0f4bd27eed58c7eacf1eb3a3e559172e33a"
+
+
+def test_moments_print_the_pinned_exact_closed_forms(capsys):
+    from mlpoly.analysis import moment
+    code, out, _ = run_cli(capsys, "moments", "--max-n", "61")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == list(range(1, 62, 2))
+    closed = "\n".join(r["closed"] for r in rows)
+    assert hashlib.sha256(closed.encode()).hexdigest() == MOMENTS_61_CLOSED_SHA256
+    # the float is the exact rational times the machine pi power, bit for bit
+    assert [r["closed_float"] for r in rows] == [
+        float(moment(n).closed) * math.pi ** (n + 1) for n in range(1, 62, 2)]
+
+
 def test_verify_exact(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "exact", "--max-n", "6")
     assert code == 0

@@ -521,21 +521,23 @@ def test_generate_returns_the_tuple_of_members():
 
 
 def test_rodrigues_audit_reports_mismatch():
-    report = rodrigues_audit(1, [0.3])
+    report = rodrigues_audit(1)
     assert report.status is CheckStatus.AUDITED
     assert "MISMATCH" in report.note
-    # independent evaluation of the printed right-hand side at x = 0.3
-    x = 0.3
+    assert report.note.count("x=") == 4
+    # independent evaluation: at n = 1 the printed right-hand side is 4x tan(pi x),
+    # the polynomial g_1 is 2x, and the audit samples x = 0.1 .. 0.4
     w = lambda y: math.gamma(1 - y) * math.gamma(1 + y)
-    rhs = 2.0 * (x / w(x)) * (w(x + 0.5) - w(x - 0.5))
-    assert rhs == pytest.approx(4 * x * math.tan(math.pi * x), rel=1e-12)
-    poly_value = 2 * x
-    expected_dev = abs(rhs - poly_value) / abs(rhs)
+    expected_dev = 0.0
+    for x in (0.1, 0.2, 0.3, 0.4):
+        rhs = 4 * x * math.tan(math.pi * x)
+        assert 2.0 * (x / w(x)) * (w(x + 0.5) - w(x - 0.5)) == pytest.approx(rhs, rel=1e-12)
+        poly_value = 2 * x
+        expected_dev = max(expected_dev,
+                           abs(rhs - poly_value) / max(abs(rhs), abs(poly_value), 1.0))
     assert report.max_deviation == pytest.approx(expected_dev, rel=1e-9)
 
 
 def test_rodrigues_audit_validates_input():
     with pytest.raises(ValueError):
-        rodrigues_audit(0, [0.3])
-    with pytest.raises(ValueError):
-        rodrigues_audit(1, [])
+        rodrigues_audit(0)
