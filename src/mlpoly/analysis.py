@@ -69,11 +69,11 @@ _CERTIFICATE_HALF_WIDTH = 64.0
 
 
 class _SturmLanes:
-    """One lane per eigenvalue of each size, and the one Sturm count over all of them.
+    """Lanes of Sturm counts of leading blocks of J, and the one count over all of them.
 
-    Lane (n, k) stands for the k-th eigenvalue of size n.  The middle eigenvalue of
-    an odd size has no lane: J has a zero diagonal, so its spectrum is symmetric
-    about 0 and that eigenvalue is 0 exactly.  The lanes are sorted by
+    Lane i counts the negative pivots of its own size[i] x size[i] block of J, and
+    rank[i] is the count its caller compares the result with (for _spectra, the index
+    of the eigenvalue the lane brackets).  The lanes are sorted by
     size, largest first, so the lanes that take pivot j of the Sturm sequence
     (size >= j + 1) are a prefix, and one pass over that prefix per pivot serves
     all of them.  Each lane does the scalar count's IEEE arithmetic: its own size's
@@ -95,18 +95,14 @@ class _SturmLanes:
     divisor is 1.0).
     """
 
-    def __init__(self, sizes: list[int]):
-        """sizes: distinct, largest first."""
-        self.off = np.array(_off_diagonal(sizes[0]))
-        off_sq = self.off * self.off
-        per_size = [n - n % 2 for n in sizes]  # lanes of each size
+    def __init__(self, off: np.ndarray, size: np.ndarray, rank: np.ndarray):
+        """off: the off-diagonal of J at the largest size, size[0] (see _off_diagonal);
+        size: the size of each lane, falling; rank: the count each lane is judged by."""
+        self.rank = rank
+        lanes = rank.size
+        off_sq = off * off
         # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
-        pivmin = np.repeat([max(1e-290, 2.3e-16 * (off_sq[n - 2] if n > 1 else 1.0))
-                            for n in sizes], per_size)
-        self.bound = np.repeat([math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
-                                for n in sizes], per_size)
-        self.rank = np.concatenate([np.r_[:n // 2, (n + 1) // 2:n] for n in sizes])
-        lanes = self.rank.size
+        pivmin = np.maximum(1e-290, 2.3e-16 * np.r_[1.0, off_sq][size - 1])
         neg_pivmin = -pivmin
         self._neg_x, buf = np.empty(lanes), np.empty(lanes)
         self._count = np.empty(lanes, dtype=np.int64)
@@ -120,17 +116,28 @@ class _SturmLanes:
         # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
         bsqs = [0.0, *off_sq] if lanes else []  # sizes [1] alone have no lane
         # the lane sizes fall, so the lanes of size >= j + 1 end where -size passes -(j + 1)
-        widths = np.searchsorted(
-            -np.repeat(sizes, per_size), -np.arange(1, len(bsqs) + 1), side="right").tolist()
+        widths = np.searchsorted(-size, -np.arange(1, len(bsqs) + 1), side="right").tolist()
+        # one view per (line, width), shared by every pivot that reads that prefix: line 0
+        # is -x, line 1 the quotient buffer, line 2 + r row r of piv
+        lines, prefixes = [self._neg_x, buf, *piv], {}
+
+        def prefix(line: int, width: int) -> np.ndarray:
+            view = prefixes.get((line, width))
+            if view is None:
+                view = prefixes[line, width] = lines[line][:width]
+            return view
+
         self._guard_rows = (pivmin, neg_pivmin, guard)
         self._guarded: dict[int, list] = {}  # a block's guarded pivots, built at its first guard
         self._blocks = []
         for first in range(0, len(bsqs), _PIVOT_BLOCK):
             js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
             wide, narrow, rows = widths[js[0]], widths[js[-1]], len(js)
-            # what an unguarded pivot reads and writes
-            bare = [(bsqs[j], *(a[:widths[j]] for a in (self._neg_x, piv[r], piv[r + 1], buf)))
-                    for r, j in enumerate(js)]
+            bare = []  # what each unguarded pivot reads and writes
+            for r, j in enumerate(js):
+                w = widths[j]
+                bare.append((bsqs[j], prefix(0, w), prefix(2 + r, w), prefix(3 + r, w),
+                             prefix(1, w)))
             self._blocks.append((piv[1:rows + 1, narrow:wide], first, bare,
                                  piv[1:rows + 1, :wide], mag[:rows, :wide],
                                  float(pivmin[:wide].max()), neg[:rows, :wide],
@@ -174,6 +181,12 @@ class _SturmLanes:
         return pivots
 
 
+def _bracket(n: int) -> float:
+    """The half-width of the first bracket of every lane of size n.  It holds the spectrum
+    of J: by Gershgorin, no eigenvalue exceeds sqrt(c_{n-2}) + sqrt(c_{n-1}) < n - 1."""
+    return math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
+
+
 def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
     """The eigenvalue of every lane (see _SturmLanes), to about the float precision.
 
@@ -196,12 +209,15 @@ def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
 def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
 
-    Lane (n, k) brackets the k-th eigenvalue of size n (see _SturmLanes for the one
-    count they share; the middle zero of an odd size is 0.0 and has no lane).  Each
-    lane takes the scalar bisection's steps: from its own size's bound, the midpoint
-    goes low when its count is <= k, and the lane freezes once hi - lo <= tol or
-    after 200 steps of its own; so the spectra are bit-identical to bisecting each
-    eigenvalue alone.
+    Lane (n, k) brackets the k-th eigenvalue of size n, one lane of size n and rank k
+    of _SturmLanes (the count they share).  The middle eigenvalue of an odd size has
+    no lane: J has a zero diagonal, so its spectrum is symmetric about 0 and that
+    eigenvalue is 0.0 exactly.  Each lane takes the scalar bisection's steps: from
+    [-_bracket(n), _bracket(n)], the midpoint goes low when its count is <= k, and
+    the lane freezes once hi - lo <= tol or after 200 steps of its own; so the spectra
+    are bit-identical to bisecting each eigenvalue alone, whatever other sizes share
+    the sweep.  Every lo a lane moves to has a count <= k and every hi one > k, which
+    _interlaces_below reads to prove interlacing without sweeping a size.
 
     The computed Sturm count c(x) is monotone in x in IEEE arithmetic with the
     pivmin guard used here (Kahan, Accurate eigenvalues of a symmetric tri-diagonal
@@ -229,9 +245,12 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     freezes on tol.
     """
     sizes = sorted(set(sizes), reverse=True)
-    lanes = _SturmLanes(sizes)
-    rank, bound = lanes.rank, lanes.bound
-    estimate = _eigen_estimates(sizes, lanes.off)
+    per_size = [n - n % 2 for n in sizes]  # lanes of each size
+    off = np.array(_off_diagonal(sizes[0]))
+    lanes = _SturmLanes(off, np.repeat(sizes, per_size),
+                        np.concatenate([np.r_[:n // 2, (n + 1) // 2:n] for n in sizes]))
+    rank, bound = lanes.rank, np.repeat([_bracket(n) for n in sizes], per_size)
+    estimate = _eigen_estimates(sizes, off)
     half = _CERTIFICATE_HALF_WIDTH * np.finfo(float).eps * bound
     lower, upper = estimate - half, estimate + half
     ok = lanes.count(lower) <= rank
@@ -269,14 +288,57 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     return out
 
 
+def _interlaces_below(zs: list[float], tol: float) -> bool:
+    """Whether one Sturm count proves that the zeros zs of size n >= 2, as _spectra
+    printed them at tol, interlace with those of size m = n - 1 without bisecting m: that
+    zeros_range's chain check z_k < y_k < z_{k+1} (k < m) would pass for the zeros y
+    that _spectra would print for m.  False only means unproved.
+
+    With B = _bracket(m), u = eps/2 and D = max(tol, eps B), the points a_k = fl(z_k - d)
+    and b_k = fl(z_k + d), d = 4 D, must lie in (-B, B), zs must be exactly antisymmetric
+    (z_{n-1-k} = -z_k, as _spectra prints them), and the count c of J_m, taken by lanes of
+    size m (so with the pivmin of size m, as _spectra's lanes of size m take it), must be k
+    at a_k and at b_k for every k.  c is monotone in x (see _spectra), so:
+
+    1. b_k < a_{k+1}, since c(b_k) = k < c(a_{k+1}).
+    2. Lane (m, k) of _spectra ends at [lo, hi] with c(lo) <= k or lo = -B, and c(hi) > k
+       or hi = B: a step moves lo to a midpoint whose count is <= k, counted or certified,
+       and hi to one whose count is > k.  By monotonicity, lo < a_{k+1} and hi > b_k (at
+       an unmoved end, -B < a_0 <= a_{k+1} and b_k <= b_{n-1} < B).
+    3. hi - lo <= W = D (1 + 2^-52) + 2^-1074: the lane stops at fl(hi - lo) <= tol;
+       at a fixed point, where mid = fl(0.5 fl(lo + hi)) is lo or hi, so that
+       hi - lo <= u |lo + hi| + 2^-1074 <= eps B + 2^-1074; or after 200 steps, each of
+       which leaves at most half the width plus u B + 2^-1075.  So the lane's midpoint
+       w_k, which lies in [lo, hi], lies in I_k = (b_k - W, a_{k+1} + W).
+    4. y_k = fl(0.5 fl(w_k - w_{m-1-k})).  Antisymmetry gives b_{m-1-k} = -a_{k+1} and
+       a_{m-k} = -b_k, so -w_{m-1-k} lies in I_k too, and y_k lies within u B + 2^-1075
+       of I_k.  As b_k >= z_k + d - 2 u B, y_k - z_k > d - W - 3 u B - 2^-1074 > 0;
+       likewise z_{k+1} - y_k > 0.
+    5. For odd m, y_k = 0.0 at k = (m - 1) / 2 has no lane.  There z_{k+1} = -z_k gives
+       a_{k+1} = -b_k, so b_k < 0 by step 1, and z_k < -d < 0 < d < z_{k+1}.
+    """
+    n, m = len(zs), len(zs) - 1
+    z, bracket = np.array(zs), _bracket(m)
+    d = 4.0 * max(tol, np.finfo(float).eps * bracket)
+    points = np.concatenate([z - d, z + d])
+    if not (np.array_equal(z, -z[::-1]) and np.all(np.abs(points) < bracket)):
+        return False
+    lanes = _SturmLanes(np.array(_off_diagonal(m)), np.full(2 * n, m), np.tile(np.arange(n), 2))
+    return bool(np.array_equal(lanes.count(points), lanes.rank))
+
+
 def zeros_range(lo: int, hi: int, tol: float = 1e-12) -> dict[int, list[float]]:
     """The zeros of every size lo..hi, sorted ascending, each bracketed to width tol.
 
-    One sweep bisects sizes lo - 1 .. hi.  The spectrum of the zero-diagonal
+    One sweep bisects sizes lo .. hi.  The spectrum of the zero-diagonal
     matrix is symmetric under reflection, so the bisection output is
     antisymmetrized exactly; the middle zero of an odd size is exactly 0.0.
     Before returning, every size n >= 2 is verified against the known bound
-    max|zero| < sqrt(n(n-1)) and strict interlacing with the size n - 1 zeros.
+    max|zero| < sqrt(n(n-1)) and strict interlacing with the size n - 1 zeros:
+    by comparing the two, except for n = lo, where one Sturm count of size lo - 1
+    proves it (_interlaces_below) without bisecting that size.  Where the count does
+    not (a tol too coarse, a broken sweep), size lo - 1 is bisected and compared as
+    the others are, so a failed check raises what it would raise if lo - 1 were swept.
     """
     if lo < 1:
         raise ValueError("need at least one zero")
@@ -284,11 +346,14 @@ def zeros_range(lo: int, hi: int, tol: float = 1e-12) -> dict[int, list[float]]:
         raise ValueError(f"empty size range {lo}..{hi}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
-    found = _spectra(range(max(lo - 1, 1), hi + 1), tol)
+    found = _spectra(range(lo, hi + 1), tol)
     for n in range(max(lo, 2), hi + 1):
-        out, prev = found[n], found[n - 1]
+        out = found[n]
         if max(abs(z) for z in out) >= math.sqrt(n * (n - 1)):
             raise RuntimeError(f"zero bound sqrt(n(n-1)) violated at n = {n}")
+        if n == lo and _interlaces_below(out, tol):
+            continue
+        prev = found[n - 1] if n > lo else _spectra([n - 1], tol)[n - 1]
         chain = [z for pair in zip(out, prev) for z in pair] + [out[-1]]
         gaps = [b - a for a, b in zip(chain, chain[1:])]
         if min(gaps) <= 0:
@@ -361,6 +426,10 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
+# math.lgamma(k + 1) = log k! for k = 0, 1, ..., as far as a _gamma_tail has asked
+_LOG_FACTORIALS: list[float] = []
+
+
 def _gamma_tail(degree: int, rate: float, upper: float) -> float:
     """Exact tail integral of t^degree e^(-rate t) over [upper, infinity).
 
@@ -368,12 +437,15 @@ def _gamma_tail(degree: int, rate: float, upper: float) -> float:
     log space.  A term beyond the float range makes the bound math.inf, which
     no tolerance meets, so the caller moves on to a larger truncation.
     """
+    while len(_LOG_FACTORIALS) <= degree:
+        _LOG_FACTORIALS.append(math.lgamma(len(_LOG_FACTORIALS) + 1))
     rt = rate * upper
-    log_front = math.lgamma(degree + 1) - (degree + 1) * math.log(rate)
+    log_front = _LOG_FACTORIALS[degree] - (degree + 1) * math.log(rate)
+    log_rt = math.log(rt)
     total = 0.0
     try:
-        for k in range(degree + 1):
-            total += math.exp(log_front + k * math.log(rt) - math.lgamma(k + 1) - rt)
+        for k, log_factorial in zip(range(degree + 1), _LOG_FACTORIALS):
+            total += math.exp(log_front + k * log_rt - log_factorial - rt)
     except OverflowError:
         return math.inf
     return total

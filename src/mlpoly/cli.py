@@ -28,12 +28,14 @@ _SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
 
 # Largest sizes served, so that a mistyped size is refused at once instead of running
-# for hours (zeros bisects about 2n lanes at a time, after a dense SVD of size n/2 that
-# grows as n^3; the exact suite grows as n^4).  At the ceiling, on one core of a 2-core
-# x86-64 machine, process start included: zeros --n 2000 takes 1.3 s (1.1 s when the
-# SVD may use both cores); coeffs --seq pidduck --max-n 500 takes 3.9-4.8 s and prints
-# 100 MB (0.35 s of it writing the JSON, most of the rest converting the coefficients to
-# strings), and eval --n 500 0.06 s (0.66-0.71 s at a point on the EVAL_DIGITS bound);
+# for hours (zeros bisects about n lanes at a time, after a dense SVD of size n/2 that
+# grows as n^3, and counts 2n lanes once to prove the interlacing; the exact suite grows
+# as n^4).  At the ceiling, on one core of a 2-core x86-64 machine, process start
+# included: zeros --n 2000 takes 0.37 s (0.31 s when the SVD may use both cores), timed
+# on a faster machine than the rest of this list; coeffs --seq pidduck --max-n 500 takes
+# 3.9-4.8 s and prints 100 MB (0.35 s of it writing the JSON, most of the rest
+# converting the coefficients to strings), and eval --n 500 0.06 s (0.66-0.71 s at a
+# point on the EVAL_DIGITS bound);
 # series --order 300 takes 1.2-2.1 s for phi-monic, phi and g, the slowest kinds;
 # verify --suite exact --max-n 160 takes 4.3-6.1 s across six runs
 # (numeric and all refuse from 103 at once).

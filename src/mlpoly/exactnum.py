@@ -21,7 +21,8 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2), memoized.
 
     Computed from the defining recurrence sum_{k=0}^{m-1} C(m+1,k) B_k
-    = -(m+1) B_m.  Only even indices feed the downstream identities, so the
+    = -(m+1) B_m, with B_m = 0 for odd m > 1 stored as such and left out of
+    the sums.  Only even indices feed the downstream identities, so the
     B_1 convention is inert there.
     """
     if n < 0:
@@ -30,9 +31,13 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(0)
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
+        if m % 2 == 1 and m > 1:
+            _BERNOULLI.append(Fraction(0))
+            continue
         acc = Fraction(0)
         for k in range(m):
-            acc += math.comb(m + 1, k) * _BERNOULLI[k]
+            if k < 2 or k % 2 == 0:  # B_k = 0 at the odd k > 1
+                acc += math.comb(m + 1, k) * _BERNOULLI[k]
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
 

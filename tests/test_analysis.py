@@ -267,6 +267,59 @@ def test_zeros_hands_out_a_list_of_its_own():
     assert zeros(5)[0] != 99.0
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-12, 1e-6, 1e-3, 0.3, 10.0])
+def test_the_counted_interlacing_gives_what_bisecting_both_sizes_gives(monkeypatch, tol):
+    # zeros(n) proves its interlacing with size n - 1 by one count where it can; without
+    # the count it bisects n - 1 and compares, and zeros_range(n - 1, n) bisects both
+    from mlpoly import analysis
+    sizes = (*range(2, 65), 137, 400)
+    counted = {n: _outcome(zeros, n, tol) for n in sizes}
+    analysis._zeros.cache_clear()
+    monkeypatch.setattr(analysis, "_interlaces_below", lambda zs, tol: False)
+    for n in sizes:
+        assert _outcome(zeros, n, tol) == counted[n], n
+        swept = _outcome(lambda: zeros_range(n - 1, n, tol)[n])
+        if swept != counted[n]:  # zeros_range refused size n - 1, which zeros(n) never checks
+            assert swept[0] is ValueError and f"sizes {n - 2} and {n - 1} " in swept[1], n
+
+
+def test_zeros_bisects_the_size_it_prints_and_falls_back_where_no_count_proves_it(monkeypatch):
+    from mlpoly import analysis
+    sweeps = []
+    true_spectra = analysis._spectra
+
+    def recorded(sizes, tol):
+        sweeps.append(list(sizes))
+        return true_spectra(sizes, tol)
+
+    monkeypatch.setattr(analysis, "_spectra", recorded)
+    zeros(400)
+    assert sweeps == [[400]]
+    sweeps.clear()
+    with pytest.raises(ValueError, match="cannot separate the zeros of sizes 2 and 3"):
+        zeros(3, 10.0)
+    assert sweeps == [[3], [2]]
+
+
+def test_a_zero_past_the_bound_is_refused(monkeypatch):
+    from mlpoly import analysis
+    true_spectra = analysis._spectra
+
+    def doubled(sizes, tol):  # still antisymmetric, and past sqrt(20) at size 5
+        return {n: [2.0 * z for z in zs] for n, zs in true_spectra(sizes, tol).items()}
+
+    monkeypatch.setattr(analysis, "_spectra", doubled)
+    with pytest.raises(RuntimeError, match=r"zero bound sqrt\(n\(n-1\)\) violated at n = 5"):
+        zeros(5)
+
+
 def test_weight_values():
     w = _weight_array(np.array([0.0, 0.5, -1.25, 1.25, 250.0]))
     assert w[0] == 1.0 / math.pi
@@ -399,21 +452,31 @@ def test_a_second_gram_matrix_or_zero_set_does_no_work(monkeypatch):
     assert analysis._zeros.cache_info().currsize == analysis._ZEROS_KEPT
 
 
-# The truncation T the tail bound picks for quad --max-n 0..80, ft --n 0..24 and
-# moments n = 1..61.  Frozen: evaluating members by their recurrence must not move
-# the coefficient norm the bound reads, so no truncation changes with it.
+# The truncation T the tail bound picks for every size served: quad --max-n 0..102,
+# ft --n 0..120 and moments n = 1..62 (quad and ft refuse the next size, moments from 63).
+# Frozen: neither evaluating members by their recurrence, which must not move the
+# coefficient norm the bound reads, nor the tail sum's table of log k! moves one.
 FROZEN_TRUNCATIONS = {
     "quad": [9, 11, 13, 15, 17, 19, 21, 24, 26, 29, 32, 34, 37, 40, 43, 46, 50, 53, 56, 59,
         63, 66, 69, 73, 76, 80, 83, 87, 90, 94, 97, 101, 105, 108, 112, 116, 120, 124, 127,
         131, 135, 139, 143, 147, 151, 155, 159, 162, 166, 170, 174, 179, 183, 187, 191, 195,
         199, 203, 207, 211, 215, 220, 224, 228, 232, 236, 241, 245, 249, 253, 258, 262, 266,
-        271, 275, 279, 284, 288, 292, 297, 301],
+        271, 275, 279, 284, 288, 292, 297, 301,
+        305, 310, 314, 319, 323, 327, 332, 336, 341, 345, 350, 354, 359, 363,
+        368, 372, 377, 381, 386, 390, 395, 399],
     "ft": [8, 9, 10, 11, 12, 13, 15, 16, 18, 20, 21, 23, 25, 27, 29, 31, 34, 36, 38, 40, 42,
-        45, 47, 50, 52],
+        45, 47, 50, 52,
+        54, 57, 59, 62, 65, 67, 70, 72, 75, 78, 80, 83, 86, 89, 91, 94, 97, 100,
+        103, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135, 138, 141,
+        144, 147, 150, 153, 156, 159, 162, 166, 169, 172, 175, 178, 181, 185,
+        188, 191, 194, 197, 201, 204, 207, 210, 214, 217, 220, 224, 227, 230,
+        233, 237, 240, 243, 247, 250, 254, 257, 260, 264, 267, 271, 274, 277,
+        281, 284, 288, 291, 295, 298, 301, 305, 308, 312, 315, 319, 322, 326,
+        329, 333, 336, 340, 344, 347, 351, 354],
     "moments": [29, 33, 36, 40, 45, 49, 54, 58, 63, 68, 73, 78, 83, 88, 94, 99, 105, 110,
         116, 122, 128, 133, 139, 145, 151, 157, 163, 169, 176, 182, 188, 194, 201, 207, 213,
         220, 226, 233, 239, 246, 252, 259, 266, 272, 279, 286, 293, 299, 306, 313, 320, 327,
-        334, 341, 347, 354, 361, 368, 375, 383, 390],
+        334, 341, 347, 354, 361, 368, 375, 383, 390, 397],
 }
 
 
@@ -432,9 +495,9 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
         return info.value.args[0]
 
     monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
-    assert [truncation(orthogonality_matrix, n) for n in range(81)] == FROZEN_TRUNCATIONS["quad"]
-    assert [truncation(ft_numeric, n, 1.0) for n in range(25)] == FROZEN_TRUNCATIONS["ft"]
-    assert [truncation(moment, n) for n in range(1, 62)] == FROZEN_TRUNCATIONS["moments"]
+    assert [truncation(orthogonality_matrix, n) for n in range(103)] == FROZEN_TRUNCATIONS["quad"]
+    assert [truncation(ft_numeric, n, 1.0) for n in range(121)] == FROZEN_TRUNCATIONS["ft"]
+    assert [truncation(moment, n) for n in range(1, 63)] == FROZEN_TRUNCATIONS["moments"]
 
 
 def test_member_values_follow_the_exact_members():
@@ -626,12 +689,16 @@ def test_erratum_audit_shape():
 
 
 def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypatch):
+    # zeros(3) bisects size 3 alone, so the fault is put on its zeros: with the smallest
+    # moved up by 1 they are no longer antisymmetric, no count proves them, and size 2 is
+    # bisected to compare with
     from mlpoly import analysis
     true_spectra = analysis._spectra
 
     def shifted(sizes, tol):
         out = true_spectra(sizes, tol)
-        out[2] = [z + 1.0 for z in out[2]]
+        if 3 in out:
+            out[3][0] += 1.0
         return out
 
     monkeypatch.setattr(analysis, "_spectra", shifted)
@@ -643,6 +710,28 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
 
 def test_gamma_tail_overflow_is_an_unmet_bound():
     assert _gamma_tail(301, math.pi, 4.0) == math.inf
+
+
+def _direct_gamma_tail(degree, rate, upper):
+    """Reference: the tail sum with every logarithm taken where its term needs it."""
+    rt = rate * upper
+    log_front = math.lgamma(degree + 1) - (degree + 1) * math.log(rate)
+    total = 0.0
+    try:
+        for k in range(degree + 1):
+            total += math.exp(log_front + k * math.log(rt) - math.lgamma(k + 1) - rt)
+    except OverflowError:
+        return math.inf
+    return total
+
+
+def test_gamma_tail_is_the_direct_sum_bit_for_bit():
+    # degrees falling and rising, so the table of log k! is read before and after it grows
+    for degree in (61, 0, 1, 205, 20, 121, 301):
+        for rate in (1.0, math.pi):
+            for upper in (4.0, 10.0, 50.0, 150.0, 399.0):
+                expected = _direct_gamma_tail(degree, rate, upper)
+                assert _gamma_tail(degree, rate, upper) == expected, (degree, rate, upper)
 
 
 def test_ft_closed_past_the_float_range():

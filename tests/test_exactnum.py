@@ -57,6 +57,22 @@ def test_bernoulli_matches_triangle_oracle():
     assert oracle[1] == Fraction(1, 2)  # the convention the triangle uses
 
 
+def _full_recurrence(n_max: int) -> list[Fraction]:
+    # sum_{k=0}^{m-1} C(m+1,k) B_k = -(m+1) B_m over every k, the zero odd terms too
+    out = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        out.append(-sum(math.comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
+    return out
+
+
+def test_bernoulli_equals_the_full_recurrence(monkeypatch):
+    from mlpoly import exactnum
+    monkeypatch.setattr(exactnum, "_BERNOULLI", [Fraction(1)])  # computed from scratch here
+    reference = _full_recurrence(62)
+    assert [bernoulli(n) for n in range(63)] == reference
+    assert exactnum._BERNOULLI == reference  # the stored odd terms are the recurrence's 0s too
+
+
 def test_zeta_even_exact_values():
     # the coefficient of pi^n in zeta(n)
     assert zeta_even(2) == Fraction(1, 6)
