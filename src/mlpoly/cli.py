@@ -24,7 +24,7 @@ from .sequences import RECURRENCES, SeqKind, generate, generating_series
 # decimal are imported where they are used too: a default verify writes JSON and reads no
 # exact point.
 
-_SEQ_TOKENS = ("g", "g-monic", "phi", "phi-monic", "pidduck")
+_SEQ_TOKENS = tuple(sorted(kind.token for kind in SeqKind))
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")
 
 # Largest sizes served, so that a mistyped size is refused at once instead of running
@@ -340,9 +340,9 @@ def _cmd_series(args, argv) -> int:
     if kind == "g-monic":
         coeffs = generate(SeqKind.G_MONIC, args.order - 1)
     elif kind in _SEQ_TOKENS:
-        coeffs = generating_series(SeqKind.from_token(kind), args.order).coeffs
+        coeffs = generating_series(SeqKind.from_token(kind), args.order)
     else:
-        coeffs = elementary(kind.replace("-", "_"), args.order).coeffs
+        coeffs = elementary(kind.replace("-", "_"), args.order)
     if args.format == "csv":
         _emit_coeff_csv(["t_power"], [([n], p) for n, p in enumerate(coeffs)])
     else:

@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyfps import Poly, PolySeries, X, combine, elementary, horner
+from .polyfps import Poly, X, combine, elementary, horner
 from .report import CheckReport, CheckStatus, aggregate
 from .sequences import SeqKind, generate, generating_series
 
@@ -171,14 +171,18 @@ def convolution_check(n_max: int) -> CheckReport:
                      "weighted second/first derivative convolution vanishes")
 
 
-def egf_pde_residual(order: int) -> PolySeries:
-    """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero.
-    Inside a run, the series is a truncation of the one the run keeps."""
+def egf_pde_residual(order: int) -> tuple[Poly, ...]:
+    """G * G_xx - (G_x)^2 for the monic exponential generating series, each t^n coefficient
+    one combine of the two Cauchy products; contract: zero.  Inside a run, the series is a
+    truncation of the one the run keeps."""
     if order < 2:
         raise ValueError("order must be at least 2")
     g = generating_series(SeqKind.PHI_MONIC, order)
-    gx = g.dx()
-    return g * gx.dx() - gx * gx
+    gx = [p.derivative() for p in g]
+    gxx = [p.derivative(2) for p in g]
+    return tuple(combine((c, u[k], v[n - k]) for c, u, v in ((1, g, gxx), (-1, gx, gx))
+                         for k in range(n + 1))
+                 for n in range(order))
 
 
 def _turan(tab: Sequence[Poly], squares: Sequence[Poly], n: int) -> Poly:
@@ -218,7 +222,7 @@ def lowering_check(n_max: int) -> CheckReport:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
     # 2 tan(D/2) through D^n_max: the constant coefficients of the Bernoulli-built series
-    weights = elementary("tan_half", n_max + 1).coeffs
+    weights = elementary("tan_half", n_max + 1)
     return aggregate("lowering-operator", 1, n_max,
                      lambda n: _apply(tab[n], weights) == n * tab[n - 1],
                      f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

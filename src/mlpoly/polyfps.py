@@ -9,10 +9,10 @@ denominator that every sum, product and scaling goes through; the additions-only
 Taylor shift; Horner evaluation) runs on Python integers.
 Fraction appears only at the edges: the constructor accepts int and Fraction
 coefficients, and `coeffs`, `coefficient` and the string forms hand them out.
-PolySeries is a power series in t
-whose coefficients are Poly values in x; the truncation order is fixed at
-construction and every binary operation propagates the minimum of the operand
-orders, so precision loss is explicit instead of silent.
+A power series in t truncated at order m is the tuple of its m coefficients, Poly
+values in x: its order is its length, coefficient n is item n, and a truncation is a
+slice.  `series_exp` and `elementary` return such tuples, and `divide_by_x` divides
+one coefficient by x exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .exactnum import bernoulli
 
-__all__ = ["Poly", "PolySeries", "X", "combine", "elementary", "horner"]
+__all__ = ["Poly", "X", "combine", "divide_by_x", "elementary", "horner", "series_exp"]
 
 
 def _is_scalar(v) -> bool:
@@ -344,138 +344,30 @@ class Poly:
 X = Poly((0, 1))
 
 
-class PolySeries:
-    """Power series in t, truncated at an exclusive order, with Poly coefficients.
+def series_exp(u: Sequence[Poly]) -> tuple[Poly, ...]:
+    """exp(u) for a series u in t with zero constant term, truncated where u is.
 
-    The invariant len(coeffs) == order always holds; reading at or beyond the
-    truncation order is an error rather than an implicit zero, and binary
-    operations truncate to the smaller operand order.
+    Uses the derivative recurrence n*f_n = sum_{k=1..n} k*u_k*f_{n-k},
+    which keeps the cost quadratic in the order: each f_n is one combine of the
+    integer-weighted terms, divided by n once.
     """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable = ()) -> None:
-        if order < 1:
-            raise ValueError("series order must be at least 1")
-        cs = [c if isinstance(c, Poly) else Poly([c]) for c in coeffs]
-        if len(cs) > order:
-            raise ValueError("more coefficients than the truncation order allows")
-        cs.extend(Poly() for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("PolySeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "PolySeries":
-        return cls(order, [Poly([1])])
-
-    def coeff(self, n: int) -> Poly:
-        """Coefficient of t**n; reading beyond the truncation order is an error."""
-        if not 0 <= n < self.order:
-            raise IndexError(f"coefficient t^{n} is beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def truncate(self, order: int) -> "PolySeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PolySeries(order, self.coeffs[:order])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __iter__(self) -> Iterator[Poly]:
-        return iter(self.coeffs)
-
-    def __add__(self, other: "PolySeries") -> "PolySeries":
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        m = min(self.order, other.order)
-        return PolySeries(m, [a + b for a, b in zip(self.coeffs[:m], other.coeffs[:m])])
-
-    def __sub__(self, other: "PolySeries") -> "PolySeries":
-        if not isinstance(other, PolySeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "PolySeries":
-        return PolySeries(self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, PolySeries):
-            m = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            return PolySeries(m, [combine((1, a[k], b[n - k]) for k in range(n + 1))
-                                  for n in range(m)])
-        if isinstance(other, Poly) or _is_scalar(other):
-            return PolySeries(self.order, [c * other for c in self.coeffs])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Poly) or _is_scalar(other):
-            return PolySeries(self.order, [other * c for c in self.coeffs])
-        return NotImplemented
-
-    def exp(self) -> "PolySeries":
-        """Series exponential of a series with zero constant term.
-
-        Uses the derivative recurrence n*f_n = sum_{k=1..n} k*u_k*f_{n-k},
-        which keeps the cost quadratic in the order: each f_n is one combine of the
-        integer-weighted terms, divided by n once.
-        """
-        if not self.coeffs[0].is_zero():
-            raise ValueError("exp requires a series with zero constant term")
-        out = [Poly([1])]
-        for n in range(1, self.order):
-            out.append(combine(((k, self.coeffs[k], out[n - k]) for k in range(1, n + 1)), n))
-        return PolySeries(self.order, out)
-
-    def scale_t(self, factor) -> "PolySeries":
-        """Substitute t -> factor*t for an exact scalar factor."""
-        factor = Fraction(*_parts(factor))
-        out, power = [], Fraction(1)
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * factor
-        return PolySeries(self.order, out)
-
-    def divide_by_t(self) -> "PolySeries":
-        """Exact division by t; the constant coefficient must vanish."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("series is not divisible by t: nonzero constant term")
-        if self.order < 2:
-            raise ValueError("dividing by t needs order at least 2")
-        return PolySeries(self.order - 1, self.coeffs[1:])
-
-    def divide_coeffs_by_x(self) -> "PolySeries":
-        """Exact coefficient-wise division by x; every Poly must vanish at 0."""
-        out = []
-        for n, p in enumerate(self.coeffs):
-            if p.coefficient(0):
-                raise ValueError(f"t^{n} coefficient is not divisible by x")
-            # dropping a zero constant term keeps the canonical form
-            out.append(_raw(p._num[1:], p._den))
-        return PolySeries(self.order, out)
-
-    def dx(self) -> "PolySeries":
-        """Coefficient-wise derivative in x."""
-        return PolySeries(self.order, [p.derivative() for p in self.coeffs])
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"t^{n}: {p}" for n, p in enumerate(self.coeffs) if not p.is_zero())
-        return f"PolySeries(order={self.order}, {{{terms or '0'}}})"
+    if u[0]._num:
+        raise ValueError("exp requires a series with zero constant term")
+    out = [Poly([1])]
+    for n in range(1, len(u)):
+        out.append(combine(((k, u[k], out[n - k]) for k in range(1, n + 1)), n))
+    return tuple(out)
 
 
-def elementary(kind: str, order: int) -> PolySeries:
+def divide_by_x(p: Poly) -> Poly:
+    """p / x, exactly; p must vanish at 0."""
+    if p._num and p._num[0]:
+        raise ValueError("polynomial is not divisible by x: nonzero constant term")
+    # dropping a zero constant term keeps the canonical form
+    return _raw(p._num[1:], p._den)
+
+
+def elementary(kind: str, order: int) -> tuple[Poly, ...]:
     """Exact truncated series with constant coefficients for the four base maps.
 
     arctan_half  2*arctan(t/2)   = t - t^3/12 + t^5/80 - ...
@@ -485,8 +377,10 @@ def elementary(kind: str, order: int) -> PolySeries:
 
     log_ratio coincides with artanh as a mathematical fact, but it is built
     from an independent pair of log expansions so the two can cross-check
-    each other.  An order below 1 is refused by the PolySeries it builds.
+    each other.  An order below 1 is refused.
     """
+    if order < 1:
+        raise ValueError("series order must be at least 1")
     cs: list[Fraction] = [Fraction(0)] * order
     if kind == "arctan_half":
         for k in range(order // 2 + 1):
@@ -509,4 +403,4 @@ def elementary(kind: str, order: int) -> PolySeries:
             cs[m] = log_plus - log_minus
     else:
         raise ValueError(f"unknown elementary series kind: {kind!r}")
-    return PolySeries(order, [Poly([c]) for c in cs])
+    return tuple(Poly([c]) for c in cs)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
-from .polyfps import Poly, PolySeries, X, combine, elementary, horner
+from .polyfps import Poly, X, combine, divide_by_x, elementary, horner, series_exp
 from .report import CheckReport, CheckStatus, aggregate
 
 __all__ = [
@@ -90,33 +90,16 @@ def _values(coeffs: Sequence[int], count: int) -> list[int]:
     return list(islice(values, count))
 
 
-class Ratio:
+class Ratio(NamedTuple):
     """num(n) / den(n), two integer polynomials in n given by their ascending coefficients.
 
-    Immutable: two Ratios with the same coefficient tuples are equal and hash alike.  A
+    A tuple, so two Ratios with the same coefficient tuples are equal and hash alike.  A
     call at one n returns the Fraction, for readers at the edges; a recurrence steps on
     the integers of terms.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)) -> None:
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("Ratio is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"Ratio({self.num!r}, {self.den!r})"
+    num: tuple[int, ...]
+    den: tuple[int, ...] = (1,)
 
     def __call__(self, n: int) -> Fraction:
         return Fraction(horner(self.num, n, 1), horner(self.den, n, 1))
@@ -318,45 +301,49 @@ def oracle_hypergeometric_g(n: int) -> Poly:
 _MONIC_DENOMINATOR_T2 = Fraction(1, 4)
 
 
-def monic_egf(order: int) -> PolySeries:
+def monic_egf(order: int) -> tuple[Poly, ...]:
     """Exponential generating series of the monic reduced family.
 
     exp(2x*arctan(t/2)) / (1 + t^2/4), truncated at the given order; the
     t^n coefficient is phi-hat_n / n!.  The division is the recurrence
     f_n = e_n - f_{n-2}/4 on the coefficients e_n of the exponential.
     """
-    numerator = (elementary("arctan_half", order) * X).exp()
+    numerator = series_exp([c * X for c in elementary("arctan_half", order)])
     out: list[Poly] = []
-    for n, e in enumerate(numerator.coeffs):
+    for n, e in enumerate(numerator):
         out.append(combine(((1, e), (-_MONIC_DENOMINATOR_T2, out[n - 2]))) if n > 1 else e)
-    return PolySeries(order, out)
+    return tuple(out)
 
 
-def generating_series(kind: SeqKind, order: int) -> PolySeries:
+def generating_series(kind: SeqKind, order: int) -> tuple[Poly, ...]:
     """The exact generating series of one family, truncated at order.
 
     G comes from exp(x * log((1+t)/(1-t))), with t^n coefficient g_n; PHI
-    from (exp(2x*arctan t) - 1)/(tx) with both divisions verified exact, with
-    t^n coefficient phi_n; PHI_MONIC is the exponential series monic_egf;
+    from (exp(2x*arctan t) - 1)/(tx), with t^n coefficient phi_n: the exponential's
+    t^0 coefficient, 1, is dropped and every other one divided by x, a division
+    verified exact; PHI_MONIC is the exponential series monic_egf;
     PIDDUCK is G's series times 1/(1-t), whose t^n coefficient g_0 + ... + g_n
     is the Pidduck member P_n.
 
     Inside a run, serves a truncation of the family's kept series, as PIDDUCK's reads G's.
     """
+    if order < 1:
+        raise ValueError("series order must be at least 1")
     memo = _memo()
     kept = memo.get(kind)
-    if kept is not None and order <= kept.order:
-        return kept if order == kept.order else kept.truncate(order)
+    if kept is not None and order <= len(kept):
+        return kept[:order]  # the kept tuple itself when order is its length
     if kind is SeqKind.G:
-        series = (elementary("log_ratio", order) * X).exp()
+        series = series_exp([c * X for c in elementary("log_ratio", order)])
     elif kind is SeqKind.PHI:
-        two_arctan = elementary("arctan_half", order + 1).scale_t(Fraction(2))
-        expanded = (two_arctan * X).exp() - PolySeries.one(order + 1)
-        series = expanded.divide_by_t().divide_coeffs_by_x()
+        # exp(2x arctan t), whose t^0 coefficient is 1: 2 arctan t is 2 arctan(t/2) at 2t
+        expanded = series_exp([combine(((2 ** m, c, X),))
+                               for m, c in enumerate(elementary("arctan_half", order + 1))])
+        series = tuple(map(divide_by_x, expanded[1:]))
     elif kind is SeqKind.PHI_MONIC:
         series = monic_egf(order)
     elif kind is SeqKind.PIDDUCK:
-        series = PolySeries(order, accumulate(generating_series(SeqKind.G, order).coeffs))
+        series = tuple(accumulate(generating_series(SeqKind.G, order)))
     else:
         raise ValueError(f"no generating-series oracle for kind {kind.value}")
     memo[kind] = series
@@ -375,7 +362,7 @@ def g_oracle_mismatches(n_max: int) -> tuple[int, ...]:
     poch_x, poch_y = _pochhammer(1, n_max), _pochhammer(0, n_max)
     memo[key] = tuple(n for n in range(1, n_max + 1)
                       if not (g[n] == _hypergeometric_g(n, poch_x) == _meixner_g(n, poch_y)
-                              == series.coeff(n)))
+                              == series[n]))
     return memo[key]
 
 

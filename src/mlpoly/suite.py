@@ -52,15 +52,15 @@ def _table_checks(max_n: int) -> list[CheckReport]:
         except ValueError:  # a G table the imaginary-axis route cannot reduce disagrees at n
             return False
         scale = Fraction(math.factorial(n + 1), 2 ** (n + 1))
-        return (phi[n] == phi_series.coeff(n) == reduced and scale * phi[n] == monic[n]
-                and monic[n] == monic_series.coeff(n) * math.factorial(n))
+        return (phi[n] == phi_series[n] == reduced and scale * phi[n] == monic[n]
+                and monic[n] == monic_series[n] * math.factorial(n))
 
     def g_monic_routes_agree(n: int) -> bool:
         scale = Fraction(math.factorial(n), 2 ** n)
-        return g_monic[n] == scale * g[n] == scale * g_series.coeff(n)
+        return g_monic[n] == scale * g[n] == scale * g_series[n]
 
     def pidduck_routes_agree(n: int) -> bool:
-        return pidduck[n] == (g[n].shift(1) + g[n]) / 2 == pidduck_series.coeff(n)
+        return pidduck[n] == (g[n].shift(1) + g[n]) / 2 == pidduck_series[n]
 
     return [
         aggregate("g-oracle-equivalence", 1, max_n, lambda n: n not in mismatches,
@@ -87,7 +87,7 @@ def _table_checks(max_n: int) -> list[CheckReport]:
 
 def _egf_pde(order: int) -> CheckReport:
     residual = egf_pde_residual(order)
-    return aggregate("egf-pde", 0, order - 1, lambda n: residual.coeff(n).is_zero(),
+    return aggregate("egf-pde", 0, order - 1, lambda n: residual[n].is_zero(),
                      f"G G_xx = (G_x)^2 through truncation order {order}")
 
 

@@ -339,9 +339,9 @@ _PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def test_every_coefficient_string_is_plain():
     polys = [p for kind in SeqKind for p in generate(kind, 60)]
     polys += [p for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC)
-              for p in generating_series(kind, 61).coeffs]
+              for p in generating_series(kind, 61)]
     polys += [p for kind in ("arctan_half", "artanh", "tan_half", "log_ratio")
-              for p in elementary(kind, 61).coeffs]
+              for p in elementary(kind, 61)]
     for p in polys:
         for text in p.to_strings():
             assert _PLAIN.fullmatch(text), (p, text)
@@ -582,6 +582,33 @@ _SERIES_40_SHA256 = {
     "tan-half": "112e16e74f3948aaf3acc8755258f7a06ae9ae5eebf3a0cd76a0e1f805e4c6c8",
     "log-ratio": "0b898d994aa909935444a8289583e5c482a3fdd8ffa76a2ee95a606621cd3743",
 }
+# orders 1, 2 and 3
+_SERIES_SMALL_SHA256 = {
+    "g": ("d702fba001de37475f2f6294747f2c7e70314830d41d3bbcab2812af1369a8f8",
+          "d5c0bbbc1088550e54bb9344e30d85f3f5e160ea27cb09b153d1343aec85e58e",
+          "c9043a064efc938fe7f9fcd8a01d8b9bea8d8122e6b44117222fb137223ccb25"),
+    "g-monic": ("d702fba001de37475f2f6294747f2c7e70314830d41d3bbcab2812af1369a8f8",
+                "3eab109825d00912c974f43c8ca7d8bb9cac3a0627b6fd49e63c1c80bd45e656",
+                "a344c45429259b883d675e0454bc5710c8e4b72163807f2287b8996bacee12bf"),
+    "phi": ("4604acfa7d587dcbcc145338249e886ffd3f0282346b12c62b07d89f31b124ae",
+            "15225a96f1fb03c908c8a59ca651ec4e3bef0d4cc2735b501c0e12ff3c376239",
+            "bb0420fb9848a33958390ca2ac2c9760b28f5275fc0cc1c9d0cbde74e5b9618e"),
+    "phi-monic": ("d702fba001de37475f2f6294747f2c7e70314830d41d3bbcab2812af1369a8f8",
+                  "3eab109825d00912c974f43c8ca7d8bb9cac3a0627b6fd49e63c1c80bd45e656",
+                  "4511f30286ab34e65e06ef9d0c6914149a5f9babf44e925d5e12e44a466065c9"),
+    "arctan-half": ("21e9a9bf124fc00511ce5d89199ed79709026cdec779766b8b67e0f4336d9728",
+                    "b8f3750c63720b4cb2987be00b79f2b6d5ee9b11effa23ba8811a0e810e336ec",
+                    "d58bd637aa209db120e78c7b51bc5a5f9ed358b360c9c8156c6374e90d292eb6"),
+    "artanh": ("21e9a9bf124fc00511ce5d89199ed79709026cdec779766b8b67e0f4336d9728",
+               "f0e705b055cc0d6cc12439d265181eea85c839a0a657a14d94a10295d41e52ee",
+               "2b0d129261d8d516957c3f436fb7f0eb5296dfbabbf6df2c940382fb042201aa"),
+    "tan-half": ("21e9a9bf124fc00511ce5d89199ed79709026cdec779766b8b67e0f4336d9728",
+                 "b8f3750c63720b4cb2987be00b79f2b6d5ee9b11effa23ba8811a0e810e336ec",
+                 "d58bd637aa209db120e78c7b51bc5a5f9ed358b360c9c8156c6374e90d292eb6"),
+    "log-ratio": ("21e9a9bf124fc00511ce5d89199ed79709026cdec779766b8b67e0f4336d9728",
+                  "f0e705b055cc0d6cc12439d265181eea85c839a0a657a14d94a10295d41e52ee",
+                  "2b0d129261d8d516957c3f436fb7f0eb5296dfbabbf6df2c940382fb042201aa"),
+}
 _COEFFS_60_SHA256 = {
     "g": "4d016a4fa155977c1f0697ab0173ff9e0352993f212e399a9bb3b09b3d211667",
     "g-monic": "1437fc1d84ff55e7491678beef54fe335849102c4ff6174c24186daecf78b09b",
@@ -593,9 +620,13 @@ _COEFFS_60_SHA256 = {
 
 @pytest.mark.parametrize("kind", _SERIES_TOKENS)
 def test_series_40_bytes_are_pinned(capsys, kind):
-    code, out, _ = run_cli(capsys, "series", "--kind", kind, "--order", "40")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_40_SHA256[kind]
+    # and orders 1, 2 and 3, where the PHI route's t^0 drop and the monic series' n > 1
+    # division run on the shortest tuples
+    digests = (*_SERIES_SMALL_SHA256[kind], _SERIES_40_SHA256[kind])
+    for order, digest in zip((1, 2, 3, 40), digests):
+        code, out, _ = run_cli(capsys, "series", "--kind", kind, "--order", str(order))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, order
 
 
 @pytest.mark.parametrize("seq", _SEQ_TOKENS)
@@ -669,6 +700,10 @@ def test_unknown_choices_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+    # the choices are derived from SeqKind; their order is the bytes of every usage line
+    assert _SEQ_TOKENS == ("g", "g-monic", "phi", "phi-monic", "pidduck")
+    assert _SERIES_TOKENS == ("g", "g-monic", "phi", "phi-monic", "arctan-half", "artanh",
+                              "tan-half", "log-ratio")
 
 
 def test_version_flag(capsys):

@@ -18,7 +18,7 @@ from mlpoly.identities import (convolution_check, derivative_expansion_monic,
                                trig_operator_eigencheck, turan_recurrence_check)
 from mlpoly.polyfps import Poly, X, combine
 from mlpoly.report import CheckStatus
-from mlpoly.sequences import SeqKind, generate
+from mlpoly.sequences import SeqKind, generate, generating_series
 
 F = Fraction
 
@@ -135,9 +135,40 @@ def test_convolution_check_fails_where_the_residual_is_nonzero(perturb, field, b
 
 
 def test_egf_pde_residual_is_zero_through_order_16():
-    assert egf_pde_residual(16).is_zero()
+    residual = egf_pde_residual(16)
+    assert len(residual) == 16 and all(p.is_zero() for p in residual)
     with pytest.raises(ValueError):
         egf_pde_residual(1)
+
+
+def _cauchy(a, b):
+    """The product of two series of one order, coefficient by coefficient."""
+    return tuple(sum((a[k] * b[n - k] for k in range(n + 1)), Poly()) for n in range(len(a)))
+
+
+def _ref_egf_pde_residual(g):
+    gx = [p.derivative() for p in g]
+    gxx = [p.derivative() for p in gx]
+    return tuple(u - v for u, v in zip(_cauchy(g, gxx), _cauchy(gx, gx)))
+
+
+def test_egf_pde_residual_equals_the_cauchy_product_reference(monkeypatch):
+    # by hand, G = x^2 + 2x t + 5 t^2: G_x = 2x + 2t and G_xx = 2, each taken coefficient
+    # by coefficient, so G G_xx - G_x^2 = -2x^2 - 4x t + 6 t^2
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "generating_series",
+                      lambda kind, order: (X * X, 2 * X, Poly([5])))
+        assert egf_pde_residual(3) == (Poly([0, 0, -2]), Poly([0, -4]), Poly([6]))
+    # the monic series, where both are zero, and the PHI series, which is no solution
+    for k in range(2, 25):
+        expected = _ref_egf_pde_residual(generating_series(SeqKind.PHI_MONIC, k))
+        assert egf_pde_residual(k) == expected, k
+    monkeypatch.setattr(identities, "generating_series",
+                        lambda kind, order: generating_series(SeqKind.PHI, order))
+    for k in range(2, 25):
+        expected = _ref_egf_pde_residual(generating_series(SeqKind.PHI, k))
+        assert any(not p.is_zero() for p in expected) == (k > 2), k  # nonzero from t^2
+        assert egf_pde_residual(k) == expected, k
 
 
 def test_turan_low_members():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlpoly.polyfps import Poly, PolySeries, X, combine, elementary
+from mlpoly.polyfps import Poly, X, combine, divide_by_x, elementary, series_exp
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 _polys = st.lists(_fractions, max_size=6).map(Poly)
@@ -124,34 +124,6 @@ def test_to_strings_writes_fraction_strings(a):
     assert p.to_strings() == [str(c) for c in p.coeffs]
 
 
-def test_series_constructor_enforces_order_invariant():
-    s = PolySeries(3, [1, 2])
-    assert s.coeffs == (Poly([1]), Poly([2]), Poly())
-    with pytest.raises(ValueError):
-        PolySeries(2, [1, 2, 3])
-    with pytest.raises(ValueError):
-        PolySeries(0)
-
-
-def test_series_coeff_access_is_bounded():
-    s = PolySeries.one(4)
-    assert s.coeff(0) == Poly([1])
-    with pytest.raises(IndexError):
-        s.coeff(4)
-    with pytest.raises(IndexError):
-        s.coeff(-1)
-
-
-def test_series_binary_ops_truncate_to_smaller_order():
-    a = PolySeries(5, [1, 1, 1, 1, 1])
-    b = PolySeries(3, [1, 2])
-    assert (a + b).order == 3
-    assert (a * b).order == 3
-    assert (a * b).coeff(2) == Poly([3])  # 1*0 + 1*2 + 1*1
-    with pytest.raises(ValueError):
-        b.truncate(4)
-
-
 def test_elementary_leading_terms():
     arctan = elementary("arctan_half", 7)
     assert [c.coefficient(0) for c in arctan] == [
@@ -164,6 +136,10 @@ def test_elementary_leading_terms():
         0, 2, 0, Fraction(2, 3), 0, Fraction(2, 5)]
     with pytest.raises(ValueError):
         elementary("exp", 4)
+    for kind in ("arctan_half", "artanh", "tan_half", "log_ratio"):
+        assert len(elementary(kind, 1)) == 1
+        with pytest.raises(ValueError, match="series order must be at least 1"):
+            elementary(kind, 0)
 
 
 def test_log_ratio_equals_doubled_artanh_termwise():
@@ -171,18 +147,24 @@ def test_log_ratio_equals_doubled_artanh_termwise():
     assert elementary("log_ratio", 40) == elementary("artanh", 40)
 
 
+def _cauchy(a, b):
+    """The product of two series of one order, coefficient by coefficient."""
+    return tuple(sum((a[k] * b[n - k] for k in range(n + 1)), Poly()) for n in range(len(a)))
+
+
 def _ref_compose(outer, inner):
     """outer(inner(t)) by Horner in the series ring; inner has a zero constant term."""
-    assert inner.coeff(0).is_zero()
-    res = PolySeries(outer.order)
-    for c in reversed(outer.coeffs):
-        res = res * inner + PolySeries(outer.order, [c])
+    assert inner[0].is_zero()
+    res = (Poly(),) * len(outer)
+    for c in reversed(outer):
+        res = _cauchy(res, inner)
+        res = (res[0] + c, *res[1:])
     return res
 
 
 def test_arctan_and_tan_are_compositional_inverses():
     order = 12
-    t = PolySeries(order, [Poly(), Poly([1])])
+    t = (Poly(), Poly([1])) + (Poly(),) * (order - 2)
     arctan = elementary("arctan_half", order)
     tan = elementary("tan_half", order)
     assert _ref_compose(arctan, tan) == t
@@ -190,65 +172,51 @@ def test_arctan_and_tan_are_compositional_inverses():
 
 
 def test_scale_t_recovers_unhalved_arctan():
-    # substituting t -> 2t in 2*arctan(t/2) gives 2*arctan(t)
-    doubled = elementary("arctan_half", 6).scale_t(2)
+    # substituting t -> 2t in 2*arctan(t/2), coefficient m times 2^m, gives 2*arctan(t)
+    doubled = [2**m * c for m, c in enumerate(elementary("arctan_half", 6))]
     assert [c.coefficient(0) for c in doubled] == [
         0, 2, 0, Fraction(-2, 3), 0, Fraction(2, 5)]
 
 
+def _one(order):
+    return (Poly([1]),) + (Poly(),) * (order - 1)
+
+
 def test_exp_of_a_series_and_of_its_negation_multiply_to_one():
-    u = PolySeries(8, [Poly(), X, Poly([Fraction(1, 3)])])
-    e = u.exp()
-    assert e.coeff(0) == Poly([1])
-    assert e * (-u).exp() == PolySeries.one(8)
+    u = (Poly(), X, Poly([Fraction(1, 3)])) + (Poly(),) * 5
+    e = series_exp(u)
+    assert len(e) == 8 and e[0] == Poly([1])
+    assert _cauchy(e, series_exp([-c for c in u])) == _one(8)
     with pytest.raises(ValueError):
-        PolySeries(4, [1, 1]).exp()  # nonzero constant term
+        series_exp((Poly([1]), Poly([1]), Poly(), Poly()))  # nonzero constant term
 
 
 @given(st.lists(_fractions, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_exp_inverse_property(cs):
-    u = PolySeries(7, [Poly()] + [Poly([c]) for c in cs[:4]])
-    assert u.exp() * (-u).exp() == PolySeries.one(7)
+    u = [Poly()] + [Poly([c]) for c in cs[:4]] + [Poly()] * (6 - len(cs[:4]))
+    assert _cauchy(series_exp(u), series_exp([-c for c in u])) == _one(7)
 
 
 def test_series_exp_extracts_known_family_member():
     # [t^2] exp(x log((1+t)/(1-t))) = 2x^2
-    series = (elementary("log_ratio", 4) * X).exp()
-    assert series.coeff(0) == Poly([1])
-    assert series.coeff(1) == 2 * X
-    assert series.coeff(2) == Poly([0, 0, 2])
+    series = series_exp([c * X for c in elementary("log_ratio", 4)])
+    assert series[0] == Poly([1])
+    assert series[1] == 2 * X
+    assert series[2] == Poly([0, 0, 2])
 
 
 def test_divide_by_t_and_by_x():
-    s = PolySeries(4, [Poly(), 2 * X, X * X])
-    shifted = s.divide_by_t()
-    assert shifted.order == 3
-    assert shifted.coeff(0) == 2 * X
-    reduced = s.divide_coeffs_by_x()
-    assert reduced.coeff(1) == Poly([2])
-    assert reduced.coeff(2) == X
+    # (exp(u) - 1)/t is exp(u) without its t^0 coefficient, which is exactly 1
+    assert series_exp([Poly(), X, X * X])[0] == Poly([1])
+    assert divide_by_x(2 * X) == Poly([2])
+    assert divide_by_x(X * X) == X
+    assert divide_by_x(Poly([0, Fraction(1, 3), 2])) == Poly([Fraction(1, 3), 2])
+    assert divide_by_x(Poly()) == Poly()
     with pytest.raises(ValueError):
-        PolySeries.one(4).divide_by_t()
+        divide_by_x(Poly([1]))
     with pytest.raises(ValueError):
-        PolySeries(3, [Poly([1])]).divide_coeffs_by_x()
-    with pytest.raises(ValueError):
-        PolySeries(1, [Poly()]).divide_by_t()
-
-
-def test_series_dx():
-    s = PolySeries(3, [X * X, 2 * X, Poly([5])])
-    assert s.dx() == PolySeries(3, [2 * X, Poly([2]), Poly()])
-
-
-def test_series_equality_and_iteration():
-    a = PolySeries(3, [1, 2])
-    assert a == PolySeries(3, [Poly([1]), Poly([2]), Poly()])
-    assert a != PolySeries(4, [1, 2])
-    assert list(a) == [Poly([1]), Poly([2]), Poly()]
-    assert hash(a) == hash(PolySeries(3, [1, 2]))
-    with pytest.raises(AttributeError):
-        a.order = 5
+        divide_by_x(X + Poly([1]))
 
 
 # The integer kernel against a naive per-coefficient reference over Fraction,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpoly import analysis, identities, sequences
-from mlpoly.polyfps import Poly, PolySeries, X, elementary
+from mlpoly.polyfps import Poly, X, elementary, series_exp
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import (Ratio, SeqKind, difference_relation_checks,
                               generate, generating_series, monic_egf,
@@ -211,7 +211,7 @@ def test_monic_rescaling_of_base_family():
     g_monic = generate(SeqKind.G_MONIC, 60)
     for n in range(61):
         scale = F(math.factorial(n), 2**n)
-        assert g_monic[n] == scale * g[n] == scale * g_series.coeff(n)
+        assert g_monic[n] == scale * g[n] == scale * g_series[n]
 
 
 def test_pidduck_recurrence_equals_shift_average_and_series():
@@ -219,7 +219,7 @@ def test_pidduck_recurrence_equals_shift_average_and_series():
     pidduck = generate(SeqKind.PIDDUCK, 60)
     for n in range(61):
         assert pidduck[n] == (g[n].shift(1) + g[n]) / 2
-    assert generating_series(SeqKind.PIDDUCK, 61).coeffs == pidduck
+    assert generating_series(SeqKind.PIDDUCK, 61) == pidduck
 
 
 def test_oracle_equivalence_g():
@@ -229,7 +229,7 @@ def test_oracle_equivalence_g():
     for n in range(1, 21):
         assert g[n] == oracle_hypergeometric_g(n)
         assert g[n] == sequences._meixner_g(n, poch_y)
-        assert g[n] == series.coeff(n)
+        assert g[n] == series[n]
 
 
 def test_oracle_equivalence_phi():
@@ -238,9 +238,9 @@ def test_oracle_equivalence_phi():
     phi_series, monic_series = (generating_series(kind, 21)
                                 for kind in (SeqKind.PHI, SeqKind.PHI_MONIC))
     for n in range(21):
-        assert phi[n] == phi_series.coeff(n)
+        assert phi[n] == phi_series[n]
         assert phi[n] == reduce_from_g(n)
-        assert phi_monic[n] == monic_series.coeff(n) * math.factorial(n)
+        assert phi_monic[n] == monic_series[n] * math.factorial(n)
         assert phi_monic[n] == F(math.factorial(n + 1), 2 ** (n + 1)) * phi[n]
 
 
@@ -249,6 +249,9 @@ def test_oracle_input_validation():
         oracle_hypergeometric_g(0)
     with pytest.raises(ValueError):
         generating_series(SeqKind.G_MONIC, 4)
+    for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC, SeqKind.PIDDUCK):
+        with pytest.raises(ValueError, match="series order must be at least 1"):
+            generating_series(kind, 0)
     with pytest.raises(ValueError):
         reduce_from_g(-1)
     with pytest.raises(ValueError):
@@ -257,9 +260,13 @@ def test_oracle_input_validation():
 
 def test_monic_egf_small_orders():
     # regression: the denominator 1 + t^2/4 must truncate cleanly below order 3
-    assert monic_egf(1).coeff(0) == Poly([1])
-    assert monic_egf(2).coeff(1) == X
-    assert generating_series(SeqKind.PHI_MONIC, 1).coeff(0) == Poly([1])
+    assert monic_egf(1) == (Poly([1]),)
+    assert monic_egf(2) == (Poly([1]), X)
+    assert monic_egf(3) == (Poly([1]), X, Poly([F(-1, 4), 0, F(1, 2)]))
+    assert generating_series(SeqKind.PHI_MONIC, 1) == (Poly([1]),)
+    # the PHI route drops the t^0 coefficient of an exponential one longer than it returns
+    assert generating_series(SeqKind.PHI, 1) == (Poly([2]),)
+    assert generating_series(SeqKind.PHI, 2) == (Poly([2]), 2 * X)
 
 
 def test_reduction_examples():
@@ -348,23 +355,28 @@ def test_the_g_oracles_build_each_pochhammer_basis_once(monkeypatch):
         assert len(products) == expected, n
 
 
+def _cauchy(a, b):
+    """The product of two series of one order, coefficient by coefficient."""
+    return tuple(sum((a[k] * b[n - k] for k in range(n + 1)), Poly()) for n in range(len(a)))
+
+
 def _ref_series_quotient(num, den):
     """num/den for series of one order whose t^0 coefficient of den is a nonzero constant:
     num times 1/den, whose t^n coefficient is -(sum_{k=1..n} d_k r_{n-k}) / d_0."""
-    inv0 = 1 / den.coeff(0).coefficient(0)
+    inv0 = 1 / den[0].coefficient(0)
     r = [Poly([inv0])]
-    for n in range(1, den.order):
+    for n in range(1, len(den)):
         acc = Poly()
         for k in range(1, n + 1):
-            acc = acc + den.coeff(k) * r[n - k]
+            acc = acc + den[k] * r[n - k]
         r.append(-inv0 * acc)
-    return num * PolySeries(den.order, r)
+    return _cauchy(num, r)
 
 
 def test_monic_egf_equals_the_series_division():
     for order in range(1, 61):
-        numerator = (elementary("arctan_half", order) * X).exp()
-        denominator = PolySeries(order, [Poly([1]), Poly(), Poly([F(1, 4)])][:order])
+        numerator = series_exp([c * X for c in elementary("arctan_half", order)])
+        denominator = ((Poly([1]), Poly(), Poly([F(1, 4)])) + (Poly(),) * order)[:order]
         assert monic_egf(order) == _ref_series_quotient(numerator, denominator), order
 
 
@@ -464,10 +476,10 @@ def test_a_live_g_series_serves_every_later_read(monkeypatch):
     with sequences.shared_run():
         held = generating_series(SeqKind.G, 31)
         assert generating_series(SeqKind.G, 31) is held
-        assert generating_series(SeqKind.G, 12).coeffs == held.coeffs[:12]
+        assert generating_series(SeqKind.G, 12) == held[:12]
         pidduck = generating_series(SeqKind.PIDDUCK, 31)
     assert calls == ["log_ratio"]  # the Pidduck series is summed from the kept G series
-    assert pidduck.coeff(30) - pidduck.coeff(29) == held.coeff(30)
+    assert pidduck[30] - pidduck[29] == held[30]
 
 
 def test_a_table_outlives_its_run_and_nothing_else_does(monkeypatch, members_built):
