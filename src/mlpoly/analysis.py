@@ -61,11 +61,16 @@ def _off_diagonal(n: int) -> list[float]:
 # and its negative pivots are counted with one comparison and one column sum.
 _PIVOT_BLOCK = 32
 
-# Half-width of the brackets around the eigenvalue estimates that _spectra certifies, in
-# units of eps times the lane's bound; a lane it does not certify bisects with a count at
-# every step.  The SVD estimates sit within 17 eps * bound of the bisected values up to
-# size 2000, so it certifies every lane there.
-_CERTIFICATE_HALF_WIDTH = 64.0
+# Half-widths of the brackets around the eigenvalue estimates that _spectra certifies, in
+# units of eps times the lane's bound: every lane first tries the tight one, the lanes it
+# misses the wide one, and a lane that neither certifies bisects with a count at every
+# step.  The SVD estimates sit within 0.7, 3.8, 7.7 and 14.3 eps * bound of the zeros
+# bisected to adjacent floats at sizes 24, 400, 1000 and 2000 (OpenBLAS on an AVX-512
+# x86-64; 0.7, 5.8, 8.7 and 13.8 with its Prescott kernel), so the tight bracket
+# certifies every lane up to size 400 on both kernels, and the wide one the few it
+# misses above: none at 1000 and 21 of the 2000 lanes at 2000 (4 and 27 with the
+# Prescott kernel).
+_CERTIFICATE_HALF_WIDTHS = (8.0, 64.0)
 
 
 class _SturmLanes:
@@ -206,6 +211,16 @@ def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _certified(lanes: _SturmLanes, estimate: np.ndarray,
+               half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket (estimate - half, estimate + half) of each lane where one count at
+    each end certifies it (see _spectra), else (-inf, inf), and where it certifies."""
+    lower, upper = estimate - half, estimate + half
+    ok = lanes.count(lower) <= lanes.rank
+    ok &= lanes.count(upper) > lanes.rank
+    return np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf), ok
+
+
 def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     """Every eigenvalue of the Jacobi matrix of each size, by Sturm bisection in numpy lanes.
 
@@ -224,17 +239,20 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     matrix, Stanford CS41, 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).  So two
     counts L < U with c(L) <= k < c(U) decide every step whose midpoint lies outside
     (L, U): a midpoint <= L has a count <= c(L) and goes low, one >= U goes high,
-    just as counting it would send it.  Each lane's (L, U) is an eigenvalue
-    estimate +- _CERTIFICATE_HALF_WIDTH eps times its bound, certified by one count at
-    each end; a lane that fails keeps (-inf, inf) and so counts at every step.  A lane
-    takes the steps its (L, U) decides without a count, and waits at the first midpoint
-    strictly inside (L, U); once every live lane waits, one count decides all their
-    steps (every later midpoint lies inside the bracket that count left, so it
-    certifies no further step).  The lanes do not step together, so a count runs once
-    per undecided midpoint of the lane that has the most, not once per step at which
-    some lane has one.  The estimates decide no step themselves: a poor one only
-    fails its certificate or leaves a wide (L, U), which costs counts and never a
-    bit.
+    just as counting it would send it.  Each lane's (L, U) is first an eigenvalue
+    estimate +- 8 eps times its bound (the tight bracket), certified by one count at
+    each end.  The lanes it misses get a _SturmLanes of their own (a lane's count does
+    not depend on the lanes it is taken with), on which two counts certify the
+    estimate +- 64 eps times the bound (the wide bracket); a lane that fails both keeps
+    (-inf, inf) and so counts at every step (see _CERTIFICATE_HALF_WIDTHS).  A lane
+    takes the steps its (L, U) decides without a count, and waits at the first
+    midpoint strictly inside (L, U); once every live lane waits, one count decides all
+    their steps (every later midpoint lies inside the bracket that count left, so it
+    certifies no further step), taken on the missed lanes' own _SturmLanes once only
+    they live.  The lanes do not step together, so a count runs once per undecided
+    midpoint of the lane that has the most, not once per step at which some lane has
+    one.  The estimates decide no step themselves: a poor one only fails its
+    certificate or leaves a wide (L, U), which costs counts and never a bit.
 
     A lane also freezes when a step leaves both lo and hi as they were.  The step
     is a function of (lo, hi) and the lane's constants alone, so an unchanged
@@ -247,15 +265,18 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
     sizes = sorted(set(sizes), reverse=True)
     per_size = [n - n % 2 for n in sizes]  # lanes of each size
     off = np.array(_off_diagonal(sizes[0]))
-    lanes = _SturmLanes(off, np.repeat(sizes, per_size),
+    size = np.repeat(sizes, per_size)
+    lanes = _SturmLanes(off, size,
                         np.concatenate([np.r_[:n // 2, (n + 1) // 2:n] for n in sizes]))
     rank, bound = lanes.rank, np.repeat([_bracket(n) for n in sizes], per_size)
     estimate = _eigen_estimates(sizes, off)
-    half = _CERTIFICATE_HALF_WIDTH * np.finfo(float).eps * bound
-    lower, upper = estimate - half, estimate + half
-    ok = lanes.count(lower) <= rank
-    ok &= lanes.count(upper) > rank
-    cert_lo, cert_hi = np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf)
+    eps_bound, (tight, wide) = np.finfo(float).eps * bound, _CERTIFICATE_HALF_WIDTHS
+    cert_lo, cert_hi, in_tight = _certified(lanes, estimate, tight * eps_bound)
+    missed = np.flatnonzero(~in_tight)
+    if missed.size:  # the wide bracket, on a Sturm count of the missed lanes alone
+        apart = _SturmLanes(off[:size[missed[0]] - 1], size[missed], rank[missed])
+        cert_lo[missed], cert_hi[missed], _ = _certified(apart, estimate[missed],
+                                                         wide * eps_bound[missed])
 
     lo, hi, mid = -bound, bound.copy(), np.empty_like(bound)
     steps = np.zeros(rank.size, dtype=np.int64)  # the steps each lane has taken
@@ -269,7 +290,10 @@ def _spectra(sizes: Iterable[int], tol: float) -> dict[int, list[float]]:
         np.less_equal(mid, cert_lo, out=go_lo)
         stepping = live & (go_lo | (mid >= cert_hi))
         if not stepping.any():  # every live lane waits at a midpoint inside its (L, U)
-            np.less_equal(lanes.count(mid), rank, out=go_lo)
+            if missed.size and not live[in_tight].any():  # only missed lanes live: count those
+                go_lo[missed] = apart.count(mid[missed]) <= apart.rank
+            else:
+                np.less_equal(lanes.count(mid), rank, out=go_lo)
             stepping = live
         # a step that would leave lo and hi unchanged is a fixed point: freeze the lane
         moved = stepping & np.where(go_lo, mid != lo, mid != hi)

@@ -30,16 +30,15 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # Largest sizes served, so that a mistyped size is refused at once instead of running
 # for hours (zeros bisects about n lanes at a time, after a dense SVD of size n/2 that
 # grows as n^3, and counts 2n lanes once to prove the interlacing; the exact suite grows
-# as n^4).  At the ceiling, on one core of a 2-core x86-64 machine, process start
-# included: zeros --n 2000 takes 0.37 s (0.31 s when the SVD may use both cores), timed
-# on a faster machine than the rest of this list; coeffs --seq pidduck --max-n 500 takes
-# 3.9-4.8 s and prints 100 MB (0.35 s of it writing the JSON, most of the rest
-# converting the coefficients to strings), and eval --n 500 0.06 s (0.66-0.71 s at a
-# point on the EVAL_DIGITS bound);
-# series --order 300 takes 1.2-2.1 s for phi-monic, phi and g, the slowest kinds;
-# verify --suite exact --max-n 160 takes 4.3-6.1 s across six runs
-# (numeric and all refuse from 103 at once).
-# quad and ft refuse every size from 103 and from 121 by their tail bound, in 0.3 s at
+# as n^4).  At the ceiling, process start included, on a 2-core x86-64 machine with
+# AVX-512: zeros --n 2000 takes 0.30 s (0.35-0.36 s with one BLAS thread) and counts
+# 12 times: 2000 lanes 6 times, the 21 its tight bracket misses 5 times, 4000 once
+# (zeros --n 400 counts 5 times); coeffs --seq pidduck --max-n 500 takes 2.1 s and
+# prints 100 MB (most of it converting the coefficients to strings), and eval --n 500
+# 0.04 s (0.20 s at a point on the EVAL_DIGITS bound); series --order 300 takes
+# 0.6 s for phi-monic, phi and g, the slowest kinds; verify --suite exact --max-n 160
+# takes 2.4-2.5 s (numeric and all refuse from 103 at once).
+# quad and ft refuse every size from 103 and from 121, in 0.08 s at
 # their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
 # ran past 30 s inside math.factorial; the ceilings leave the refusal messages of
 # sizes up to 150 and 170 as they were.

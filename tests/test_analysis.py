@@ -16,9 +16,9 @@ import pytest
 
 from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
                              gram_deviation, integrate, make_quad_config, member_values,
-                             moment, orthogonality_matrix, zeros, zeros_range, _coeff_norm,
-                             _ft_sinh_form, _gamma_tail, _panel_points, _unit_panel,
-                             _weight_array)
+                             moment, orthogonality_matrix, zeros, zeros_range, _bracket,
+                             _coeff_norm, _ft_sinh_form, _gamma_tail, _panel_points,
+                             _unit_panel, _weight_array)
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -168,7 +168,7 @@ def test_zeros_digests_are_frozen():
 
 
 def test_zeros_digests_at_the_ceiling_are_frozen():
-    # the eigenvalue estimates drift further from the zeros as n grows (17 eps * bound at
+    # the eigenvalue estimates drift further from the zeros as n grows (14 eps * bound at
     # 2000), so the largest sizes are pinned too; sha256 as the bisection without
     # estimates printed them
     for n, expected in ((1000, "58d4a5b6ee6c8dd57e30ae8fc3d27767db5ffe16166406cb15748e8bc2d0ec8d"),
@@ -176,28 +176,63 @@ def test_zeros_digests_at_the_ceiling_are_frozen():
         assert hashlib.sha256(repr(zeros(n)).encode()).hexdigest() == expected, n
 
 
+def _lane_bounds(sizes):
+    """The bound of each lane of a sweep of sizes, in the order of _eigen_estimates."""
+    sizes = sorted(set(sizes), reverse=True)
+    return np.repeat([_bracket(n) for n in sizes], [n - n % 2 for n in sizes])
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
 def test_a_wrong_estimate_costs_counts_and_never_bits(monkeypatch, tol):
     # at 0.0 and shifted by 1 no lane certifies, so every step counts; scaled by
-    # 1 + 2^-40 the largest eigenvalues miss the certificate and count at every step,
-    # while the smallest still certify
+    # 1 + 2^-40 the largest eigenvalues miss both brackets and count at every step,
+    # while the smallest still certify; moved by 20 eps * bound, a few lanes miss the
+    # tight bracket and the wide one certifies them, on a Sturm count of those lanes alone
     from mlpoly import analysis
-    true_estimates = analysis._eigen_estimates
+    true_estimates, true_init = analysis._eigen_estimates, analysis._SturmLanes.__init__
     expected = {n: _scalar_zeros(n, tol) for n in (*range(1, 41), 137)}
+    eps = np.finfo(float).eps
+
+    def picked(lanes):  # the lanes the moved estimate misses the tight bracket at
+        return [0, 7, lanes // 2, lanes - 1]
+
+    def moved(sizes, off):
+        est = true_estimates(sizes, off)
+        est[picked(est.size)] += 20.0 * eps * _lane_bounds(sizes)[picked(est.size)]
+        return est
+
     for wrong in (lambda sizes, off: np.zeros_like(true_estimates(sizes, off)),
                   lambda sizes, off: true_estimates(sizes, off) + 1.0,
-                  lambda sizes, off: true_estimates(sizes, off) * (1.0 + 2.0**-40)):
+                  lambda sizes, off: true_estimates(sizes, off) * (1.0 + 2.0**-40),
+                  moved):
         monkeypatch.setattr(analysis, "_eigen_estimates", wrong)
         found = _spectra(range(1, 41), tol)
         assert all(found[n] == expected[n] for n in range(1, 41))
         assert _spectra([137], tol)[137] == expected[137]
 
+    built = []  # the size and rank of the lanes of each _SturmLanes
+
+    def recorded(lanes, off, size, rank):
+        built.append((size.copy(), rank.copy()))
+        true_init(lanes, off, size, rank)
+
+    monkeypatch.setattr(analysis._SturmLanes, "__init__", recorded)
+    for sizes in (range(1, 41), [137]):
+        built.clear()
+        _spectra(sizes, tol)
+        (size, rank), (fallback_size, fallback_rank) = built  # all lanes, then the missed
+        assert np.array_equal(fallback_size, size[picked(size.size)]), sizes
+        assert np.array_equal(fallback_rank, rank[picked(size.size)]), sizes
+
 
 def test_the_estimates_spare_most_counts(monkeypatch):
-    # a broken estimate costs counts and no bit, so only the work can show it: every lane
-    # of the digest sizes and of the numeric suite's sweep certifies, and zeros(400)
-    # counts at most 10 times (7 measured), where the bisection without estimates counts
-    # at each of its 50 steps
+    # a broken estimate costs counts and no bit, so only the work can show it: the tight
+    # bracket certifies every lane of the digest sizes and of the numeric suite's sweep,
+    # some bracket every lane at the ceiling, and zeros(400) counts at most 5 times (5
+    # measured), where the bisection without estimates counts at each of its 50 steps;
+    # the 15 digest sizes count 65 times in all (102 with the wide bracket alone), and
+    # zeros(1000) and zeros(2000) count all their lanes at most 6 times (8 and 9 with the
+    # wide bracket alone)
     from mlpoly import analysis
     true_count = analysis._SturmLanes.count
     calls = []
@@ -207,20 +242,33 @@ def test_the_estimates_spare_most_counts(monkeypatch):
         calls.append((lanes, out.copy()))
         return out
 
-    def certified():  # the certificate's two counts, the first of a call, hold every lane
+    def missed():  # the lanes the tight bracket's two counts, the first of a call, miss
         (lanes, at_lower), (_, at_upper) = calls[:2]
-        return np.all(at_lower <= lanes.rank) and np.all(at_upper > lanes.rank)
+        return ~((at_lower <= lanes.rank) & (at_upper > lanes.rank))
+
+    def wide_certifies(missed):  # the next two counts, on the missed lanes alone, hold them
+        lanes, (wide, at_lower), (same, at_upper) = calls[0][0], *calls[2:4]
+        return (wide is same is not lanes and np.array_equal(wide.rank, lanes.rank[missed])
+                and np.all(at_lower <= wide.rank) and np.all(at_upper > wide.rank))
 
     monkeypatch.setattr(analysis._SturmLanes, "count", recorded)
     zeros(400)
-    assert len(calls) <= 10 and certified()
+    assert len(calls) <= 5 and not missed().any()
+    total = len(calls)
     for n in (24, 51, 78, 105, 131, 158, 185, 212, 239, 266, 293, 319, 346, 373):
         calls.clear()
         zeros(n)
-        assert certified(), n
+        total += len(calls)
+        assert not missed().any(), n
+    assert total <= 65
     calls.clear()
     zeros_range(1, 24)
-    assert certified()
+    assert not missed().any()
+    for n in (1000, 2000):  # the steps left once only missed lanes wait count those alone
+        calls.clear()
+        zeros(n)
+        assert not missed().any() or wide_certifies(missed()), n
+        assert sum(lanes.rank.size == n for lanes, _ in calls) <= 6, n  # 5 and 6 measured
 
 
 def test_zeros_digests_below_the_float_spacing_are_frozen():

@@ -399,6 +399,21 @@ def test_quadrature_output_does_not_depend_on_the_blas_thread_count():
         assert len(outs) == 1, argv
 
 
+def test_zeros_do_not_depend_on_the_kernel_or_thread_count_of_the_estimates():
+    # the SVD estimates differ in their last bits under OpenBLAS's Prescott kernel, and at
+    # 2000 the tight bracket misses other lanes there; the estimates decide no step, so the
+    # zeros keep their bytes (a numpy on another BLAS ignores both variables)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    for n in ("400", "2000"):
+        outs = {subprocess.run([sys.executable, "-m", "mlpoly", "zeros", "--n", n],
+                               capture_output=True, check=True, timeout=120,
+                               env=dict(env, PYTHONPATH=src, **extra)).stdout
+                for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                              {"OPENBLAS_NUM_THREADS": "1"})}
+        assert len(outs) == 1, n
+
+
 def _one_process_and_fresh(argvs):
     """stdout of argvs run through main in one process, and of each run as a fresh one."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
