@@ -35,17 +35,18 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # 12 times: 2000 lanes 6 times, the 21 its tight bracket misses 5 times, 4000 once
 # (zeros --n 400 counts 5 times); coeffs --seq pidduck --max-n 500 takes 2.1 s and
 # prints 100 MB (most of it converting the coefficients to strings), and eval --n 500
-# 0.04 s (0.20 s at a point on the EVAL_DIGITS bound); series --order 300 takes
-# 0.6 s for phi-monic, phi and g, the slowest kinds; verify --suite exact --max-n 160
-# takes 2.4-2.5 s (numeric and all refuse from 103 at once).
-# quad and ft refuse every size from 103 and from 121, in 0.08 s at
+# 0.04 s (0.20 s at a point on the EVAL_DIGITS bound); series --order 500 takes
+# 4.6-5.0 s for phi-monic, phi and g, the slowest kinds; verify --suite exact --max-n 240
+# takes 5.4 s and peaks at 44 MB, where the convolution and lowering checks follow from
+# the derivative expansion (numeric and all refuse from 103 at once).
+# quad and ft refuse every size from 103 and from 121, in 0.10 s at
 # their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
 # ran past 30 s inside math.factorial; the ceilings leave the refusal messages of
 # sizes up to 150 and 170 as they were.
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
-SERIES_CEILING = 300
-VERIFY_CEILING = 160
+SERIES_CEILING = 500
+VERIFY_CEILING = 240
 QUAD_CEILING = 200
 FT_CEILING = 200
 EVAL_DIGITS = 100_000

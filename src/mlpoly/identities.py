@@ -5,7 +5,11 @@ are truncated at its degree, where they terminate by nilpotence, so each
 check is a yes/no statement about polynomial residuals with no tolerances.
 The finite (n-th order) and the infinite (cos D + x sin D) differential equations
 are one statement on members of degree <= n, and so is the difference equation in
-steps of i, so one residual per n decides all three.
+steps of i, so one residual per n decides all three.  The derivative expansion proves
+G_x = theta G for the monic generating series G = sum_n p_n t^n/n!, theta = 2 arctan(t/2),
+as far as it holds, and the convolution identity and the lowering operator follow from
+that congruence, so one residual per n decides those three too, with the direct check
+run only past the first index where the expansion fails.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .sequences import SeqKind, generate, generating_series
 
 __all__ = [
     "trig_operator_eigencheck",
-    "derivative_expansion_monic",
+    "derivative_expansion_checks",
     "derivative_expansion_reduced_audit",
     "convolution_check",
     "egf_pde_residual",
@@ -87,18 +91,87 @@ def _expansion_residual(tab: Sequence[Poly], n: int, shift: int,
                     *((-coeff(n, k), tab[n - 2 * k]) for k in range(n // 2 + 1))])
 
 
+def _constants(series: Sequence[Poly]) -> tuple[list[int], int] | None:
+    """The coefficients of a series with constant coefficients as integers over one common
+    denominator, c_k = C_k / den; None when some coefficient depends on x."""
+    if any(c.degree > 0 for c in series):
+        return None
+    den = math.lcm(*(c.denominator for c in series))
+    return [c.numerators[0] * (den // c.denominator) if c.numerators else 0
+            for c in series], den
+
+
+def _solves_arctan_ode(theta: Sequence[Poly]) -> bool:
+    """theta(0) = 0 and (1 + t^2/4) theta' = 1 through the last coefficient of theta, so
+    that theta is 2 arctan(t/2) there; over integers, t^j of 4 den times the equation is
+    4 (j+1) T_(j+1) + (j-1) T_(j-1) = 4 den [j = 0]."""
+    ints = _constants(theta)
+    if ints is None:
+        return False
+    ts, den = ints
+    return not ts[0] and all(
+        4 * (j + 1) * ts[j + 1] + (j - 1) * (ts[j - 1] if j else 0) == (4 * den if j == 0 else 0)
+        for j in range(len(ts) - 1))
+
+
+def _solves_tan_ode(weights: Sequence[Poly]) -> bool:
+    """f(0) = 0 and f' = 1 + f^2/4 through the last weight, f(u) = sum_k weights[k] u^k,
+    so that f is 2 tan(u/2) there; over integers, u^j of 4 den^2 times the equation is
+    4 den (j+1) W_(j+1) = 4 den^2 [j = 0] + sum_i W_i W_(j-i)."""
+    ints = _constants(weights)
+    if ints is None:
+        return False
+    ws, den = ints
+    return not ws[0] and all(
+        4 * den * (j + 1) * ws[j + 1]
+        == (4 * den * den if j == 0 else 0) + sum(ws[i] * ws[j - i] for i in range(j + 1))
+        for j in range(len(ws) - 1))
+
+
+def _monic_expansion(n_max: int) -> tuple[CheckReport, int]:
+    """derivative-expansion-monic over 0..n_max, and the premise it proves: an m with
+    G_x = theta G mod t^(m+1), theta = 2 arctan(t/2), or 0 where it proves none.
+
+    The coefficient (-1)^k C(n+1, 2k+1) (2k)!/4^k is (n+1)!/(n-2k)! theta_(2k+1), read from
+    the one arctan_half series, so the t^(n+1) coefficient of G_x = theta G times (n+1)! is
+    the expansion at n.  With deg p_0 <= 0 the t^0 coefficients agree (p'_0 = 0 = theta_0
+    p_0), so an expansion that holds for n < m, m its first failing index (n_max + 1 where
+    none fails), gives the congruence mod t^(m+1), once theta solves its own equation.
+    """
+    tab = generate(SeqKind.PHI_MONIC, n_max + 1)
+    series = elementary("arctan_half", n_max + 2)
+    theta = [c.coefficient(0) for c in series]
+
+    def coeff(n: int, k: int) -> Fraction:
+        t = theta[2 * k + 1]
+        return Fraction(math.perm(n + 1, 2 * k + 1) * t.numerator, t.denominator)
+
+    holds = [_expansion_residual(tab, n, 1, coeff).is_zero() for n in range(n_max + 1)]
+    report = aggregate("derivative-expansion-monic", 0, n_max, holds.__getitem__,
+                       "monic derivative expansion holds exactly")
+    m = holds.index(False) if False in holds else n_max + 1
+    return report, m if tab[0].degree <= 0 and _solves_arctan_ode(series) else 0
+
+
 def derivative_expansion_monic(n_max: int) -> CheckReport:
     """p'_{n+1} = sum_k (-1)^k C(n+1, 2k+1) (2k)!/2^(2k) p_{n-2k} exactly for 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError("index must be non-negative")
-    tab = generate(SeqKind.PHI_MONIC, n_max + 1)
+    return _monic_expansion(n_max)[0]
 
-    def coeff(n: int, k: int) -> Fraction:
-        return Fraction((-1) ** k * math.comb(n + 1, 2 * k + 1) * math.factorial(2 * k), 4**k)
 
-    return aggregate("derivative-expansion-monic", 0, n_max,
-                     lambda n: _expansion_residual(tab, n, 1, coeff).is_zero(),
-                     "monic derivative expansion holds exactly")
+def derivative_expansion_checks(n_max: int) -> list[CheckReport]:
+    """derivative-expansion-monic, convolution-identity and lowering-operator from one
+    residual per n of the expansion over one table.
+
+    The expansion proves G_x = theta G mod t^(m+1) (see _monic_expansion); the convolution
+    identity then holds for n <= m and the lowering operator for n <= m once its weights
+    solve their own equation, and each is checked directly only past m.
+    """
+    if n_max < 1:
+        raise ValueError("need at least n = 1")
+    report, premise = _monic_expansion(n_max)
+    return [report, convolution_check(n_max, premise), lowering_check(n_max, premise)]
 
 
 def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
@@ -139,29 +212,44 @@ def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
                        residual=printed_residual, note=note)
 
 
-def convolution_check(n_max: int) -> CheckReport:
-    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) = 0 for 1 <= n <= n_max, proved
-    at integer points.
+def _integer_derivatives(tab: Sequence[Poly], count: int) -> list[list[list[int]]]:
+    """at[x][j][k]: the j-th derivative of A_k = L p_k at the integer x, for 0 <= x < count,
+    L the table's common denominator, by integer Horner; nothing is built when count is 0."""
+    if count <= 0:
+        return []
+    den = math.lcm(*(p.denominator for p in tab))
+    # the integer coefficients of A_k and of its two derivatives
+    ders = [(a.numerators, a.derivative().numerators, a.derivative(2).numerators)
+            for a in (den * p for p in tab)]
+    return [[[horner(cs, x, 1) for cs in col] for col in zip(*ders)] for x in range(count)]
 
-    With A_k = L p_k, L the table's common denominator, L^2 n! r_n(x) is the integer
-    sum_k C(n, k) [A''_k A_{n-k} - A'_k A'_{n-k}](x), r_n the residual.  deg r_n is at
-    most D_n = max_k (deg p_k + deg p_{n-k}) - 2, so r_n = 0 exactly when it vanishes
-    at the D_n + 1 integers 0..D_n; a three-term family has D_n = n - 2.  Each member
-    and its two derivatives are evaluated once per point, by integer Horner.
+
+def convolution_check(n_max: int, premise: int = 0) -> CheckReport:
+    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) = 0 for 1 <= n <= n_max: the
+    t^n coefficient of G G_xx - G_x^2.
+
+    premise: G_x = theta G mod t^(premise+1) for a series theta in t alone, proved by the
+    caller.  Differentiating in x keeps the congruence, so G_xx = theta G_x = theta^2 G and
+    G G_xx - G_x^2 = 0 mod t^(premise+1): the identity holds for n <= premise, and the
+    check below runs only for premise < n <= n_max (every n at premise 0).
+
+    It is proved at integer points.  With A_k = L p_k, L the table's common denominator,
+    L^2 n! r_n(x) is the integer sum_k C(n, k) [A''_k A_{n-k} - A'_k A'_{n-k}](x), r_n the
+    residual.  deg r_n is at most D_n = max_k (deg p_k + deg p_{n-k}) - 2, so r_n = 0
+    exactly when it vanishes at the D_n + 1 integers 0..D_n; a three-term family has
+    D_n = n - 2.  Each member and its two derivatives are evaluated once per point.
     """
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
     deg = [p.degree for p in tab]
-    points = [max(deg[k] + deg[n - k] for k in range(n + 1)) - 1 for n in range(n_max + 1)]
-    den = math.lcm(*(p.denominator for p in tab))
-    # the integer coefficients of A_k and of its two derivatives
-    ders = [(a.numerators, a.derivative().numerators, a.derivative(2).numerators)
-            for a in (den * p for p in tab)]
-    # at[x][j][k]: the j-th derivative of A_k at the integer x
-    at = [[[horner(cs, x, 1) for cs in col] for col in zip(*ders)] for x in range(max(points))]
+    points = {n: max(deg[k] + deg[n - k] for k in range(n + 1)) - 1
+              for n in range(premise + 1, n_max + 1)}
+    at = _integer_derivatives(tab, max(points.values(), default=0))
 
     def vanishes(n: int) -> bool:
+        if n <= premise:
+            return True
         combs = [math.comb(n, k) for k in range(n + 1)]
         return not any(sum(c * (a2[k] * a0[n - k] - a1[k] * a1[n - k])
                            for k, c in enumerate(combs))
@@ -216,13 +304,25 @@ def turan_recurrence_check(n_max: int) -> CheckReport:
                      f"delta_n > 0 at every real x for 1 <= n <= {n_max}")
 
 
-def lowering_check(n_max: int) -> CheckReport:
-    """2 tan(D/2) p_n = n p_{n-1} exactly for 1 <= n <= n_max."""
+def lowering_check(n_max: int, premise: int = 0) -> CheckReport:
+    """2 tan(D/2) p_n = n p_{n-1} exactly for 1 <= n <= n_max.
+
+    premise: G_x = theta G mod t^(premise+1) with theta = 2 arctan(t/2), proved by the
+    caller, who has checked (1 + t^2/4) theta' = 1, theta(0) = 0.  Then D^k G = theta^k G,
+    so with f(u) = sum_k w_k u^k over the weights below, f(D) G = f(theta) G mod
+    t^(premise+1).  Where f solves f' = 1 + f^2/4, f(0) = 0, y = f(theta) solves
+    (1 + t^2/4) y' = 1 + y^2/4, y(0) = 0; so does y = t, and the equation fixes each
+    coefficient of y from those before, so f(theta) = t through t^n_max (the series are
+    never composed).  Its t^n coefficient, f(D) p_n = n p_{n-1}, then holds for
+    n <= premise, and the operator is applied only past it or where the weights fail
+    their equation (every n at premise 0).
+    """
     if n_max < 1:
         raise ValueError("need at least n = 1")
     tab = generate(SeqKind.PHI_MONIC, n_max)
     # 2 tan(D/2) through D^n_max: the constant coefficients of the Bernoulli-built series
     weights = elementary("tan_half", n_max + 1)
+    implied = premise if premise and _solves_tan_ode(weights) else 0
     return aggregate("lowering-operator", 1, n_max,
-                     lambda n: _apply(tab[n], weights) == n * tab[n - 1],
+                     lambda n: n <= implied or _apply(tab[n], weights) == n * tab[n - 1],
                      f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

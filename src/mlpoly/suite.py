@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .identities import (convolution_check, derivative_expansion_monic,
-                         derivative_expansion_reduced_audit, egf_pde_residual,
-                         lowering_check, trig_operator_eigencheck, turan_recurrence_check)
+from .identities import (derivative_expansion_checks, derivative_expansion_reduced_audit,
+                         egf_pde_residual, trig_operator_eigencheck, turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
 from .sequences import (RECURRENCES, SeqKind, difference_relation_checks,
                         g_oracle_mismatches, generate, generating_series, reduce_from_g,
@@ -97,12 +96,12 @@ def _exact_plan(max_n: int) -> Plan:
         (difference_relation_checks, max_n),  # the two relations of g_n
         # ode-residual, trig-operator-eigenrelation and difference-relation-phi-monic-complex
         (trig_operator_eigencheck, max_n),
-        (derivative_expansion_monic, max_n),
+        # derivative-expansion-monic, and convolution-identity and lowering-operator, which
+        # follow from it as far as it holds
+        (derivative_expansion_checks, max_n),
         (derivative_expansion_reduced_audit, max_n),
-        (convolution_check, max_n),
         (_egf_pde, 16),
         (turan_recurrence_check, max_n),
-        (lowering_check, max_n),
     ]
 
 

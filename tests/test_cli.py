@@ -586,6 +586,21 @@ def test_verify_exact_40_bytes_are_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_40_SHA256[fmt]
 
 
+# The JSON of the exact suite at two more sizes: below the shortest range of any check, and
+# where the convolution and lowering verdicts follow from the derivative expansion.
+_EXACT_JSON_SHA256 = {
+    3: "737665346d067fe59d1affed109020271808a0b8f148fff79cc375fad7800085",
+    80: "659175aeefaa1085a3a81543926aee748de615f1d2a0ec3583ecfa1da175e7ac",
+}
+
+
+@pytest.mark.parametrize("max_n", sorted(_EXACT_JSON_SHA256))
+def test_verify_exact_json_bytes_are_pinned(capsys, max_n):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "exact", "--max-n", str(max_n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_JSON_SHA256[max_n]
+
+
 # The exact series and tables print no floats either.
 _SERIES_40_SHA256 = {
     "g": "a0d2ef1ae9156a2dc4b82a5506aa401e604e687481eba22affe778f28f44796b",

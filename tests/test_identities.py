@@ -16,7 +16,7 @@ from mlpoly.identities import (convolution_check, derivative_expansion_monic,
                                derivative_expansion_reduced_audit,
                                egf_pde_residual, lowering_check,
                                trig_operator_eigencheck, turan_recurrence_check)
-from mlpoly.polyfps import Poly, X, combine
+from mlpoly.polyfps import Poly, X, combine, elementary
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import SeqKind, generate, generating_series
 
@@ -134,6 +134,22 @@ def test_convolution_check_fails_where_the_residual_is_nonzero(perturb, field, b
     assert report.note == f"failing indices: {failing}"
 
 
+def test_convolution_builds_no_point_the_premise_covers(monkeypatch):
+    calls = []
+    horner = identities.horner
+
+    def counted(cs, p, q):
+        calls.append(p)
+        return horner(cs, p, q)
+
+    monkeypatch.setattr(identities, "horner", counted)
+    assert convolution_check(40, 41).status is CheckStatus.PASS
+    assert calls == []
+    # past the premise, the points of n = 40 alone: x = 0..38, three derivatives of 41 members
+    assert convolution_check(40, 39).status is CheckStatus.PASS
+    assert len(calls) == 39 * 3 * 41
+
+
 def test_egf_pde_residual_is_zero_through_order_16():
     residual = egf_pde_residual(16)
     assert len(residual) == 16 and all(p.is_zero() for p in residual)
@@ -249,3 +265,70 @@ def test_lowering_check_up_to_30(monkeypatch):
     assert calls == [("tan_half", 31)]  # the weights are built once, for the largest member
     with pytest.raises(ValueError):
         lowering_check(0)
+
+
+def _off(series, k):
+    """series with its k-th coefficient off by 1/7."""
+    return tuple(c + Poly([F(1, 7)]) if j == k else c for j, c in enumerate(series))
+
+
+def test_the_series_equations_hold_for_their_own_series_only():
+    # f' = 1 + f^2/4 for 2 tan(u/2), (1 + t^2/4) theta' = 1 for 2 arctan(t/2), both through
+    # the last coefficient and from a zero constant term
+    tan, arctan, artanh = (elementary(kind, 41) for kind in ("tan_half", "arctan_half", "artanh"))
+    assert identities._solves_tan_ode(tan) and identities._solves_arctan_ode(arctan)
+    assert not any(map(identities._solves_tan_ode, (arctan, artanh)))
+    assert not any(map(identities._solves_arctan_ode, (tan, artanh)))
+    for k in (0, 1, 2, 3, 5, 39, 40):
+        assert not identities._solves_tan_ode(_off(tan, k)), k
+        assert not identities._solves_arctan_ode(_off(arctan, k)), k
+    # 2 tan(u/2 + arctan(1/2)) solves f' = 1 + f^2/4 from f(0) = 1; only the start rules it out
+    shifted = [F(1)]
+    for j in range(40):
+        shifted.append((F(j == 0) + sum(shifted[i] * shifted[j - i] for i in range(j + 1)) / 4)
+                       / (j + 1))
+    assert not identities._solves_tan_ode(tuple(Poly([c]) for c in shifted))
+    assert not identities._solves_tan_ode((*tan[:3], tan[3] + X, *tan[4:]))  # depends on x
+    assert not identities._solves_arctan_ode((*arctan[:3], arctan[3] + X, *arctan[4:]))
+
+
+def _broken(monkeypatch, kind, k):
+    """identities reads the elementary series kind with its k-th coefficient off by 1/7."""
+    original = identities.elementary
+
+    def broken(name, order):
+        series = original(name, order)
+        return _off(series, k) if name == kind else series
+
+    monkeypatch.setattr(identities, "elementary", broken)
+
+
+def test_lowering_applies_weights_that_fail_their_equation(monkeypatch):
+    # a wrong weight of D^5 cannot hide behind the premise: the operator runs at every n
+    _broken(monkeypatch, "tan_half", 5)
+    direct = lowering_check(12)
+    assert direct.note == f"failing indices: {list(range(5, 13))}"
+    assert lowering_check(12, 13) == direct
+    assert identities.derivative_expansion_checks(12)[2] == direct
+
+
+def test_a_wrong_theta_proves_no_premise(monkeypatch):
+    # the expansion reads theta from the arctan_half series, so a wrong theta_3 fails it
+    # from n = 2, and the two identities it implies are checked directly at every n
+    _broken(monkeypatch, "arctan_half", 3)
+    expansion, premise = identities._monic_expansion(12)
+    assert (expansion.note, premise) == (f"failing indices: {list(range(2, 13))}", 0)
+    reports = identities.derivative_expansion_checks(12)
+    assert reports == [expansion, convolution_check(12), lowering_check(12)]
+    assert [r.status for r in reports[1:]] == [CheckStatus.PASS] * 2
+
+
+def test_a_member_p_0_of_positive_degree_proves_no_premise(monkeypatch):
+    # p_0 = x, p_1 = x^2/2, p_2 = x^3/3 satisfy the expansion at n = 0 and 1, but G_x and
+    # theta G differ at t^0 (1 against 0), and the convolution residual at n = 1 is -x
+    table = (X, X * X / 2, X * X * X / 3)
+    monkeypatch.setattr(identities, "generate", lambda kind, n_max: table[: n_max + 1])
+    expansion, convolution, _ = identities.derivative_expansion_checks(1)
+    assert expansion.status is CheckStatus.PASS
+    assert convolution == convolution_check(1)
+    assert convolution.note == "failing indices: [1]"

@@ -285,6 +285,44 @@ def test_each_perturbed_entry_fails_exactly_the_reports_that_read_it(monkeypatch
                 assert failing[identity] == f"failing indices: {indices}", (row, identity)
 
 
+def test_the_implied_verdicts_equal_the_direct_checks(monkeypatch, perturb):
+    # convolution-identity and lowering-operator rest on the residuals of the derivative
+    # expansion up to its first failing index m: a defect that made those read zero would
+    # pass all three, so each report must equal the direct check's over the whole range, for
+    # every fault row and for the intact table
+    premises = {}
+    convolution_check = identities.convolution_check
+
+    def recorded(n_max, premise=0):
+        premises[n_max] = premise
+        return convolution_check(n_max, premise)
+
+    def compare(max_n):
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "convolution_check", recorded)
+            implied = identities.derivative_expansion_checks(max_n)
+        direct = [identities.derivative_expansion_monic(max_n), convolution_check(max_n),
+                  identities.lowering_check(max_n)]
+        assert implied == direct, max_n
+        return implied, premises.pop(max_n)
+
+    for max_n in (1, 2, 3, 40):
+        reports, premise = compare(max_n)
+        assert premise == max_n + 1 and {r.status for r in reports} == {CheckStatus.PASS}
+    implied_to = {}
+    for kind, field, at in _FAULT_MATRIX:
+        perturb(kind, field, 1 if field == "p0" else Fraction(1, 7), at)
+        try:
+            reports, implied_to[kind, field, at] = compare(8)
+        finally:
+            monkeypatch.undo()
+    # the expansion first fails at 1: the premise serves n = 1, the direct checks the rest
+    assert implied_to[SeqKind.PHI_MONIC, "d", 0] == 1
+    assert implied_to[SeqKind.PHI_MONIC, "a", 0] == 0  # fails at 0: every n direct
+    assert implied_to[SeqKind.PHI_MONIC, "b", 3] == 3
+    assert {m for (kind, *_), m in implied_to.items() if kind is not SeqKind.PHI_MONIC} == {9}
+
+
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
     ok = aggregate("some-check", 0, 5, lambda n: True, "holds exactly")
     assert (ok.status, ok.n_range, ok.note, ok.residual) == (
@@ -362,9 +400,9 @@ def test_exact_suite_holds_through_n_40(members_built):
 
 
 def test_the_finite_and_infinite_equations_share_one_residual_per_n(monkeypatch):
-    # one operator sum per n for both equations and the difference equation (n = 0..8), one
-    # per n for the lowering operator (n = 1..8); a residual of its own for the finite
-    # equation would add 8
+    # one operator sum per n for both equations and the difference equation (n = 0..8); the
+    # lowering operator follows from the derivative expansion and applies none on an intact
+    # table, and a residual of its own for the finite equation would add 8
     applied = []
     apply = identities._apply
 
@@ -374,7 +412,7 @@ def test_the_finite_and_infinite_equations_share_one_residual_per_n(monkeypatch)
 
     monkeypatch.setattr(identities, "_apply", counted)
     reports = suite.run_suite("exact", 8)
-    assert len(applied) == 17
+    assert len(applied) == 9
     assert {(r.identity, r.n_range, r.status) for r in reports
             if r.identity in ("ode-residual", "trig-operator-eigenrelation",
                               "difference-relation-phi-monic-complex")} == {
