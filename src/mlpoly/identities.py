@@ -9,7 +9,9 @@ steps of i, so one residual per n decides all three.  The derivative expansion p
 G_x = theta G for the monic generating series G = sum_n p_n t^n/n!, theta = 2 arctan(t/2),
 as far as it holds, and the convolution identity and the lowering operator follow from
 that congruence, so one residual per n decides those three too, with the direct check
-run only past the first index where the expansion fails.
+run only past the first index where the expansion fails.  The direct convolution check
+and the series identity egf-pde compute one residual, G G_xx - G_x^2, each over its own
+route: the EGF of the recurrence table and the generating series.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyfps import Poly, X, combine, elementary, horner
+from .polyfps import Poly, X, combine, elementary
 from .report import CheckReport, CheckStatus, aggregate
 from .sequences import SeqKind, generate, generating_series
 
@@ -153,13 +155,6 @@ def _monic_expansion(n_max: int) -> tuple[CheckReport, int]:
     return report, m if tab[0].degree <= 0 and _solves_arctan_ode(series) else 0
 
 
-def derivative_expansion_monic(n_max: int) -> CheckReport:
-    """p'_{n+1} = sum_k (-1)^k C(n+1, 2k+1) (2k)!/2^(2k) p_{n-2k} exactly for 0 <= n <= n_max."""
-    if n_max < 0:
-        raise ValueError("index must be non-negative")
-    return _monic_expansion(n_max)[0]
-
-
 def derivative_expansion_checks(n_max: int) -> list[CheckReport]:
     """derivative-expansion-monic, convolution-identity and lowering-operator from one
     residual per n of the expansion over one table.
@@ -212,65 +207,50 @@ def derivative_expansion_reduced_audit(n_max: int) -> CheckReport:
                        residual=printed_residual, note=note)
 
 
-def _integer_derivatives(tab: Sequence[Poly], count: int) -> list[list[list[int]]]:
-    """at[x][j][k]: the j-th derivative of A_k = L p_k at the integer x, for 0 <= x < count,
-    L the table's common denominator, by integer Horner; nothing is built when count is 0."""
-    if count <= 0:
-        return []
-    den = math.lcm(*(p.denominator for p in tab))
-    # the integer coefficients of A_k and of its two derivatives
-    ders = [(a.numerators, a.derivative().numerators, a.derivative(2).numerators)
-            for a in (den * p for p in tab)]
-    return [[[horner(cs, x, 1) for cs in col] for col in zip(*ders)] for x in range(count)]
+def _pde_residual(g: Sequence[Poly], start: int) -> tuple[Poly, ...]:
+    """The t^n coefficients of G G_xx - G_x^2 for start <= n < len(g), G = sum_n g[n] t^n,
+    each one combine of the two Cauchy products over coefficient-wise derivatives.
 
-
-def convolution_check(n_max: int, premise: int = 0) -> CheckReport:
-    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) = 0 for 1 <= n <= n_max: the
-    t^n coefficient of G G_xx - G_x^2.
-
-    premise: G_x = theta G mod t^(premise+1) for a series theta in t alone, proved by the
-    caller.  Differentiating in x keeps the congruence, so G_xx = theta G_x = theta^2 G and
-    G G_xx - G_x^2 = 0 mod t^(premise+1): the identity holds for n <= premise, and the
-    check below runs only for premise < n <= n_max (every n at premise 0).
-
-    It is proved at integer points.  With A_k = L p_k, L the table's common denominator,
-    L^2 n! r_n(x) is the integer sum_k C(n, k) [A''_k A_{n-k} - A'_k A'_{n-k}](x), r_n the
-    residual.  deg r_n is at most D_n = max_k (deg p_k + deg p_{n-k}) - 2, so r_n = 0
-    exactly when it vanishes at the D_n + 1 integers 0..D_n; a three-term family has
-    D_n = n - 2.  Each member and its two derivatives are evaluated once per point.
+    G G_xx - G_x^2 = G^2 (log G)_xx, and a factor of G that is free of x leaves
+    (log G)_xx as it is, so the residual cannot see one: a wrong denominator of the monic
+    series or a wrong scale of p_0 keeps a zero residual zero, and neither egf-pde nor
+    convolution-identity fails on it; phi-oracle-equivalence is what guards them.
     """
-    if n_max < 1:
-        raise ValueError("need at least n = 1")
-    tab = generate(SeqKind.PHI_MONIC, n_max)
-    deg = [p.degree for p in tab]
-    points = {n: max(deg[k] + deg[n - k] for k in range(n + 1)) - 1
-              for n in range(premise + 1, n_max + 1)}
-    at = _integer_derivatives(tab, max(points.values(), default=0))
-
-    def vanishes(n: int) -> bool:
-        if n <= premise:
-            return True
-        combs = [math.comb(n, k) for k in range(n + 1)]
-        return not any(sum(c * (a2[k] * a0[n - k] - a1[k] * a1[n - k])
-                           for k, c in enumerate(combs))
-                       for a0, a1, a2 in at[: points[n]])
-
-    return aggregate("convolution-identity", 1, n_max, vanishes,
-                     "weighted second/first derivative convolution vanishes")
-
-
-def egf_pde_residual(order: int) -> tuple[Poly, ...]:
-    """G * G_xx - (G_x)^2 for the monic exponential generating series, each t^n coefficient
-    one combine of the two Cauchy products; contract: zero.  Inside a run, the series is a
-    truncation of the one the run keeps."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    g = generating_series(SeqKind.PHI_MONIC, order)
     gx = [p.derivative() for p in g]
     gxx = [p.derivative(2) for p in g]
     return tuple(combine((c, u[k], v[n - k]) for c, u, v in ((1, g, gxx), (-1, gx, gx))
                          for k in range(n + 1))
-                 for n in range(order))
+                 for n in range(start, len(g)))
+
+
+def convolution_check(n_max: int, premise: int = 0) -> CheckReport:
+    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) = 0 for 1 <= n <= n_max: the
+    t^n coefficient of G G_xx - G_x^2 over the table's EGF G = sum_n p_n t^n/n!.
+
+    premise: G_x = theta G mod t^(premise+1) for a series theta in t alone, proved by the
+    caller.  Differentiating in x keeps the congruence, so G_xx = theta G_x = theta^2 G and
+    G G_xx - G_x^2 = 0 mod t^(premise+1): the identity holds for n <= premise, and the
+    residual is built only for premise < n <= n_max (every n at premise 0), with no member
+    scaled where the premise covers the whole range.
+    """
+    if n_max < 1:
+        raise ValueError("need at least n = 1")
+    start = premise + 1
+    residual = ()
+    if start <= n_max:
+        tab = generate(SeqKind.PHI_MONIC, n_max)
+        residual = _pde_residual([p / math.factorial(n) for n, p in enumerate(tab)], start)
+    return aggregate("convolution-identity", 1, n_max,
+                     lambda n: n < start or residual[n - start].is_zero(),
+                     "weighted second/first derivative convolution vanishes")
+
+
+def egf_pde_residual(order: int) -> tuple[Poly, ...]:
+    """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero.
+    Inside a run, the series is a truncation of the one the run keeps."""
+    if order < 2:
+        raise ValueError("order must be at least 2")
+    return _pde_residual(generating_series(SeqKind.PHI_MONIC, order), 0)
 
 
 def _turan(tab: Sequence[Poly], squares: Sequence[Poly], n: int) -> Poly:

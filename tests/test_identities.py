@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mlpoly import identities
-from mlpoly.identities import (convolution_check, derivative_expansion_monic,
+from mlpoly.identities import (convolution_check, derivative_expansion_checks,
                                derivative_expansion_reduced_audit,
                                egf_pde_residual, lowering_check,
                                trig_operator_eigencheck, turan_recurrence_check)
@@ -67,12 +67,16 @@ def test_derivative_expansion_monic_hand_case():
     # p'_4 = 4x^3 - 10x = 4 p_3 - 2 p_1
     tab = generate(SeqKind.PHI_MONIC, 4)
     assert tab[4].derivative() == 4 * tab[3] - 2 * tab[1]
-    assert derivative_expansion_monic(3).status is CheckStatus.PASS
+    report = derivative_expansion_checks(3)[0]
+    assert (report.identity, report.status, report.n_range) == (
+        "derivative-expansion-monic", CheckStatus.PASS, (0, 3))
 
 
 def test_derivative_expansion_monic_up_to_30():
-    for n in range(31):
-        assert derivative_expansion_monic(n).status is CheckStatus.PASS
+    # one range report: it passes only where the expansion holds at each n = 0..30
+    report = derivative_expansion_checks(30)[0]
+    assert (report.identity, report.status, report.n_range) == (
+        "derivative-expansion-monic", CheckStatus.PASS, (0, 30))
 
 
 def test_derivative_expansion_reduced_audit():
@@ -97,13 +101,15 @@ def test_corrected_reduced_expansion_recomputed():
 
 
 def _ref_convolution_residual(n):
-    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) over the coefficients, the
-    reference of the integer-point route of convolution_check."""
+    """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) by pairwise Poly operations, the
+    reference of convolution_check, which shares its residual with egf_pde_residual."""
     tab = generate(SeqKind.PHI_MONIC, n)
-    weights = [F(1, math.factorial(k) * math.factorial(n - k)) for k in range(n + 1)]
-    return combine(term for k, w in enumerate(weights) for term in (
-        (w, tab[k].derivative(2), tab[n - k]),
-        (-w, tab[k].derivative(), tab[n - k].derivative())))
+    residual = Poly()
+    for k in range(n + 1):
+        u, v = tab[k], tab[n - k]
+        w = F(1, math.factorial(k) * math.factorial(n - k))
+        residual = residual + w * (u.derivative(2) * v - u.derivative() * v.derivative())
+    return residual
 
 
 def test_convolution_residual_vanishes_up_to_20():
@@ -120,34 +126,47 @@ def test_convolution_check_passes_through_40():
 
 
 @pytest.mark.parametrize("field, breaks, failing", [
-    # a constant term in p_1 or p_4 breaks parity, so r_n has no parity to halve its points
+    # a bump in p_1's scale, where the expansion fails at n = 0 and proves no premise
+    ("a", lambda bump: bump(Fraction(1, 7), 0), list(range(2, 13))),
+    # a constant term in p_1 or p_4
     ("d", lambda bump: bump(Fraction(1, 7), 0), list(range(3, 13))),
     ("d", lambda bump: bump(Fraction(1, 7), 3), list(range(4, 13))),
     ("b", lambda bump: bump(1, 3), list(range(4, 13))),
+    # the expansion fails from n = 20: the premise serves n <= 20 in the suite's step
+    ("b", lambda bump: bump(Fraction(1, 7), 20), list(range(21, 41))),
 ])
 def test_convolution_check_fails_where_the_residual_is_nonzero(perturb, field, breaks, failing):
-    # the point route fails exactly the indices whose coefficient residual is nonzero
+    # the check fails exactly the indices whose reference residual is nonzero, up to the last
+    # of them, called alone (premise 0) and in the suite's step, which proves its own premise
+    n_max = failing[-1]
     breaks(functools.partial(perturb, SeqKind.PHI_MONIC, field))
-    assert [n for n in range(1, 13) if not _ref_convolution_residual(n).is_zero()] == failing
-    report = convolution_check(12)
+    assert [n for n in range(1, n_max + 1)
+            if not _ref_convolution_residual(n).is_zero()] == failing
+    report = convolution_check(n_max)
     assert report.status is CheckStatus.FAIL
     assert report.note == f"failing indices: {failing}"
+    assert derivative_expansion_checks(n_max)[1] == report
 
 
-def test_convolution_builds_no_point_the_premise_covers(monkeypatch):
-    calls = []
-    horner = identities.horner
+def test_convolution_builds_no_residual_coefficient_the_premise_covers(monkeypatch):
+    built = []  # the terms of each residual coefficient, two per k = 0..n at t^n
+    combine = identities.combine
 
-    def counted(cs, p, q):
-        calls.append(p)
-        return horner(cs, p, q)
+    def counted(terms, *over):
+        terms = list(terms)
+        built.append(len(terms))
+        return combine(terms, *over)
 
-    monkeypatch.setattr(identities, "horner", counted)
+    derivatives = []
+    derivative = Poly.derivative
+    monkeypatch.setattr(identities, "combine", counted)
+    monkeypatch.setattr(Poly, "derivative",
+                        lambda p, *k: derivatives.append(p) or derivative(p, *k))
     assert convolution_check(40, 41).status is CheckStatus.PASS
-    assert calls == []
-    # past the premise, the points of n = 40 alone: x = 0..38, three derivatives of 41 members
+    assert built == [] and derivatives == []
+    # past the premise, t^40 alone, over the first two derivatives of 41 members
     assert convolution_check(40, 39).status is CheckStatus.PASS
-    assert len(calls) == 39 * 3 * 41
+    assert built == [2 * 41] and len(derivatives) == 2 * 41
 
 
 def test_egf_pde_residual_is_zero_through_order_16():
