@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import NamedTuple
@@ -417,17 +418,22 @@ def _weight_array(t: np.ndarray) -> np.ndarray:
         return np.where(t == 0.0, 1.0 / math.pi, t / np.sinh(math.pi * t))
 
 
-def _coeff_norm(p: Poly) -> float:
-    """1-norm of the float coefficients, the constant of the quadrature tail bound.
+def _abs_coeffs(p: Poly) -> list[float]:
+    """|c_0|, |c_1|, ... of p as floats.
 
     Each int/int quotient is correctly rounded, as float(Fraction) is, with no Fraction built.
     """
     den = p.denominator
     try:
-        return sum(abs(c) / den for c in p.numerators)
+        return [abs(c) / den for c in p.numerators]
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{p.degree} member exceeds "
                          f"the float range") from None
+
+
+def _coeff_norm(p: Poly) -> float:
+    """1-norm of the float coefficients, the constant of ft's quadrature tail bound."""
+    return sum(_abs_coeffs(p))
 
 
 def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
@@ -450,53 +456,51 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-# math.lgamma(k + 1) = log k! for k = 0, 1, ..., as far as a _gamma_tail has asked
-_LOG_FACTORIALS: list[float] = []
+def _tail_sum(envelope: Sequence[float], rate: float, upper: float) -> float:
+    """Sum over m of e_m times the integral of t^m e^(-rate t) over [upper, infinity).
 
-
-def _gamma_tail(degree: int, rate: float, upper: float) -> float:
-    """Exact tail integral of t^degree e^(-rate t) over [upper, infinity).
-
-    (d!/r^(d+1)) e^(-rT) sum_{k<=d} (rT)^k/k!, with every term computed in
-    log space.  A term beyond the float range makes the bound math.inf, which
-    no tolerance meets, so the caller moves on to a larger truncation.
+    With T = upper and r = rate, the m-th integral is I_m = J_m T^m e^(-rT), where
+    J_0 = 1/r and J_m = (1 + m J_(m-1)/T)/r (by parts), so the sum takes O(len(envelope))
+    steps; each term is taken through logarithms, so that neither T^m nor e^(-rT) leaves
+    the float range on its own.  A term beyond the float range makes the sum math.inf,
+    which no tolerance meets, so the caller moves on to a larger truncation.
     """
-    while len(_LOG_FACTORIALS) <= degree:
-        _LOG_FACTORIALS.append(math.lgamma(len(_LOG_FACTORIALS) + 1))
-    rt = rate * upper
-    log_front = _LOG_FACTORIALS[degree] - (degree + 1) * math.log(rate)
-    log_rt = math.log(rt)
-    total = 0.0
+    log_upper, rt = math.log(upper), rate * upper
+    j, total = 1.0 / rate, 0.0
     try:
-        for k, log_factorial in zip(range(degree + 1), _LOG_FACTORIALS):
-            total += math.exp(log_front + k * log_rt - log_factorial - rt)
+        for m, e in enumerate(envelope):
+            if m:
+                j = (1.0 + m * j / upper) / rate
+            if e:
+                total += math.exp(math.log(e) + math.log(j) + m * log_upper - rt)
     except OverflowError:
         return math.inf
     return total
 
 
-# A pure function of four numbers, kept: every served size of quad, moments and ft needs
+# A pure function of its arguments, kept: every served size of quad, moments and ft needs
 # fewer than 300 truncations in all.
 @functools.lru_cache(maxsize=512)
-def make_quad_config(max_degree: int, abs_tol: float = 1e-10,
-                     rate: float = math.pi, coeff_norm: float = 1.0) -> float:
+def make_quad_config(envelope: tuple[float, ...], abs_tol: float = 1e-10,
+                     rate: float = math.pi) -> float:
     """The truncation T of the unit-panel rule over [-T, T]: the smallest integer whose
-    two-sided tail bound clears abs_tol/2, as a float.  Against that tail the panel error
-    of these entire integrands is negligible.
+    two-sided tail bound clears abs_tol/2, as a float.  It bounds the tail alone: the
+    weight t/sinh(pi t) has poles at t = +-i, +-2i, ..., so the integrands are not entire,
+    and no bound covers the error of the panels yet.
 
-    The envelope constant uses 1/sinh(rate*t) <= 2 e^(-rate t)/(1 - e^(-2 rate T)),
-    so the bound is rigorous for integrands of the form
-    polynomial(t) / sinh(rate * t) with coefficient 1-norm coeff_norm.  Both the
-    envelope and the tail integral fall as T grows, so the bound clears abs_tol/2
-    on a suffix of 4..399, and bisection finds where that suffix starts.
+    The integrand is a polynomial factor over sinh(rate * t), and envelope[m] bounds the
+    magnitude of the t^m coefficient of the factor.  With 1/sinh(rate*t) <=
+    2 e^(-rate t)/(1 - e^(-2 rate T)), the tail beyond T on each side is at most that
+    constant times the envelope's sum of e_m * integral of t^m e^(-rate t) over
+    [T, infinity), term by term.  Both fall as T grows, so the bound clears abs_tol/2 on
+    a suffix of 4..399, and bisection finds where that suffix starts.
     """
-    if max_degree < 0 or abs_tol <= 0 or rate <= 0 or coeff_norm <= 0:
+    if abs_tol <= 0 or rate <= 0 or not envelope or not all(0 <= e < math.inf for e in envelope):
         raise ValueError("invalid quadrature envelope parameters")
 
     def clears(upper: int) -> bool:
-        envelope = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
-        tail = 2.0 * coeff_norm * envelope * _gamma_tail(max_degree, rate, float(upper))
-        return tail < 0.5 * abs_tol
+        sinh_bound = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
+        return 2.0 * sinh_bound * _tail_sum(envelope, rate, float(upper)) < 0.5 * abs_tol
 
     lo, hi = 4, 399
     if not clears(hi):
@@ -560,7 +564,7 @@ def orthogonality_matrix(n_max: int) -> np.ndarray:
     return _gram(RECURRENCES[SeqKind.PHI], n_max)
 
 
-@functools.cache  # every size from 103 fails the tail bound and raises: at most 103, < 3 MB
+@functools.cache  # every size from 114 is refused and raises: at most 114 matrices, 4.0 MB
 def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     """orthogonality_matrix for one PHI entry, which generate and member_values read.  The
     entry is only a key: a Recurrence hashes by its fields, so a patched family
@@ -570,22 +574,13 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     replaced at run time (the weight, say); tests that replace it clear the memo."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
-    tab = generate(SeqKind.PHI, n_max)
-    norm = max(_coeff_norm(p) for p in tab)
-    pts, allw = _panel_points(make_quad_config(2 * n_max + 1, abs_tol=1e-10,
-                                               coeff_norm=norm * norm))
+    pts, allw = _panel_points(make_quad_config(_gram_envelope(n_max), abs_tol=1e-10))
     wts = allw * _weight_array(pts)
     out = np.zeros((n_max + 1, n_max + 1))
     # blocks of at most 2048 nodes keep the member values held at once small (1.3 MB at
-    # n = 80, not 7.9); the lower triangle is summed and mirrored, so out is exactly symmetric
+    # n = 80, not 2.9); the lower triangle is summed and mirrored, so out is exactly symmetric
     for lo in range(0, pts.size, 2048):
-        # from n = 63 (T >= 228) sinh(pi t) overflows at the ends and the weight is exactly
-        # 0 (2990 of 12040 nodes at n = 80): each block is cut to the span of its nonzero
-        # weights, and a block without one is skipped
-        live = np.flatnonzero(wts[lo:lo + 2048])
-        if live.size == 0:
-            continue
-        block = slice(lo + live[0], lo + live[-1] + 1)
+        block = slice(lo, lo + 2048)
         phi = member_values(SeqKind.PHI, n_max, pts[block])
         for i in range(n_max + 1):
             out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
@@ -593,6 +588,24 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     out[upper] = out.T[upper]
     out.setflags(write=False)  # the cache hands the same array to every caller
     return out
+
+
+def _gram_envelope(n_max: int) -> tuple[float, ...]:
+    """The tail envelope of the Gram integrands t p_i(t) p_j(t) / sinh(pi t), i, j <= n_max:
+    a_k = max_i |c_ik| bounds the t^k coefficient of every PHI member, so the coefficients
+    of t A(t)^2, A(t) = sum_k a_k t^k, bound those of each polynomial factor t p_i p_j.
+
+    Refused where a product a_j a_k would fall below the normal floats, whose rounding to
+    fewer bits could make the bound undercount: from n = 114, where the square of the
+    smallest a_k, the leading coefficient 2^(n+1)/(n+1)!, is 2.0e-308."""
+    coeffs = np.zeros(n_max + 1)
+    for p in generate(SeqKind.PHI, n_max):
+        head = coeffs[: p.degree + 1]
+        np.maximum(head, _abs_coeffs(p), out=head)
+    if coeffs.min() ** 2 < sys.float_info.min:
+        raise ValueError(f"the tail envelope of the Gram matrix at max_n = {n_max} "
+                         f"leaves the float range")
+    return (0.0, *np.convolve(coeffs, coeffs).tolist())
 
 
 def gram_deviation(mat: np.ndarray) -> float:
@@ -625,7 +638,7 @@ def moment(n: int) -> MomentResult:
         closed = Fraction(0)
     else:
         closed = zeta_even(n + 1) * Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
-    truncation = make_quad_config(n, abs_tol=1e-10, rate=1.0, coeff_norm=1.0)
+    truncation = make_quad_config((0.0,) * n + (1.0,), abs_tol=1e-10, rate=1.0)
     limit = 1.0 if n == 1 else 0.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -691,7 +704,7 @@ def ft_numeric_grid(n: int, ss: Sequence[float]) -> list[float]:
     if n < 0:
         raise ValueError("index must be non-negative")
     norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
-    pts, allw = _panel_points(make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm))
+    pts, allw = _panel_points(make_quad_config((0.0,) * (n + 1) + (norm,), abs_tol=1e-9))
     trig = np.cos if n % 2 == 0 else np.sin
     sign = (-1) ** (n // 2)
     # s * t overflows for huge |s|; _panel_sum rejects the non-finite values

@@ -38,11 +38,12 @@ _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ra
 # 0.04 s (0.20 s at a point on the EVAL_DIGITS bound); series --order 500 takes
 # 4.6-5.0 s for phi-monic, phi and g, the slowest kinds; verify --suite exact --max-n 240
 # takes 5.4 s and peaks at 44 MB, where the convolution and lowering checks follow from
-# the derivative expansion (numeric and all refuse from 103 at once).
-# quad and ft refuse every size from 103 and from 121, in 0.10 s at
-# their ceilings, where quad --max-n 1000 took 3.1 s to get there and ft --n 3000000
-# ran past 30 s inside math.factorial; the ceilings leave the refusal messages of
-# sizes up to 150 and 170 as they were.
+# the derivative expansion (numeric and all refuse from 114 at once).
+# quad refuses every size from 114, where the tail envelope of its Gram matrix leaves
+# the float range, and ft every size from 121, in 0.15 s at their ceilings, where
+# quad --max-n 1000 took 3.1 s to get there and ft --n 3000000 ran past 30 s inside
+# math.factorial; the ceilings leave the refusal messages of sizes up to 150 and 170
+# as they were.
 ZEROS_CEILING = 2000
 TABLE_CEILING = 500
 SERIES_CEILING = 500

@@ -17,8 +17,8 @@ import pytest
 from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
                              gram_deviation, integrate, make_quad_config, member_values,
                              moment, orthogonality_matrix, zeros, zeros_range, _bracket,
-                             _coeff_norm, _ft_sinh_form, _gamma_tail, _panel_points,
-                             _unit_panel, _weight_array)
+                             _coeff_norm, _ft_sinh_form, _gram_envelope, _panel_points,
+                             _tail_sum, _unit_panel, _weight_array)
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -383,56 +383,58 @@ def test_weight_array_overflow_is_silent():
         assert _weight_array(np.array([250.0]))[0] == 0.0
 
 
+def _monomial(degree, coeff=1.0):
+    """The tail envelope of coeff * t^degree."""
+    return (0.0,) * degree + (coeff,)
+
+
 def test_weight_total_mass():
-    cfg = make_quad_config(2, abs_tol=1e-11)
+    cfg = make_quad_config(_monomial(2), abs_tol=1e-11)
     total = integrate(_weight_array, cfg)
     assert total == pytest.approx(0.5, abs=1e-10)
 
 
 def test_make_quad_config_grows_with_degree():
-    small = make_quad_config(1)
-    large = make_quad_config(25)
+    small = make_quad_config(_monomial(1))
+    large = make_quad_config(_monomial(25))
     assert large >= small
     assert small >= 4.0
+    for envelope in ((), (1.0, -1.0), (0.0, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="invalid quadrature envelope"):
+            make_quad_config(envelope)
     with pytest.raises(ValueError):
-        make_quad_config(-1)
-    with pytest.raises(ValueError):
-        make_quad_config(2, abs_tol=0.0)
+        make_quad_config(_monomial(2), abs_tol=0.0)
 
 
-def _scanned_truncation(max_degree, abs_tol, rate, coeff_norm):
+def _scanned_truncation(envelope, abs_tol, rate):
     """Reference: the first T = 4, 5, ..., 399 whose tail bound clears abs_tol/2."""
     for upper in range(4, 400):
-        envelope = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
-        tail = 2.0 * coeff_norm * envelope * _gamma_tail(max_degree, rate, float(upper))
-        if tail < 0.5 * abs_tol:
+        sinh_bound = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
+        if 2.0 * sinh_bound * _tail_sum(envelope, rate, float(upper)) < 0.5 * abs_tol:
             return float(upper)
     return None
 
 
 def test_make_quad_config_equals_the_linear_scan():
-    # every parameter set the package reaches: moments, quad (Gram norm squared), ft
-    cases = [(n, 1e-10, 1.0, 1.0) for n in range(1, 62)]
-    phi = generate(SeqKind.PHI, 80)
-    for n in range(81):
-        norm = max(_coeff_norm(p) for p in phi[: n + 1])
-        cases.append((2 * n + 1, 1e-10, math.pi, norm * norm))
-    monic = generate(SeqKind.PHI_MONIC, 39)
-    cases += [(n + 1, 1e-9, math.pi, _coeff_norm(monic[n])) for n in range(40)]
+    # every parameter set the package reaches: moments, quad (the Gram envelope), ft
+    cases = [(_monomial(n), 1e-10, 1.0) for n in range(1, 63)]
+    cases += [(_gram_envelope(n), 1e-10, math.pi) for n in range(114)]
+    monic = generate(SeqKind.PHI_MONIC, 120)
+    cases += [(_monomial(n + 1, _coeff_norm(monic[n])), 1e-9, math.pi) for n in range(121)]
     # the two ends of the range: T = 4, and a bound that clears at 399 but not at 398
-    cases += [(0, 1.0, math.pi, 1.0), (300, 1e-10, math.pi, 3.7e-247)]
+    cases += [((1.0,), 1.0, math.pi), (_monomial(300, 3.7e-247), 1e-10, math.pi)]
     for case in cases:
         assert make_quad_config(*case) == _scanned_truncation(*case), case
-    assert make_quad_config(0, 1.0) == 4.0
-    assert make_quad_config(300, coeff_norm=3.7e-247) == 399.0
+    assert make_quad_config((1.0,), 1.0) == 4.0
+    assert make_quad_config(_monomial(300, 3.7e-247)) == 399.0
     # T = 399 fails, so every smaller T does too
-    assert _scanned_truncation(250, 1e-10, math.pi, 1.0) is None
+    assert _scanned_truncation(_monomial(250), 1e-10, math.pi) is None
     with pytest.raises(ValueError, match="no truncation below 400"):
-        make_quad_config(250)
+        make_quad_config(_monomial(250))
 
 
 def test_integrate_rejects_non_finite_integrand():
-    cfg = make_quad_config(2)
+    cfg = make_quad_config(_monomial(2))
     with pytest.raises(ValueError):
         integrate(lambda t: np.full_like(t, np.inf), cfg)
 
@@ -491,8 +493,8 @@ def test_a_second_gram_matrix_or_zero_set_does_no_work(monkeypatch):
         gram[0, 0] = 1.0
     # a refused size raises every time, and nothing is kept for it
     for _ in range(2):
-        with pytest.raises(ValueError, match="no truncation below 400"):
-            orthogonality_matrix(103)
+        with pytest.raises(ValueError, match="at max_n = 114 leaves the float range"):
+            orthogonality_matrix(114)
     assert analysis._gram.cache_info().currsize == 1
     # every tol is a key of its own, and the zero sets kept are bounded
     for k in range(analysis._ZEROS_KEPT + 8):
@@ -500,18 +502,20 @@ def test_a_second_gram_matrix_or_zero_set_does_no_work(monkeypatch):
     assert analysis._zeros.cache_info().currsize == analysis._ZEROS_KEPT
 
 
-# The truncation T the tail bound picks for every size served: quad --max-n 0..102,
+# The truncation T the tail bound picks for every size served: quad --max-n 0..113,
 # ft --n 0..120 and moments n = 1..62 (quad and ft refuse the next size, moments from 63).
 # Frozen: neither evaluating members by their recurrence, which must not move the
-# coefficient norm the bound reads, nor the tail sum's table of log k! moves one.
+# coefficients the envelopes read, nor the order of the tail sum moves one.  The ft and
+# moments envelopes have one term each, and their lists equal those of the direct sum of
+# the one tail integral by log k!.
 FROZEN_TRUNCATIONS = {
-    "quad": [9, 11, 13, 15, 17, 19, 21, 24, 26, 29, 32, 34, 37, 40, 43, 46, 50, 53, 56, 59,
-        63, 66, 69, 73, 76, 80, 83, 87, 90, 94, 97, 101, 105, 108, 112, 116, 120, 124, 127,
-        131, 135, 139, 143, 147, 151, 155, 159, 162, 166, 170, 174, 179, 183, 187, 191, 195,
-        199, 203, 207, 211, 215, 220, 224, 228, 232, 236, 241, 245, 249, 253, 258, 262, 266,
-        271, 275, 279, 284, 288, 292, 297, 301,
-        305, 310, 314, 319, 323, 327, 332, 336, 341, 345, 350, 354, 359, 363,
-        368, 372, 377, 381, 386, 390, 395, 399],
+    "quad": [9, 11, 12, 14, 15, 16, 18, 19, 20, 22, 23, 24, 26, 27, 28, 29, 31, 32, 33, 34,
+        36, 37, 38, 39, 41, 42, 43, 44, 45, 47, 48, 49, 50, 52, 53, 54, 55, 57, 58, 59, 60,
+        62, 63, 64, 65, 66, 68, 69, 70, 71, 73, 74, 75, 76, 78, 79, 80, 81, 83, 84, 85, 86,
+        88, 89, 90, 91, 92, 94, 95, 96, 97, 99, 100, 101, 102, 104, 105, 106, 107, 109,
+        110, 111, 112, 114, 115, 116, 117, 119, 120, 121, 122, 123, 125, 126, 127, 128,
+        130, 131, 132, 133, 135, 136, 137, 138, 140, 141, 142, 143, 145, 146, 147, 148,
+        150, 151],
     "ft": [8, 9, 10, 11, 12, 13, 15, 16, 18, 20, 21, 23, 25, 27, 29, 31, 34, 36, 38, 40, 42,
         45, 47, 50, 52,
         54, 57, 59, 62, 65, 67, 70, 72, 75, 78, 80, 83, 86, 89, 91, 94, 97, 100,
@@ -543,7 +547,7 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
         return info.value.args[0]
 
     monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
-    assert [truncation(orthogonality_matrix, n) for n in range(103)] == FROZEN_TRUNCATIONS["quad"]
+    assert [truncation(orthogonality_matrix, n) for n in range(114)] == FROZEN_TRUNCATIONS["quad"]
     assert [truncation(ft_numeric, n, 1.0) for n in range(121)] == FROZEN_TRUNCATIONS["ft"]
     assert [truncation(moment, n) for n in range(1, 63)] == FROZEN_TRUNCATIONS["moments"]
 
@@ -571,24 +575,43 @@ def test_member_values_are_the_expression_form_bit_for_bit():
         assert member_values(kind, 80, t).tobytes() == expected[1:].tobytes(), kind
 
 
+def _gram_at(n, truncation):
+    """Reference: the Gram matrix to size n over [-T, T], T = truncation, summed row by row
+    in blocks of 2048 nodes, the lower triangle mirrored."""
+    pts, allw = _panel_points(truncation)
+    wts = allw * _weight_array(pts)
+    out = np.zeros((n + 1, n + 1))
+    for lo in range(0, pts.size, 2048):
+        block = slice(lo, lo + 2048)
+        phi = member_values(SeqKind.PHI, n, pts[block])
+        for i in range(n + 1):
+            out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
+    upper = np.triu_indices(n + 1, 1)
+    out[upper] = out.T[upper]
+    return out
+
+
 def test_gram_matrix_is_the_per_row_weighted_sum_bit_for_bit():
-    for n in (0, 12, 61, 80):
-        norm = max(_coeff_norm(p) for p in generate(SeqKind.PHI, n))
-        pts, allw = _panel_points(make_quad_config(2 * n + 1, abs_tol=1e-10,
-                                                   coeff_norm=norm * norm))
-        wts = allw * _weight_array(pts)
-        expected = np.zeros((n + 1, n + 1))
-        for lo in range(0, pts.size, 2048):
-            live = np.flatnonzero(wts[lo:lo + 2048])
-            if live.size:
-                block = slice(lo + live[0], lo + live[-1] + 1)
-                phi = member_values(SeqKind.PHI, n, pts[block])
-                for i in range(n + 1):
-                    weighted = phi[i] * wts[block]
-                    expected[i, : i + 1] += np.einsum("k,jk->j", weighted, phi[: i + 1])
-        upper = np.triu_indices(n + 1, 1)
-        expected[upper] = expected.T[upper]
+    for n in (0, 12, 61, 80, 113):
+        expected = _gram_at(n, make_quad_config(_gram_envelope(n), abs_tol=1e-10))
         assert orthogonality_matrix(n).tobytes() == expected.tobytes(), n
+
+
+def _one_norm_truncation(n):
+    """The Gram truncation of the envelope that puts the whole coefficient 1-norm squared at
+    the top degree, |p_i p_j t| <= max_i ||c_i||_1^2 t^(2n+1) for t >= 1."""
+    norm = max(_coeff_norm(p) for p in generate(SeqKind.PHI, n))
+    return make_quad_config(_monomial(2 * n + 1, norm * norm), abs_tol=1e-10)
+
+
+def test_the_term_by_term_truncation_keeps_the_gram_of_the_one_norm_truncation():
+    # the term-by-term envelope never asks for more panels than the 1-norm one ...
+    for n in range(103):
+        assert make_quad_config(_gram_envelope(n), abs_tol=1e-10) <= _one_norm_truncation(n), n
+    # ... and the fewer it asks for move the matrix by less than the 1e-10 tail bound
+    for n in (5, 12, 40, 80, 102):
+        moved = np.max(np.abs(orthogonality_matrix(n) - _gram_at(n, _one_norm_truncation(n))))
+        assert moved <= 5e-11, (n, moved)
 
 
 def test_jacobi_matrix_reads_the_monic_recurrence_bit_for_bit():
@@ -598,7 +621,7 @@ def test_jacobi_matrix_reads_the_monic_recurrence_bit_for_bit():
 
 def test_monic_norms():
     # h_n = integral of w p_n^2 = n! (n+1)! / 2^(2n+1) for the monic family
-    cfg = make_quad_config(7, abs_tol=1e-11, coeff_norm=30.0)
+    cfg = make_quad_config(_monomial(7, 30.0), abs_tol=1e-11)
     for n in range(4):
         val = integrate(lambda t: member_values(SeqKind.PHI_MONIC, 3, t)[n] ** 2
                         * _weight_array(t), cfg)
@@ -682,7 +705,7 @@ def _ft_numeric_one_at_a_time(n, s):
         return member_values(SeqKind.PHI_MONIC, n, t)[n] * _weight_array(t) * trig(s * t)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate(integrand, make_quad_config(n + 1, abs_tol=1e-9, coeff_norm=norm))
+        total = integrate(integrand, make_quad_config(_monomial(n + 1, norm), abs_tol=1e-9))
     return (-1) ** (n // 2) * total / math.sqrt(2.0 * math.pi)
 
 
@@ -757,11 +780,12 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
 
 
 def test_gamma_tail_overflow_is_an_unmet_bound():
-    assert _gamma_tail(301, math.pi, 4.0) == math.inf
+    assert _tail_sum(_monomial(301), math.pi, 4.0) == math.inf
 
 
 def _direct_gamma_tail(degree, rate, upper):
-    """Reference: the tail sum with every logarithm taken where its term needs it."""
+    """Reference: the tail integral of t^degree e^(-rate t) as the finite sum
+    (d!/r^(d+1)) e^(-rT) sum_{k<=d} (rT)^k/k!, every term taken in log space."""
     rt = rate * upper
     log_front = math.lgamma(degree + 1) - (degree + 1) * math.log(rate)
     total = 0.0
@@ -773,13 +797,20 @@ def _direct_gamma_tail(degree, rate, upper):
     return total
 
 
-def test_gamma_tail_is_the_direct_sum_bit_for_bit():
-    # degrees falling and rising, so the table of log k! is read before and after it grows
-    for degree in (61, 0, 1, 205, 20, 121, 301):
+def test_tail_sum_is_the_direct_sum_to_rounding():
+    for degree in (61, 0, 1, 205, 20, 121, 227, 301):
         for rate in (1.0, math.pi):
             for upper in (4.0, 10.0, 50.0, 150.0, 399.0):
                 expected = _direct_gamma_tail(degree, rate, upper)
-                assert _gamma_tail(degree, rate, upper) == expected, (degree, rate, upper)
+                got = _tail_sum(_monomial(degree, 3.5), rate, upper)
+                assert got == pytest.approx(3.5 * expected, rel=1e-12, abs=0.0), \
+                    (degree, rate, upper)
+    # a whole envelope is its terms' sum, the zero terms skipped
+    for n, upper in ((12, 26.0), (80, 110.0), (113, 151.0)):
+        envelope = _gram_envelope(n)
+        expected = math.fsum(e * _direct_gamma_tail(m, math.pi, upper)
+                             for m, e in enumerate(envelope) if e)
+        assert _tail_sum(envelope, math.pi, upper) == pytest.approx(expected, rel=1e-12), n
 
 
 def test_ft_closed_past_the_float_range():

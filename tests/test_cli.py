@@ -461,18 +461,20 @@ def test_verify_and_audit_in_one_process_print_the_bytes_of_fresh_processes():
     assert one == fresh
 
 
-# sha256 of quad stdout where sinh(pi t) overflows and nodes of weight 0 are skipped,
-# as the sums over every node printed it (numpy 2.4, x86-64).  Kept, never updated: a
-# build whose sums round otherwise leaves the skip out.
+# sha256 of quad stdout at the term-by-term truncation (numpy 2.4, x86-64), up to the
+# largest size served.  The weight calls np.sinh, whose last bits depend on the SIMD code
+# numpy dispatches: these digests were taken where it runs its AVX-512 code, and a CPU
+# without AVX-512 (glibc's sinh) prints other bytes, until the weight stops calling it.
 _QUAD_SHA256 = {
-    63: "ef83ae7adb7bcaa77f4cc4403a8581908abdccf6dc00ecb0b86d4c76c113a3f4",
-    80: "9bafa9183459355ab27ee3c7d2961a2b509fa124cfae4eabfa4da0ec665c71ca",
-    102: "2897783849453435446c364b4bbd11d9df219d8118a2963cc13ff44b2114c1a5",
+    63: "91bcfe3de10df3cee8e3d1e178b11adb7e97a449dcd9e244e2b00b22d0507f5a",
+    80: "429bae5778df85d4ed6f0c81ddcd9c7c003986fc03998aea06cce9d1d2897964",
+    102: "7ce8ba410e9607718322730948c7aebd50a2502d3485d90ae16d1216213b3c7d",
+    113: "84f74df683fbf4b5b013df7ac55cc096f73732cf98e7391ca27b63e8317b66f2",
 }
 
 
 @pytest.mark.parametrize("n", sorted(_QUAD_SHA256))
-def test_quad_bytes_past_the_weight_underflow_are_pinned(capsys, n):
+def test_quad_bytes_are_pinned(capsys, n):
     code, out, _ = run_cli(capsys, "quad", "--max-n", str(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _QUAD_SHA256[n]
@@ -877,12 +879,13 @@ def test_sizes_above_their_ceiling_exit_2_before_any_work(capsys):
 
 def test_quad_and_ft_ceilings_cut_only_sizes_refused_anyway(capsys):
     from mlpoly.cli import FT_CEILING, QUAD_CEILING
-    # quad serves --max-n 102 and refuses every size from 103; ft serves --n 120 and
-    # refuses from 121, whatever s is (its quadrature truncation does not depend on s)
-    assert run_cli(capsys, "quad", "--max-n", "102")[0] == 0
-    for n in (103, QUAD_CEILING):
+    # quad serves --max-n 113 and refuses every size from 114, where its tail envelope
+    # leaves the float range; ft serves --n 120 and refuses from 121, whatever s is (its
+    # quadrature truncation does not depend on s)
+    assert run_cli(capsys, "quad", "--max-n", "113")[0] == 0
+    for n in (114, QUAD_CEILING):
         code, out, err = run_cli(capsys, "quad", "--max-n", str(n))
-        assert _one_line_error(code, out, err) and "no truncation below 400" in err, n
+        assert _one_line_error(code, out, err) and "leaves the float range" in err, n
     for s in ("1", "0", "30"):
         assert run_cli(capsys, "ft", "--n", "120", "--s", s)[0] == 0, s
         for n in (121, FT_CEILING):
@@ -935,7 +938,8 @@ def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):
 def test_quad_past_every_truncation_exits_2(capsys):
     code, out, err = run_cli(capsys, "quad", "--max-n", "150")
     assert _one_line_error(code, out, err)
-    assert "no truncation below 400 satisfies the tail bound" in err
+    assert err == ("mlpoly: error: the tail envelope of the Gram matrix at max_n = 150 "
+                   "leaves the float range\n")
 
 
 def test_ft_beyond_the_float_range_exits_2(capsys):

@@ -86,7 +86,7 @@ def test_all_refuses_a_size_past_the_quadrature_before_any_exact_step(monkeypatc
         return original(n_max)
 
     monkeypatch.setattr(suite, "difference_relation_checks", counted)
-    with pytest.raises(ValueError, match="no truncation below 400"):
+    with pytest.raises(ValueError, match="the tail envelope of the Gram matrix"):
         suite.run_suite("all", 140)
     assert calls == Counter({("orthogonality_matrix", 140): 1})
 
