@@ -456,8 +456,15 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-def _tail_sum(envelope: Sequence[float], rate: float, upper: float) -> float:
-    """Sum over m of e_m times the integral of t^m e^(-rate t) over [upper, infinity).
+def _log_envelope(envelope: Sequence[float]) -> tuple[float | None, ...]:
+    """log e_m for each term of an envelope, None where e_m = 0: what _tail_sum reads, taken
+    once for every truncation tried."""
+    return tuple(math.log(e) if e else None for e in envelope)
+
+
+def _tail_sum(log_envelope: Sequence[float | None], rate: float, upper: float) -> float:
+    """Sum over m of e_m times the integral of t^m e^(-rate t) over [upper, infinity), given
+    log e_m (None for a zero term, which is skipped) as _log_envelope gives them.
 
     With T = upper and r = rate, the m-th integral is I_m = J_m T^m e^(-rT), where
     J_0 = 1/r and J_m = (1 + m J_(m-1)/T)/r (by parts), so the sum takes O(len(envelope))
@@ -468,11 +475,11 @@ def _tail_sum(envelope: Sequence[float], rate: float, upper: float) -> float:
     log_upper, rt = math.log(upper), rate * upper
     j, total = 1.0 / rate, 0.0
     try:
-        for m, e in enumerate(envelope):
+        for m, log_e in enumerate(log_envelope):
             if m:
                 j = (1.0 + m * j / upper) / rate
-            if e:
-                total += math.exp(math.log(e) + math.log(j) + m * log_upper - rt)
+            if log_e is not None:
+                total += math.exp(log_e + math.log(j) + m * log_upper - rt)
     except OverflowError:
         return math.inf
     return total
@@ -497,10 +504,11 @@ def make_quad_config(envelope: tuple[float, ...], abs_tol: float = 1e-10,
     """
     if abs_tol <= 0 or rate <= 0 or not envelope or not all(0 <= e < math.inf for e in envelope):
         raise ValueError("invalid quadrature envelope parameters")
+    log_envelope = _log_envelope(envelope)
 
     def clears(upper: int) -> bool:
         sinh_bound = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
-        return 2.0 * sinh_bound * _tail_sum(envelope, rate, float(upper)) < 0.5 * abs_tol
+        return 2.0 * sinh_bound * _tail_sum(log_envelope, rate, float(upper)) < 0.5 * abs_tol
 
     lo, hi = 4, 399
     if not clears(hi):
@@ -571,10 +579,24 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     gets its own.
 
     The key is (entry, n_max) only, so a kept matrix does not see code of this module
-    replaced at run time (the weight, say); tests that replace it clear the memo."""
+    replaced at run time (the weight, say); tests that replace it clear the memo.
+
+    Where the entry's d vanishes at 0 .. n_max - 1, the indices p_0 .. p_n_max read, each
+    member has the parity p_i(-t) = (-1)^i p_i(t), bit for bit in floats too: member_values
+    then computes (a t + 0) p_n + b p_(n-1), and IEEE negation is exact.  The weight is
+    even, the panel nodes are exactly antisymmetric and their weights exactly symmetric, so
+    the rule's sum is exactly 0 for i + j odd and exactly twice the sum over the nodes t > 0
+    for i + j even (Gautschi 2004, on symmetric weight functions).  There, only the even
+    pairs are summed, over the second half of the nodes with doubled weights, and the odd
+    entries stay 0.0: that they vanish is phi-parity's exact proof, not the quadrature's.
+    An entry with a d term (a fault row) is summed over both halves, every pair."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
     pts, allw = _panel_points(make_quad_config(_gram_envelope(n_max), abs_tol=1e-10))
+    stride = 1
+    if not any(entry.d.terms(n_max)[0]):
+        half, stride = pts.size // 2, 2
+        pts, allw = pts[half:], 2.0 * allw[half:]
     wts = allw * _weight_array(pts)
     out = np.zeros((n_max + 1, n_max + 1))
     # blocks of at most 2048 nodes keep the member values held at once small (1.3 MB at
@@ -583,7 +605,8 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
         block = slice(lo, lo + 2048)
         phi = member_values(SeqKind.PHI, n_max, pts[block])
         for i in range(n_max + 1):
-            out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
+            pairs = slice(i % stride, i + 1, stride)  # j <= i, and j = i mod 2 under parity
+            out[i, pairs] += np.einsum("k,jk->j", phi[i] * wts[block], phi[pairs])
     upper = np.triu_indices(n_max + 1, 1)
     out[upper] = out.T[upper]
     out.setflags(write=False)  # the cache hands the same array to every caller

@@ -247,7 +247,13 @@ def convolution_check(n_max: int, premise: int = 0) -> CheckReport:
 
 def egf_pde_residual(order: int) -> tuple[Poly, ...]:
     """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero.
-    Inside a run, the series is a truncation of the one the run keeps."""
+    Inside a run, the series is a truncation of the one the run keeps.
+
+    The series is exp(x u(t)) / (1 + t^2/4), u = 2 arctan(t/2), and G G_xx - G_x^2
+    vanishes for every G = f(t) e^(x u(t)), whatever the series f and u (see
+    _pde_residual).  So no fault in the data reaches this report, neither in RECURRENCES,
+    which the series does not read, nor in the coefficients of u or f: only a bug in
+    series_exp, in the division by 1 + t^2/4 or in the residual itself can fail it."""
     if order < 2:
         raise ValueError("order must be at least 2")
     return _pde_residual(generating_series(SeqKind.PHI_MONIC, order), 0)

@@ -17,8 +17,8 @@ import pytest
 from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
                              gram_deviation, integrate, make_quad_config, member_values,
                              moment, orthogonality_matrix, zeros, zeros_range, _bracket,
-                             _coeff_norm, _ft_sinh_form, _gram_envelope, _panel_points,
-                             _tail_sum, _unit_panel, _weight_array)
+                             _coeff_norm, _ft_sinh_form, _gram_envelope, _log_envelope,
+                             _panel_points, _tail_sum, _unit_panel, _weight_array)
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -408,9 +408,10 @@ def test_make_quad_config_grows_with_degree():
 
 def _scanned_truncation(envelope, abs_tol, rate):
     """Reference: the first T = 4, 5, ..., 399 whose tail bound clears abs_tol/2."""
+    log_envelope = _log_envelope(envelope)
     for upper in range(4, 400):
         sinh_bound = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
-        if 2.0 * sinh_bound * _tail_sum(envelope, rate, float(upper)) < 0.5 * abs_tol:
+        if 2.0 * sinh_bound * _tail_sum(log_envelope, rate, float(upper)) < 0.5 * abs_tol:
             return float(upper)
     return None
 
@@ -591,10 +592,76 @@ def _gram_at(n, truncation):
     return out
 
 
+def _gram_half_at(n, truncation):
+    """Reference: the Gram matrix to size n from the nodes t > 0 of [-T, T], T = truncation,
+    each weight doubled, summed row by row over every pair j <= i in blocks of 2048 nodes;
+    the pairs of odd i + j are then set to 0 and the lower triangle mirrored."""
+    pts, allw = _panel_points(truncation)
+    positive = pts > 0.0
+    pts, wts = pts[positive], 2.0 * (allw[positive] * _weight_array(pts[positive]))
+    out = np.zeros((n + 1, n + 1))
+    for lo in range(0, pts.size, 2048):
+        block = slice(lo, lo + 2048)
+        phi = member_values(SeqKind.PHI, n, pts[block])
+        for i in range(n + 1):
+            out[i, : i + 1] += np.einsum("k,jk->j", phi[i] * wts[block], phi[: i + 1])
+    i, j = np.indices(out.shape)
+    out[(i + j) % 2 == 1] = 0.0
+    upper = np.triu_indices(n + 1, 1)
+    out[upper] = out.T[upper]
+    return out
+
+
+def _gram_truncation(n):
+    return make_quad_config(_gram_envelope(n), abs_tol=1e-10)
+
+
 def test_gram_matrix_is_the_per_row_weighted_sum_bit_for_bit():
     for n in (0, 12, 61, 80, 113):
-        expected = _gram_at(n, make_quad_config(_gram_envelope(n), abs_tol=1e-10))
+        expected = _gram_half_at(n, _gram_truncation(n))
         assert orthogonality_matrix(n).tobytes() == expected.tobytes(), n
+
+
+def test_panel_nodes_are_antisymmetric_and_their_weights_symmetric():
+    # the premise of the half-line Gram sum: the node at -t is exactly -(the node at t),
+    # with the same weight, and no node sits at 0, so the second half holds the nodes t > 0
+    for truncation in range(4, 400):
+        pts, allw = _panel_points(float(truncation))
+        assert pts.size == 40 * truncation, truncation
+        assert pts[::-1].tobytes() == (-pts).tobytes(), truncation
+        assert allw[::-1].tobytes() == allw.tobytes(), truncation
+        assert pts[pts.size // 2] > 0.0, truncation
+
+
+def test_the_families_without_a_d_term_have_their_parity_bit_for_bit():
+    # with d = 0 each row is (a t + 0) p_n + b p_(n-1), and IEEE negation is exact
+    t = _panel_points(151.0)[0]  # the 6040 nodes of quad --max-n 113
+    signs = np.where(np.arange(114) % 2 == 0, 1.0, -1.0)[:, None]
+    for kind in (SeqKind.G, SeqKind.PHI, SeqKind.PHI_MONIC, SeqKind.G_MONIC):
+        assert not any(RECURRENCES[kind].d.terms(113)[0]), kind
+        expected = signs * member_values(kind, 113, t)
+        assert member_values(kind, 113, -t).tobytes() == expected.tobytes(), kind
+
+
+def test_the_half_line_gram_matrix_is_the_two_sided_sum_to_rounding():
+    # the odd pairs are exact zeros; the even pairs move by rounding only (8.9e-16 at most
+    # over n = 0..113 on x86-64 with AVX-512)
+    for n in range(114):
+        mat = orthogonality_matrix(n)
+        i, j = np.indices(mat.shape)
+        assert not mat[(i + j) % 2 == 1].any(), n
+        moved = np.max(np.abs(mat - _gram_at(n, _gram_truncation(n))))
+        assert moved <= 2e-15, (n, moved)
+
+
+def test_a_family_with_a_d_term_gets_the_two_sided_sum(perturb):
+    # a d term breaks the parity, so every pair is summed over both halves of [-T, T] ...
+    perturb(SeqKind.PHI, "d", 1, 3)
+    for n in (4, 12, 40):
+        expected = _gram_at(n, _gram_truncation(n))
+        assert orthogonality_matrix(n).tobytes() == expected.tobytes(), n
+    # ... from the first size whose members read it: p_0 .. p_3 do not read d(3)
+    assert orthogonality_matrix(3).tobytes() == _gram_half_at(3, _gram_truncation(3)).tobytes()
 
 
 def _one_norm_truncation(n):
@@ -607,7 +674,7 @@ def _one_norm_truncation(n):
 def test_the_term_by_term_truncation_keeps_the_gram_of_the_one_norm_truncation():
     # the term-by-term envelope never asks for more panels than the 1-norm one ...
     for n in range(103):
-        assert make_quad_config(_gram_envelope(n), abs_tol=1e-10) <= _one_norm_truncation(n), n
+        assert _gram_truncation(n) <= _one_norm_truncation(n), n
     # ... and the fewer it asks for move the matrix by less than the 1e-10 tail bound
     for n in (5, 12, 40, 80, 102):
         moved = np.max(np.abs(orthogonality_matrix(n) - _gram_at(n, _one_norm_truncation(n))))
@@ -780,7 +847,7 @@ def test_zeros_interlacing_violation_at_a_resolving_tol_stays_an_error(monkeypat
 
 
 def test_gamma_tail_overflow_is_an_unmet_bound():
-    assert _tail_sum(_monomial(301), math.pi, 4.0) == math.inf
+    assert _tail_sum(_log_envelope(_monomial(301)), math.pi, 4.0) == math.inf
 
 
 def _direct_gamma_tail(degree, rate, upper):
@@ -802,7 +869,7 @@ def test_tail_sum_is_the_direct_sum_to_rounding():
         for rate in (1.0, math.pi):
             for upper in (4.0, 10.0, 50.0, 150.0, 399.0):
                 expected = _direct_gamma_tail(degree, rate, upper)
-                got = _tail_sum(_monomial(degree, 3.5), rate, upper)
+                got = _tail_sum(_log_envelope(_monomial(degree, 3.5)), rate, upper)
                 assert got == pytest.approx(3.5 * expected, rel=1e-12, abs=0.0), \
                     (degree, rate, upper)
     # a whole envelope is its terms' sum, the zero terms skipped
@@ -810,7 +877,8 @@ def test_tail_sum_is_the_direct_sum_to_rounding():
         envelope = _gram_envelope(n)
         expected = math.fsum(e * _direct_gamma_tail(m, math.pi, upper)
                              for m, e in enumerate(envelope) if e)
-        assert _tail_sum(envelope, math.pi, upper) == pytest.approx(expected, rel=1e-12), n
+        got = _tail_sum(_log_envelope(envelope), math.pi, upper)
+        assert got == pytest.approx(expected, rel=1e-12), n
 
 
 def test_ft_closed_past_the_float_range():

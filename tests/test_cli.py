@@ -462,14 +462,15 @@ def test_verify_and_audit_in_one_process_print_the_bytes_of_fresh_processes():
 
 
 # sha256 of quad stdout at the term-by-term truncation (numpy 2.4, x86-64), up to the
-# largest size served.  The weight calls np.sinh, whose last bits depend on the SIMD code
-# numpy dispatches: these digests were taken where it runs its AVX-512 code, and a CPU
-# without AVX-512 (glibc's sinh) prints other bytes, until the weight stops calling it.
+# largest size served, from the half-line sum: the odd pairs print 0.0.  The weight calls
+# np.sinh, now on the nodes t > 0 only, and its last bits still set these digests: they
+# depend on the SIMD code numpy dispatches, and were taken where it runs its AVX-512 code;
+# a CPU without AVX-512 (glibc's sinh) prints other bytes, until the weight stops calling it.
 _QUAD_SHA256 = {
-    63: "91bcfe3de10df3cee8e3d1e178b11adb7e97a449dcd9e244e2b00b22d0507f5a",
-    80: "429bae5778df85d4ed6f0c81ddcd9c7c003986fc03998aea06cce9d1d2897964",
-    102: "7ce8ba410e9607718322730948c7aebd50a2502d3485d90ae16d1216213b3c7d",
-    113: "84f74df683fbf4b5b013df7ac55cc096f73732cf98e7391ca27b63e8317b66f2",
+    63: "52ff55565bc20346617ca368bc2fd96c908c27334ce40424b34f42d2086dc3ce",
+    80: "40a00ad97f8efdfc1b27721524d43549a76e8d895f7b5365034c76776042f02b",
+    102: "8c92c096439992e1454e6cd044e801091555579f10d65496539551e7cd1f92bf",
+    113: "1c7465d36f47333f196e52e8510ba02f3bd81c0f6f6679aee9d5c60e33cd6b02",
 }
 
 
