@@ -9,9 +9,12 @@ steps of i, so one residual per n decides all three.  The derivative expansion p
 G_x = theta G for the monic generating series G = sum_n p_n t^n/n!, theta = 2 arctan(t/2),
 as far as it holds, and the convolution identity and the lowering operator follow from
 that congruence, so one residual per n decides those three too, with the direct check
-run only past the first index where the expansion fails.  The direct convolution check
-and the series identity egf-pde compute one residual, G G_xx - G_x^2, each over its own
-route: the EGF of the recurrence table and the generating series.
+run only past the first index where the expansion fails.  Both premises of that
+implication, that theta and the lowering weights are the series they are named for, are
+decided by one check of f(0) = 0 and (1 + a t^2/4) f' = 1 + c f^2/4 on constant
+coefficients.  The direct convolution check and the series identity egf-pde compute one
+residual, G G_xx - G_x^2, each over its own route: the EGF of the recurrence table and the
+generating series.
 """
 
 from __future__ import annotations
@@ -93,41 +96,22 @@ def _expansion_residual(tab: Sequence[Poly], n: int, shift: int,
                     *((-coeff(n, k), tab[n - 2 * k]) for k in range(n // 2 + 1))])
 
 
-def _constants(series: Sequence[Poly]) -> tuple[list[int], int] | None:
-    """The coefficients of a series with constant coefficients as integers over one common
-    denominator, c_k = C_k / den; None when some coefficient depends on x."""
-    if any(c.degree > 0 for c in series):
-        return None
-    den = math.lcm(*(c.denominator for c in series))
-    return [c.numerators[0] * (den // c.denominator) if c.numerators else 0
-            for c in series], den
-
-
-def _solves_arctan_ode(theta: Sequence[Poly]) -> bool:
-    """theta(0) = 0 and (1 + t^2/4) theta' = 1 through the last coefficient of theta, so
-    that theta is 2 arctan(t/2) there; over integers, t^j of 4 den times the equation is
-    4 (j+1) T_(j+1) + (j-1) T_(j-1) = 4 den [j = 0]."""
-    ints = _constants(theta)
-    if ints is None:
+def _solves_series_ode(series: Sequence[Poly], a: int, c: int) -> bool:
+    """f(0) = 0 and (1 + a t^2/4) f' = 1 + c f^2/4 through the last coefficient of
+    f = sum_j series[j] t^j, each a constant: theta = 2 arctan(t/2) at (a, c) = (1, 0), the
+    weights 2 tan(t/2) at (0, 1).  f(0) = 0 and the equation fix each coefficient from those
+    before it, so only the equation's own series passes.  Over integers, f_j = F_j/den, t^j
+    of 4 den^2 times the equation is
+    4 den (j+1) F_(j+1) + a den (j-1) F_(j-1) = 4 den^2 [j = 0] + c sum_i F_i F_(j-i)."""
+    if any(p.degree > 0 for p in series):
         return False
-    ts, den = ints
-    return not ts[0] and all(
-        4 * (j + 1) * ts[j + 1] + (j - 1) * (ts[j - 1] if j else 0) == (4 * den if j == 0 else 0)
-        for j in range(len(ts) - 1))
-
-
-def _solves_tan_ode(weights: Sequence[Poly]) -> bool:
-    """f(0) = 0 and f' = 1 + f^2/4 through the last weight, f(u) = sum_k weights[k] u^k,
-    so that f is 2 tan(u/2) there; over integers, u^j of 4 den^2 times the equation is
-    4 den (j+1) W_(j+1) = 4 den^2 [j = 0] + sum_i W_i W_(j-i)."""
-    ints = _constants(weights)
-    if ints is None:
-        return False
-    ws, den = ints
-    return not ws[0] and all(
-        4 * den * (j + 1) * ws[j + 1]
-        == (4 * den * den if j == 0 else 0) + sum(ws[i] * ws[j - i] for i in range(j + 1))
-        for j in range(len(ws) - 1))
+    den = math.lcm(*(p.denominator for p in series))
+    fs = [p.numerators[0] * (den // p.denominator) if p.numerators else 0 for p in series]
+    return not fs[0] and all(
+        4 * den * (j + 1) * fs[j + 1] + (a * den * (j - 1) * fs[j - 1] if a and j else 0)
+        == (4 * den * den if j == 0 else 0)
+        + (c * sum(fs[i] * fs[j - i] for i in range(j + 1)) if c else 0)
+        for j in range(len(fs) - 1))
 
 
 def _monic_expansion(n_max: int) -> tuple[CheckReport, int]:
@@ -152,7 +136,7 @@ def _monic_expansion(n_max: int) -> tuple[CheckReport, int]:
     report = aggregate("derivative-expansion-monic", 0, n_max, holds.__getitem__,
                        "monic derivative expansion holds exactly")
     m = holds.index(False) if False in holds else n_max + 1
-    return report, m if tab[0].degree <= 0 and _solves_arctan_ode(series) else 0
+    return report, m if tab[0].degree <= 0 and _solves_series_ode(series, 1, 0) else 0
 
 
 def derivative_expansion_checks(n_max: int) -> list[CheckReport]:
@@ -308,7 +292,7 @@ def lowering_check(n_max: int, premise: int = 0) -> CheckReport:
     tab = generate(SeqKind.PHI_MONIC, n_max)
     # 2 tan(D/2) through D^n_max: the constant coefficients of the Bernoulli-built series
     weights = elementary("tan_half", n_max + 1)
-    implied = premise if premise and _solves_tan_ode(weights) else 0
+    implied = premise if premise and _solves_series_ode(weights, 0, 1) else 0
     return aggregate("lowering-operator", 1, n_max,
                      lambda n: n <= implied or _apply(tab[n], weights) == n * tab[n - 1],
                      f"2 tan(D/2) maps p_n to n p_(n-1) exactly for n <= {n_max}")

@@ -295,20 +295,22 @@ def test_the_series_equations_hold_for_their_own_series_only():
     # f' = 1 + f^2/4 for 2 tan(u/2), (1 + t^2/4) theta' = 1 for 2 arctan(t/2), both through
     # the last coefficient and from a zero constant term
     tan, arctan, artanh = (elementary(kind, 41) for kind in ("tan_half", "arctan_half", "artanh"))
-    assert identities._solves_tan_ode(tan) and identities._solves_arctan_ode(arctan)
-    assert not any(map(identities._solves_tan_ode, (arctan, artanh)))
-    assert not any(map(identities._solves_arctan_ode, (tan, artanh)))
+    solves_tan = functools.partial(identities._solves_series_ode, a=0, c=1)
+    solves_arctan = functools.partial(identities._solves_series_ode, a=1, c=0)
+    assert solves_tan(tan) and solves_arctan(arctan)
+    assert not any(map(solves_tan, (arctan, artanh)))
+    assert not any(map(solves_arctan, (tan, artanh)))
     for k in (0, 1, 2, 3, 5, 39, 40):
-        assert not identities._solves_tan_ode(_off(tan, k)), k
-        assert not identities._solves_arctan_ode(_off(arctan, k)), k
+        assert not solves_tan(_off(tan, k)), k
+        assert not solves_arctan(_off(arctan, k)), k
     # 2 tan(u/2 + arctan(1/2)) solves f' = 1 + f^2/4 from f(0) = 1; only the start rules it out
     shifted = [F(1)]
     for j in range(40):
         shifted.append((F(j == 0) + sum(shifted[i] * shifted[j - i] for i in range(j + 1)) / 4)
                        / (j + 1))
-    assert not identities._solves_tan_ode(tuple(Poly([c]) for c in shifted))
-    assert not identities._solves_tan_ode((*tan[:3], tan[3] + X, *tan[4:]))  # depends on x
-    assert not identities._solves_arctan_ode((*arctan[:3], arctan[3] + X, *arctan[4:]))
+    assert not solves_tan(tuple(Poly([c]) for c in shifted))
+    assert not solves_tan((*tan[:3], tan[3] + X, *tan[4:]))  # depends on x
+    assert not solves_arctan((*arctan[:3], arctan[3] + X, *arctan[4:]))
 
 
 def _broken(monkeypatch, kind, k):

@@ -18,9 +18,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import _Bumped
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlpoly import analysis, identities, sequences, suite
+from mlpoly import analysis, exactnum, identities, polyfps, sequences, suite
 from mlpoly.cli import main
+from mlpoly.polyfps import Poly, X
 from mlpoly.report import CheckStatus, aggregate
 from mlpoly.sequences import SeqKind
 
@@ -176,6 +180,25 @@ def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(pertu
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == _READS_TABLE[SeqKind.G]
 
 
+def _elementary_off(kind, k):
+    """polyfps.elementary with the t^k coefficient of the series kind off by 1/7."""
+    def broken(name, order, _original=polyfps.elementary):
+        series = _original(name, order)
+        return tuple(c + Poly([Fraction(1, 7)]) if name == kind and j == k else c
+                     for j, c in enumerate(series))
+    return broken
+
+
+def _zeta_even_off(n):
+    """exactnum.zeta_even with zeta(n)/pi^n off by a factor 1 + 1e-6."""
+    def broken(m):
+        return exactnum.zeta_even(m) * (Fraction(1000001, 1000000) if m == n else 1)
+    return broken
+
+
+# egf-pde is reached by no row: G G_xx - G_x^2 vanishes for every G = f(t) e^(x u(t)),
+# whatever the series f and u, so only a bug in series_exp, the division by 1 + t^2/4 or the
+# residual itself fails it (see egf_pde_residual)
 @pytest.mark.parametrize("piece, broken, failing", [
     # the scalar z^j of the hypergeometric sum, at z = 3 for 2, and the Meixner c: one route
     # of the G oracles each, so only their report fails
@@ -184,11 +207,36 @@ def test_a_recurrence_changed_after_the_oracle_memo_still_fails_its_routes(pertu
     # the 1/4 of the monic series' denominator 1 + t^2/4: the PHI_MONIC series route fails,
     # while G G_xx = (G_x)^2 holds for any denominator that does not depend on x
     ("_MONIC_DENOMINATOR_T2", Fraction(1, 3), {"phi-oracle-equivalence"}),
+    # the Meixner beta, 2 -> 3: the same route as c
+    ("_MEIXNER_BETA", Fraction(3), {"g-oracle-equivalence"}),
+    # cos(3 pi/2) + x sin(3 pi/2) = -x turned to x: the one residual of the three equations
+    ("_CYCLE", (*identities._CYCLE[:3], X),
+     {"ode-residual", "trig-operator-eigenrelation", "difference-relation-phi-monic-complex"}),
+    # a wrong theta fails the expansion and the PHI_MONIC series, and proves no premise, so
+    # the two identities it implies are checked directly and pass; wrong weights of 2 tan(D/2)
+    # fail their equation, so the operator is applied at every n
+    *(("elementary", _elementary_off(kind, k), failing) for kind, failing in (
+        ("arctan_half", {"derivative-expansion-monic", "phi-oracle-equivalence"}),
+        ("log_ratio", {"g-oracle-equivalence", "g-monic-oracle-equivalence",
+                       "pidduck-oracle-equivalence"}),
+        ("tan_half", {"lowering-operator"})) for k in (3, 5)),
+    ("zeta_even", _zeta_even_off(6), {"zeta-moments"}),
+    ("_ZERO_REFS", {**suite._ZERO_REFS, 5: 2.950}, {"zeros-reference"}),
+    # one weight of the panel rule: every quadrature against its closed form
+    ("_HALF_WEIGHTS", (analysis._HALF_WEIGHTS[0] * (1 + 1e-6), *analysis._HALF_WEIGHTS[1:]),
+     {"orthogonality-matrix", "zeta-moments", "fourier-closed-vs-quadrature"}),
 ])
 def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
         monkeypatch, piece, broken, failing):
-    monkeypatch.setattr(sequences, piece, broken)
-    status = {r.identity: r.status for r in suite.run_suite("exact", 8)}
+    # every module that holds the name, by definition or by import; the panel rule is kept
+    # for the process, and fresh_memos does not clear it, so it is cleared on both sides
+    for module in (m for m in (sequences, identities, analysis, suite) if hasattr(m, piece)):
+        monkeypatch.setattr(module, piece, broken)
+    analysis._unit_panel.cache_clear()
+    try:
+        status = {r.identity: r.status for r in suite.run_suite("all", 8)}
+    finally:
+        analysis._unit_panel.cache_clear()
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
 
 
@@ -320,6 +368,23 @@ def test_the_implied_verdicts_equal_the_direct_checks(monkeypatch, perturb):
     assert implied_to[SeqKind.PHI_MONIC, "a", 0] == 0  # fails at 0: every n direct
     assert implied_to[SeqKind.PHI_MONIC, "b", 3] == 3
     assert {m for (kind, *_), m in implied_to.items() if kind is not SeqKind.PHI_MONIC} == {9}
+
+
+@given(st.sampled_from(list(sequences.RECURRENCES)), st.sampled_from(["p0", "a", "b", "d"]),
+       st.integers(0, 12), st.fractions(-2, 2, max_denominator=9).filter(bool),
+       st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_a_drawn_fault_leaves_the_implied_verdicts_equal_to_the_direct_checks(
+        kind, field, at, by, max_n):
+    # the invariant the fault matrix pins row by row, over drawn rows; fixtures are not reset
+    # between examples, so each example patches RECURRENCES in a context of its own
+    rec = sequences.RECURRENCES[kind]
+    entry = (rec._replace(p0=rec.p0 + by) if field == "p0"
+             else rec._replace(**{field: _Bumped(getattr(rec, field), by, at)}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sequences.RECURRENCES, kind, entry)
+        assert identities.derivative_expansion_checks(max_n)[1:] == [
+            identities.convolution_check(max_n), identities.lowering_check(max_n)]
 
 
 def test_aggregate_keeps_the_pass_note_and_lists_every_failing_index():
