@@ -36,7 +36,6 @@ __all__ = [
     "zeros_range",
     "member_values",
     "make_quad_config",
-    "integrate",
     "orthogonality_matrix",
     "gram_deviation",
     "moment",
@@ -91,14 +90,14 @@ class _SturmLanes:
 
     Inside a block the pivots are computed unguarded, -x - b_j^2/d (one divide,
     one subtract), and the whole block is checked once afterwards: if its smallest
-    |d| is below the largest pivmin of its lanes, the block is rerun with the
-    guard, from the same carried pivot, before its negative pivots are counted.
-    Where no guard fires, an unguarded pivot is the guarded one, and a block in
-    which one may fire is recomputed by the guarded loop, so no bit changes (the
-    check is conservative: a rerun that no lane needed is only slower).  No NaN
-    can arise on the way: a pivot of exactly 0 gives b_j^2/0 = inf, then -inf,
-    then -x, and the 0 is caught by the check (b_j^2 = 0 only at pivot 0, whose
-    divisor is 1.0).
+    |d| is below the largest pivmin of its lanes, each lane with a pivot below its own
+    pivmin is rerun with the guard, in Python floats (IEEE divide and subtract, as
+    numpy's) from its carried pivot, before the block's negative pivots are counted.
+    Up to a lane's first guard its unguarded pivots are its guarded ones, so a lane
+    where no guard fires keeps them and one where a guard may fire is recomputed, and
+    no bit changes.  No NaN can arise on the way: a pivot of exactly 0 gives b_j^2/0 =
+    inf, then -inf, then -x, and the 0 is caught by the check (b_j^2 = 0 only at pivot
+    0, whose divisor is 1.0); a guarded pivot is never 0, so the rerun divides by none.
     """
 
     def __init__(self, off: np.ndarray, size: np.ndarray, rank: np.ndarray):
@@ -109,18 +108,16 @@ class _SturmLanes:
         off_sq = off * off
         # off_sq rises with k, so the largest entry of size n is its last, off_sq[n - 2]
         pivmin = np.maximum(1e-290, 2.3e-16 * np.r_[1.0, off_sq][size - 1])
-        neg_pivmin = -pivmin
         self._neg_x, buf = np.empty(lanes), np.empty(lanes)
         self._count = np.empty(lanes, dtype=np.int64)
         # row 0 of piv holds the pivot before the block, rows 1.. the block's own pivots
         self._piv = piv = np.empty((_PIVOT_BLOCK + 1, lanes))
         mag = np.empty((_PIVOT_BLOCK, lanes))  # |pivot| of a block, for its one guard check
-        guard = np.empty(lanes, dtype=bool)
         # summed through a uint8 view: a bool column sum would cast every entry to int64
         neg = np.empty((_PIVOT_BLOCK, lanes), dtype=bool)
         tally = np.empty(lanes, dtype=np.uint8)  # at most _PIVOT_BLOCK negative pivots
         # pivot j serves the lanes of size >= j + 1, a prefix; pivot 0 is -x alone (b_0 = 0)
-        bsqs = [0.0, *off_sq] if lanes else []  # sizes [1] alone have no lane
+        bsqs = [0.0, *off_sq.tolist()] if lanes else []  # sizes [1] alone have no lane
         # the lane sizes fall, so the lanes of size >= j + 1 end where -size passes -(j + 1)
         widths = np.searchsorted(-size, -np.arange(1, len(bsqs) + 1), side="right").tolist()
         # one view per (line, width), shared by every pivot that reads that prefix: line 0
@@ -133,8 +130,7 @@ class _SturmLanes:
                 view = prefixes[line, width] = lines[line][:width]
             return view
 
-        self._guard_rows = (pivmin, neg_pivmin, guard)
-        self._guarded: dict[int, list] = {}  # a block's guarded pivots, built at its first guard
+        self._pivmin = pivmin.tolist()  # each lane's, for its guarded rerun
         self._blocks = []
         for first in range(0, len(bsqs), _PIVOT_BLOCK):
             js = range(first, min(first + _PIVOT_BLOCK, len(bsqs)))
@@ -144,9 +140,9 @@ class _SturmLanes:
                 w = widths[j]
                 bare.append((bsqs[j], prefix(0, w), prefix(2 + r, w), prefix(3 + r, w),
                              prefix(1, w)))
-            self._blocks.append((piv[1:rows + 1, narrow:wide], first, bare,
+            self._blocks.append((piv[1:rows + 1, narrow:wide], bare,
                                  piv[1:rows + 1, :wide], mag[:rows, :wide],
-                                 float(pivmin[:wide].max()), neg[:rows, :wide],
+                                 float(pivmin[:wide].max()), pivmin[:wide], neg[:rows, :wide],
                                  neg[:rows, :wide].view(np.uint8), tally[:wide],
                                  self._count[:wide], piv[0, :narrow], piv[rows, :narrow]))
 
@@ -157,34 +153,32 @@ class _SturmLanes:
         self._piv[0].fill(1.0)  # pivot 0 is -x - 0/1 = -x exactly
         self._count.fill(0)
         with np.errstate(divide="ignore", over="ignore"):  # unguarded pivots may reach +-inf
-            for (ended, first, bare, block, mags, pmin, negs, negs_u8, tal, cnt, carry,
+            for (ended, bare, block, mags, pmin, lane_pmin, negs, negs_u8, tal, cnt, carry,
                  last) in self._blocks:
                 ended.fill(1.0)  # rows past a lane's size may hold an earlier block's pivots
                 for bsq, nx, prev, dj, bj in bare:
                     np.divide(bsq, prev, out=bj)
                     np.subtract(nx, bj, out=dj)
                 np.abs(block, out=mags)
-                if mags.min() < pmin:  # a guard may fire: redo the block with it
-                    for bsq, nx, prev, dj, bj, pj, npj, gj in self._guarded_pivots(first, bare):
-                        np.divide(bsq, prev, out=bj)
-                        np.subtract(nx, bj, out=dj)
-                        np.abs(dj, out=bj)
-                        np.less(bj, pj, out=gj)
-                        np.copyto(dj, npj, where=gj)
+                if mags.min() < pmin:  # a guard may fire: rerun the lanes where it may
+                    for lane in np.flatnonzero((mags < lane_pmin).any(axis=0)).tolist():
+                        self._guarded_lane(bare, lane)
                 np.less(block, 0.0, out=negs)
                 np.add.reduce(negs_u8, axis=0, dtype=np.uint8, out=tal)
                 np.add(cnt, tal, out=cnt)
                 np.copyto(carry, last)
         return self._count
 
-    def _guarded_pivots(self, first: int, bare: list) -> list:
-        """The pivots of the block from pivot first, each with the 3 guard views of its
-        lanes (pivmin, -pivmin and the guard mask), built the first time its guard fires."""
-        pivots = self._guarded.get(first)
-        if pivots is None:  # a pivot's lanes are as many as its -x view has entries
-            pivots = self._guarded[first] = [(*p, *(a[:p[1].size] for a in self._guard_rows))
-                                              for p in bare]
-        return pivots
+    def _guarded_lane(self, bare: list, lane: int) -> None:
+        """Rewrite one lane's pivots of a block (bare, its unguarded pivots) with the guard."""
+        nx, d, guard = float(self._neg_x[lane]), float(self._piv[0, lane]), self._pivmin[lane]
+        column = []
+        for bsq, lanes_of_pivot, *_ in bare:
+            if lanes_of_pivot.size <= lane:  # the lane's size has ended
+                break
+            d = nx - bsq / d
+            column.append(d := -guard if abs(d) < guard else d)
+        self._piv[1:len(column) + 1, lane] = column
 
 
 def _bracket(n: int) -> float:
@@ -559,10 +553,13 @@ def _panel_sum(allw: np.ndarray, vals: np.ndarray) -> float:
     return float(np.einsum("k,k->", allw, vals))
 
 
-def integrate(f, truncation: float) -> float:
-    """Integral of a vectorized callback over [-T, T] by fixed GL panels, T = truncation."""
+def _half_line_points(truncation: float) -> tuple[np.ndarray, np.ndarray]:
+    """The panel nodes t > 0 of [-T, T], the second half, with their weights doubled: the
+    nodes are exactly antisymmetric, their weights exactly symmetric and no node is 0, so an
+    even integrand's terms at -t and t are equal (Gautschi 2004, symmetric weights)."""
     pts, allw = _panel_points(truncation)
-    return _panel_sum(allw, np.asarray(f(pts), dtype=float))
+    half = pts.size // 2
+    return pts[half:], 2.0 * allw[half:]
 
 
 def orthogonality_matrix(n_max: int) -> np.ndarray:
@@ -586,17 +583,16 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     then computes (a t + 0) p_n + b p_(n-1), and IEEE negation is exact.  The weight is
     even, the panel nodes are exactly antisymmetric and their weights exactly symmetric, so
     the rule's sum is exactly 0 for i + j odd and exactly twice the sum over the nodes t > 0
-    for i + j even (Gautschi 2004, on symmetric weight functions).  There, only the even
-    pairs are summed, over the second half of the nodes with doubled weights, and the odd
-    entries stay 0.0: that they vanish is phi-parity's exact proof, not the quadrature's.
+    for i + j even (see _half_line_points).  There, only the even pairs are summed, over
+    the second half of the nodes with doubled weights, and the odd entries stay 0.0: that they vanish is phi-parity's exact proof, not the quadrature's.
     An entry with a d term (a fault row) is summed over both halves, every pair."""
     if n_max < 0:
         raise ValueError("size must be non-negative")
-    pts, allw = _panel_points(make_quad_config(_gram_envelope(n_max), abs_tol=1e-10))
-    stride = 1
-    if not any(entry.d.terms(n_max)[0]):
-        half, stride = pts.size // 2, 2
-        pts, allw = pts[half:], 2.0 * allw[half:]
+    truncation = make_quad_config(_gram_envelope(n_max), abs_tol=1e-10)
+    if any(entry.d.terms(n_max)[0]):
+        (pts, allw), stride = _panel_points(truncation), 1
+    else:
+        (pts, allw), stride = _half_line_points(truncation), 2
     wts = allw * _weight_array(pts)
     out = np.zeros((n_max + 1, n_max + 1))
     # blocks of at most 2048 nodes keep the member values held at once small (1.3 MB at
@@ -651,24 +647,28 @@ def moment(n: int) -> MomentResult:
     Closed form: (1 - (-1)^n) (2^(n+1) - 1)/2^n * n! * zeta(n+1), which is 0
     for even n and a rational multiple of pi^(n+1) for odd n; the result carries
     that rational as ``closed`` and float(closed) * pi^(n+1) as ``closed_float``.
+    Every n takes the one-term tail bound's truncation, which refuses n >= 63.  For odd n
+    the integrand is even and is summed over the nodes t > 0 alone (_half_line_points),
+    t^n = t (t^2)^((n-1)/2) by (n - 1)/2 multiplications after the one rounding of t^2:
+    within about n - 1 units of rounding, and no np.power, whose last bit depends on the
+    CPU.  For even n it is odd, and ``numeric`` is the symmetric rule's exact 0.0, as for
+    quad's odd pairs: its match with the closed form 0 is the parity's proof, not the rule's.
     Each n is integrated once per process: moments --max-n reports every odd index up
     to its size.  The key is n only, so a kept result does not see code of this module
     replaced at run time (the quadrature rule, say); tests that replace it clear the memo.
     """
     if n < 1:
         raise ValueError("moment index starts at 1")
+    truncation = make_quad_config((0.0,) * n + (1.0,), abs_tol=1e-10, rate=1.0)
     if n % 2 == 0:
-        closed = Fraction(0)
+        closed, numeric = Fraction(0), 0.0
     else:
         closed = zeta_even(n + 1) * Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
-    truncation = make_quad_config((0.0,) * n + (1.0,), abs_tol=1e-10, rate=1.0)
-    limit = 1.0 if n == 1 else 0.0
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(t == 0.0, limit, t**n / np.sinh(t))
-
-    numeric = integrate(integrand, truncation)
+        pts, allw = _half_line_points(truncation)
+        square, power = pts * pts, pts.copy()
+        for _ in range(n // 2):
+            np.multiply(power, square, out=power)
+        numeric = _panel_sum(allw, np.divide(power, np.sinh(pts), out=power))
     closed_f = float(closed) * math.pi ** (n + 1)
     deviation = abs(numeric - closed_f) / max(1.0, abs(closed_f))
     return MomentResult(closed, closed_f, numeric, deviation)

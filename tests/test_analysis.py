@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
-                             gram_deviation, integrate, make_quad_config, member_values,
+                             gram_deviation, make_quad_config, member_values,
                              moment, orthogonality_matrix, zeros, zeros_range, _bracket,
-                             _coeff_norm, _ft_sinh_form, _gram_envelope, _log_envelope,
-                             _panel_points, _tail_sum, _unit_panel, _weight_array)
+                             _coeff_norm, _ft_sinh_form, _gram_envelope, _interlaces_below,
+                             _log_envelope, _panel_points, _panel_sum, _tail_sum, _unit_panel,
+                             _weight_array)
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -156,6 +157,60 @@ def test_the_lane_sweep_equals_the_scalar_bisection(tol):
     assert _spectra([137], tol)[137] == _scalar_zeros(137, tol, guarded)
     if tol < 1e-3:
         assert max(guarded) > 0
+
+
+def test_the_guard_reruns_only_the_lanes_it_may_fire_in(monkeypatch):
+    # at odd n >= 293 the interlacing count's points -d and +d around the middle zero 0
+    # make pivots below pivmin in every block of 32 pivot rows of size 292: at -d (lane 146)
+    # in all 10 blocks, at +d (lane 439) in the first; only those lanes are rerun with the
+    # guard, the other 584 of the 586 keep their unguarded pivots
+    from mlpoly import analysis
+    zs = zeros(293)
+    reruns = []
+    true_rerun = analysis._SturmLanes._guarded_lane
+
+    def recorded(lanes, bare, lane):
+        reruns.append(lane)
+        true_rerun(lanes, bare, lane)
+
+    monkeypatch.setattr(analysis._SturmLanes, "_guarded_lane", recorded)
+    assert _interlaces_below(zs, 1e-12)
+    assert reruns == [146, 439] + [146] * 9  # the lanes rerun, block by block
+    # the zeros of a lane sweep in which the guard fires are the scalar bisection's
+    reruns.clear()
+    for n in (137, 293):
+        assert _spectra([n], 1e-12)[n] == _scalar_zeros(n, 1e-12), n
+    assert reruns
+
+
+def _scalar_count(off_sq, x):
+    """Reference: the Sturm count of J - x I, the guarded pivots one at a time."""
+    pivmin = max(1e-290, 2.3e-16 * max(off_sq, default=1.0))
+    count, d = 0, 1.0
+    for bsq in (0.0, *off_sq):
+        d = -x - bsq / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0
+    return count
+
+
+def test_the_lane_count_is_the_scalar_count_where_guards_fire():
+    # lanes of many sizes, ending in several blocks, at points where the guard fires in
+    # some lanes of a block and not in others: 0 and +-tiny (the middle zero of odd
+    # sizes), zeros themselves and their float neighbours
+    from mlpoly import analysis
+    sizes = np.repeat(np.arange(140, 1, -9), 9)
+    points = np.tile([0.0, -0.0, 5e-324, -1e-300, 1e-14, -1e-9, 1.0, -2.5, 40.0], 16)
+    for n in (32, 77, 140):
+        at = np.flatnonzero(sizes == n)
+        z = np.array(zeros(n))[:at.size]
+        points[at] = np.where(np.arange(at.size) % 2, np.nextafter(z, np.inf), z)
+    off = np.array(_off_diagonal(int(sizes[0])))
+    lanes = analysis._SturmLanes(off, sizes, np.zeros(sizes.size, dtype=np.int64))
+    expected = [_scalar_count([b * b for b in _off_diagonal(int(m))], float(x))
+                for m, x in zip(sizes, points)]
+    assert lanes.count(points).tolist() == expected
 
 
 def test_zeros_digests_are_frozen():
@@ -388,9 +443,16 @@ def _monomial(degree, coeff=1.0):
     return (0.0,) * degree + (coeff,)
 
 
+def _two_sided(f, truncation):
+    """Reference: the rule's sum of a vectorized integrand over both halves of [-T, T],
+    T = truncation."""
+    pts, allw = _panel_points(truncation)
+    return _panel_sum(allw, np.asarray(f(pts), dtype=float))
+
+
 def test_weight_total_mass():
     cfg = make_quad_config(_monomial(2), abs_tol=1e-11)
-    total = integrate(_weight_array, cfg)
+    total = _two_sided(_weight_array, cfg)
     assert total == pytest.approx(0.5, abs=1e-10)
 
 
@@ -434,10 +496,11 @@ def test_make_quad_config_equals_the_linear_scan():
         make_quad_config(_monomial(250))
 
 
-def test_integrate_rejects_non_finite_integrand():
+def test_the_panel_sum_rejects_a_non_finite_integrand():
     cfg = make_quad_config(_monomial(2))
-    with pytest.raises(ValueError):
-        integrate(lambda t: np.full_like(t, np.inf), cfg)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            _two_sided(lambda t: np.full_like(t, bad), cfg)
 
 
 def test_orthogonality_matrix_13x13():
@@ -539,15 +602,18 @@ def test_quadrature_truncations_are_unchanged(monkeypatch):
     class Picked(Exception):
         pass
 
-    def stop_at_the_rule(truncation):
-        raise Picked(truncation)
+    true_config = analysis.make_quad_config
+
+    # the truncation itself, not the rule that reads it: moments of even n read none
+    def stop_at_the_truncation(*args, **kwargs):
+        raise Picked(true_config(*args, **kwargs))
 
     def truncation(fn, *args):
         with pytest.raises(Picked) as info:
             fn(*args)
         return info.value.args[0]
 
-    monkeypatch.setattr(analysis, "_panel_points", stop_at_the_rule)
+    monkeypatch.setattr(analysis, "make_quad_config", stop_at_the_truncation)
     assert [truncation(orthogonality_matrix, n) for n in range(114)] == FROZEN_TRUNCATIONS["quad"]
     assert [truncation(ft_numeric, n, 1.0) for n in range(121)] == FROZEN_TRUNCATIONS["ft"]
     assert [truncation(moment, n) for n in range(1, 63)] == FROZEN_TRUNCATIONS["moments"]
@@ -690,7 +756,7 @@ def test_monic_norms():
     # h_n = integral of w p_n^2 = n! (n+1)! / 2^(2n+1) for the monic family
     cfg = make_quad_config(_monomial(7, 30.0), abs_tol=1e-11)
     for n in range(4):
-        val = integrate(lambda t: member_values(SeqKind.PHI_MONIC, 3, t)[n] ** 2
+        val = _two_sided(lambda t: member_values(SeqKind.PHI_MONIC, 3, t)[n] ** 2
                         * _weight_array(t), cfg)
         expected = math.factorial(n) * math.factorial(n + 1) / 2.0 ** (2 * n + 1)
         assert val == pytest.approx(expected, abs=1e-10)
@@ -709,23 +775,50 @@ def test_moment_closed_forms():
 
 
 def test_moment_quadrature_agreement():
-    for n in range(1, 10, 2):
+    for n in range(1, 62, 2):
         assert moment(n).deviation < 1e-8, f"n = {n}"
-    assert moment(2).numeric == pytest.approx(0.0, abs=1e-10)
-    assert moment(4).numeric == pytest.approx(0.0, abs=1e-10)
+
+
+def _two_sided_moment(n):
+    """Reference: moment(n)'s sum over both halves of [-T, T], with t^n by np.power."""
+    limit = 1.0 if n == 1 else 0.0
+
+    def integrand(t):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(t == 0.0, limit, t**n / np.sinh(t))
+
+    return _two_sided(integrand, make_quad_config(_monomial(n), abs_tol=1e-10, rate=1.0))
+
+
+def test_the_half_line_moment_is_the_two_sided_sum_to_rounding():
+    # the integrand of odd n is even, so the rule's sum is twice its sum over t > 0; only
+    # the rounding moves (2.3e-15 relative at most on x86-64 with AVX-512)
+    for n in range(1, 62, 2):
+        reference = _two_sided_moment(n)
+        assert abs(moment(n).numeric - reference) <= 1e-14 * abs(reference), n
+
+
+def test_an_even_moment_is_the_symmetric_rule_s_exact_zero():
+    # the integrand of even n is odd: the closed form is 0 and the rule's sum exactly 0.0
+    for n in range(2, 63, 2):
+        assert moment(n) == (F(0), 0.0, 0.0, 0.0), n
+    # the truncation is still the refusal: no even n past the tail bound is served
+    with pytest.raises(ValueError, match="no truncation below 400"):
+        moment(64)
 
 
 def test_each_moment_is_integrated_once_per_process(monkeypatch):
     from mlpoly import analysis
     calls = []
+    half_line = analysis._half_line_points
 
-    def counted(f, truncation):
+    def counted(truncation):
         calls.append(truncation)
-        return integrate(f, truncation)
+        return half_line(truncation)
 
-    monkeypatch.setattr(analysis, "integrate", counted)
+    monkeypatch.setattr(analysis, "_half_line_points", counted)
     first = [moment(n) for n in range(1, 62, 2)]
-    assert len(calls) == 31
+    assert calls == FROZEN_TRUNCATIONS["moments"][::2]  # the half-line sum reads each n's
     assert [moment(n) for n in range(1, 62, 2)] == first
     assert moment(9) is first[4]
     assert len(calls) == 31
@@ -763,7 +856,7 @@ def test_ft_quadrature_agreement_on_grid():
 
 
 def _ft_numeric_one_at_a_time(n, s):
-    """ft_numeric by one integrate call, whose integrand evaluates the weighted member at
+    """ft_numeric by one two-sided sum, whose integrand evaluates the weighted member at
     this s alone."""
     norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
     trig = np.cos if n % 2 == 0 else np.sin
@@ -772,7 +865,7 @@ def _ft_numeric_one_at_a_time(n, s):
         return member_values(SeqKind.PHI_MONIC, n, t)[n] * _weight_array(t) * trig(s * t)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate(integrand, make_quad_config(_monomial(n + 1, norm), abs_tol=1e-9))
+        total = _two_sided(integrand, make_quad_config(_monomial(n + 1, norm), abs_tol=1e-9))
     return (-1) ** (n // 2) * total / math.sqrt(2.0 * math.pi)
 
 
