@@ -90,8 +90,8 @@ def _dumps(obj, pad: str = "") -> str:
     """The text json.dumps writes for a JSON value with string keys at an indent of 2,
     keys sorted and strict (allow_nan off), with its lines after the first indented by
     pad.  json takes its C encoder only without an indent, so this walks containers
-    itself and hands each list of strings or of floats to one C-level join of the escaper
-    and the float repr json uses, and each _Plain list to one join with no escaper."""
+    itself and hands each list of floats to one C-level join of the float repr json uses,
+    and each _Plain list to one join with no escaper."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
@@ -108,10 +108,8 @@ def _dumps(obj, pad: str = "") -> str:
             return f'[\n{inner}"' + f'",\n{inner}"'.join(obj) + f'"\n{pad}]'
         sep = ",\n" + inner
         body = None
-        try:  # each map raises TypeError at the first value of another type
-            if isinstance(obj[0], str):
-                body = sep.join(map(encode_basestring_ascii, obj))
-            elif isinstance(obj[0], float):
+        try:  # the map raises TypeError at the first value of another type
+            if isinstance(obj[0], float):
                 body = sep.join(map(float.__repr__, obj))
                 if not math.isfinite(sum(obj)):  # also when finite values overflow
                     for v in obj:
@@ -206,8 +204,6 @@ def _run_report(argv: list[str], reports: list[CheckReport], fmt: str) -> int:
 
 def _cmd_coeffs(args, argv) -> int:
     kind = SeqKind.from_token(args.seq)
-    if (args.n is None) == (args.max_n is None):
-        raise _Usage("coeffs needs exactly one of --n or --max-n")
     n_max = args.n if args.n is not None else args.max_n
     table = generate(kind, n_max)
     ns = [n_max] if args.n is not None else range(n_max + 1)
@@ -352,10 +348,6 @@ def _cmd_series(args, argv) -> int:
     return 0
 
 
-class _Usage(Exception):
-    pass
-
-
 class _AboveCeiling(Exception):
     """A size past its ceiling.  Not a ValueError, so argparse lets it through to main,
     which reports it in one line like every other invalid value."""
@@ -395,8 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="emit exact coefficient tables")
     p.add_argument("--seq", required=True, choices=_SEQ_TOKENS)
-    p.add_argument("--n", type=_size_up_to(TABLE_CEILING))
-    p.add_argument("--max-n", dest="max_n", type=_size_up_to(TABLE_CEILING))
+    selector = p.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--n", type=_size_up_to(TABLE_CEILING))
+    selector.add_argument("--max-n", dest="max_n", type=_size_up_to(TABLE_CEILING))
     finish(p, _cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate one member exactly at a rational point")
@@ -463,10 +456,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return CLOSED_STDOUT
-    except _Usage as exc:
-        parser.print_usage(sys.stderr)
-        print(f"mlpoly: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"mlpoly: error: {exc}", file=sys.stderr)
         return 2

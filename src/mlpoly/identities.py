@@ -33,7 +33,7 @@ __all__ = [
     "derivative_expansion_checks",
     "derivative_expansion_reduced_audit",
     "convolution_check",
-    "egf_pde_residual",
+    "egf_pde_check",
     "turan_recurrence_check",
     "lowering_check",
 ]
@@ -229,9 +229,9 @@ def convolution_check(n_max: int, premise: int = 0) -> CheckReport:
                      "weighted second/first derivative convolution vanishes")
 
 
-def egf_pde_residual(order: int) -> tuple[Poly, ...]:
-    """G * G_xx - (G_x)^2 for the monic exponential generating series; contract: zero.
-    Inside a run, the series is a truncation of the one the run keeps.
+def egf_pde_check(order: int) -> CheckReport:
+    """egf-pde: G G_xx = (G_x)^2 exactly at t^n, 0 <= n < order, for the monic exponential
+    generating series G.  Inside a run, the series is a truncation of the one the run keeps.
 
     The series is exp(x u(t)) / (1 + t^2/4), u = 2 arctan(t/2), and G G_xx - G_x^2
     vanishes for every G = f(t) e^(x u(t)), whatever the series f and u (see
@@ -240,7 +240,9 @@ def egf_pde_residual(order: int) -> tuple[Poly, ...]:
     series_exp, in the division by 1 + t^2/4 or in the residual itself can fail it."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    return _pde_residual(generating_series(SeqKind.PHI_MONIC, order), 0)
+    residual = _pde_residual(generating_series(SeqKind.PHI_MONIC, order), 0)
+    return aggregate("egf-pde", 0, order - 1, lambda n: residual[n].is_zero(),
+                     f"G G_xx = (G_x)^2 through truncation order {order}")
 
 
 def _turan(tab: Sequence[Poly], squares: Sequence[Poly], n: int) -> Poly:

@@ -242,14 +242,6 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         return combine(((Fraction(d, r), self),))
 
-    def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        out = Poly([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __call__(self, x):
         """Horner evaluation; exact for exact inputs, float for floats.
 

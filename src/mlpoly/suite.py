@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .identities import (derivative_expansion_checks, derivative_expansion_reduced_audit,
-                         egf_pde_residual, trig_operator_eigencheck, turan_recurrence_check)
+                         egf_pde_check, trig_operator_eigencheck, turan_recurrence_check)
 from .report import CheckReport, CheckStatus, aggregate, bounded
 from .sequences import (RECURRENCES, SeqKind, difference_relation_checks,
                         g_oracle_mismatches, generate, generating_series, reduce_from_g,
@@ -84,12 +84,6 @@ def _table_checks(max_n: int) -> list[CheckReport]:
     ]
 
 
-def _egf_pde(order: int) -> CheckReport:
-    residual = egf_pde_residual(order)
-    return aggregate("egf-pde", 0, order - 1, lambda n: residual[n].is_zero(),
-                     f"G G_xx = (G_x)^2 through truncation order {order}")
-
-
 def _exact_plan(max_n: int) -> Plan:
     return [
         (_table_checks, max_n),
@@ -100,7 +94,7 @@ def _exact_plan(max_n: int) -> Plan:
         # follow from it as far as it holds
         (derivative_expansion_checks, max_n),
         (derivative_expansion_reduced_audit, max_n),
-        (_egf_pde, 16),
+        (egf_pde_check, 16),
         (turan_recurrence_check, max_n),
     ]
 

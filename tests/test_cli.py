@@ -132,10 +132,20 @@ def test_every_payload_prints_the_bytes_of_json_dumps(capsys, monkeypatch):
 
 
 def test_coeffs_requires_exactly_one_selector(capsys):
-    code, _, err = run_cli(capsys, "coeffs", "--seq", "g")
-    assert code == 2 and "exactly one" in err
-    code, _, err = run_cli(capsys, "coeffs", "--seq", "g", "--n", "2", "--max-n", "4")
-    assert code == 2
+    # argparse refuses neither and both as every other usage error: the usage of coeffs
+    # itself, which shows the group, then one error line
+    for selectors in ([], ["--n", "2", "--max-n", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--seq", "g", *selectors])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        usage, error = err.split("mlpoly: error: ")
+        assert out == "" and usage.startswith("usage: mlpoly coeffs ")
+        assert "(--n N | --max-n MAX_N)" in usage and error.count("\n") == 1, err
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--help"])
+    assert exc.value.code == 0 and "(--n N | --max-n MAX_N)" in capsys.readouterr().out
+    assert _entry_process("-m", "mlpoly", "coeffs", "--seq", "g").returncode == 2
 
 
 def test_coeffs_csv(capsys):

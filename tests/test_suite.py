@@ -198,7 +198,7 @@ def _zeta_even_off(n):
 
 # egf-pde is reached by no row: G G_xx - G_x^2 vanishes for every G = f(t) e^(x u(t)),
 # whatever the series f and u, so only a bug in series_exp, the division by 1 + t^2/4 or the
-# residual itself fails it (see egf_pde_residual)
+# residual itself fails it (see egf_pde_check)
 @pytest.mark.parametrize("piece, broken, failing", [
     # the scalar z^j of the hypergeometric sum, at z = 3 for 2, and the Meixner c: one route
     # of the G oracles each, so only their report fails
