@@ -1,34 +1,33 @@
-"""Floating-point analysis: zeros, quadrature, moments, Fourier transforms.
+"""Floating-point analysis in numpy: zeros, quadrature, moments, Fourier transforms.
 
 The exact layers prove identities; this layer reproduces the numeric claims
-that live outside the polynomial ring.  Zeros come from Sturm bisection on
+that live outside the polynomial ring, at the sizes of the `zeros`, `quad`,
+`moments` and `ft` commands.  Zeros come from Sturm bisection on
 the symmetric tridiagonal recurrence matrix, with every eigenvalue of every
 requested size a numpy lane, so that one pivot sweep serves them all, run only
 at the bisection steps that certified SVD estimates of the eigenvalues cannot
 decide; integrals come from one fixed Gauss-Legendre panel rule
 with analytically chosen truncation, and the
-Fourier transform from a closed form that is compared against direct
-quadrature.  The erratum audit at the bottom adjudicates three of the five
-printed identities that fail their own cross-checks.
+Fourier transform is compared against its closed form.  What needs no numpy lives
+in `floats`, which also computes the numeric plan of `verify` and the erratum audit
+without numpy: the Jacobi matrix, the zero checks, the panel rule's constants, the
+truncations, the closed forms and the audit; this module imports them from there.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import zeta_even
-from .polyfps import Poly
-from .report import CheckReport, CheckStatus
-from .sequences import (RECURRENCES, Recurrence, SeqKind, g_oracle_mismatches, generate,
-                        oracle_hypergeometric_g)
+from .floats import (_CERTIFICATE_HALF_WIDTHS, _HALF_NODES, _HALF_WEIGHTS, _SQRT_2PI,
+                     MomentResult, _abs_coeffs, _bracket, _check_bound, _check_interlacing,
+                     _check_zero_range, _coeff_norm, _moment_result, _off_diagonal,
+                     _step_floats, ft_closed, make_quad_config, own_erratum_audit)
+from .sequences import RECURRENCES, Recurrence, SeqKind, generate
 
 __all__ = [
     "MomentResult",
@@ -45,32 +44,9 @@ __all__ = [
     "own_erratum_audit",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _off_diagonal(n: int) -> list[float]:
-    """The off-diagonal of the n x n Jacobi matrix J of the monic recurrence, whose
-    diagonal is zero: sqrt(-b(k)) = sqrt(c_k) = sqrt(k(k+1))/2 for k = 1 .. n - 1."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    nums, dens = RECURRENCES[SeqKind.PHI_MONIC].b.terms(n)
-    return [math.sqrt(-c / d) for c, d in zip(nums[1:], dens[1:])]
-
-
 # Pivot rows per block of the Sturm count: a block's pivots are written into one buffer,
 # and its negative pivots are counted with one comparison and one column sum.
 _PIVOT_BLOCK = 32
-
-# Half-widths of the brackets around the eigenvalue estimates that _spectra certifies, in
-# units of eps times the lane's bound: every lane first tries the tight one, the lanes it
-# misses the wide one, and a lane that neither certifies bisects with a count at every
-# step.  The SVD estimates sit within 0.7, 3.8, 7.7 and 14.3 eps * bound of the zeros
-# bisected to adjacent floats at sizes 24, 400, 1000 and 2000 (OpenBLAS on an AVX-512
-# x86-64; 0.7, 5.8, 8.7 and 13.8 with its Prescott kernel), so the tight bracket
-# certifies every lane up to size 400 on both kernels, and the wide one the few it
-# misses above: none at 1000 and 21 of the 2000 lanes at 2000 (4 and 27 with the
-# Prescott kernel).
-_CERTIFICATE_HALF_WIDTHS = (8.0, 64.0)
 
 
 class _SturmLanes:
@@ -179,12 +155,6 @@ class _SturmLanes:
             d = nx - bsq / d
             column.append(d := -guard if abs(d) < guard else d)
         self._piv[1:len(column) + 1, lane] = column
-
-
-def _bracket(n: int) -> float:
-    """The half-width of the first bracket of every lane of size n.  It holds the spectrum
-    of J: by Gershgorin, no eigenvalue exceeds sqrt(c_{n-2}) + sqrt(c_{n-1}) < n - 1."""
-    return math.sqrt(n * (n - 1)) + 1.0 if n > 1 else 1.0
 
 
 def _eigen_estimates(sizes: list[int], off: np.ndarray) -> np.ndarray:
@@ -359,27 +329,15 @@ def zeros_range(lo: int, hi: int, tol: float = 1e-12) -> dict[int, list[float]]:
     not (a tol too coarse, a broken sweep), size lo - 1 is bisected and compared as
     the others are, so a failed check raises what it would raise if lo - 1 were swept.
     """
-    if lo < 1:
-        raise ValueError("need at least one zero")
-    if hi < lo:
-        raise ValueError(f"empty size range {lo}..{hi}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be positive and finite")
+    _check_zero_range(lo, hi, tol)
     found = _spectra(range(lo, hi + 1), tol)
     for n in range(max(lo, 2), hi + 1):
         out = found[n]
-        if max(abs(z) for z in out) >= math.sqrt(n * (n - 1)):
-            raise RuntimeError(f"zero bound sqrt(n(n-1)) violated at n = {n}")
+        _check_bound(n, out)
         if n == lo and _interlaces_below(out, tol):
             continue
-        prev = found[n - 1] if n > lo else _spectra([n - 1], tol)[n - 1]
-        chain = [z for pair in zip(out, prev) for z in pair] + [out[-1]]
-        gaps = [b - a for a, b in zip(chain, chain[1:])]
-        if min(gaps) <= 0:
-            if tol >= min(map(abs, gaps)):  # the tolerance cannot resolve the spacing
-                raise ValueError(f"tolerance {tol:g} cannot separate the zeros of sizes {n - 1}"
-                                 f" and {n} (smallest gap {min(map(abs, gaps)):.3g})")
-            raise RuntimeError(f"interlacing violated between sizes {n - 1} and {n}")
+        below = found[n - 1] if n > lo else _spectra([n - 1], tol)[n - 1]
+        _check_interlacing(n, out, below, tol)
     return {n: found[n] for n in range(lo, hi + 1)}
 
 
@@ -412,30 +370,11 @@ def _weight_array(t: np.ndarray) -> np.ndarray:
         return np.where(t == 0.0, 1.0 / math.pi, t / np.sinh(math.pi * t))
 
 
-def _abs_coeffs(p: Poly) -> list[float]:
-    """|c_0|, |c_1|, ... of p as floats.
-
-    Each int/int quotient is correctly rounded, as float(Fraction) is, with no Fraction built.
-    """
-    den = p.denominator
-    try:
-        return [abs(c) / den for c in p.numerators]
-    except OverflowError:
-        raise ValueError(f"a coefficient of the degree-{p.degree} member exceeds "
-                         f"the float range") from None
-
-
-def _coeff_norm(p: Poly) -> float:
-    """1-norm of the float coefficients, the constant of ft's quadrature tail bound."""
-    return sum(_abs_coeffs(p))
-
-
 def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     """Rows p_0(t) .. p_{n_max}(t) of a RECURRENCES family, by its recurrence in floats:
     the stable route (Gautschi 2004, sec. 2.1), where power-basis sums cancel badly."""
     rec = RECURRENCES[kind]
-    # each int/int quotient is correctly rounded, as float(Fraction) is
-    a, b, d = (list(map(operator.truediv, *r.terms(n_max))) for r in (rec.a, rec.b, rec.d))
+    a, b, d = _step_floats(rec, n_max)
     out = np.empty((n_max + 2, t.size))
     out[0], out[1] = 0.0, rec.p0  # row 0 is p_{-1}
     tail = np.empty(t.size)
@@ -450,87 +389,10 @@ def member_values(kind: SeqKind, n_max: int, t: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-def _log_envelope(envelope: Sequence[float]) -> tuple[float | None, ...]:
-    """log e_m for each term of an envelope, None where e_m = 0: what _tail_sum reads, taken
-    once for every truncation tried."""
-    return tuple(math.log(e) if e else None for e in envelope)
-
-
-def _tail_sum(log_envelope: Sequence[float | None], rate: float, upper: float) -> float:
-    """Sum over m of e_m times the integral of t^m e^(-rate t) over [upper, infinity), given
-    log e_m (None for a zero term, which is skipped) as _log_envelope gives them.
-
-    With T = upper and r = rate, the m-th integral is I_m = J_m T^m e^(-rT), where
-    J_0 = 1/r and J_m = (1 + m J_(m-1)/T)/r (by parts), so the sum takes O(len(envelope))
-    steps; each term is taken through logarithms, so that neither T^m nor e^(-rT) leaves
-    the float range on its own.  A term beyond the float range makes the sum math.inf,
-    which no tolerance meets, so the caller moves on to a larger truncation.
-    """
-    log_upper, rt = math.log(upper), rate * upper
-    j, total = 1.0 / rate, 0.0
-    try:
-        for m, log_e in enumerate(log_envelope):
-            if m:
-                j = (1.0 + m * j / upper) / rate
-            if log_e is not None:
-                total += math.exp(log_e + math.log(j) + m * log_upper - rt)
-    except OverflowError:
-        return math.inf
-    return total
-
-
-# A pure function of its arguments, kept: every served size of quad, moments and ft needs
-# fewer than 300 truncations in all.
-@functools.lru_cache(maxsize=512)
-def make_quad_config(envelope: tuple[float, ...], abs_tol: float = 1e-10,
-                     rate: float = math.pi) -> float:
-    """The truncation T of the unit-panel rule over [-T, T]: the smallest integer whose
-    two-sided tail bound clears abs_tol/2, as a float.  It bounds the tail alone: the
-    weight t/sinh(pi t) has poles at t = +-i, +-2i, ..., so the integrands are not entire,
-    and no bound covers the error of the panels yet.
-
-    The integrand is a polynomial factor over sinh(rate * t), and envelope[m] bounds the
-    magnitude of the t^m coefficient of the factor.  With 1/sinh(rate*t) <=
-    2 e^(-rate t)/(1 - e^(-2 rate T)), the tail beyond T on each side is at most that
-    constant times the envelope's sum of e_m * integral of t^m e^(-rate t) over
-    [T, infinity), term by term.  Both fall as T grows, so the bound clears abs_tol/2 on
-    a suffix of 4..399, and bisection finds where that suffix starts.
-    """
-    if abs_tol <= 0 or rate <= 0 or not envelope or not all(0 <= e < math.inf for e in envelope):
-        raise ValueError("invalid quadrature envelope parameters")
-    log_envelope = _log_envelope(envelope)
-
-    def clears(upper: int) -> bool:
-        sinh_bound = 2.0 / (1.0 - math.exp(-2.0 * rate * upper))
-        return 2.0 * sinh_bound * _tail_sum(log_envelope, rate, float(upper)) < 0.5 * abs_tol
-
-    lo, hi = 4, 399
-    if not clears(hi):
-        raise ValueError("no truncation below 400 satisfies the tail bound")
-    while lo < hi:  # clears(hi) holds, and nothing below lo clears
-        mid = (lo + hi) // 2
-        if clears(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(hi)
-
-
-# The positive half of the 20-node Gauss-Legendre rule on [-1/2, 1/2], ascending: half of
-# what numpy.polynomial.legendre.leggauss(20) gives on [-1, 1] (numpy 2.4), which is
-# symmetric to the bit.  Written out, so that no run imports numpy.polynomial.
-_HALF_NODES = (0.03826326056674867, 0.11389292557082253, 0.18685304435770977,
-               0.25543350097541356, 0.3180268403632575, 0.3731659532300754,
-               0.4195584859111094, 0.456117214125663, 0.4819859636389569, 0.4965642995925475)
-_HALF_WEIGHTS = (0.07637669356536314, 0.07458649323630212, 0.0710480546591912,
-                 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
-                 0.04163837078835236, 0.031336024167054395, 0.020300714900193223,
-                 0.008807003569575447)
-
-
 @functools.cache
 def _unit_panel() -> tuple[np.ndarray, np.ndarray]:
-    """The one panel rule: 20-node Gauss-Legendre on [-1/2, 1/2], ascending nodes."""
+    """The one panel rule: 20-node Gauss-Legendre on [-1/2, 1/2], ascending nodes, from the
+    half written out in floats."""
     nodes = np.array(tuple(-v for v in _HALF_NODES[::-1]) + _HALF_NODES)
     wts = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
     for a in (nodes, wts):
@@ -610,13 +472,10 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
 
 
 def _gram_envelope(n_max: int) -> tuple[float, ...]:
-    """The tail envelope of the Gram integrands t p_i(t) p_j(t) / sinh(pi t), i, j <= n_max:
-    a_k = max_i |c_ik| bounds the t^k coefficient of every PHI member, so the coefficients
-    of t A(t)^2, A(t) = sum_k a_k t^k, bound those of each polynomial factor t p_i p_j.
-
-    Refused where a product a_j a_k would fall below the normal floats, whose rounding to
-    fewer bits could make the bound undercount: from n = 114, where the square of the
-    smallest a_k, the leading coefficient 2^(n+1)/(n+1)!, is 2.0e-308."""
+    """The tail envelope of the Gram integrands, and its refusal from n = 114, as
+    floats._gram_envelope gives them for the numeric plan, the maxima a_k = max_i |c_ik|
+    and the square of A(t) = sum_k a_k t^k taken in numpy: at quad's sizes (0.8 ms at
+    n_max = 80) that is about a third of the time of the same in Python floats."""
     coeffs = np.zeros(n_max + 1)
     for p in generate(SeqKind.PHI, n_max):
         head = coeffs[: p.degree + 1]
@@ -631,13 +490,6 @@ def gram_deviation(mat: np.ndarray) -> float:
     """Largest entrywise distance of a Gram matrix from its target diag(2/(n+1))."""
     target = np.diag(2.0 / np.arange(1.0, mat.shape[0] + 1.0))
     return float(np.max(np.abs(mat - target)))
-
-
-class MomentResult(NamedTuple):
-    closed: Fraction  # the exact coefficient of pi^(n+1)
-    closed_float: float
-    numeric: float
-    deviation: float
 
 
 @functools.cache  # a pure function of n, refused from 63 on: at most 62 frozen results
@@ -661,53 +513,12 @@ def moment(n: int) -> MomentResult:
         raise ValueError("moment index starts at 1")
     truncation = make_quad_config((0.0,) * n + (1.0,), abs_tol=1e-10, rate=1.0)
     if n % 2 == 0:
-        closed, numeric = Fraction(0), 0.0
-    else:
-        closed = zeta_even(n + 1) * Fraction(2 * (2 ** (n + 1) - 1) * math.factorial(n), 2**n)
-        pts, allw = _half_line_points(truncation)
-        square, power = pts * pts, pts.copy()
-        for _ in range(n // 2):
-            np.multiply(power, square, out=power)
-        numeric = _panel_sum(allw, np.divide(power, np.sinh(pts), out=power))
-    closed_f = float(closed) * math.pi ** (n + 1)
-    deviation = abs(numeric - closed_f) / max(1.0, abs(closed_f))
-    return MomentResult(closed, closed_f, numeric, deviation)
-
-
-def ft_closed(n: int, s: float) -> float:
-    """Closed-form transform of the weighted monic member, with the i^n phase factored out:
-    the real v such that the transform equals i^n * v, the phase exact by construction.
-
-    Evaluated as (n+1)!/(2^(n+1) sqrt(2 pi)) * tanh^n(s/2) * sech^2(s/2),
-    the overflow-free equivalent of the sinh-quotient form.  The constant
-    divisor is 2^(n+1); the 2^n variant seen in print fails the s = 0
-    quadrature cross-check by a factor of 2 (see own_erratum_audit).
-    """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if math.isnan(s):
-        raise ValueError("the transform argument s must be a number, got nan")
-    half = 0.5 * s
-    try:
-        sech = 1.0 / math.cosh(half)
-        return (math.factorial(n + 1) / (2.0 ** (n + 1) * _SQRT_2PI)
-                * math.tanh(half) ** n * sech * sech)
-    except OverflowError:  # (n+1)! from n = 170 on, or cosh(s/2), is past the float range
-        return _ft_closed_log(n, half)
-
-
-def _ft_closed_log(n: int, half: float) -> float:
-    """ft_closed's product by logarithms, with log sech h = log 2 - |h| - log1p(e^(-2|h|))."""
-    t, a = math.tanh(half), abs(half)
-    if t == 0.0:
-        return 0.0  # s = 0, where only n = 0 is nonzero
-    try:
-        v = math.exp(math.lgamma(n + 2) - (n - 1) * math.log(2.0) - math.log(_SQRT_2PI)
-                     + n * math.log(abs(t)) - 2.0 * (a + math.log1p(math.exp(-2.0 * a))))
-    except OverflowError:
-        raise ValueError(f"the transform at n = {n}, s = {2.0 * half:g} exceeds "
-                         f"the float range") from None
-    return math.copysign(v, t) if n % 2 else v
+        return _moment_result(n, 0.0)
+    pts, allw = _half_line_points(truncation)
+    square, power = pts * pts, pts.copy()
+    for _ in range(n // 2):
+        np.multiply(power, square, out=power)
+    return _moment_result(n, _panel_sum(allw, np.divide(power, np.sinh(pts), out=power)))
 
 
 def ft_numeric(n: int, s: float) -> float:
@@ -734,62 +545,3 @@ def ft_numeric_grid(n: int, ss: Sequence[float]) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = member_values(SeqKind.PHI_MONIC, n, pts)[n] * _weight_array(pts)
         return [sign * _panel_sum(allw, weighted * trig(s * pts)) / _SQRT_2PI for s in ss]
-
-
-def _ft_sinh_form(n: int, s: float) -> float:
-    """The sinh-quotient closed form, usable away from s = 0."""
-    return (math.factorial(n + 1) * math.sqrt(2.0 / math.pi)
-            * math.sinh(0.5 * s) ** (2 * n + 2) / math.sinh(s) ** (n + 2))
-
-
-def own_erratum_audit() -> list[CheckReport]:
-    """The three printed errata this module adjudicates; `suite.audit_suite` adds the
-    derivative-expansion and Rodrigues ones.
-
-    Each report evaluates the printed form and the derived alternative side
-    by side; all carry AUDITED status because a documented inconsistency is
-    expected output, not a build failure.
-    """
-    # 1. Sign of the base three-term recurrence: the minus-sign variant first
-    #    diverges from every oracle at n = 3.
-    g = RECURRENCES[SeqKind.G]
-    printed = g._replace(b=-g.b).members(3)
-    oracle3 = oracle_hypergeometric_g(3)
-    agree = not g_oracle_mismatches(20)
-    residual = printed[3] - oracle3
-    sign_report = CheckReport(
-        "g-recurrence-sign", (3, 3), CheckStatus.AUDITED, residual=residual,
-        note=(f"printed minus-sign recurrence gives {printed[3]} at n = 3; "
-              f"hypergeometric oracle gives {oracle3}; plus-sign recurrence matches "
-              f"hypergeometric, Meixner and series oracles for n <= 20: {agree}"))
-
-    # 2. Constant in the tanh/sech form of the transform: 2^(n+1) vs 2^n.
-    dev_good = 0.0
-    dev_printed = math.inf
-    for n in range(0, 7):
-        for s in (0.5, 1.0, 2.0):
-            reference = _ft_sinh_form(n, s)
-            good = ft_closed(n, s)
-            bad = 2.0 * good  # the 2^n variant is exactly twice the 2^(n+1) one
-            dev_good = max(dev_good, abs(good - reference) / abs(reference))
-            dev_printed = min(dev_printed, abs(bad - reference) / abs(reference))
-    quad0 = ft_numeric(0, 0.0)
-    constant_report = CheckReport(
-        "fourier-tanh-constant", (0, 6), CheckStatus.AUDITED, max_deviation=dev_good,
-        note=(f"tanh/sech rewriting needs divisor 2^(n+1): it matches the sinh form "
-              f"to {dev_good:.2e} relative and quadrature at n=0, s=0 "
-              f"({quad0:.6f} vs {ft_closed(0, 0.0):.6f}); the printed 2^n "
-              f"variant is high by a factor of 2 (relative error >= {dev_printed:.3f})"))
-
-    # 3. The n = 0 display: its second expression halves the first.
-    s0 = 1.3
-    first = 1.0 / ((1.0 + math.cosh(s0)) * _SQRT_2PI)
-    second = 0.5 * math.sqrt(2.0 / math.pi) * math.sinh(0.5 * s0) ** 2 / math.sinh(s0) ** 2
-    closed0 = ft_closed(0, s0)
-    return [sign_report, constant_report, CheckReport(
-        "fourier-n0-display", (0, 0), CheckStatus.AUDITED,
-        max_deviation=abs(first - closed0) / closed0,
-        note=(f"first n=0 expression 1/((1+cosh s) sqrt(2 pi)) matches the closed form "
-              f"at s = {s0} ({first:.9f} vs {closed0:.9f}); the second printed "
-              f"expression gives {second:.9f}, low by a factor of "
-              f"{first / second:.6f}"))]

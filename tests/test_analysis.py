@@ -14,12 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlpoly.analysis import (_off_diagonal, _spectra, ft_closed, ft_numeric, ft_numeric_grid,
-                             gram_deviation, make_quad_config, member_values,
-                             moment, orthogonality_matrix, zeros, zeros_range, _bracket,
-                             _coeff_norm, _ft_sinh_form, _gram_envelope, _interlaces_below,
-                             _log_envelope, _panel_points, _panel_sum, _tail_sum, _unit_panel,
-                             _weight_array)
+from mlpoly.analysis import (_spectra, ft_numeric, ft_numeric_grid, gram_deviation,
+                             member_values, moment, orthogonality_matrix, zeros, zeros_range,
+                             _gram_envelope, _interlaces_below, _panel_points, _panel_sum,
+                             _unit_panel, _weight_array)
+from mlpoly.floats import (_off_diagonal, ft_closed, make_quad_config, _bracket, _coeff_norm,
+                           _ft_sinh_form, _log_envelope, _tail_sum)
 from mlpoly.report import CheckStatus
 from mlpoly.sequences import RECURRENCES, SeqKind, generate
 from mlpoly.suite import _FT_S_GRID, audit_suite
@@ -350,18 +350,18 @@ def test_zeros_range_agrees_with_zeros_size_by_size():
 
 
 def test_zeros_bisects_each_size_once_over_a_run(monkeypatch):
-    from mlpoly import analysis
+    from mlpoly import floats
     from mlpoly.suite import run_suite
     sweeps = []
-    true_spectra = analysis._spectra
+    true_spectra = floats._spectra
 
-    def recorded(sizes, tol):
-        sweeps.append(list(sizes))
-        return true_spectra(sizes, tol)
+    def recorded(hi, tol):
+        sweeps.append(hi)
+        return true_spectra(hi, tol)
 
-    monkeypatch.setattr(analysis, "_spectra", recorded)
+    monkeypatch.setattr(floats, "_spectra", recorded)
     run_suite("numeric")
-    assert sweeps == [list(range(1, 25))]  # the zeros-reference sizes, in one sweep
+    assert sweeps == [24]  # the zeros-reference sizes 1..24, in one sweep
 
 
 def test_zeros_hands_out_a_list_of_its_own():
@@ -597,26 +597,33 @@ FROZEN_TRUNCATIONS = {
 
 
 def test_quadrature_truncations_are_unchanged(monkeypatch):
-    from mlpoly import analysis
+    # the numpy lanes and the Python floats of the numeric plan take the same truncations,
+    # floats from an envelope squared by math.fsum, analysis by numpy.convolve
+    from mlpoly import analysis, floats
 
     class Picked(Exception):
         pass
-
-    true_config = analysis.make_quad_config
-
-    # the truncation itself, not the rule that reads it: moments of even n read none
-    def stop_at_the_truncation(*args, **kwargs):
-        raise Picked(true_config(*args, **kwargs))
 
     def truncation(fn, *args):
         with pytest.raises(Picked) as info:
             fn(*args)
         return info.value.args[0]
 
-    monkeypatch.setattr(analysis, "make_quad_config", stop_at_the_truncation)
-    assert [truncation(orthogonality_matrix, n) for n in range(114)] == FROZEN_TRUNCATIONS["quad"]
-    assert [truncation(ft_numeric, n, 1.0) for n in range(121)] == FROZEN_TRUNCATIONS["ft"]
-    assert [truncation(moment, n) for n in range(1, 63)] == FROZEN_TRUNCATIONS["moments"]
+    for mod in (analysis, floats):
+        true_config = mod.make_quad_config
+
+        # the truncation itself, not the rule that reads it: moments of even n read none
+        def stop_at_the_truncation(*args, _true=true_config, **kwargs):
+            raise Picked(_true(*args, **kwargs))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mod, "make_quad_config", stop_at_the_truncation)
+            assert ([truncation(mod.orthogonality_matrix, n) for n in range(114)]
+                    == FROZEN_TRUNCATIONS["quad"]), mod
+            assert ([truncation(mod.ft_numeric, n, 1.0) for n in range(121)]
+                    == FROZEN_TRUNCATIONS["ft"]), mod
+            assert ([truncation(mod.moment, n) for n in range(1, 63)]
+                    == FROZEN_TRUNCATIONS["moments"]), mod
 
 
 def test_member_values_follow_the_exact_members():
@@ -975,7 +982,7 @@ def test_tail_sum_is_the_direct_sum_to_rounding():
 
 
 def test_ft_closed_past_the_float_range():
-    from mlpoly.analysis import _ft_closed_log
+    from mlpoly.floats import _ft_closed_log
     # the log-space form agrees with the direct product where both exist
     for n, s in ((5, -2.0), (160, 0.3), (169, 40.0)):
         assert _ft_closed_log(n, 0.5 * s) == pytest.approx(ft_closed(n, s), rel=1e-12)
@@ -988,3 +995,106 @@ def test_ft_closed_past_the_float_range():
     for s in (math.inf, math.nan, 1e308):
         with pytest.raises(ValueError, match="non-finite"):
             ft_numeric(2, s)
+
+
+# The numeric plan of verify and the erratum audit on Python floats (mlpoly.floats).
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
+def test_the_scalar_zeros_are_the_lanes_bit_for_bit(tol):
+    from mlpoly import floats
+    lanes = _spectra(range(1, 25), tol)
+    scalar = floats._spectra(24, tol)
+    assert list(scalar) == list(range(1, 25))
+    for n in range(1, 25):
+        assert scalar[n] == lanes[n] == _scalar_zeros(n, tol), n
+    assert floats.zeros_range(1, 24, tol) == zeros_range(1, 24, tol)
+
+
+def _counting(monkeypatch, floats):
+    """Patch floats' Sturm count to count its calls; returns the list it appends to."""
+    calls = []
+    true_count = floats._sturm_count
+
+    def counted(bsqs, pivmin, x):
+        calls.append(len(bsqs))
+        return true_count(bsqs, pivmin, x)
+
+    monkeypatch.setattr(floats, "_sturm_count", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
+def test_a_wrong_newton_estimate_costs_counts_and_never_bits(monkeypatch, tol):
+    # at 0.0 and shifted by 1 no bracket certifies but those of zeros near them, so most
+    # steps count; scaled by 1 + 2^-40 the largest zeros miss their brackets
+    from mlpoly import floats
+    calls = _counting(monkeypatch, floats)
+    expected = floats._spectra(24, tol)
+    counts = len(calls)
+    true_newton = floats._newton
+    for wrong in (lambda bsqs, x, small: 0.0,
+                  lambda bsqs, x, small: true_newton(bsqs, x, small) + 1.0,
+                  lambda bsqs, x, small: true_newton(bsqs, x, small) * (1.0 + 2.0**-40)):
+        monkeypatch.setattr(floats, "_newton", wrong)
+        calls.clear()
+        assert floats._spectra(24, tol) == expected
+        assert len(calls) > counts
+
+
+def test_the_newton_estimates_certify_every_eigenvalue_of_the_numeric_plan(monkeypatch):
+    # two counts certify each of the 288 eigenvalues of sizes 1..24 (the middle zero of an
+    # odd size has none), and 22 midpoints fall inside their brackets at tol 1e-12; the
+    # bisection without estimates counts at each of its 35-42 steps
+    from mlpoly import floats
+    calls = _counting(monkeypatch, floats)
+    floats.zeros_range(1, 24)
+    assert len(calls) == 598
+
+
+def _two_sided_fsum(wts, vals):
+    return math.fsum(w * v for w, v in zip(wts, vals))
+
+
+def test_the_scalar_half_line_sums_are_the_two_sided_sums_bit_for_bit():
+    # the terms at -t and t are equal, so the exact two-sided sum is twice the exact
+    # half-line sum and fsum rounds both alike; the odd Gram entries are exact zeros
+    from mlpoly import floats
+    from mlpoly.suite import _SCALAR_GRAM_MAX_N
+    for n in range(_SCALAR_GRAM_MAX_N + 1):
+        pts, wts = floats._panel_points(_gram_truncation(n), half_line=False)
+        wts = [w * floats._weight(t) for w, t in zip(wts, pts)]
+        rows = floats._member_rows(SeqKind.PHI, n, pts)
+        # the lower triangle, each row weighted first, mirrored
+        expected = [[_two_sided_fsum([r * w for r, w in zip(rows[max(i, j)], wts)],
+                                     rows[min(i, j)])
+                     for j in range(n + 1)] for i in range(n + 1)]
+        assert floats.orthogonality_matrix(n) == expected, n
+    for n in range(9):
+        norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
+        pts, wts = floats._panel_points(make_quad_config(_monomial(n + 1, norm), abs_tol=1e-9),
+                                        half_line=False)
+        p = floats._member_rows(SeqKind.PHI_MONIC, n, pts)[n]
+        trig = math.cos if n % 2 == 0 else math.sin
+        expected = [(-1) ** (n // 2) * _two_sided_fsum(
+            wts, [v * floats._weight(t) * trig(s * t) for v, t in zip(p, pts)])
+            / math.sqrt(2.0 * math.pi) for s in _FT_S_GRID]
+        assert floats.ft_numeric_grid(n, _FT_S_GRID) == expected, n
+
+
+def test_the_scalar_quadratures_are_the_numpy_ones_to_rounding():
+    # fsum and math.sinh against einsum and np.sinh; the largest gaps measured on x86-64
+    # with AVX-512 were 4.4e-16 (a Gram entry), 7.2e-16 relative (a moment) and 8.9e-16
+    # relative (a Fourier value), bounded here at about 4 times
+    from mlpoly import floats
+    from mlpoly.suite import _SCALAR_GRAM_MAX_N
+    for n in range(_SCALAR_GRAM_MAX_N + 1):
+        scalar = np.array(floats.orthogonality_matrix(n))
+        assert np.max(np.abs(scalar - orthogonality_matrix(n))) <= 2e-15, n
+        assert floats.gram_deviation(scalar.tolist()) == gram_deviation(scalar), n
+    for n in range(1, 10):
+        got, ref = floats.moment(n), moment(n)
+        assert got._replace(numeric=0.0, deviation=0.0) == ref._replace(numeric=0.0, deviation=0.0)
+        assert abs(got.numeric - ref.numeric) <= 3e-15 * max(1.0, abs(ref.numeric)), n
+    for n in range(9):
+        for got, ref in zip(floats.ft_numeric_grid(n, _FT_S_GRID), ft_numeric_grid(n, _FT_S_GRID)):
+            assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), n

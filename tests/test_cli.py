@@ -935,9 +935,31 @@ def test_verify_does_not_load_the_modules_only_other_commands_use():
     # CPython 3.10-3.13, so a module counts where importing fractions alone does not load it
     unused = {"numpy.polynomial", "csv", "decimal"} - _imported("-c", "import fractions")
     assert {"numpy.polynomial", "csv"} <= unused
-    loaded = _imported("-m", "mlpoly", "verify", "--suite", "all")
-    assert "mlpoly.suite" in loaded and "numpy" in loaded
-    assert not unused & loaded
+    # the numeric plan and the audit compute on Python floats (mlpoly.floats), so numpy is
+    # not loaded either
+    for argv in (["verify", "--suite", "all"], ["audit"]):
+        loaded = _imported("-m", "mlpoly", *argv)
+        assert "mlpoly.suite" in loaded and "mlpoly.floats" in loaded, argv
+        assert "numpy" not in loaded and not unused & loaded, argv
+
+
+def test_verify_and_audit_print_their_bytes_with_numpy_blocked():
+    # with sys.modules["numpy"] = None every import of numpy raises ImportError, so these
+    # commands run on Python floats alone, and print the bytes of fresh processes
+    argvs = [["verify", "--suite", "all"], ["verify", "--suite", "numeric"], ["audit"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from mlpoly.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert sys.modules['numpy'] is None\n")
+    blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                             timeout=120, env=env).stdout
+    fresh = b"".join(subprocess.run([sys.executable, "-m", "mlpoly", *argv],
+                                    capture_output=True, check=True, timeout=120,
+                                    env=env).stdout for argv in argvs)
+    assert blocked == fresh and blocked
 
 
 def test_zeros_rejects_a_tol_too_wide_to_separate_the_zeros(capsys):

@@ -22,7 +22,7 @@ from conftest import _Bumped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpoly import analysis, exactnum, identities, polyfps, sequences, suite
+from mlpoly import analysis, exactnum, floats, identities, polyfps, sequences, suite
 from mlpoly.cli import main
 from mlpoly.polyfps import Poly, X
 from mlpoly.report import CheckStatus, aggregate
@@ -223,20 +223,17 @@ def _zeta_even_off(n):
     ("zeta_even", _zeta_even_off(6), {"zeta-moments"}),
     ("_ZERO_REFS", {**suite._ZERO_REFS, 5: 2.950}, {"zeros-reference"}),
     # one weight of the panel rule: every quadrature against its closed form
-    ("_HALF_WEIGHTS", (analysis._HALF_WEIGHTS[0] * (1 + 1e-6), *analysis._HALF_WEIGHTS[1:]),
+    ("_HALF_WEIGHTS", (floats._HALF_WEIGHTS[0] * (1 + 1e-6), *floats._HALF_WEIGHTS[1:]),
      {"orthogonality-matrix", "zeta-moments", "fourier-closed-vs-quadrature"}),
 ])
 def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
         monkeypatch, piece, broken, failing):
-    # every module that holds the name, by definition or by import; the panel rule is kept
-    # for the process, and fresh_memos does not clear it, so it is cleared on both sides
-    for module in (m for m in (sequences, identities, analysis, suite) if hasattr(m, piece)):
+    # every module that holds the name, by definition or by import; at max_n = 8 the
+    # numeric plan sums every quadrature in Python floats, on the panel rule of floats
+    for module in (m for m in (sequences, identities, floats, analysis, suite)
+                   if hasattr(m, piece)):
         monkeypatch.setattr(module, piece, broken)
-    analysis._unit_panel.cache_clear()
-    try:
-        status = {r.identity: r.status for r in suite.run_suite("all", 8)}
-    finally:
-        analysis._unit_panel.cache_clear()
+    status = {r.identity: r.status for r in suite.run_suite("all", 8)}
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
 
 
@@ -421,14 +418,14 @@ def _statuses(max_n):
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_a_wrong_largest_zero_of_each_reference_size_fails_zeros_reference(monkeypatch, size):
-    zeros_range = analysis.zeros_range
+    zeros_range = floats.zeros_range
 
     def moved(lo, hi, tol=1e-12):
         found = zeros_range(lo, hi, tol)
         found[size] = [*found[size][:-1], found[size][-1] + 0.01]
         return found
 
-    monkeypatch.setattr(analysis, "zeros_range", moved)
+    monkeypatch.setattr(floats, "zeros_range", moved)
     status = _statuses(4)
     assert status["zeros-reference"] is CheckStatus.FAIL
     assert list(status.values()).count(CheckStatus.FAIL) == 1
@@ -436,12 +433,12 @@ def test_a_wrong_largest_zero_of_each_reference_size_fails_zeros_reference(monke
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_a_wrong_moment_of_each_odd_index_fails_zeta_moments(monkeypatch, n):
-    moment = analysis.moment
+    moment = floats.moment
 
     def moved(k):
         return moment(k)._replace(deviation=1.0) if k == n else moment(k)
 
-    monkeypatch.setattr(analysis, "moment", moved)
+    monkeypatch.setattr(floats, "moment", moved)
     status = _statuses(4)
     assert status["zeta-moments"] is CheckStatus.FAIL
     assert list(status.values()).count(CheckStatus.FAIL) == 1
