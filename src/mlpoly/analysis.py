@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .floats import (_CERTIFICATE_HALF_WIDTHS, _HALF_NODES, _HALF_WEIGHTS, _SQRT_2PI,
-                     MomentResult, _abs_coeffs, _bracket, _check_bound, _check_interlacing,
-                     _check_zero_range, _coeff_norm, _moment_result, _off_diagonal,
-                     _step_floats, ft_closed, make_quad_config, own_erratum_audit)
+                     MomentResult, _bracket, _check_bound, _check_interlacing,
+                     _check_zero_range, _coeff_norm, _gram_envelope, _moment_result,
+                     _off_diagonal, _step_floats, ft_closed, make_quad_config,
+                     own_erratum_audit)
 from .sequences import RECURRENCES, Recurrence, SeqKind, generate
 
 __all__ = [
@@ -469,21 +469,6 @@ def _gram(entry: Recurrence, n_max: int) -> np.ndarray:
     out[upper] = out.T[upper]
     out.setflags(write=False)  # the cache hands the same array to every caller
     return out
-
-
-def _gram_envelope(n_max: int) -> tuple[float, ...]:
-    """The tail envelope of the Gram integrands, and its refusal from n = 114, as
-    floats._gram_envelope gives them for the numeric plan, the maxima a_k = max_i |c_ik|
-    and the square of A(t) = sum_k a_k t^k taken in numpy: at quad's sizes (0.8 ms at
-    n_max = 80) that is about a third of the time of the same in Python floats."""
-    coeffs = np.zeros(n_max + 1)
-    for p in generate(SeqKind.PHI, n_max):
-        head = coeffs[: p.degree + 1]
-        np.maximum(head, _abs_coeffs(p), out=head)
-    if coeffs.min() ** 2 < sys.float_info.min:
-        raise ValueError(f"the tail envelope of the Gram matrix at max_n = {n_max} "
-                         f"leaves the float range")
-    return (0.0, *np.convolve(coeffs, coeffs).tolist())
 
 
 def gram_deviation(mat: np.ndarray) -> float:

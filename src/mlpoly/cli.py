@@ -21,9 +21,8 @@ from .sequences import RECURRENCES, SeqKind, generate, generating_series
 
 # The numpy layer, analysis, is imported by the handlers that need it (zeros, quad, ft and
 # moments), so no other command pays for numpy: verify and audit run their floats in
-# mlpoly.floats, on Python floats, and load numpy only for a Gram matrix past the sizes it
-# serves (verify --max-n 17 and above).  csv and decimal are imported where they are used
-# too: a default verify writes JSON and reads no exact point.
+# mlpoly.floats, on Python floats.  csv and decimal are imported where they are used too: a
+# default verify writes JSON and reads no exact point.
 
 _SEQ_TOKENS = tuple(sorted(kind.token for kind in SeqKind))
 _SERIES_TOKENS = _SEQ_TOKENS[:4] + ("arctan-half", "artanh", "tan-half", "log-ratio")

@@ -10,9 +10,7 @@ oracles' verdicts (the family tables are kept by `sequences.generate` for the
 whole process), and sorts the reports by a canonical key, so the output is
 reproducible byte for byte no matter how the individual checks were scheduled.
 The numeric and audit steps import the float layer they run, `floats`, themselves; it
-computes on Python floats and loads no numpy, so `audit` and `verify` at its default
-sizes never load numpy.  Only a Gram matrix larger than `_SCALAR_GRAM_MAX_N` is summed
-by `analysis`, in numpy.
+computes on Python floats and loads no numpy, so `verify` and `audit` never load numpy.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ __all__ = ["audit_suite", "run_suite", "summarize"]
 
 _ZERO_REFS = {2: 0.707, 3: 1.414, 4: 2.163, 5: 2.945}
 _FT_S_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
-# The largest Gram matrix the numeric plan sums in Python floats (the default size is 12):
-# the scalar sum grows as n^3, 2.6 ms at 12 and 4.2 ms at 16 (6.3 at 20, 9.5 at 24) on a
-# 2-core x86-64, where numpy's takes 1-2 ms once numpy is loaded, which costs 60-100 ms.
-_SCALAR_GRAM_MAX_N = 16
 
 # A plan's steps; a step is (callable, *hashable args) returning a report or a list of
 # them, read from the module's names at each call.
@@ -106,11 +100,8 @@ def _exact_plan(max_n: int) -> Plan:
 
 
 def _bounded_checks(max_n: int) -> list[CheckReport]:
-    from .floats import ft_closed, ft_numeric_grid, moment, zeros_range
-    if max_n <= _SCALAR_GRAM_MAX_N:
-        from .floats import gram_deviation, orthogonality_matrix
-    else:
-        from .analysis import gram_deviation, orthogonality_matrix
+    from .floats import (ft_closed, ft_numeric_grid, gram_deviation, moment,
+                         orthogonality_matrix, zeros_range)
     # the Jacobi matrix is real only while every -b(k) > 0; a family without one has no
     # zeros to match, so its deviation is unmeasured and zeros-reference fails
     nums, _ = RECURRENCES[SeqKind.PHI_MONIC].b.terms(24)  # over positive denominators

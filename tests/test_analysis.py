@@ -597,8 +597,8 @@ FROZEN_TRUNCATIONS = {
 
 
 def test_quadrature_truncations_are_unchanged(monkeypatch):
-    # the numpy lanes and the Python floats of the numeric plan take the same truncations,
-    # floats from an envelope squared by math.fsum, analysis by numpy.convolve
+    # the numpy lanes and the Python floats of verify take the same truncations, from the
+    # one Gram envelope, squared by math.fsum
     from mlpoly import analysis, floats
 
     class Picked(Exception):
@@ -1057,17 +1057,17 @@ def _two_sided_fsum(wts, vals):
 
 def test_the_scalar_half_line_sums_are_the_two_sided_sums_bit_for_bit():
     # the terms at -t and t are equal, so the exact two-sided sum is twice the exact
-    # half-line sum and fsum rounds both alike; the odd Gram entries are exact zeros
+    # half-line sum and fsum rounds both alike; the odd Gram entries are exact zeros.  The
+    # Gram sizes are the default numeric plan's, every size up to 24, and 40
     from mlpoly import floats
-    from mlpoly.suite import _SCALAR_GRAM_MAX_N
-    for n in range(_SCALAR_GRAM_MAX_N + 1):
+    for n in (*range(25), 40):
         pts, wts = floats._panel_points(_gram_truncation(n), half_line=False)
         wts = [w * floats._weight(t) for w, t in zip(wts, pts)]
         rows = floats._member_rows(SeqKind.PHI, n, pts)
         # the lower triangle, each row weighted first, mirrored
-        expected = [[_two_sided_fsum([r * w for r, w in zip(rows[max(i, j)], wts)],
-                                     rows[min(i, j)])
-                     for j in range(n + 1)] for i in range(n + 1)]
+        lower = [[_two_sided_fsum([r * w for r, w in zip(rows[i], wts)], rows[j])
+                  for j in range(i + 1)] for i in range(n + 1)]
+        expected = [[lower[max(i, j)][min(i, j)] for j in range(n + 1)] for i in range(n + 1)]
         assert floats.orthogonality_matrix(n) == expected, n
     for n in range(9):
         norm = _coeff_norm(generate(SeqKind.PHI_MONIC, n)[n])
@@ -1084,10 +1084,10 @@ def test_the_scalar_half_line_sums_are_the_two_sided_sums_bit_for_bit():
 def test_the_scalar_quadratures_are_the_numpy_ones_to_rounding():
     # fsum and math.sinh against einsum and np.sinh; the largest gaps measured on x86-64
     # with AVX-512 were 4.4e-16 (a Gram entry), 7.2e-16 relative (a moment) and 8.9e-16
-    # relative (a Fourier value), bounded here at about 4 times
+    # relative (a Fourier value), bounded here at about 4 times; 4.4e-16 is also the largest
+    # Gram gap over all 114 sizes verify serves, of which the smallest and the largest run here
     from mlpoly import floats
-    from mlpoly.suite import _SCALAR_GRAM_MAX_N
-    for n in range(_SCALAR_GRAM_MAX_N + 1):
+    for n in (*range(25), 113):
         scalar = np.array(floats.orthogonality_matrix(n))
         assert np.max(np.abs(scalar - orthogonality_matrix(n))) <= 2e-15, n
         assert floats.gram_deviation(scalar.tolist()) == gram_deviation(scalar), n

@@ -936,8 +936,9 @@ def test_verify_does_not_load_the_modules_only_other_commands_use():
     unused = {"numpy.polynomial", "csv", "decimal"} - _imported("-c", "import fractions")
     assert {"numpy.polynomial", "csv"} <= unused
     # the numeric plan and the audit compute on Python floats (mlpoly.floats), so numpy is
-    # not loaded either
-    for argv in (["verify", "--suite", "all"], ["audit"]):
+    # not loaded either, at any size
+    for argv in (["verify", "--suite", "all"], ["verify", "--suite", "numeric", "--max-n", "40"],
+                 ["audit"]):
         loaded = _imported("-m", "mlpoly", *argv)
         assert "mlpoly.suite" in loaded and "mlpoly.floats" in loaded, argv
         assert "numpy" not in loaded and not unused & loaded, argv

@@ -36,7 +36,7 @@ def _per_family(built):
 
 def _count_calls(monkeypatch, calls, name):
     # every module that holds the name by import, so a call through any of them counts
-    for module in (m for m in (suite, analysis) if hasattr(m, name)):
+    for module in (m for m in (suite, floats, analysis) if hasattr(m, name)):
         original = getattr(module, name)
 
         def counted(*args, _original=original):
@@ -228,12 +228,17 @@ def _zeta_even_off(n):
 ])
 def test_a_broken_piece_of_a_route_fails_the_reports_that_read_it(
         monkeypatch, piece, broken, failing):
-    # every module that holds the name, by definition or by import; at max_n = 8 the
-    # numeric plan sums every quadrature in Python floats, on the panel rule of floats
+    # every module that holds the name, by definition or by import; the numpy panel rule is
+    # kept for the process, and fresh_memos does not clear it, so it is cleared on both
+    # sides, though verify sums every quadrature in Python floats, on the panel rule of floats
     for module in (m for m in (sequences, identities, floats, analysis, suite)
                    if hasattr(m, piece)):
         monkeypatch.setattr(module, piece, broken)
-    status = {r.identity: r.status for r in suite.run_suite("all", 8)}
+    analysis._unit_panel.cache_clear()
+    try:
+        status = {r.identity: r.status for r in suite.run_suite("all", 8)}
+    finally:
+        analysis._unit_panel.cache_clear()
     assert {i for i, s in status.items() if s is CheckStatus.FAIL} == failing
 
 
